@@ -5,7 +5,8 @@ and writes UTF-8, LF-terminated tables with 6-decimal fixed-point reals
 into the output directory.  Identical config and inputs produce
 bit-identical outputs regardless of --threads.
 
-Exit codes: 0 success, 1 configuration error, 2 data error.
+Exit codes: 0 success, 1 configuration error, 2 data error.  A Spearman
+correlation left undefined by two constant inputs is reported as 0.
 """
 
 from __future__ import annotations
@@ -32,10 +33,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Translation quality metrics, regressive ensembles, and their evaluation.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr (default: off)")
+    verbose_help = "log progress to stderr (default: off)"
+    parser.add_argument("-v", "--verbose", action="store_true", help=verbose_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(cmd: argparse.ArgumentParser) -> None:
+        # no default here, so a -v given before the subcommand is not reset
+        cmd.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS, help=verbose_help)
         cmd.add_argument("--threads", type=_positive_int, default=1, help="segment-scoring threads (default: %(default)s)")
         cmd.add_argument("--out", type=Path, default=None, help="output directory (default: config output_dir, else '.')")
 

@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from mteval._rng import Xorshift64Star, round_half_up
 from mteval.errors import DataError
@@ -104,13 +105,7 @@ class Dataset:
 
     def unique_sources(self) -> list[str]:
         """Distinct source texts in first-occurrence order."""
-        seen: set[str] = set()
-        out: list[str] = []
-        for seg in self.segments:
-            if seg.source not in seen:
-                seen.add(seg.source)
-                out.append(seg.source)
-        return out
+        return list(dict.fromkeys(seg.source for seg in self.segments))
 
 
 def _parse_judgements(raw: str, where: str) -> tuple[float, ...]:
@@ -232,23 +227,32 @@ def dataset_gold(dataset: Dataset) -> list[float]:
     return [average_judgements(seg).value for seg in dataset.segments]
 
 
+def split_sources(sources: Iterable[str], ratio: float, seed: int) -> tuple[list[str], list[str]]:
+    """Shuffle the distinct ``sources`` and cut them into two parts.
+
+    Distinct sources are taken in first-occurrence order, shuffled by the
+    pinned generator (see mteval._rng), and the first
+    ``round(ratio * n_sources)`` form the first part.  Deterministic for a
+    fixed (sources, ratio, seed).
+    """
+    unique = list(dict.fromkeys(sources))
+    Xorshift64Star(seed).shuffle(unique)
+    cut = round_half_up(ratio * len(unique))
+    return unique[:cut], unique[cut:]
+
+
 def split_by_source(dataset: Dataset, train_ratio: float, seed: int) -> tuple[Dataset, Dataset]:
     """Split a dataset so that each unique source text lands wholly on one side.
 
-    Unique sources are collected in first-occurrence order, shuffled by the
-    pinned generator (see mteval._rng), and the first
-    ``round(train_ratio * n_sources)`` go to the train side.  Deterministic
-    for a fixed (dataset, seed).
+    The train side holds the first part of `split_sources` over the
+    dataset's sources.
     """
     if not 0.0 < train_ratio < 1.0:
         raise ValueError(f"train_ratio must lie in (0, 1), got {train_ratio}")
     sources = dataset.unique_sources()
     if len(sources) < 2:
         raise DataError(f"dataset {dataset.name!r} has {len(sources)} unique sources; need at least 2 to split")
-    rng = Xorshift64Star(seed)
-    rng.shuffle(sources)
-    n_train = round_half_up(train_ratio * len(sources))
-    train_sources = set(sources[:n_train])
+    train_sources = set(split_sources(sources, train_ratio, seed)[0])
     train = [seg for seg in dataset.segments if seg.source in train_sources]
     test = [seg for seg in dataset.segments if seg.source not in train_sources]
     return (

@@ -67,8 +67,9 @@ def load_static(path: str | Path) -> EmbeddingStore:
     """Load a word-vector text file.
 
     The header count is informative only (a mismatch logs a warning), but
-    every row must carry exactly ``dim`` values; a duplicated token keeps
-    the last vector seen and logs a warning.
+    every row must carry exactly ``dim`` values; trailing spaces, as the
+    original word2vec tool writes them, are ignored.  A duplicated token
+    keeps the last vector seen and logs a warning.
     """
     path = Path(path)
     table: dict[str, np.ndarray] = {}
@@ -85,7 +86,7 @@ def load_static(path: str | Path) -> EmbeddingStore:
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip("\n").rstrip(" ").split(" ")
             if len(parts) != dim + 1:
                 raise DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {len(parts)} fields")
             token = parts[0]

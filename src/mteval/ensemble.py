@@ -10,14 +10,14 @@ restricted to the four surface length features.
 from __future__ import annotations
 
 import copy
-import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from mteval._rng import Xorshift64Star, round_half_up
-from mteval.stats import spearman
+from mteval._rng import round_half_up
+from mteval.corpus import split_sources
+from mteval.stats import safe_spearman
 
 __all__ = [
     "EnsembleModel",
@@ -26,20 +26,16 @@ __all__ = [
     "StandardizationParams",
     "fit_linear",
     "fit_mlp",
-    "load_model",
     "mlp_forward",
     "mlp_gradients",
     "mlp_loss",
     "predict",
-    "save_model",
     "select_model",
     "standardize_apply",
     "standardize_fit",
 ]
 
 logger = logging.getLogger(__name__)
-
-MODEL_FORMAT_VERSION = 1
 
 #: Spearman differences below this are ties, resolved in favour of linear.
 SELECTION_TIE = 1e-9
@@ -306,14 +302,6 @@ def predict(model: EnsembleModel, features: FeatureMatrix) -> np.ndarray:
     return mlp_forward(model.mlp, rows)
 
 
-def _safe_spearman(a, b) -> float:
-    """Spearman with undefined (both-constant) cases scored as 0."""
-    try:
-        return spearman(a, b)
-    except ValueError:
-        return 0.0
-
-
 def select_model(
     features: FeatureMatrix,
     gold: list[float],
@@ -339,8 +327,10 @@ def select_model(
     mlp_options = dict(mlp_options or {})
 
     kind = "linear"
-    fit_idx, val_idx = _validation_split(sources, seed)
-    if fit_idx is not None and len(fit_idx) >= 2 and len(val_idx) >= 2:
+    fit_sources = set(split_sources(sources, 0.8, seed + 1)[0])
+    fit_idx = [i for i, s in enumerate(sources) if s in fit_sources]
+    val_idx = [i for i, s in enumerate(sources) if s not in fit_sources]
+    if len(fit_idx) >= 2 and len(val_idx) >= 2:
         sub = features.take_rows(fit_idx)
         sub_params = standardize_fit(sub)
         sub_std = standardize_apply(sub, sub_params)
@@ -349,11 +339,11 @@ def select_model(
         y_val = y[val_idx]
 
         linear_model = fit_linear(sub_std, y_fit, standardization=sub_params)
-        rho_linear = _safe_spearman(predict(linear_model, holdout), y_val)
+        rho_linear = safe_spearman(predict(linear_model, holdout), y_val)
         rho_mlp = -np.inf
         if len(fit_idx) >= 10:
             mlp_model = fit_mlp(sub_std, y_fit, seed=seed, standardization=sub_params, **mlp_options)
-            rho_mlp = _safe_spearman(predict(mlp_model, holdout), y_val)
+            rho_mlp = safe_spearman(predict(mlp_model, holdout), y_val)
         if rho_mlp - rho_linear > SELECTION_TIE:
             kind = "mlp"
         logger.debug(
@@ -368,83 +358,3 @@ def select_model(
     if kind == "mlp":
         return fit_mlp(standardized, y, seed=seed, standardization=params, **mlp_options)
     return fit_linear(standardized, y, standardization=params)
-
-
-def _validation_split(sources: list[str], seed: int) -> tuple[list[int] | None, list[int] | None]:
-    """Source-disjoint 80/20 row split, or (None, None) when impossible."""
-    unique: list[str] = []
-    seen: set[str] = set()
-    for source in sources:
-        if source not in seen:
-            seen.add(source)
-            unique.append(source)
-    if len(unique) < 2:
-        return None, None
-    shuffled = list(unique)
-    Xorshift64Star(seed + 1).shuffle(shuffled)
-    n_fit = round_half_up(0.8 * len(shuffled))
-    if n_fit == 0 or n_fit >= len(shuffled):
-        return None, None
-    fit_sources = set(shuffled[:n_fit])
-    fit_idx = [i for i, s in enumerate(sources) if s in fit_sources]
-    val_idx = [i for i, s in enumerate(sources) if s not in fit_sources]
-    return fit_idx, val_idx
-
-
-def save_model(model: EnsembleModel, path) -> None:
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
-        "kind": model.kind,
-        "feature_names": list(model.feature_names),
-        "seed": model.seed,
-        "standardization": {
-            "mean": model.standardization.mean.tolist(),
-            "std": model.standardization.std.tolist(),
-        },
-    }
-    if model.kind == "linear":
-        payload["linear"] = {"weights": model.weights.tolist(), "intercept": model.intercept}
-    else:
-        payload["mlp"] = {
-            "w1": model.mlp.w1.tolist(),
-            "b1": model.mlp.b1.tolist(),
-            "w2": model.mlp.w2.tolist(),
-            "b2": model.mlp.b2,
-        }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def load_model(path) -> EnsembleModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    version = payload.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
-    standardization = StandardizationParams(
-        mean=np.array(payload["standardization"]["mean"]),
-        std=np.array(payload["standardization"]["std"]),
-    )
-    if payload["kind"] == "linear":
-        return EnsembleModel(
-            kind="linear",
-            feature_names=payload["feature_names"],
-            standardization=standardization,
-            weights=np.array(payload["linear"]["weights"]),
-            intercept=float(payload["linear"]["intercept"]),
-            seed=payload.get("seed"),
-        )
-    block = payload["mlp"]
-    return EnsembleModel(
-        kind="mlp",
-        feature_names=payload["feature_names"],
-        standardization=standardization,
-        mlp=MlpParams(
-            w1=np.array(block["w1"]),
-            b1=np.array(block["b1"]),
-            w2=np.array(block["w2"]),
-            b2=float(block["b2"]),
-        ),
-        seed=payload.get("seed"),
-    )

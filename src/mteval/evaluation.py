@@ -21,7 +21,7 @@ from mteval.ensemble import FeatureMatrix, predict, select_model
 from mteval.errors import ConfigError
 from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources
 from mteval.pipeline import dataset_features
-from mteval.stats import spearman
+from mteval.stats import safe_spearman
 
 __all__ = [
     "AblationCurve",
@@ -71,10 +71,10 @@ def correlation_report(features: FeatureMatrix, gold: list[float]) -> Correlatio
     matrix: dict[tuple[str, str], float] = {(name, name): 1.0 for name in names}
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            rho = spearman(columns[a], columns[b])
+            rho = safe_spearman(columns[a], columns[b])
             matrix[(a, b)] = rho
             matrix[(b, a)] = rho
-    to_gold = {name: spearman(columns[name], gold) for name in names}
+    to_gold = {name: safe_spearman(columns[name], gold) for name in names}
     return CorrelationReport(names=names, matrix=matrix, to_gold=to_gold)
 
 
@@ -121,7 +121,7 @@ def ablation(
 
     def fit_and_score(names: list[str]) -> float:
         model = select_model(train.select(names), gold_train, seed=seed, sources=sources, mlp_options=mlp_options)
-        return float(spearman(predict(model, test.select(names)), gold_test))
+        return safe_spearman(predict(model, test.select(names)), gold_test)
 
     steps = [AblationStep(step=0, eliminated=None, remaining_count=len(remaining), test_rho=fit_and_score(remaining))]
     step_no = 1
@@ -147,7 +147,7 @@ def _most_redundant(train: FeatureMatrix, remaining: list[str]) -> str:
     worst: dict[str, float] = {name: -np.inf for name in remaining}
     for i, a in enumerate(remaining):
         for b in remaining[i + 1 :]:
-            rho = abs(spearman(columns[a], columns[b]))
+            rho = abs(safe_spearman(columns[a], columns[b]))
             worst[a] = max(worst[a], rho)
             worst[b] = max(worst[b], rho)
     return min(remaining, key=lambda name: (-worst[name], name))
@@ -226,4 +226,4 @@ def cross_lingual_eval(
     model = select_model(
         fit_split.train, fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
     )
-    return float(spearman(predict(model, eval_split.test), eval_split.gold_test))
+    return safe_spearman(predict(model, eval_split.test), eval_split.gold_test)

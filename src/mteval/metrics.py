@@ -37,6 +37,7 @@ __all__ = [
     "compute_placeholders",
     "needed_similarity_keys",
     "reg_base_features",
+    "required_resources",
     "scm",
     "score_segment",
     "sentence_bleu",
@@ -186,6 +187,10 @@ class Resources:
     "idf_descending".  ``contextual_vocab`` carries document frequencies of
     token strings over the contextual record file, one document per
     (segment, side) group.
+
+    `tokens` and `bag` memoize per side text, so the vocabulary build, the
+    metrics and the Reg-base features tokenize each distinct side once and
+    bag it once per (term space, weighting).
     """
 
     static_store: EmbeddingStore | None = None
@@ -197,6 +202,28 @@ class Resources:
     vocab_pieces: Vocabulary | None = None
     sims: dict[tuple[str, str], SimilarityMatrix] = field(default_factory=dict)
     external: dict[str, dict[str, float]] = field(default_factory=dict)
+    _memo: dict[tuple[str, ...], object] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def tokens(self, space: str, text: str, lowercase: bool = False) -> list[str]:
+        """Whitespace ("words") or WordPiece ("pieces") tokens of one side text."""
+        text = text.lower() if lowercase else text
+        if space == "words":
+            return self._memoized((space, text), lambda: whitespace_tokenize(text))
+        return self._memoized((space, text), lambda: wordpiece_tokenize(text, self.wp_vocab))
+
+    def bag(self, space: str, weighting: str, text: str, lowercase: bool = False) -> WeightedBow:
+        """nnx or nfx bag of one side text over the term space's vocabulary."""
+        text = text.lower() if lowercase else text
+        vocab = self.vocab_words if space == "words" else self.vocab_pieces
+        make_bow = bow_nfx if weighting == "nfx" else bow_nnx
+        return self._memoized((space, weighting, text), lambda: make_bow(self.tokens(space, text), vocab))
+
+    def _memoized(self, key: tuple[str, ...], compute):
+        # setdefault keeps one value per key when scoring threads race on a miss
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, compute())
+        return value
 
 
 def scm(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix) -> float:
@@ -386,13 +413,14 @@ def _ngrams(tokens: list[str], n: int):
 
 
 def reg_base_features(
-    segment: Segment, vocab: WordPieceVocab, mode: str, lowercase: bool = False
+    segment: Segment, vocab: WordPieceVocab | Resources, mode: str, lowercase: bool = False
 ) -> np.ndarray:
     """Four surface features: character lengths and WordPiece counts.
 
     Order matches REG_BASE_FEATURES: anchor chars, hypothesis chars, anchor
     piece count, hypothesis piece count, where the anchor is the reference
-    (reference_based) or the source (source_based).
+    (reference_based) or the source (source_based).  ``vocab`` is the
+    WordPiece vocabulary, or a run's Resources to reuse its tokenization.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -403,16 +431,13 @@ def reg_base_features(
     else:
         anchor = segment.source
     hyp = segment.hypothesis
-    if lowercase:
-        anchor_toks, hyp_toks = anchor.lower(), hyp.lower()
-    else:
-        anchor_toks, hyp_toks = anchor, hyp
+    resources = vocab if isinstance(vocab, Resources) else Resources(wp_vocab=vocab)
     return np.array(
         [
             float(len(anchor)),
             float(len(hyp)),
-            float(len(wordpiece_tokenize(anchor_toks, vocab))),
-            float(len(wordpiece_tokenize(hyp_toks, vocab))),
+            float(len(resources.tokens("pieces", anchor, lowercase))),
+            float(len(resources.tokens("pieces", hyp, lowercase))),
         ]
     )
 
@@ -423,22 +448,17 @@ def validate_resources(config: MetricConfig, resources: Resources, segments: lis
     All problems are collected and reported together in one ConfigError.
     """
     problems: list[str] = []
-    needed: set[str] = set()
-    for name in config.metrics:
-        needed |= METRICS[name].resources
+    needed = required_resources(config)
     if "static" in needed:
         if resources.static_store is None:
-            problems.append("static embeddings required by: " + _needing(config, "static"))
+            problems.append("static embeddings required by: " + ", ".join(needed["static"]))
         if resources.vocab_words is None:
             problems.append("word vocabulary missing (build it over the dataset before scoring)")
-    if "wordpiece" in needed or config.reg_base:
-        if resources.wp_vocab is None:
-            wanting = _needing(config, "wordpiece")
-            label = wanting + " and reg_base" if wanting and config.reg_base else (wanting or "reg_base")
-            problems.append("wordpiece vocabulary required by: " + label)
+    if "wordpiece" in needed and resources.wp_vocab is None:
+        problems.append("wordpiece vocabulary required by: " + ", ".join(needed["wordpiece"]))
     if "contextual" in needed:
         if resources.contextual_groups is None:
-            problems.append("contextual record file required by: " + _needing(config, "contextual"))
+            problems.append("contextual record file required by: " + ", ".join(needed["contextual"]))
         if any(m.startswith(("scm_decontextualized", "wmd_decontextualized")) for m in config.metrics):
             if resources.decon_store is None:
                 problems.append("decontextualized store missing (derive it from the contextual records)")
@@ -467,8 +487,15 @@ def validate_resources(config: MetricConfig, resources: Resources, segments: lis
         raise ConfigError("configuration problems:\n  - " + "\n  - ".join(problems))
 
 
-def _needing(config: MetricConfig, resource: str) -> str:
-    return ", ".join(m for m in config.metrics if resource in METRICS[m].resources)
+def required_resources(config: MetricConfig) -> dict[str, list[str]]:
+    """Each resource the config needs -> the enabled metrics (and reg_base) needing it."""
+    needed: dict[str, list[str]] = {}
+    for name in config.metrics:
+        for resource in METRICS[name].resources:
+            needed.setdefault(resource, []).append(name)
+    if config.reg_base:
+        needed.setdefault("wordpiece", []).append("reg_base")
+    return needed
 
 
 def needed_similarity_keys(config: MetricConfig) -> set[tuple[str, str]]:
@@ -539,7 +566,10 @@ def _compute_metric(
 ) -> tuple[float, str | None]:
     if name == "bleu":
         return (
-            sentence_bleu(_words(anchor_text, config), _words(segment.hypothesis, config)),
+            sentence_bleu(
+                resources.tokens("words", anchor_text, config.lowercase),
+                resources.tokens("words", segment.hypothesis, config.lowercase),
+            ),
             None,
         )
     if name == "compositionality":
@@ -562,21 +592,13 @@ def _compute_metric(
     # remaining metrics are bag-of-words: pick term space, weighting, store
     tfidf = name.endswith("_tfidf")
     if "decontextualized" in name:
-        vocab = resources.vocab_pieces
-        store = resources.decon_store
-        space = "pieces"
-        tokens_x = _pieces(anchor_text, config, resources)
-        tokens_y = _pieces(segment.hypothesis, config, resources)
+        vocab, store, space = resources.vocab_pieces, resources.decon_store, "pieces"
     else:
-        vocab = resources.vocab_words
-        store = resources.static_store
-        space = "words"
-        tokens_x = _words(anchor_text, config)
-        tokens_y = _words(segment.hypothesis, config)
+        vocab, store, space = resources.vocab_words, resources.static_store, "words"
     assert vocab is not None and store is not None  # guaranteed by validate_resources
-    make_bow = bow_nfx if tfidf else bow_nnx
-    x = make_bow(tokens_x, vocab)
-    y = make_bow(tokens_y, vocab)
+    weighting = "nfx" if tfidf else "nnx"
+    x = resources.bag(space, weighting, anchor_text, config.lowercase)
+    y = resources.bag(space, weighting, segment.hypothesis, config.lowercase)
     if name.startswith("scm"):
         order = "idf_descending" if tfidf else "vocabulary"
         matrix = resources.sims[(space, order)]
@@ -584,12 +606,3 @@ def _compute_metric(
             return 0.0, EMPTY_BOW_FLAG
         return scm(x, y, matrix), None
     return wmd(x, y, store, vocab), None
-
-
-def _words(text: str, config: MetricConfig) -> list[str]:
-    return whitespace_tokenize(text.lower() if config.lowercase else text)
-
-
-def _pieces(text: str, config: MetricConfig, resources: Resources) -> list[str]:
-    assert resources.wp_vocab is not None
-    return wordpiece_tokenize(text.lower() if config.lowercase else text, resources.wp_vocab)

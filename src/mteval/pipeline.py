@@ -16,12 +16,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from mteval.corpus import Dataset, Segment, average_judgements, split_by_source
+from mteval.corpus import Dataset, Segment, dataset_gold, split_by_source
 from mteval.embeddings import decontextualize, group_records, load_contextual, load_static
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
 from mteval.metrics import (
-    METRICS,
     REG_BASE_FEATURES,
     MetricConfig,
     MetricVector,
@@ -29,10 +28,11 @@ from mteval.metrics import (
     compute_placeholders,
     needed_similarity_keys,
     reg_base_features,
+    required_resources,
     score_segment,
     validate_resources,
 )
-from mteval.tokenization import load_wordpiece_vocab, whitespace_tokenize, wordpiece_tokenize
+from mteval.tokenization import load_wordpiece_vocab
 from mteval.vsm import build_similarity_matrix, build_vocabulary
 
 __all__ = [
@@ -108,16 +108,17 @@ def build_resources(
     Only resources the configured metrics actually use are loaded; missing
     required paths are reported together as one ConfigError.
     """
-    needed: set[str] = set()
-    for name in config.metrics:
-        needed |= METRICS[name].resources
-    problems = []
-    if "static" in needed and static_path is None:
-        problems.append("static_embeddings path required by: " + _wanting(config, "static"))
-    if ("wordpiece" in needed or config.reg_base) and wordpiece_vocab_path is None:
-        problems.append("wordpiece_vocab path required by reg_base or: " + _wanting(config, "wordpiece"))
-    if "contextual" in needed and contextual_path is None:
-        problems.append("contextual_records path required by: " + _wanting(config, "contextual"))
+    needed = required_resources(config)
+    paths = {
+        "static": ("static_embeddings", static_path),
+        "wordpiece": ("wordpiece_vocab", wordpiece_vocab_path),
+        "contextual": ("contextual_records", contextual_path),
+    }
+    problems = [
+        f"{key} path required by: " + ", ".join(needed[resource])
+        for resource, (key, path) in paths.items()
+        if resource in needed and path is None
+    ]
     if problems:
         raise ConfigError("configuration problems:\n  - " + "\n  - ".join(problems))
 
@@ -125,15 +126,9 @@ def build_resources(
     if wordpiece_vocab_path is not None:
         resources.wp_vocab = load_wordpiece_vocab(wordpiece_vocab_path)
 
-    def words(text: str) -> list[str]:
-        return whitespace_tokenize(text.lower() if config.lowercase else text)
-
-    def pieces(text: str) -> list[str]:
-        return wordpiece_tokenize(text.lower() if config.lowercase else text, resources.wp_vocab)
-
     if "static" in needed:
         resources.static_store = load_static(static_path)
-        resources.vocab_words = build_vocabulary(_side_documents(dataset, words))
+        resources.vocab_words = build_vocabulary(_side_documents(dataset, resources, "words", config.lowercase))
 
     wants_decon = any("decontextualized" in name for name in config.metrics)
     if "contextual" in needed:
@@ -146,7 +141,7 @@ def build_resources(
         resources.contextual_vocab = build_vocabulary(group_docs)
         if wants_decon:
             resources.decon_store = decontextualize(records)
-            resources.vocab_pieces = build_vocabulary(_side_documents(dataset, pieces))
+            resources.vocab_pieces = build_vocabulary(_side_documents(dataset, resources, "pieces", config.lowercase))
 
     for space, order in sorted(needed_similarity_keys(config)):
         vocab = resources.vocab_words if space == "words" else resources.vocab_pieces
@@ -170,18 +165,13 @@ def build_resources(
     return resources
 
 
-def _wanting(config: MetricConfig, resource: str) -> str:
-    return ", ".join(m for m in config.metrics if resource in METRICS[m].resources)
-
-
-def _side_documents(dataset: Dataset, tokenizer) -> list[list[str]]:
+def _side_documents(dataset: Dataset, resources: Resources, space: str, lowercase: bool) -> list[list[str]]:
     """One document per segment side, the df unit for every vocabulary."""
     documents = []
     for segment in dataset.segments:
-        documents.append(tokenizer(segment.source))
-        if segment.reference is not None:
-            documents.append(tokenizer(segment.reference))
-        documents.append(tokenizer(segment.hypothesis))
+        for text in (segment.source, segment.reference, segment.hypothesis):
+            if text is not None:
+                documents.append(resources.tokens(space, text, lowercase))
     return documents
 
 
@@ -223,7 +213,7 @@ def assemble_features(
     for segment, vector in zip(dataset.segments, vectors):
         row = [vector.scores[name] for name in config.metrics]
         if config.reg_base:
-            row.extend(reg_base_features(segment, resources.wp_vocab, config.mode, config.lowercase))
+            row.extend(reg_base_features(segment, resources, config.mode, config.lowercase))
         for name in external_names:
             try:
                 row.append(resources.external[name][segment.id])
@@ -246,9 +236,25 @@ def score_features(
     set (there is no train split here).  Returns the feature matrix, the
     per-segment flags, and the placeholders used.
     """
+    return _featurize(dataset, config, resources, threads)
+
+
+def _featurize(
+    dataset: Dataset,
+    config: MetricConfig,
+    resources: Resources,
+    threads: int,
+    placeholder_ids: set[str] | None = None,
+) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
+    """Validate, score, fill placeholders, assemble features, collect flags.
+
+    Placeholders are the worst values over the segments in
+    ``placeholder_ids``, or over every segment when it is None.
+    """
     validate_resources(config, resources, dataset.segments)
     vectors = score_dataset(dataset, config, resources, threads)
-    placeholders = compute_placeholders(vectors, list(config.metrics))
+    observed = [v for v in vectors if placeholder_ids is None or v.segment_id in placeholder_ids]
+    placeholders = compute_placeholders(observed, list(config.metrics))
     apply_placeholders(vectors, placeholders)
     features = assemble_features(dataset, config, resources, vectors)
     flags = {v.segment_id: dict(v.flags) for v in vectors if v.flags}
@@ -281,26 +287,19 @@ def dataset_features(
     Unscorable cells are filled with the worst value observed on the train
     split only, so nothing about the test distribution leaks into training.
     """
-    validate_resources(config, resources, dataset.segments)
-    missing_gold = [s.id for s in dataset.segments if not s.judgements]
-    if missing_gold:
-        raise DataError(f"segments without judgements cannot be evaluated: {missing_gold[:5]}")
+    gold = dataset_gold(dataset)
     train_ds, test_ds = split_by_source(dataset, train_ratio, seed)
-    vectors = score_dataset(dataset, config, resources, threads)
-    by_id = {v.segment_id: v for v in vectors}
-    train_vectors = [by_id[s.id] for s in train_ds.segments]
-    placeholders = compute_placeholders(train_vectors, list(config.metrics))
-    apply_placeholders(vectors, placeholders)
-    features = assemble_features(dataset, config, resources, vectors)
+    train_ids = {s.id for s in train_ds.segments}
+    features, flags, placeholders = _featurize(dataset, config, resources, threads, train_ids)
     row_of = {segment_id: i for i, segment_id in enumerate(features.segment_ids)}
-    train = features.take_rows([row_of[s.id] for s in train_ds.segments])
-    test = features.take_rows([row_of[s.id] for s in test_ds.segments])
+    train_rows = [row_of[s.id] for s in train_ds.segments]
+    test_rows = [row_of[s.id] for s in test_ds.segments]
     return SplitFeatures(
-        train=train,
-        test=test,
-        gold_train=[average_judgements(s).value for s in train_ds.segments],
-        gold_test=[average_judgements(s).value for s in test_ds.segments],
+        train=features.take_rows(train_rows),
+        test=features.take_rows(test_rows),
+        gold_train=[gold[i] for i in train_rows],
+        gold_test=[gold[i] for i in test_rows],
         train_sources=[s.source for s in train_ds.segments],
-        flags={v.segment_id: dict(v.flags) for v in vectors if v.flags},
+        flags=flags,
         placeholders=placeholders,
     )

@@ -55,3 +55,16 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     db = rb - rb.mean()
     rho = float(np.dot(da, db) / np.sqrt(np.dot(da, da) * np.dot(db, db)))
     return max(-1.0, min(1.0, rho))
+
+
+def safe_spearman(a: Sequence[float], b: Sequence[float]) -> float:
+    """`spearman`, with the undefined rho of two constant inputs reported as 0.0.
+
+    This is the one policy for an undefined correlation: reports, model
+    selection and ablation all score it as 0.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape == b.shape and a.ndim == 1 and len(a) >= 2 and np.all(a == a[0]) and np.all(b == b[0]):
+        return 0.0
+    return spearman(a, b)

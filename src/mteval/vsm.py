@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,9 +62,6 @@ class WeightedBow:
         for index, weight in self.entries.items():
             if weight < 0:
                 raise ValueError(f"negative weight {weight} at term index {index}")
-
-    def total(self) -> float:
-        return math.fsum(self.entries.values())
 
     def is_zero(self) -> bool:
         return not any(weight > 0 for weight in self.entries.values())
@@ -152,15 +148,6 @@ class SimilarityMatrix:
     def _insert(self, i: int, j: int, value: float) -> None:
         self.rows.setdefault(i, {})[j] = value
         self.rows.setdefault(j, {})[i] = value
-
-    def write_tsv(self, path: str | Path) -> None:
-        """Dump entries as ``i<TAB>j<TAB>s`` rows (diagonal included)."""
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for i in range(self.dim):
-                handle.write(f"{i}\t{i}\t{1.0:.6f}\n")
-                for j, value in sorted(self.rows.get(i, {}).items()):
-                    if j > i:
-                        handle.write(f"{i}\t{j}\t{value:.6f}\n")
 
 
 def term_processing_order(vocab: Vocabulary, order: str) -> list[int]:

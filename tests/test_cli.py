@@ -1,11 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from mteval.cli import main
+from mteval.cli import build_parser, main
 from mteval.config import load_run_config
 from mteval.errors import ConfigError
 
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 HEADER = "id\tsrc_lang\ttgt_lang\tsource\treference\thypothesis\tjudgements\tpos_source\tpos_reference\tpos_hypothesis"
 
 
@@ -90,6 +92,36 @@ def test_evaluate_reports_ensembles(tmp_path, capsys):
     first = (tmp_path / "out" / "correlations.tsv").read_bytes()
     assert main(["evaluate", "--config", str(config)]) == 0
     assert (tmp_path / "out" / "correlations.tsv").read_bytes() == first
+
+
+def test_evaluate_reports_zero_for_two_constant_columns(tmp_path):
+    ids = [line.split("\t")[0] for line in (DEMO_DATA / "deen_external.tsv").read_text(encoding="utf-8").splitlines()[1:]]
+    external = tmp_path / "constant.tsv"
+    external.write_text("segment_id\tconst_a\tconst_b\n" + "".join(f"{i}\t1.0\t2.0\n" for i in ids), encoding="utf-8")
+    payload = json.loads((DEMO_DATA / "run_deen.json").read_text(encoding="utf-8"))
+    payload["dataset"] = str(DEMO_DATA / payload["dataset"])
+    payload["resources"] = {key: str(DEMO_DATA / value) for key, value in payload["resources"].items()}
+    payload["resources"]["external_scores"] = str(external)
+    payload["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--config", str(config)]) == 0
+    rows = [line.split("\t") for line in (tmp_path / "out" / "correlation_matrix.tsv").read_text(encoding="utf-8").splitlines()]
+    header, by_name = rows[0], {row[0]: row for row in rows[1:]}
+    assert by_name["const_a"][header.index("const_b")] == "0.000000"
+
+
+def test_verbose_flag_before_or_after_the_subcommand(tmp_path):
+    config = write_run(tmp_path)
+    assert main(["score", "-v", "--config", str(config)]) == 0
+    parser = build_parser()
+    for argv, verbose in (
+        (["score", "--config", "c.json"], False),
+        (["-v", "score", "--config", "c.json"], True),
+        (["score", "-v", "--config", "c.json"], True),
+        (["evaluate", "--config", "c.json", "--verbose"], True),
+    ):
+        assert parser.parse_args(argv).verbose is verbose
 
 
 def test_ablate_writes_curve(tmp_path):

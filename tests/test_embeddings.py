@@ -50,6 +50,18 @@ def test_load_static_row_errors_carry_line_numbers(tmp_path):
     path = write_static(tmp_path, "1 2\ncat 1.0 oops\n")
     with pytest.raises(DataError, match=":2:.*non-numeric"):
         load_static(path)
+    # a trailing space does not hide a missing value
+    path = write_static(tmp_path, "2 3\ncat 1.0 0.0 0.5 \ndog 0.0 2.0 \n")
+    with pytest.raises(DataError, match=":3:.*3 values, got 3 fields"):
+        load_static(path)
+
+
+def test_load_static_accepts_trailing_space_rows(tmp_path):
+    # the original word2vec C tool ends every row with a space
+    path = write_static(tmp_path, "2 3\ncat 1.0 0.0 0.5 \ndog 0.0 2.0 -1.0 \n")
+    store = load_static(path)
+    assert store["cat"].tolist() == [1.0, 0.0, 0.5]
+    assert store["dog"].tolist() == [0.0, 2.0, -1.0]
 
 
 def test_load_static_duplicate_keeps_last_and_warns(tmp_path, caplog):

@@ -8,11 +8,9 @@ from mteval.ensemble import (
     StandardizationParams,
     fit_linear,
     fit_mlp,
-    load_model,
     mlp_gradients,
     mlp_loss,
     predict,
-    save_model,
     select_model,
     standardize_apply,
     standardize_fit,
@@ -305,43 +303,6 @@ def test_select_model_errors():
         select_model(m, [1.0] * 9, seed=0)
     with pytest.raises(ValueError, match="sources"):
         select_model(m, list(range(10)), seed=0, sources=["a"] * 9)
-
-
-# ---------------------------------------------------------------------------
-# persistence
-# ---------------------------------------------------------------------------
-
-
-def test_save_load_roundtrip_linear(tmp_path):
-    rng = np.random.default_rng(17)
-    m = random_matrix(rng, 30, 3)
-    y = rng.normal(size=30)
-    model = select_model(m, y, seed=4)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.kind == model.kind
-    assert loaded.feature_names == model.feature_names
-    assert np.array_equal(predict(loaded, m), predict(model, m))
-
-
-def test_save_load_roundtrip_mlp(tmp_path):
-    rng = np.random.default_rng(18)
-    m = random_matrix(rng, 40, 2)
-    y = rng.normal(size=40)
-    model = fit_mlp(m, y, seed=6, hidden=5, max_epochs=20)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert np.array_equal(predict(loaded, m), predict(model, m))
-    assert loaded.seed == 6
-
-
-def test_load_model_rejects_unknown_version(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text('{"format_version": 99}', encoding="utf-8")
-    with pytest.raises(ValueError, match="version"):
-        load_model(path)
 
 
 def test_ensemble_model_invariants():

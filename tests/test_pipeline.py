@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import mteval.metrics
 from mteval.corpus import Dataset, Segment
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
@@ -127,6 +128,19 @@ def test_score_features_shape_and_flags(tiny_run):
     wmd_col = features.rows[:, features.feature_names.index("wmd")]
     assert placeholders["wmd"] == max(wmd_col[i] for i in range(6) if i != 4)
     assert wmd_col[4] == placeholders["wmd"]
+
+
+def test_each_side_text_is_wordpiece_tokenized_once(tmp_path, monkeypatch):
+    dataset = make_dataset(oov_hypothesis_at=4)
+    static, ctx, vocab = write_inputs(tmp_path, dataset)
+    texts = {text for s in dataset.segments for text in (s.source, s.reference, s.hypothesis)}
+    calls = []
+    tokenize = mteval.metrics.wordpiece_tokenize
+    monkeypatch.setattr(mteval.metrics, "wordpiece_tokenize", lambda text, wp: calls.append(text) or tokenize(text, wp))
+    config = MetricConfig(mode="reference_based", metrics=METRIC_SET + ("wmd_decontextualized_tfidf",), reg_base=True)
+    resources = build_resources(config, dataset, static_path=static, contextual_path=ctx, wordpiece_vocab_path=vocab)
+    score_features(dataset, config, resources)
+    assert sorted(calls) == sorted(texts)
 
 
 def test_score_features_deterministic_across_threads(tiny_run):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mteval.stats import average_ranks, spearman
+from mteval.stats import average_ranks, safe_spearman, spearman
 
 from oracles import rank_oracle, spearman_oracle
 
@@ -76,6 +76,13 @@ def test_spearman_errors():
         spearman([1.0], [2.0])
     with pytest.raises(ValueError):
         spearman([2.0, 2.0], [5.0, 5.0])  # both constant: undefined
+
+
+def test_safe_spearman_scores_undefined_rho_as_zero():
+    assert safe_spearman([2.0, 2.0], [5.0, 5.0]) == 0.0
+    assert safe_spearman([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]) == spearman([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
+    with pytest.raises(ValueError):
+        safe_spearman([1.0, 1.0], [1.0, 1.0, 1.0])
 
 
 def test_spearman_single_constant_side_is_neutral_zero():

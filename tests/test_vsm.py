@@ -202,10 +202,3 @@ def test_from_dense_validation():
     with pytest.raises(ValueError):
         SimilarityMatrix.from_dense(np.array([[1.0, -0.2], [-0.2, 1.0]]))
 
-
-def test_write_tsv(tmp_path):
-    matrix = SimilarityMatrix.from_dense(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    path = tmp_path / "sim.tsv"
-    matrix.write_tsv(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == ["0\t0\t1.000000", "0\t1\t0.500000", "1\t1\t1.000000"]
