@@ -5,7 +5,9 @@ and writes UTF-8, LF-terminated tables with 6-decimal fixed-point reals
 into the output directory.  Identical config and inputs produce
 bit-identical outputs regardless of --threads.
 
-Exit codes: 0 success, 1 configuration error, 2 data error.  A Spearman
+Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
+error (a bug: the transport solver failing to converge, or any other
+uncaught exception), each with a one-line message.  A Spearman
 correlation left undefined by two constant inputs is reported as 0.
 """
 
@@ -22,7 +24,7 @@ from mteval.corpus import load_dataset
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
 from mteval.evaluation import ablation, cross_lingual_eval, evaluate_dataset
-from mteval.pipeline import build_resources, dataset_features, score_features
+from mteval.pipeline import build_resources, dataset_features, feature_names, score_features
 
 logger = logging.getLogger(__name__)
 
@@ -145,6 +147,9 @@ def cmd_evaluate(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_run_config(args.config)
     dataset, resources = _load_run(config)
+    n_features = len(feature_names(config.metric_config, resources))
+    if n_features < 2:
+        raise ConfigError(f"ablate needs at least 2 features (metrics, reg_base, external scores), got {n_features}")
     split = dataset_features(
         dataset, config.metric_config, resources, config.seed, config.split_ratio, threads=args.threads
     )
@@ -204,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: report it on one line
+        print(f"internal error: {' '.join(str(exc).split()) or type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

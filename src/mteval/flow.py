@@ -2,10 +2,13 @@
 
 Word mover's distance reduces to a minimum-cost flow on the bipartite
 graph of the two texts' terms.  Problem sizes are segment-scale (tens to a
-few hundred nodes), so the solver favours exactness over asymptotics:
-successive shortest paths with Johnson potentials, Dijkstra run dense and
-vectorized over numpy arrays.  All arc costs are nonnegative, so no
-negative-cycle handling is needed.
+few hundred nodes), so the solver favours exactness and few Python-level
+steps over asymptotics: successive shortest paths, each path found by
+label-correcting (Bellman-Ford) passes in which one numpy operation
+relaxes every forward arc of the n x m residual graph and one relaxes
+every backward arc.  Backward arcs cost the negated forward cost; each
+augmentation follows a shortest path, so the flow stays optimal for its
+value and the residual graph never holds a negative cycle.
 """
 
 from __future__ import annotations
@@ -49,8 +52,8 @@ def solve_transport(supplies, demands, costs) -> FlowSolution:
     of their scale; costs must be finite and nonnegative.  The optimum is
     exact up to float rounding (well inside 1e-9 for unit-scale masses).
     """
-    a = np.asarray(supplies, dtype=float).copy()
-    b = np.asarray(demands, dtype=float).copy()
+    a = np.asarray(supplies, dtype=float)
+    b = np.asarray(demands, dtype=float)
     costs = np.asarray(costs, dtype=float)
     n, m = len(a), len(b)
     if costs.shape != (n, m):
@@ -69,58 +72,36 @@ def solve_transport(supplies, demands, costs) -> FlowSolution:
 
     # Residuals below tol are float dust from saturation arithmetic, not mass.
     tol = 1e-14 * scale
-
-    source = n + m
-    sink = n + m + 1
-    n_nodes = n + m + 2
-    supply_nodes = np.arange(n)
-    demand_nodes = np.arange(n, n + m)
-
-    potentials = np.zeros(n_nodes)
+    # Relax only on improvements beyond eps: float rounding in (d + c) - c
+    # would otherwise close zero-length predecessor cycles.
+    eps = 1e-12 * float(costs.max())
     flow = np.zeros((n, m))
-    used_supply = np.zeros(n)
-    used_demand = np.zeros(m)
-
-    max_rounds = 2 * (n + m) + 2 * n * m + 16
-    for _ in range(max_rounds):
-        dist, parent = _dijkstra(
-            a, b, costs, flow, used_supply, used_demand, potentials, tol, n, m, source, sink
-        )
-        if not np.isfinite(dist[sink]):
+    supply_left = a.copy()
+    demand_left = b.copy()
+    for _ in range(2 * (n + m) + 2 * n * m + 16):
+        supply_pred, demand_dist, demand_pred = _shortest_paths(costs, flow > tol, supply_left > tol, eps)
+        ends = np.where(demand_left > tol, demand_dist, np.inf)
+        j = int(np.argmin(ends))
+        if not np.isfinite(ends[j]):
             break
-        reached = np.isfinite(dist)
-        potentials[reached] += dist[reached]
-        potentials[~reached] += dist[sink]
-
-        # walk the path backwards to find the bottleneck
-        path = []
-        node = sink
-        while node != source:
-            prev = int(parent[node])
-            path.append((prev, node))
-            node = prev
-        bottleneck = np.inf
-        for u, v in path:
-            if u == source:
-                residual = a[v] - used_supply[v]
-            elif v == sink:
-                residual = b[u - n] - used_demand[u - n]
-            elif u < n:
-                residual = np.inf  # forward bipartite arc, uncapacitated
-            else:
-                residual = flow[v, u - n]  # backward arc cancels shipped mass
-            bottleneck = min(bottleneck, residual)
+        # walk back to the source: rows[k] -> cols[k] are forward arcs,
+        # cols[k + 1] -> rows[k] backward arcs cancelling shipped mass
+        rows, cols = [], [j]
+        for _ in range(n + m):
+            rows.append(int(demand_pred[cols[-1]]))
+            if supply_pred[rows[-1]] < 0:
+                break
+            cols.append(int(supply_pred[rows[-1]]))
+        else:
+            raise RuntimeError("transportation solver found a predecessor cycle; please report this instance")
+        backward = (rows[:-1], cols[1:])
+        bottleneck = min(supply_left[rows[-1]], demand_left[j], flow[backward].min(initial=np.inf))
         if bottleneck <= tol:
             break
-        for u, v in path:
-            if u == source:
-                used_supply[v] += bottleneck
-            elif v == sink:
-                used_demand[u - n] += bottleneck
-            elif u < n:
-                flow[u, v - n] += bottleneck
-            else:
-                flow[v, u - n] -= bottleneck
+        supply_left[rows[-1]] -= bottleneck
+        demand_left[j] -= bottleneck
+        flow[rows, cols] += bottleneck
+        flow[backward] -= bottleneck
     else:
         raise RuntimeError("transportation solver failed to converge; please report this instance")
 
@@ -133,47 +114,35 @@ def solve_transport(supplies, demands, costs) -> FlowSolution:
     return FlowSolution(flows=flows, cost=float((flow * costs).sum()), n_sources=n, n_sinks=m)
 
 
-def _dijkstra(a, b, costs, flow, used_supply, used_demand, potentials, tol, n, m, source, sink):
-    """Shortest reduced-cost distances from the super source over the residual graph."""
-    n_nodes = n + m + 2
-    dist = np.full(n_nodes, np.inf)
-    parent = np.full(n_nodes, -1, dtype=np.int64)
-    visited = np.zeros(n_nodes, dtype=bool)
-    dist[source] = 0.0
+def _shortest_paths(costs, carries, free_supply, eps):
+    """Shortest distances from the super source over the residual graph.
 
-    supply_ids = np.arange(n)
-    demand_ids = np.arange(n, n + m)
-    for _ in range(n_nodes):
-        pending = np.where(visited, np.inf, dist)
-        u = int(np.argmin(pending))
-        if not np.isfinite(pending[u]):
-            break
-        visited[u] = True
-        base = dist[u]
-        if u == source:
-            available = (a - used_supply) > tol
-            reduced = np.maximum(potentials[source] - potentials[supply_ids], 0.0)
-            candidate = base + reduced
-            better = available & (candidate < dist[:n])
-            dist[:n][better] = candidate[better]
-            parent[:n][better] = u
-        elif u < n:
-            reduced = np.maximum(costs[u] + potentials[u] - potentials[demand_ids], 0.0)
-            candidate = base + reduced
-            better = candidate < dist[n : n + m]
-            dist[n : n + m][better] = candidate[better]
-            parent[n : n + m][better] = u
-        elif u < n + m:
-            j = u - n
-            if b[j] - used_demand[j] > tol:
-                candidate = base + max(potentials[u] - potentials[sink], 0.0)
-                if candidate < dist[sink]:
-                    dist[sink] = candidate
-                    parent[sink] = u
-            has_flow = flow[:, j] > tol
-            reduced = np.maximum(-costs[:, j] + potentials[u] - potentials[supply_ids], 0.0)
-            candidate = base + reduced
-            better = has_flow & (candidate < dist[:n])
-            dist[:n][better] = candidate[better]
-            parent[:n][better] = u
-    return dist, parent
+    Free supplies start at distance 0.  Each pass relaxes all forward arcs
+    (supply -> demand, cost c) and all backward arcs (demand -> supply,
+    cost -c, where flow is shipped) until no label improves by more than
+    eps.  A supply predecessor of -1 means the super source.
+    """
+    n, m = costs.shape
+    supply_dist = np.where(free_supply, 0.0, np.inf)
+    supply_pred = np.full(n, -1)
+    demand_dist = np.full(m, np.inf)
+    demand_pred = np.zeros(m, dtype=np.int64)
+    backward = np.where(carries, -costs, np.inf)
+    for _ in range(n + m + 1):
+        reach = supply_dist[:, None] + costs
+        pred = reach.argmin(axis=0)
+        dist = reach[pred, np.arange(m)]
+        better = dist < demand_dist - eps
+        if not better.any():
+            return supply_pred, demand_dist, demand_pred
+        demand_dist[better] = dist[better]
+        demand_pred[better] = pred[better]
+        reach = demand_dist[None, :] + backward
+        pred = reach.argmin(axis=1)
+        dist = reach[np.arange(n), pred]
+        better = dist < supply_dist - eps
+        if not better.any():
+            return supply_pred, demand_dist, demand_pred
+        supply_dist[better] = dist[better]
+        supply_pred[better] = pred[better]
+    raise RuntimeError("transportation solver failed to converge; please report this instance")

@@ -295,7 +295,18 @@ def _transport_cost(wx: np.ndarray, wy: np.ndarray, ex: np.ndarray, ey: np.ndarr
     b = wy / wy.sum()
     diff = ex[:, None, :] - ey[None, :, :]
     costs = np.sqrt((diff * diff).sum(axis=2))
-    return solve_transport(a, b, costs).cost
+    # A zero Euclidean cost means identical vectors.  The cost is a metric,
+    # so some optimal plan keeps all the mass the two sides share there
+    # (Pele & Werman 2009); only the remainder needs the solver.  This
+    # does not hold for the general costs solve_transport accepts.
+    for i, j in np.argwhere(costs == 0.0):
+        shared = min(a[i], b[j])
+        a[i] -= shared
+        b[j] -= shared
+    rows, cols = a > 1e-14, b > 1e-14  # unit masses: what is left below is subtraction dust
+    if not rows.any() or not cols.any():
+        return 0.0
+    return solve_transport(a[rows], b[cols], costs[np.ix_(rows, cols)]).cost
 
 
 def wmd_contextual(

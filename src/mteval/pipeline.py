@@ -42,6 +42,7 @@ __all__ = [
     "assemble_features",
     "build_resources",
     "dataset_features",
+    "feature_names",
     "load_external_scores",
     "score_dataset",
     "score_features",
@@ -201,20 +202,22 @@ def apply_placeholders(vectors: list[MetricVector], placeholders: dict[str, floa
                 vector.scores[name] = placeholders[name]
 
 
+def feature_names(config: MetricConfig, resources: Resources) -> list[str]:
+    """Native metric columns + Reg-base surface columns + external columns."""
+    return list(config.metrics) + (list(REG_BASE_FEATURES) if config.reg_base else []) + list(resources.external)
+
+
 def assemble_features(
     dataset: Dataset, config: MetricConfig, resources: Resources, vectors: list[MetricVector]
 ) -> FeatureMatrix:
-    """Native metric columns + Reg-base surface columns + external columns."""
-    names = list(config.metrics)
-    if config.reg_base:
-        names += list(REG_BASE_FEATURES)
-    external_names = list(resources.external)
+    """The feature table, one row per segment, columns in feature_names order."""
+    names = feature_names(config, resources)
     rows = []
     for segment, vector in zip(dataset.segments, vectors):
         row = [vector.scores[name] for name in config.metrics]
         if config.reg_base:
             row.extend(reg_base_features(segment, resources, config.mode, config.lowercase))
-        for name in external_names:
+        for name in resources.external:
             try:
                 row.append(resources.external[name][segment.id])
             except KeyError:
@@ -222,9 +225,9 @@ def assemble_features(
                     f"external column {name!r} has no score for segment {segment.id!r}"
                 ) from None
         rows.append(row)
-    if not names + external_names:
+    if not names:
         raise ConfigError("no features configured: enable metrics, reg_base, or external scores")
-    return FeatureMatrix(rows, names + external_names, [s.id for s in dataset.segments])
+    return FeatureMatrix(rows, names, [s.id for s in dataset.segments])
 
 
 def score_features(

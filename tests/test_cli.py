@@ -135,6 +135,18 @@ def test_ablate_writes_curve(tmp_path):
     assert lines[-1].split(",")[2] == "1"
 
 
+def test_ablate_rejects_fewer_than_two_features(tmp_path, capsys):
+    config = write_run(tmp_path, metrics=("bleu",))
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["reg_base"] = False
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["ablate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: ablate needs at least 2 features")
+    assert not (tmp_path / "out" / "ablation.csv").exists()
+
+
 def test_crosslingual_degenerate_pair(tmp_path, capsys):
     fit = write_run(tmp_path, config_name="fit.json")
     eval_ = write_run(tmp_path, config_name="eval.json", seed=12)
@@ -177,6 +189,33 @@ def test_missing_input_file_exits_two(tmp_path, capsys):
     (tmp_path / "static.txt").unlink()
     assert main(["score", "--config", str(config)]) == 2
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("error", "message"),
+    [
+        (RuntimeError("transportation solver failed to converge"), "transportation solver failed to converge"),
+        (IndexError("first line\n  second line"), "first line second line"),
+        (KeyError(), "KeyError"),
+    ],
+)
+def test_internal_error_exits_three_on_one_line(tmp_path, capsys, monkeypatch, error, message):
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr("mteval.metrics.solve_transport", fail)
+    config = write_run(tmp_path)
+    assert main(["score", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+def test_interrupt_is_not_reported_as_internal_error(tmp_path, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("mteval.metrics.solve_transport", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        main(["score", "--config", str(write_run(tmp_path))])
 
 
 # ---------------------------------------------------------------------------

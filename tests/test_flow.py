@@ -17,7 +17,7 @@ def random_instance(rng, max_dim=4):
     return a, b, costs
 
 
-def linprog_cost(a, b, costs):
+def linprog_cost(a, b, costs, **highs_options):
     """Independent LP check: flatten the transportation polytope for scipy."""
     n, m = len(a), len(b)
     eq = np.zeros((n + m, n * m))
@@ -25,7 +25,7 @@ def linprog_cost(a, b, costs):
         eq[i, i * m : (i + 1) * m] = 1.0
     for j in range(m):
         eq[n + j, j::m] = 1.0
-    result = linprog(costs.ravel(), A_eq=eq[:-1], b_eq=np.concatenate([a, b])[:-1], bounds=(0, None), method="highs")
+    result = linprog(costs.ravel(), A_eq=eq[:-1], b_eq=np.concatenate([a, b])[:-1], bounds=(0, None), method="highs", options=highs_options or None)
     assert result.status == 0
     return result.fun
 
@@ -126,3 +126,70 @@ def test_input_validation():
         solve_transport([1.0], [1.0], [[np.inf]])
     with pytest.raises(ValueError, match="at least one"):
         solve_transport([], [], np.zeros((0, 0)))
+
+
+def degenerate_instance(rng, max_dim):
+    """A random instance with the structure that stresses ties and float dust.
+
+    Shapes include 1 x m and n x 1; masses are integral or continuous with
+    some zeros; costs are continuous, drawn from three tied values, or
+    Euclidean with duplicate rows and columns (shared and repeated vectors).
+    """
+    n = 1 if rng.random() < 0.15 else int(rng.integers(1, max_dim + 1))
+    m = 1 if rng.random() < 0.15 else int(rng.integers(1, max_dim + 1))
+    if rng.random() < 0.5:
+        a = rng.integers(0, 5, size=n).astype(float)
+        a[rng.integers(n)] += 1.0
+        b = rng.multinomial(int(a.sum()), np.ones(m) / m).astype(float)
+    else:
+        a = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) > 0.25)
+        b = rng.uniform(0.1, 1.0, size=m) * (rng.random(m) > 0.25)
+        a[rng.integers(n)] += 0.5
+        b[rng.integers(m)] += 0.5
+        b *= a.sum() / b.sum()
+    kind = rng.integers(3)
+    if kind == 0:
+        costs = rng.uniform(0.0, 10.0, size=(n, m))
+    elif kind == 1:
+        costs = rng.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        x = rng.normal(size=(n, 2))
+        y = rng.normal(size=(m, 2))
+        shared = min(n, m) // 2
+        y[:shared] = x[:shared]
+        x[n - 1] = x[0]
+        y[m - 1] = y[0]
+        costs = np.sqrt(((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2))
+    return a, b, costs
+
+
+def check_marginals(solution, a, b):
+    assert all(f >= 0.0 for f in solution.flows.values())
+    assert np.allclose(solution.row_sums(), a, atol=1e-9, rtol=0)
+    assert np.allclose(solution.col_sums(), b, atol=1e-9, rtol=0)
+
+
+def test_degenerate_instances_match_brute_force():
+    rng = np.random.default_rng(6)
+    for _ in range(300):
+        a, b, costs = degenerate_instance(rng, max_dim=3)
+        solution = solve_transport(a, b, costs)
+        check_marginals(solution, a, b)
+        assert abs(solution.cost - brute_force_transport(a, b, costs)) < 1e-9
+
+
+def test_degenerate_instances_match_linear_programming():
+    rng = np.random.default_rng(7)
+    for _ in range(150):
+        a, b, costs = degenerate_instance(rng, max_dim=20)
+        solution = solve_transport(a, b, costs)
+        check_marginals(solution, a, b)
+        want = linprog_cost(a, b, costs, primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+        assert abs(solution.cost - want) < 1e-9 * max(1.0, abs(want))
+
+
+def test_zero_cost_cells_are_not_greedily_prematched():
+    # Shipping the zero-cost cell (0, 0) first would force 1 -> 1 at cost
+    # 100; the optimum uses the two off-diagonal zero cells instead.
+    # Pre-matching shared mass is valid only for metric costs (WMD).
+    assert solve_transport([1.0, 1.0], [1.0, 1.0], [[0.0, 0.0], [0.0, 100.0]]).cost == 0.0

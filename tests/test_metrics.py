@@ -24,7 +24,9 @@ from mteval.metrics import (
     wmd,
     wmd_contextual,
 )
-from mteval.metrics import MetricVector
+import mteval.metrics as metrics_module
+from mteval.flow import solve_transport
+from mteval.metrics import MetricVector, _transport_cost
 from mteval.tokenization import WordPieceVocab
 from mteval.vsm import (
     SimilarityMatrix,
@@ -222,6 +224,49 @@ def test_wmd_unscorable_when_all_oov():
         wmd(x, y, store, vocab)
     with pytest.raises(UnscorableSegment):
         wmd(y, x, store, vocab)
+
+
+def euclidean_costs(ex, ey):
+    return np.sqrt(((ex[:, None, :] - ey[None, :, :]) ** 2).sum(axis=2))
+
+
+def test_prematched_transport_equals_full_solve():
+    # Shared terms and repeated vectors give zero-cost cells; shipping the
+    # shared mass there first must leave the optimum unchanged.
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        nx, ny = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        ex = rng.normal(size=(nx, 3))
+        ey = rng.normal(size=(ny, 3))
+        shared = int(rng.integers(0, min(nx, ny) + 1))
+        ey[:shared] = ex[:shared]
+        if rng.random() < 0.5:
+            ex[nx - 1] = ex[0]
+        if rng.random() < 0.5:
+            ey[ny - 1] = ey[0]
+        if trial % 2:
+            wx, wy = rng.integers(1, 4, size=nx).astype(float), rng.integers(1, 4, size=ny).astype(float)
+        else:
+            wx, wy = rng.uniform(0.1, 1.0, size=nx), rng.uniform(0.1, 1.0, size=ny)
+        full = solve_transport(wx / wx.sum(), wy / wy.sum(), euclidean_costs(ex, ey)).cost
+        assert abs(_transport_cost(wx, wy, ex, ey) - full) < 1e-12
+
+
+def test_identical_sides_score_exactly_zero_without_the_solver(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solver called on a fully pre-matched problem")
+
+    monkeypatch.setattr(metrics_module, "solve_transport", refuse)
+    rng = np.random.default_rng(13)
+    vocab, store = wmd_fixture(rng)
+    x = WeightedBow(entries={0: 2.0, 2: 1.0, 4: 3.0})
+    assert wmd(x, x, store, vocab) == 0.0
+    vectors = rng.normal(size=(4, 3))
+    vectors[3] = vectors[1]  # two terms sharing one vector
+    weights = rng.uniform(0.1, 1.0, size=4)
+    assert _transport_cost(weights, weights.copy(), vectors, vectors.copy()) == 0.0
+    records = [ctx("s", "reference", i, f"w{i}", v) for i, v in enumerate(vectors)]
+    assert wmd_contextual(records, list(records)) == 0.0
 
 
 # ---------------------------------------------------------------------------
