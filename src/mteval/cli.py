@@ -183,6 +183,8 @@ def cmd_crosslingual(args) -> int:
         eval_resources,
         seed=fit_config.seed,
         train_ratio=fit_config.split_ratio,
+        eval_seed=eval_config.seed,
+        eval_train_ratio=eval_config.split_ratio,
         threads=args.threads,
         mlp_options=fit_config.mlp_options,
     )

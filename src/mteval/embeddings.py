@@ -67,8 +67,8 @@ def load_static(path: str | Path) -> EmbeddingStore:
     """Load a word-vector text file.
 
     The header count is informative only (a mismatch logs a warning), but
-    every row must carry exactly ``dim`` values; trailing spaces, as the
-    original word2vec tool writes them, are ignored.  A duplicated token
+    every row must carry exactly ``dim`` finite values; trailing spaces, as
+    the original word2vec tool writes them, are ignored.  A duplicated token
     keeps the last vector seen and logs a warning.
     """
     path = Path(path)
@@ -94,6 +94,8 @@ def load_static(path: str | Path) -> EmbeddingStore:
                 vector = np.array([float(v) for v in parts[1:]], dtype=float)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
+            if not np.isfinite(vector).all():
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
             if token in table:
                 logger.warning("%s:%d: duplicate token %r, keeping the later vector", path, lineno, token)
             table[token] = vector

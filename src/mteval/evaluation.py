@@ -212,17 +212,23 @@ def cross_lingual_eval(
     *,
     seed: int,
     train_ratio: float = 0.8,
+    eval_seed: int | None = None,
+    eval_train_ratio: float | None = None,
     threads: int = 1,
     mlp_options: dict | None = None,
 ) -> float:
     """RegEMT transfer: fit on one language pair, report on another.
 
     The ensemble is fit on fit_dataset's train split and its Spearman rho
-    is reported on eval_dataset's test split.  Both datasets must yield the
-    same feature columns (predict refuses misaligned names).
+    is reported on eval_dataset's test split.  Each dataset is split with
+    its own seed and ratio; ``eval_seed`` and ``eval_train_ratio`` default
+    to the fit values.  Both datasets must yield the same feature columns
+    (predict refuses misaligned names).
     """
+    eval_seed = seed if eval_seed is None else eval_seed
+    eval_train_ratio = train_ratio if eval_train_ratio is None else eval_train_ratio
     fit_split = dataset_features(fit_dataset, config, fit_resources, seed, train_ratio, threads)
-    eval_split = dataset_features(eval_dataset, config, eval_resources, seed, train_ratio, threads)
+    eval_split = dataset_features(eval_dataset, config, eval_resources, eval_seed, eval_train_ratio, threads)
     model = select_model(
         fit_split.train, fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
     )

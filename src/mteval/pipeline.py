@@ -33,7 +33,7 @@ from mteval.metrics import (
     validate_resources,
 )
 from mteval.tokenization import load_wordpiece_vocab
-from mteval.vsm import build_similarity_matrix, build_vocabulary
+from mteval.vsm import build_similarity_matrix, build_vocabulary, similarity_candidates
 
 __all__ = [
     "RESERVED_FEATURE_NAMES",
@@ -144,17 +144,16 @@ def build_resources(
             resources.decon_store = decontextualize(records)
             resources.vocab_pieces = build_vocabulary(_side_documents(dataset, resources, "pieces", config.lowercase))
 
+    similarity = (config.similarity_threshold, config.similarity_exponent, config.similarity_top_k)
+    candidates = {}  # both orders of a term space share one ranking of every term's partners
     for space, order in sorted(needed_similarity_keys(config)):
         vocab = resources.vocab_words if space == "words" else resources.vocab_pieces
         store = resources.static_store if space == "words" else resources.decon_store
+        if space not in candidates:
+            candidates[space] = similarity_candidates(vocab, store, *similarity)
         logger.info("building %s-order similarity matrix over %d %s terms", order, len(vocab.terms), space)
         resources.sims[(space, order)] = build_similarity_matrix(
-            vocab,
-            store,
-            order=order,
-            threshold=config.similarity_threshold,
-            exponent=config.similarity_exponent,
-            top_k=config.similarity_top_k,
+            vocab, store, order, *similarity, candidates=candidates[space]
         )
 
     if external_scores_path is not None:

@@ -11,15 +11,12 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with ties assigned the mean of their covered positions."""
     x = np.asarray(values, dtype=float)
     order = np.argsort(x, kind="stable")
+    xs = x[order]
+    # tie runs of the sorted values: [starts[g], ends[g]] share one rank
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    ends = np.append(starts[1:], len(x)) - 1
     ranks = np.empty(len(x), dtype=float)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        # positions i..j (0-based) share the mean of ranks i+1..j+1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

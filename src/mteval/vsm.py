@@ -159,6 +159,75 @@ def term_processing_order(vocab: Vocabulary, order: str) -> list[int]:
     raise ValueError(f"unknown similarity order {order!r}; expected one of {SIMILARITY_ORDERS}")
 
 
+@dataclass
+class SimilarityCandidates:
+    """Each embedded term's best partners: the part of the build both orders share.
+
+    ``rows[i]`` holds term i's partners whose value max(0, cosine)^exponent
+    reaches ``threshold`` and is above 0, as (vocabulary indices, values)
+    in decreasing value with ties in increasing vocabulary index, cut to
+    the first ``top_k``.  ``truncated`` names the rows that were cut;
+    `full_row` ranks such a row again from the same product, bit for bit.
+    """
+
+    n_terms: int
+    threshold: float
+    exponent: float
+    top_k: int
+    embedded: np.ndarray
+    normalized: np.ndarray
+    rows: dict[int, tuple[np.ndarray, np.ndarray]]
+    truncated: set[int]
+
+    def full_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        return self._ranked(int(np.searchsorted(self.embedded, i)), None)
+
+    def _ranked(self, k: int, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
+        # one matrix-vector product per term: a blocked matrix product would
+        # round the dot products differently and change which pairs survive
+        values = np.clip(self.normalized @ self.normalized[k], 0.0, 1.0) ** self.exponent
+        keep = (values >= self.threshold) & (values > 0.0)
+        keep[k] = False
+        positions = np.flatnonzero(keep)
+        kept = values[positions]
+        if limit is not None and len(kept) > limit:
+            cut = np.partition(kept, len(kept) - limit)[len(kept) - limit]
+            top = kept >= cut
+            positions, kept = positions[top], kept[top]
+        ranking = np.lexsort((positions, -kept))[:limit]
+        return self.embedded[positions[ranking]], kept[ranking]
+
+
+def similarity_candidates(
+    vocab: Vocabulary,
+    store: EmbeddingStore,
+    threshold: float = DEFAULT_THRESHOLD,
+    exponent: float = DEFAULT_EXPONENT,
+    top_k: int = DEFAULT_TOP_K,
+) -> SimilarityCandidates:
+    """Rank every embedded term's partners once, for the builds in any order."""
+    if top_k < 1:
+        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    embedded = [i for i, term in enumerate(vocab.terms) if term in store]
+    normalized = np.zeros((0, store.dim))
+    if embedded:
+        vectors = np.stack([store[vocab.terms[i]] for i in embedded]).astype(float)
+        norms = np.linalg.norm(vectors, axis=1)
+        nonzero = norms > 0
+        normalized = np.zeros_like(vectors)
+        normalized[nonzero] = vectors[nonzero] / norms[nonzero, None]
+    candidates = SimilarityCandidates(
+        len(vocab), threshold, exponent, top_k, np.array(embedded, dtype=np.intp), normalized, {}, set()
+    )
+    for k, i in enumerate(embedded):
+        partners, values = candidates._ranked(k, top_k + 1)
+        if len(partners) > top_k:
+            candidates.truncated.add(i)
+            partners, values = partners[:top_k], values[:top_k]
+        candidates.rows[i] = (partners, values)
+    return candidates
+
+
 def build_similarity_matrix(
     vocab: Vocabulary,
     store: EmbeddingStore,
@@ -166,52 +235,48 @@ def build_similarity_matrix(
     threshold: float = DEFAULT_THRESHOLD,
     exponent: float = DEFAULT_EXPONENT,
     top_k: int = DEFAULT_TOP_K,
+    *,
+    candidates: SimilarityCandidates | None = None,
 ) -> SimilarityMatrix:
     """Greedy budgeted construction of the term-similarity matrix.
 
     Terms are processed in ``order``; for each term the candidate partners
     (terms that have an embedding) are visited in decreasing
-    max(0, cosine)^exponent, and a symmetric pair is inserted whenever its
-    value reaches ``threshold`` and both rows still have budget left.
-    Terms without an embedding keep only their diagonal.
+    max(0, cosine)^exponent, ties in increasing vocabulary index, and a
+    symmetric pair is inserted whenever its value reaches ``threshold`` and
+    both rows still have budget left.  Terms without an embedding keep only
+    their diagonal.  ``candidates``, from `similarity_candidates` with the
+    same vocabulary, store and parameters, lets builds in several orders
+    share one ranking pass.
     """
-    if top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
+    parameters = (len(vocab), threshold, exponent, top_k)
+    if candidates is None:
+        candidates = similarity_candidates(vocab, store, threshold, exponent, top_k)
+    elif (candidates.n_terms, candidates.threshold, candidates.exponent, candidates.top_k) != parameters:
+        raise ValueError("similarity candidates were ranked for another vocabulary or other parameters")
     matrix = SimilarityMatrix(dim=len(vocab))
-    embedded = [i for i, term in enumerate(vocab.terms) if term in store]
-    if len(embedded) < 2:
-        return matrix
-
-    vectors = np.stack([store[vocab.terms[i]] for i in embedded]).astype(float)
-    norms = np.linalg.norm(vectors, axis=1)
-    nonzero = norms > 0
-    normalized = np.zeros_like(vectors)
-    normalized[nonzero] = vectors[nonzero] / norms[nonzero, None]
-    position = {term_index: k for k, term_index in enumerate(embedded)}
-    embedded_arr = np.array(embedded)
-
-    budget = {i: 0 for i in embedded}
+    budget = np.zeros(len(vocab), dtype=np.intp)
+    linked = np.full(len(vocab), -1, dtype=np.intp)  # linked[j] == i: j is already in row i
     for i in term_processing_order(vocab, order):
-        if i not in position or budget[i] >= top_k:
+        if i not in candidates.rows or budget[i] >= top_k:
             continue
-        sims = normalized @ normalized[position[i]]
-        values = np.clip(sims, 0.0, 1.0) ** exponent
-        # descending value, ties resolved by vocabulary index
-        candidate_order = np.lexsort((embedded_arr, -values))
+        # While row i is filled no other row's budget moves, so every
+        # candidate's eligibility is known up front and the first free
+        # ones are exactly those the one-at-a-time walk would insert.
+        need = top_k - budget[i]
         row_i = matrix.rows.get(i, {})
-        for k in candidate_order:
-            value = float(values[k])
-            if value < threshold or value <= 0.0:
-                break
-            j = int(embedded_arr[k])
-            if j == i or j in row_i:
-                continue
-            if budget[j] >= top_k:
-                continue
-            matrix._insert(i, j, value)
-            row_i = matrix.rows[i]
-            budget[i] += 1
-            budget[j] += 1
-            if budget[i] >= top_k:
-                break
+        linked[list(row_i)] = i
+        partners, values = candidates.rows[i]
+        chosen = np.flatnonzero((budget[partners] < top_k) & (linked[partners] != i))[:need]
+        if len(chosen) < need and i in candidates.truncated:
+            partners, values = candidates.full_row(i)
+            chosen = np.flatnonzero((budget[partners] < top_k) & (linked[partners] != i))[:need]
+        if len(chosen) == 0:
+            continue
+        pairs = list(zip(partners[chosen].tolist(), values[chosen].tolist()))
+        matrix.rows.setdefault(i, {}).update(pairs)
+        for j, value in pairs:
+            matrix.rows.setdefault(j, {})[i] = value
+        budget[partners[chosen]] += 1
+        budget[i] += len(chosen)
     return matrix

@@ -86,6 +86,75 @@ def spearman_oracle(a, b) -> float:
     return float(np.corrcoef(rank_oracle(a), rank_oracle(b))[0, 1])
 
 
+def loop_average_ranks(values) -> np.ndarray:
+    """Average-tie ranks by walking each tie run of the stable sort, one at a time."""
+    x = np.asarray(values, dtype=float)
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=float)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        # positions i..j (0-based) share the mean of ranks i+1..j+1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+# ---------------------------------------------------------------------------
+# term-similarity matrix: one greedy walk over every candidate, term by term
+# ---------------------------------------------------------------------------
+
+
+def greedy_similarity_rows(vocab, store, order, threshold, exponent, top_k) -> dict[int, dict[int, float]]:
+    """Off-diagonal rows of the budgeted similarity matrix, dict of dicts.
+
+    For each term in processing order (vocabulary order, or ascending df
+    with ties in vocabulary order), every other embedded term is visited in
+    decreasing max(0, cosine)^exponent, ties in increasing vocabulary index;
+    a pair is inserted while both budgets are below ``top_k``.
+    """
+    rows: dict[int, dict[int, float]] = {}
+    embedded = [i for i, term in enumerate(vocab.terms) if term in store]
+    if len(embedded) < 2:
+        return rows
+    vectors = np.stack([store[vocab.terms[i]] for i in embedded]).astype(float)
+    norms = np.linalg.norm(vectors, axis=1)
+    nonzero = norms > 0
+    normalized = np.zeros_like(vectors)
+    normalized[nonzero] = vectors[nonzero] / norms[nonzero, None]
+    position = {term_index: k for k, term_index in enumerate(embedded)}
+    embedded_arr = np.array(embedded)
+    if order == "vocabulary":
+        processing = range(len(vocab))
+    else:
+        processing = sorted(range(len(vocab)), key=lambda i: (vocab.df.get(vocab.terms[i], 0), i))
+
+    budget = {i: 0 for i in embedded}
+    for i in processing:
+        if i not in position or budget[i] >= top_k:
+            continue
+        sims = normalized @ normalized[position[i]]
+        values = np.clip(sims, 0.0, 1.0) ** exponent
+        row_i = rows.get(i, {})
+        for k in np.lexsort((embedded_arr, -values)):
+            value = float(values[k])
+            if value < threshold or value <= 0.0:
+                break
+            j = int(embedded_arr[k])
+            if j == i or j in row_i or budget[j] >= top_k:
+                continue
+            rows.setdefault(i, {})[j] = value
+            rows.setdefault(j, {})[i] = value
+            row_i = rows[i]
+            budget[i] += 1
+            budget[j] += 1
+            if budget[i] >= top_k:
+                break
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # soft cosine: dense matrix arithmetic
 # ---------------------------------------------------------------------------

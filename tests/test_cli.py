@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import mteval.evaluation
 from mteval.cli import build_parser, main
 from mteval.config import load_run_config
 from mteval.errors import ConfigError
@@ -158,12 +159,41 @@ def test_crosslingual_degenerate_pair(tmp_path, capsys):
     assert lines[1].startswith("data\tdata\t")
 
 
+def test_crosslingual_splits_the_eval_dataset_with_its_own_seed(tmp_path, monkeypatch):
+    splits = []
+    featurize = mteval.evaluation.dataset_features
+
+    def spy(dataset, config, resources, seed, train_ratio, threads):
+        split = featurize(dataset, config, resources, seed, train_ratio, threads)
+        splits.append(tuple(split.test.segment_ids))
+        return split
+
+    monkeypatch.setattr(mteval.evaluation, "dataset_features", spy)
+    fit = write_run(tmp_path, config_name="fit.json", seed=11)
+    for eval_seed in (12, 13):
+        eval_ = write_run(tmp_path, config_name="eval.json", seed=eval_seed)
+        assert main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(eval_)]) == 0
+    fit_a, eval_a, fit_b, eval_b = splits
+    assert fit_a == fit_b
+    assert eval_a != eval_b
+
+
 def test_crosslingual_rejects_mismatched_metrics(tmp_path, capsys):
     fit = write_run(tmp_path, config_name="fit.json")
     eval_ = write_run(tmp_path, config_name="eval.json", metrics=("bleu",))
     code = main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(eval_)])
     assert code == 1
     assert "identical metrics" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_static_vector_exits_two(tmp_path, capsys, component):
+    config = write_run(tmp_path)
+    (tmp_path / "static.txt").write_text(f"3 2\nthe 1.0 0.0\ndog {component} 0.5\nruns 0.0 1.0\n", encoding="utf-8")
+    assert main(["score", "--config", str(config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("data error: ") and err[0].endswith("static.txt:3: non-finite vector component")
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

@@ -2,10 +2,15 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import numpy as np
 
 import mteval.cli
 import mteval.pipeline
+from mteval.embeddings import EmbeddingStore
+from mteval.vsm import build_similarity_matrix, build_vocabulary
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -30,3 +35,15 @@ def test_every_traced_function_exists_in_its_module():
 def test_cli_binds_build_resources():
     # perfbench/child.py wraps this binding to time the set-up
     assert mteval.cli.build_resources is mteval.pipeline.build_resources
+
+
+def test_similarity_build_keeps_what_the_tracer_reads():
+    # the tracer binds each call's arguments to read its store and order,
+    # and records the result's nnz_off_diagonal()
+    vocab = build_vocabulary([["x", "y"]])
+    store = EmbeddingStore(dim=2, table={"x": np.array([1.0, 0.0]), "y": np.array([1.0, 0.2])})
+    bound = inspect.signature(build_similarity_matrix).bind(vocab, store)
+    bound.apply_defaults()
+    assert bound.arguments["store"] is store
+    assert bound.arguments["order"] == "vocabulary"
+    assert build_similarity_matrix(*bound.args, **bound.kwargs).nnz_off_diagonal() == 1

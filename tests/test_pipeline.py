@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mteval.metrics
+import mteval.pipeline
 from mteval.corpus import Dataset, Segment
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
@@ -15,6 +16,7 @@ from mteval.pipeline import (
     load_external_scores,
     score_features,
 )
+from mteval.vsm import build_similarity_matrix
 
 METRIC_SET = (
     "scm",
@@ -103,6 +105,25 @@ def test_build_resources_populates_what_the_config_needs(tiny_run):
         ("words", "idf_descending"),
         ("pieces", "vocabulary"),
     }
+
+
+def test_build_resources_ranks_candidates_once_per_term_space(tmp_path, monkeypatch):
+    dataset = make_dataset(oov_hypothesis_at=4)
+    static, ctx, vocab = write_inputs(tmp_path, dataset)
+    ranked = []
+    rank = mteval.pipeline.similarity_candidates
+    monkeypatch.setattr(
+        mteval.pipeline, "similarity_candidates", lambda terms, *args: ranked.append(terms) or rank(terms, *args)
+    )
+    config = MetricConfig(mode="reference_based", metrics=METRIC_SET + ("scm_decontextualized_tfidf",))
+    resources = build_resources(config, dataset, static_path=static, contextual_path=ctx, wordpiece_vocab_path=vocab)
+    assert len(resources.sims) == 4
+    assert len(ranked) == 2
+    assert {id(terms) for terms in ranked} == {id(resources.vocab_words), id(resources.vocab_pieces)}
+    for (space, order), matrix in resources.sims.items():
+        terms = resources.vocab_words if space == "words" else resources.vocab_pieces
+        store = resources.static_store if space == "words" else resources.decon_store
+        assert matrix.rows == build_similarity_matrix(terms, store, order).rows
 
 
 def test_build_resources_reports_missing_paths_together():

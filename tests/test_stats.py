@@ -3,7 +3,7 @@ import pytest
 
 from mteval.stats import average_ranks, safe_spearman, spearman
 
-from oracles import rank_oracle, spearman_oracle
+from oracles import loop_average_ranks, rank_oracle, spearman_oracle
 
 
 def test_average_ranks_plain():
@@ -23,6 +23,22 @@ def test_average_ranks_matches_definition_oracle():
         n = int(rng.integers(2, 40))
         values = rng.integers(0, 8, size=n).astype(float)  # lots of ties
         assert np.allclose(average_ranks(values), rank_oracle(values), atol=0)
+
+
+def test_average_ranks_is_bit_identical_to_the_loop():
+    for values in ([], [3.0], [2.0, 1.0], [4.0, 4.0], [7.0] * 5, [np.nan, 1.0, np.nan], [-0.0, 0.0, -0.0, 1.0]):
+        assert average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
+    rng = np.random.default_rng(31)
+    specials = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, np.inf, -np.inf])
+    for trial in range(600):
+        n = int(rng.integers(0, 50))
+        if trial % 3 == 0:
+            values = rng.normal(size=n)
+        elif trial % 3 == 1:
+            values = rng.integers(0, 4, size=n).astype(float)
+        else:
+            values = rng.choice(specials, size=n)
+        assert average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
 
 
 def test_spearman_identity_and_reversal_are_exact():

@@ -5,6 +5,8 @@ import pytest
 
 from mteval.embeddings import EmbeddingStore
 from mteval.vsm import (
+    SIMILARITY_ORDERS,
+    SimilarityCandidates,
     SimilarityMatrix,
     Vocabulary,
     WeightedBow,
@@ -12,8 +14,11 @@ from mteval.vsm import (
     bow_nnx,
     build_similarity_matrix,
     build_vocabulary,
+    similarity_candidates,
     term_processing_order,
 )
+
+from oracles import greedy_similarity_rows
 
 
 def store_from(table):
@@ -183,6 +188,62 @@ def test_similarity_skips_terms_without_embeddings():
     i_mystery = vocab.index["mystery"]
     assert all(matrix.entry(i_mystery, j) == 0.0 for j in range(3) if j != i_mystery)
     assert matrix.entry(vocab.index["known"], vocab.index["other"]) == 1.0
+
+
+def random_similarity_instance(rng):
+    """Vocabulary and store of 2-60 terms: clustered, duplicate and zero vectors, some terms without one."""
+    n = int(rng.integers(2, 61))
+    dim = int(rng.integers(1, 6))
+    terms = [f"t{i}" for i in range(n)]
+    docs = [[t for t in terms if rng.random() < 0.5] for _ in range(int(rng.integers(1, 6)))] + [terms]
+    centroids = rng.normal(size=(int(rng.integers(1, 5)), dim))
+    table = {}
+    for term in terms:
+        draw = rng.random()
+        if draw < 0.1:
+            continue  # no vector
+        if draw < 0.15:
+            table[term] = np.zeros(dim)
+        elif draw < 0.3 and table:
+            table[term] = table[f"t{int(rng.choice([int(t[1:]) for t in table]))}"].copy()
+        else:
+            # a few decimals only, so distinct terms tie on their values too
+            noisy = centroids[rng.integers(len(centroids))] + 0.3 * rng.normal(size=dim)
+            table[term] = np.round(noisy, int(rng.integers(0, 3)))
+    return build_vocabulary(docs), EmbeddingStore(dim=dim, table=table)
+
+
+def test_similarity_matches_the_one_at_a_time_greedy_oracle(monkeypatch):
+    rng = np.random.default_rng(2024)
+    full_rows = []
+    ranked_again = SimilarityCandidates.full_row
+    monkeypatch.setattr(SimilarityCandidates, "full_row", lambda self, i: full_rows.append(i) or ranked_again(self, i))
+    for _ in range(400):
+        vocab, store = random_similarity_instance(rng)
+        threshold = float(rng.choice([0.0, 0.05, 0.1, 0.5, 1.0]))
+        exponent = float(rng.choice([1.0, 2.0, 3.0]))
+        top_k = int(rng.integers(1, 6))
+        candidates = similarity_candidates(vocab, store, threshold, exponent, top_k)
+        assert all(len(partners) == len(values) <= top_k for partners, values in candidates.rows.values())
+        for order in SIMILARITY_ORDERS:
+            want = greedy_similarity_rows(vocab, store, order, threshold, exponent, top_k)
+            got = build_similarity_matrix(vocab, store, order, threshold, exponent, top_k, candidates=candidates)
+            assert got.rows == want
+            # the same values bit for bit, inserted in the same order
+            assert all(list(got.rows[i].items()) == list(want[i].items()) for i in want)
+            assert build_similarity_matrix(vocab, store, order, threshold, exponent, top_k).rows == want
+    # rows whose stored candidates ran out were ranked again
+    assert full_rows
+
+
+def test_similarity_candidates_must_match_the_build():
+    vocab = build_vocabulary([["x", "y"]])
+    store = store_from({"x": [1.0, 0.0], "y": [1.0, 0.1]})
+    candidates = similarity_candidates(vocab, store, threshold=0.1, exponent=2.0, top_k=3)
+    with pytest.raises(ValueError, match="other parameters"):
+        build_similarity_matrix(vocab, store, threshold=0.1, exponent=2.0, top_k=4, candidates=candidates)
+    with pytest.raises(ValueError, match="top_k"):
+        similarity_candidates(vocab, store, top_k=0)
 
 
 def test_from_dense_to_dense_roundtrip():
