@@ -164,7 +164,7 @@ def load_dataset(path: str | Path, format: str | None = None, name: str | None =
 
 def _load_tsv(path: Path) -> list[Segment]:
     segments = []
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             header = next(reader)
@@ -182,7 +182,7 @@ def _load_tsv(path: Path) -> list[Segment]:
 
 
 def _load_json(path: Path) -> list[Segment]:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             records = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -10,6 +10,7 @@ lets the embedding metrics run without on-the-fly inference.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,11 +70,12 @@ def load_static(path: str | Path) -> EmbeddingStore:
     The header count is informative only (a mismatch logs a warning), but
     every row must carry exactly ``dim`` finite values; trailing spaces, as
     the original word2vec tool writes them, are ignored.  A duplicated token
-    keeps the last vector seen and logs a warning.
+    keeps the last vector seen and logs a warning.  A malformed file is
+    reported at its first bad line.  numpy parses all values in one pass,
+    so numbers follow its syntax: ASCII digits and no ``_`` grouping.
     """
     path = Path(path)
-    table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         header = handle.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}:1: expected header '<count> <dim>'")
@@ -83,25 +85,70 @@ def load_static(path: str | Path) -> EmbeddingStore:
             raise DataError(f"{path}:1: expected integer header '<count> <dim>'") from None
         if dim <= 0:
             raise DataError(f"{path}:1: dimension must be positive, got {dim}")
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").rstrip(" ").split(" ")
-            if len(parts) != dim + 1:
-                raise DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {len(parts)} fields")
-            token = parts[0]
-            try:
-                vector = np.array([float(v) for v in parts[1:]], dtype=float)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
-            if not np.isfinite(vector).all():
-                raise DataError(f"{path}:{lineno}: non-finite vector component")
-            if token in table:
-                logger.warning("%s:%d: duplicate token %r, keeping the later vector", path, lineno, token)
-            table[token] = vector
+        tokens, linenos, values, fault = _static_rows(handle, path, dim)
+    non_finite = ~np.isfinite(values).all(axis=1)
+    if non_finite.any():
+        first = int(non_finite.argmax())
+        fault = DataError(f"{path}:{linenos[first]}: non-finite vector component")
+        values = values[:first]
+    table: dict[str, np.ndarray] = {}
+    for token, lineno, vector in zip(tokens, linenos, values):  # stops at the first bad row
+        if token in table:
+            logger.warning("%s:%d: duplicate token %r, keeping the later vector", path, lineno, token)
+        table[token] = vector
+    if fault is not None:
+        raise fault
     if len(table) != count:
         logger.warning("%s: header declares %d tokens but %d were read", path, count, len(table))
     return EmbeddingStore(dim=dim, table=table)
+
+
+def _static_rows(handle, path: Path, dim: int, limit: int | None = None):
+    """Parse the data rows after the header, or only the first ``limit`` of them.
+
+    Returns (tokens, line numbers, (n, dim) values, fault), where ``fault``
+    is the DataError of the first malformed row, or None.  The values cover
+    the rows before the fault, so the caller can still report an earlier
+    non-finite row first.  Python splits off each token; one ``np.loadtxt``
+    call parses every value.  It pulls rows one at a time, so a number it
+    cannot parse is on the last row handed to it; the rows before that one
+    are then parsed again from a fresh handle.
+    """
+    tokens: list[str] = []
+    linenos: list[int] = []
+    fault = None
+
+    def value_texts():
+        nonlocal fault
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            if len(tokens) == limit:
+                return
+            line = line.rstrip("\n").rstrip(" ")
+            if line.count(" ") != dim:
+                fault = DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {line.count(' ') + 1} fields")
+                return
+            token, _, text = line.partition(" ")
+            tokens.append(token)
+            linenos.append(lineno)
+            yield text
+
+    texts = value_texts()
+    first = next(texts, None)
+    if first is None:  # np.loadtxt warns on empty input
+        return tokens, linenos, np.empty((0, dim)), fault
+    try:
+        values = np.loadtxt(itertools.chain([first], texts), dtype=float, delimiter=" ", comments=None, ndmin=2)
+    except UnicodeDecodeError:  # a ValueError too, but not a number's fault
+        raise
+    except ValueError:
+        bad = len(tokens) - 1
+        with open(path, encoding="utf-8-sig") as again:
+            again.readline()
+            before = _static_rows(again, path, dim, limit=bad)
+        return *before[:3], DataError(f"{path}:{linenos[bad]}: non-numeric vector component")
+    return tokens, linenos, values, fault
 
 
 def load_contextual(path: str | Path) -> list[ContextualRecord]:
@@ -117,7 +164,7 @@ def load_contextual(path: str | Path) -> list[ContextualRecord]:
     records: list[ContextualRecord] = []
     seen: set[tuple[str, str, int]] = set()
     dim = None
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         header = handle.readline().rstrip("\n").split("\t")
         if header != expected:
             raise DataError(f"{path}:1: header must be {expected}, got {header}")

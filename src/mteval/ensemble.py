@@ -9,7 +9,6 @@ restricted to the four surface length features.
 
 from __future__ import annotations
 
-import copy
 import logging
 from dataclasses import dataclass
 
@@ -195,10 +194,16 @@ def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> MlpPara
     delta = (hidden @ params.w2 + params.b2 - y) * (2.0 / len(y))
     grad_w2 = hidden.T @ delta
     grad_b2 = float(delta.sum())
-    d_hidden = np.outer(delta, params.w2) * (pre > 0)
+    d_hidden = delta[:, None] * params.w2 * (pre > 0)
     grad_w1 = rows.T @ d_hidden
     grad_b1 = d_hidden.sum(axis=0)
     return MlpParams(w1=grad_w1, b1=grad_b1, w2=grad_w2, b2=grad_b2)
+
+
+def _unpack(theta: np.ndarray, m: int, hidden: int) -> MlpParams:
+    """Views of a flat [w1, b1, w2, b2] vector as an MlpParams."""
+    k = m * hidden
+    return MlpParams(w1=theta[:k].reshape(m, hidden), b1=theta[k : k + hidden], w2=theta[k + hidden : -1], b2=theta[-1])
 
 
 def fit_mlp(
@@ -230,12 +235,10 @@ def fit_mlp(
     rng = np.random.default_rng(seed)
     limit1 = np.sqrt(6.0 / (m + hidden))
     limit2 = np.sqrt(6.0 / (hidden + 1))
-    params = MlpParams(
-        w1=rng.uniform(-limit1, limit1, size=(m, hidden)),
-        b1=np.zeros(hidden),
-        w2=rng.uniform(-limit2, limit2, size=hidden),
-        b2=0.0,
-    )
+    w1 = rng.uniform(-limit1, limit1, size=(m, hidden))
+    w2 = rng.uniform(-limit2, limit2, size=hidden)
+    # Adam is elementwise, so one flat [w1, b1, w2, b2] vector takes the same steps
+    theta = np.concatenate([w1.ravel(), np.zeros(hidden), w2, [0.0]])
 
     n_val = max(1, round_half_up(val_fraction * n))
     order = rng.permutation(n)
@@ -243,45 +246,43 @@ def fit_mlp(
     rows_fit, y_fit = rows[fit_idx], y[fit_idx]
     rows_val, y_val = rows[val_idx], y[val_idx]
 
-    moment1 = MlpParams(np.zeros_like(params.w1), np.zeros_like(params.b1), np.zeros_like(params.w2), 0.0)
-    moment2 = MlpParams(np.zeros_like(params.w1), np.zeros_like(params.b1), np.zeros_like(params.w2), 0.0)
+    moment1 = np.zeros_like(theta)
+    moment2 = np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
-    best = copy.deepcopy(params)
+    best = theta.copy()
     best_val = np.inf
-    stale = 0
-    for _ in range(max_epochs):
+    best_epoch = epochs = stale = 0
+    for epochs in range(1, max_epochs + 1):
         batch_order = rng.permutation(len(fit_idx))
         for start in range(0, len(fit_idx), batch_size):
             chunk = batch_order[start : start + batch_size]
-            grads = mlp_gradients(params, rows_fit[chunk], y_fit[chunk])
+            grads = mlp_gradients(_unpack(theta, m, hidden), rows_fit[chunk], y_fit[chunk])
+            g = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2, [grads.b2]])
             step += 1
-            for name in ("w1", "b1", "w2", "b2"):
-                g = getattr(grads, name)
-                m1 = beta1 * getattr(moment1, name) + (1 - beta1) * g
-                m2 = beta2 * getattr(moment2, name) + (1 - beta2) * (g * g)
-                setattr(moment1, name, m1)
-                setattr(moment2, name, m2)
-                m1_hat = m1 / (1 - beta1**step)
-                m2_hat = m2 / (1 - beta2**step)
-                update = learning_rate * m1_hat / (np.sqrt(m2_hat) + eps)
-                setattr(params, name, getattr(params, name) - update)
-        val_mse = mlp_loss(params, rows_val, y_val)
+            moment1 = beta1 * moment1 + (1 - beta1) * g
+            moment2 = beta2 * moment2 + (1 - beta2) * (g * g)
+            m1_hat = moment1 / (1 - beta1**step)
+            m2_hat = moment2 / (1 - beta2**step)
+            theta = theta - learning_rate * m1_hat / (np.sqrt(m2_hat) + eps)
+        val_mse = mlp_loss(_unpack(theta, m, hidden), rows_val, y_val)
         if val_mse < best_val:
             best_val = val_mse
-            best = copy.deepcopy(params)
+            best = theta.copy()
+            best_epoch = epochs
             stale = 0
         else:
             stale += 1
             if stale >= patience:
                 break
+    logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs, best_epoch, best_val)
 
     return EnsembleModel(
         kind="mlp",
         feature_names=list(features.feature_names),
         standardization=standardization or StandardizationParams.identity(m),
-        mlp=best,
+        mlp=_unpack(best, m, hidden),
         seed=seed,
     )
 

@@ -62,7 +62,7 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
     feature name -> segment id -> value, preserving column order.
     """
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
         try:
             header = next(reader)

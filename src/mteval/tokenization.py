@@ -36,7 +36,7 @@ class WordPieceVocab:
 
 def load_wordpiece_vocab(path: str | Path, unk_token: str = "[UNK]") -> WordPieceVocab:
     entries = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line in handle:
             token = line.rstrip("\n")
             if token:

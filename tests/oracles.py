@@ -7,9 +7,14 @@ evidence, not tautology.
 
 from __future__ import annotations
 
+import copy
 import itertools
 
 import numpy as np
+
+from mteval._rng import round_half_up
+from mteval.ensemble import MlpParams, mlp_gradients, mlp_loss
+from mteval.errors import DataError
 
 # ---------------------------------------------------------------------------
 # transportation problem: exhaustive basic-feasible-solution enumeration
@@ -214,3 +219,107 @@ def finite_difference_gradients(loss_fn, params, h: float = 1e-5):
             flat[idx] = (up - down) / (2 * h)
         grads[name] = grad
     return grads
+
+
+# ---------------------------------------------------------------------------
+# static vectors: the row-by-row loader, frozen before numpy parsed the values
+# ---------------------------------------------------------------------------
+
+
+def loop_load_static(path, logger):
+    """Split each row in Python and convert it value by value with float().
+
+    Returns ``(dim, table)``; warnings go to ``logger``.
+    """
+    table: dict[str, np.ndarray] = {}
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline().split()
+        if len(header) != 2:
+            raise DataError(f"{path}:1: expected header '<count> <dim>'")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise DataError(f"{path}:1: expected integer header '<count> <dim>'") from None
+        if dim <= 0:
+            raise DataError(f"{path}:1: dimension must be positive, got {dim}")
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").rstrip(" ").split(" ")
+            if len(parts) != dim + 1:
+                raise DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {len(parts)} fields")
+            token = parts[0]
+            try:
+                vector = np.array([float(v) for v in parts[1:]], dtype=float)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
+            if not np.isfinite(vector).all():
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
+            if token in table:
+                logger.warning("%s:%d: duplicate token %r, keeping the later vector", path, lineno, token)
+            table[token] = vector
+    if len(table) != count:
+        logger.warning("%s: header declares %d tokens but %d were read", path, count, len(table))
+    return dim, table
+
+
+# ---------------------------------------------------------------------------
+# MLP training: Adam over the four parameter blocks one by one, frozen
+# before the blocks were packed into one vector
+# ---------------------------------------------------------------------------
+
+
+def loop_fit_mlp(
+    rows, y, seed, hidden=100, learning_rate=1e-3, batch_size=32, max_epochs=500, patience=25, val_fraction=0.1
+):
+    """The best-validation MlpParams of the per-block Adam loop."""
+    y = np.asarray(y, dtype=float)
+    n, m = rows.shape
+    rng = np.random.default_rng(seed)
+    limit1 = np.sqrt(6.0 / (m + hidden))
+    limit2 = np.sqrt(6.0 / (hidden + 1))
+    params = MlpParams(
+        w1=rng.uniform(-limit1, limit1, size=(m, hidden)),
+        b1=np.zeros(hidden),
+        w2=rng.uniform(-limit2, limit2, size=hidden),
+        b2=0.0,
+    )
+    n_val = max(1, round_half_up(val_fraction * n))
+    order = rng.permutation(n)
+    val_idx, fit_idx = order[:n_val], order[n_val:]
+    rows_fit, y_fit = rows[fit_idx], y[fit_idx]
+    rows_val, y_val = rows[val_idx], y[val_idx]
+
+    moment1 = MlpParams(np.zeros_like(params.w1), np.zeros_like(params.b1), np.zeros_like(params.w2), 0.0)
+    moment2 = MlpParams(np.zeros_like(params.w1), np.zeros_like(params.b1), np.zeros_like(params.w2), 0.0)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+    best = copy.deepcopy(params)
+    best_val = np.inf
+    stale = 0
+    for _ in range(max_epochs):
+        batch_order = rng.permutation(len(fit_idx))
+        for start in range(0, len(fit_idx), batch_size):
+            chunk = batch_order[start : start + batch_size]
+            grads = mlp_gradients(params, rows_fit[chunk], y_fit[chunk])
+            step += 1
+            for name in ("w1", "b1", "w2", "b2"):
+                g = getattr(grads, name)
+                m1 = beta1 * getattr(moment1, name) + (1 - beta1) * g
+                m2 = beta2 * getattr(moment2, name) + (1 - beta2) * (g * g)
+                setattr(moment1, name, m1)
+                setattr(moment2, name, m2)
+                m1_hat = m1 / (1 - beta1**step)
+                m2_hat = m2 / (1 - beta2**step)
+                update = learning_rate * m1_hat / (np.sqrt(m2_hat) + eps)
+                setattr(params, name, getattr(params, name) - update)
+        val_mse = mlp_loss(params, rows_val, y_val)
+        if val_mse < best_val:
+            best_val = val_mse
+            best = copy.deepcopy(params)
+            stale = 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    return best

@@ -125,6 +125,20 @@ def test_verbose_flag_before_or_after_the_subcommand(tmp_path):
         assert parser.parse_args(argv).verbose is verbose
 
 
+def test_logging_does_not_change_outputs(tmp_path, caplog):
+    config = write_run(tmp_path, n=30)
+    outputs = []
+    for argv in (["evaluate"], ["evaluate", "-v"], ["-v", "evaluate"]):
+        caplog.clear()
+        with caplog.at_level("DEBUG" if "-v" in argv else "WARNING"):
+            assert main(argv + ["--config", str(config)]) == 0
+        outputs.append({path.name: path.read_bytes() for path in sorted((tmp_path / "out").iterdir())})
+        if "-v" in argv:
+            assert any(message.startswith("mlp fit:") for message in caplog.messages)
+    assert outputs[0]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_ablate_writes_curve(tmp_path):
     config = write_run(tmp_path)
     assert main(["ablate", "--config", str(config)]) == 0

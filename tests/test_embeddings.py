@@ -1,5 +1,10 @@
+import logging
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mteval.embeddings import (
     ContextualRecord,
@@ -11,7 +16,7 @@ from mteval.embeddings import (
 )
 from mteval.errors import DataError
 
-from oracles import naive_decontextualize
+from oracles import loop_load_static, naive_decontextualize
 
 
 def write_static(tmp_path, text):
@@ -78,6 +83,153 @@ def test_load_static_count_mismatch_is_only_a_warning(tmp_path, caplog):
         store = load_static(path)
     assert len(store) == 1
     assert any("header declares" in message for message in caplog.messages)
+
+
+def test_load_static_header_only_file_is_an_empty_store(tmp_path):
+    path = write_static(tmp_path, "0 3\n\n  \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store = load_static(path)
+    assert store.dim == 3
+    assert len(store) == 0
+
+
+def test_load_static_reports_the_first_bad_line(tmp_path):
+    # a non-finite row before a row that is malformed in another way
+    for late in ("dog 1.0\n", "dog 1.0 oops\n"):
+        path = write_static(tmp_path, "3 2\ncat 1.0 0.0\nbird nan 0.0\n" + late)
+        with pytest.raises(DataError, match=r":3: non-finite"):
+            load_static(path)
+    path = write_static(tmp_path, "3 2\ncat 1.0 oops\nbird nan 0.0\ndog 1.0\n")
+    with pytest.raises(DataError, match=r":2: non-numeric"):
+        load_static(path)
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661", "0x10", "nan(1)"])
+def test_load_static_accepts_only_numpy_number_syntax(tmp_path, value):
+    # float() also reads digit grouping and non-ASCII digits; the loader does not
+    path = write_static(tmp_path, f"2 2\ncat 1.0 0.0\ndog 1.0 {value}\n")
+    with pytest.raises(DataError, match=r":3: non-numeric vector component"):
+        load_static(path)
+
+
+def test_load_static_does_not_blame_a_number_for_bad_utf8(tmp_path):
+    path = tmp_path / "vectors.txt"
+    # far enough in that the decoder meets the byte while numpy is reading rows
+    rows = b"".join(b"w%d 1.0 0.0\n" % i for i in range(3000))
+    path.write_bytes(b"3001 2\n" + rows + b"dog 1.0 \xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_static(path)
+
+
+def test_load_static_rows_share_one_matrix(tmp_path):
+    path = write_static(tmp_path, "2 2\ncat 1.0 0.0\ndog 0.0 1.0\n")
+    store = load_static(path)
+    assert store["cat"].base is not None
+    assert store["cat"].base is store["dog"].base
+
+
+# ---------------------------------------------------------------------------
+# load_static against the row-by-row loader
+# ---------------------------------------------------------------------------
+
+ORACLE_LOG = logging.getLogger("oracles.load_static")
+SWEEP_TOKENS = ["cat", "#tag", '"quoted', "naïve", "日本語", "x", "-1", "1e5", "[UNK]", "a\u00a0b"]
+SWEEP_NUMBERS = ["0", "-0", "-0.0", "+2", ".5", "5.", "1E3", "1e-320", "2.5e+300", "-7", "1.0000000000000002"]
+SWEEP_FAULTS = {
+    "non-numeric": ["abc", "1,5", "", "0x10", "1e", "--1", "1.2.3"],
+    "non-finite": ["nan", "inf", "-inf", "1e400", "-1e400", "Infinity", "-nan", "NaN"],
+}
+BLANK_LINES = ["", "   ", "\t", " \t "]
+
+
+def random_value(rng) -> str:
+    if rng.random() < 0.3:
+        return SWEEP_NUMBERS[rng.integers(len(SWEEP_NUMBERS))]
+    return repr(float(rng.normal() * 10.0 ** rng.integers(-8, 8)))
+
+
+def random_vector_file(rng) -> tuple[str, set[str]]:
+    """Text of a random word-vector file and the kinds of fault planted in it."""
+    dim = int(rng.integers(1, 5))
+    n = int(rng.integers(0, 10))
+    faulty = set(rng.choice(n, size=min(n, int(rng.choice([0, 0, 1, 2]))), replace=False).tolist()) if n else set()
+    kinds = set()
+    lines = []
+    for row in range(n):
+        while rng.random() < 0.2:
+            lines.append(BLANK_LINES[rng.integers(len(BLANK_LINES))])
+        token = SWEEP_TOKENS[rng.integers(len(SWEEP_TOKENS))]
+        values = [random_value(rng) for _ in range(dim)]
+        if row in faulty:
+            kind = ["count", "non-numeric", "non-finite"][rng.integers(3)]
+            kinds.add(kind)
+            if kind == "count":
+                if rng.random() < 0.5:
+                    values.pop()
+                else:
+                    values.append(random_value(rng))
+            else:
+                values[rng.integers(dim)] = SWEEP_FAULTS[kind][rng.integers(len(SWEEP_FAULTS[kind]))]
+        lines.append(" ".join([token] + values) + " " * int(rng.integers(0, 3)))
+    count = n + int(rng.choice([0, 0, 0, -1, 1]))
+    newline = "\r\n" if rng.random() < 0.25 else "\n"
+    return newline.join([f"{count} {dim}"] + lines) + newline, kinds
+
+
+def load_outcome(load, caplog):
+    """(tokens with the bits of their vectors, or the DataError text; warning texts)."""
+    caplog.clear()
+    try:
+        table = load()
+        outcome = [(token, vector.dtype.str, vector.tobytes()) for token, vector in table.items()]
+    except DataError as exc:
+        outcome = str(exc)
+    return outcome, [record.getMessage() for record in caplog.records]
+
+
+def test_load_static_matches_the_row_by_row_loader(tmp_path, caplog):
+    rng = np.random.default_rng(2024)
+    path = tmp_path / "vectors.txt"
+    seen = {"count": 0, "non-numeric": 0, "non-finite": 0, "two faults": 0, "duplicates": 0, "empty": 0}
+    for _ in range(600):
+        text, kinds = random_vector_file(rng)
+        path.write_bytes(text.encode("utf-8"))
+        with caplog.at_level("WARNING"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_outcome(lambda: load_static(path).table, caplog)
+            want = load_outcome(lambda: loop_load_static(path, ORACLE_LOG)[1], caplog)
+        assert got == want, text
+        for kind in kinds:
+            seen[kind] += 1
+        seen["two faults"] += len(kinds) == 2
+        seen["duplicates"] += any("duplicate" in message for message in want[1])
+        seen["empty"] += want[0] == []
+    assert min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.integers(1, 6).flatmap(
+        lambda dim: st.lists(
+            st.tuples(
+                st.text(st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6),
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim, max_size=dim),
+            ),
+            max_size=8,
+            unique_by=lambda row: row[0],
+        ).map(lambda rows: (dim, rows))
+    )
+)
+def test_load_static_round_trips_repr_written_vectors(tmp_path, case):
+    dim, rows = case
+    lines = [f"{len(rows)} {dim}"] + [" ".join([token] + [repr(v) for v in vector]) for token, vector in rows]
+    path = tmp_path / "vectors.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    store = load_static(path)
+    assert list(store.table) == [token for token, _ in rows]
+    for token, vector in rows:
+        assert store[token].tobytes() == np.array(vector, dtype=np.float64).tobytes()
 
 
 def test_cosine_properties():

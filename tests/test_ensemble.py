@@ -17,7 +17,7 @@ from mteval.ensemble import (
 )
 from mteval.stats import spearman
 
-from oracles import finite_difference_gradients
+from oracles import finite_difference_gradients, loop_fit_mlp
 
 
 def matrix(rows, names=None, ids=None):
@@ -196,6 +196,60 @@ def test_fit_mlp_learns_a_noisy_linear_map():
     residual = float(np.mean((pred - y) ** 2))
     assert residual < 0.2 * float(np.var(y))
     assert spearman(pred, y) > 0.9
+
+
+# (n, m, hidden, batch_size, learning_rate, max_epochs, patience)
+MLP_CASES = [
+    (37, 3, 1, 8, 1e-3, 30, 30),
+    (37, 3, 1, 8, 0.05, 60, 2),
+    (50, 4, 8, 7, 0.03, 80, 2),
+    (50, 4, 8, 7, 1e-3, 25, 25),
+    (12, 2, 8, 64, 0.01, 25, 25),
+    (80, 5, 100, 32, 0.02, 60, 3),
+    (80, 5, 100, 13, 1e-3, 15, 15),
+    (25, 12, 100, 100, 0.05, 40, 2),
+]
+
+
+def test_fit_mlp_matches_the_per_block_adam_loop(caplog):
+    rng = np.random.default_rng(31)
+    stopped = {"early": 0, "full": 0}
+    for n, m, hidden, batch_size, learning_rate, max_epochs, patience in MLP_CASES:
+        features = random_matrix(rng, n, m)
+        y = np.tanh(features.rows[:, 0]) * features.rows[:, -1] + 0.3 * rng.normal(size=n)
+        seed = int(rng.integers(1000))
+        options = dict(
+            hidden=hidden, learning_rate=learning_rate, batch_size=batch_size, max_epochs=max_epochs, patience=patience
+        )
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="mteval.ensemble"):
+            got = fit_mlp(features, y, seed=seed, **options).mlp
+        want = loop_fit_mlp(features.rows, y, seed=seed, **options)
+        for name in ("w1", "b1", "w2", "b2"):
+            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert a.tobytes() == b.tobytes(), (name, n, hidden, batch_size)
+        (line,) = [message for message in caplog.messages if message.startswith("mlp fit:")]
+        epochs = int(line.split()[2])
+        stopped["early" if epochs < max_epochs else "full"] += 1
+    assert min(stopped.values()) >= 3, stopped
+
+
+def test_fit_mlp_logs_where_it_stopped(caplog):
+    rng = np.random.default_rng(9)
+    features = random_matrix(rng, 60, 3)
+    y = features.rows[:, 0] + 0.5 * rng.normal(size=60)
+    with caplog.at_level("DEBUG", logger="mteval.ensemble"):
+        fit_mlp(features, y, seed=3, hidden=8, learning_rate=0.05, max_epochs=200, patience=4)
+        fit_mlp(features, y, seed=3, hidden=8, max_epochs=6, patience=6)
+    early, full = [message.split() for message in caplog.messages if message.startswith("mlp fit:")]
+    # "mlp fit: <epochs> epochs run, best epoch <epoch>, validation MSE <mse>"
+    epochs, best = int(early[2]), int(early[7].rstrip(","))
+    assert epochs < 200
+    assert best == epochs - 4
+    assert float(early[-1]) > 0
+    assert int(full[2]) == 6
+    assert 1 <= int(full[7].rstrip(",")) <= 6
 
 
 def test_fit_mlp_needs_ten_rows():

@@ -9,7 +9,7 @@ import numpy as np
 
 import mteval.cli
 import mteval.pipeline
-from mteval.embeddings import EmbeddingStore
+from mteval.embeddings import EmbeddingStore, load_static
 from mteval.vsm import build_similarity_matrix, build_vocabulary
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -47,3 +47,11 @@ def test_similarity_build_keeps_what_the_tracer_reads():
     assert bound.arguments["store"] is store
     assert bound.arguments["order"] == "vocabulary"
     assert build_similarity_matrix(*bound.args, **bound.kwargs).nnz_off_diagonal() == 1
+
+
+def test_load_static_length_counts_the_vector_rows(tmp_path):
+    # the tracer reports len(load_static(...)) as embeddings.load_static.records:
+    # one per distinct token, so blank lines and a repeated token add nothing
+    path = tmp_path / "vectors.txt"
+    path.write_text("4 2\ncat 1 0\n\ndog 0 1\n   \ncat 0.5 0.5\nemu 1 1\n\n", encoding="utf-8")
+    assert len(load_static(path)) == 3
