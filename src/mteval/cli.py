@@ -3,7 +3,7 @@
 Each subcommand reads a JSON run config (see mteval.config for the schema)
 and writes UTF-8, LF-terminated tables with 6-decimal fixed-point reals
 into the output directory.  Identical config and inputs produce
-bit-identical outputs regardless of --threads.
+bit-identical outputs.  --threads is accepted and has no effect.
 
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 internal
 error (a bug: the transport solver failing to converge, or any other
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(cmd: argparse.ArgumentParser) -> None:
         # no default here, so a -v given before the subcommand is not reset
         cmd.add_argument("-v", "--verbose", action="store_true", default=argparse.SUPPRESS, help=verbose_help)
-        cmd.add_argument("--threads", type=_positive_int, default=1, help="segment-scoring threads (default: %(default)s)")
+        cmd.add_argument("--threads", type=int, default=1, help="accepted, has no effect")
         cmd.add_argument("--out", type=Path, default=None, help="output directory (default: config output_dir, else '.')")
 
     score = sub.add_parser("score", help="dump per-segment metric scores")
@@ -66,13 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(crosslingual)
     crosslingual.set_defaults(func=cmd_crosslingual)
     return parser
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
 
 
 def _load_run(config: RunConfig):
@@ -112,7 +105,7 @@ def _write_flags_tsv(path: Path, flags: dict[str, dict[str, str]]) -> None:
 def cmd_score(args) -> int:
     config = load_run_config(args.config)
     dataset, resources = _load_run(config)
-    features, flags, _ = score_features(dataset, config.metric_config, resources, threads=args.threads)
+    features, flags, _ = score_features(dataset, config.metric_config, resources)
     out = _out_dir(args, config)
     _write_scores_tsv(out / "scores.tsv", features)
     _write_flags_tsv(out / "flags.tsv", flags)
@@ -129,7 +122,6 @@ def cmd_evaluate(args) -> int:
         resources,
         seed=config.seed,
         train_ratio=config.split_ratio,
-        threads=args.threads,
         mlp_options=config.mlp_options,
     )
     out = _out_dir(args, config)
@@ -150,9 +142,7 @@ def cmd_ablate(args) -> int:
     n_features = len(feature_names(config.metric_config, resources))
     if n_features < 2:
         raise ConfigError(f"ablate needs at least 2 features (metrics, reg_base, external scores), got {n_features}")
-    split = dataset_features(
-        dataset, config.metric_config, resources, config.seed, config.split_ratio, threads=args.threads
-    )
+    split = dataset_features(dataset, config.metric_config, resources, config.seed, config.split_ratio)
     curve = ablation(
         split.train,
         split.test,
@@ -185,7 +175,6 @@ def cmd_crosslingual(args) -> int:
         train_ratio=fit_config.split_ratio,
         eval_seed=eval_config.seed,
         eval_train_ratio=eval_config.split_ratio,
-        threads=args.threads,
         mlp_options=fit_config.mlp_options,
     )
     out = _out_dir(args, fit_config)

@@ -32,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from mteval.errors import ConfigError
+from mteval.errors import ConfigError, utf8_loader
 from mteval.metrics import METRICS, MODES, MetricConfig
 
 __all__ = ["RunConfig", "load_run_config"]
@@ -72,6 +72,7 @@ class RunConfig:
     output_dir: Path | None = None
 
 
+@utf8_loader
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable
 
 from mteval._rng import Xorshift64Star, round_half_up
-from mteval.errors import DataError
+from mteval.errors import DataError, utf8_loader
 
 _TSV_COLUMNS = [
     "id",
@@ -141,6 +141,7 @@ def _segment_from_fields(fields: dict[str, str], where: str) -> Segment:
         raise DataError(f"{where}: {exc}") from None
 
 
+@utf8_loader
 def load_dataset(path: str | Path, format: str | None = None, name: str | None = None) -> Dataset:
     """Load a dataset from a TSV or JSON file.
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from mteval.errors import DataError
+from mteval.errors import DataError, utf8_loader
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,7 @@ class ContextualRecord:
             raise DataError(f"non-finite vector for {self.segment_id!r}/{self.side}[{self.token_index}]")
 
 
+@utf8_loader
 def load_static(path: str | Path) -> EmbeddingStore:
     """Load a word-vector text file.
 
@@ -151,6 +152,7 @@ def _static_rows(handle, path: Path, dim: int, limit: int | None = None):
     return tokens, linenos, values, fault
 
 
+@utf8_loader
 def load_contextual(path: str | Path) -> list[ContextualRecord]:
     """Load contextual occurrence vectors from TSV.
 

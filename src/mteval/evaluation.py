@@ -171,7 +171,6 @@ def evaluate_dataset(
     resources: Resources,
     seed: int,
     train_ratio: float = 0.8,
-    threads: int = 1,
     mlp_options: dict | None = None,
 ) -> EvaluationResult:
     """Fit RegEMT (all features) and Reg-base (surface features) on the train
@@ -179,7 +178,7 @@ def evaluate_dataset(
     both ensemble prediction columns, plus their pairwise matrix."""
     if not config.reg_base:
         raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
-    split = dataset_features(dataset, config, resources, seed, train_ratio, threads)
+    split = dataset_features(dataset, config, resources, seed, train_ratio)
     regemt = select_model(split.train, split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options)
     base_names = list(REG_BASE_FEATURES)
     reg_base = select_model(
@@ -214,7 +213,6 @@ def cross_lingual_eval(
     train_ratio: float = 0.8,
     eval_seed: int | None = None,
     eval_train_ratio: float | None = None,
-    threads: int = 1,
     mlp_options: dict | None = None,
 ) -> float:
     """RegEMT transfer: fit on one language pair, report on another.
@@ -227,8 +225,8 @@ def cross_lingual_eval(
     """
     eval_seed = seed if eval_seed is None else eval_seed
     eval_train_ratio = train_ratio if eval_train_ratio is None else eval_train_ratio
-    fit_split = dataset_features(fit_dataset, config, fit_resources, seed, train_ratio, threads)
-    eval_split = dataset_features(eval_dataset, config, eval_resources, eval_seed, eval_train_ratio, threads)
+    fit_split = dataset_features(fit_dataset, config, fit_resources, seed, train_ratio)
+    eval_split = dataset_features(eval_dataset, config, eval_resources, eval_seed, eval_train_ratio)
     model = select_model(
         fit_split.train, fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
     )

@@ -3,8 +3,9 @@
 Implements the soft cosine measure and word mover's distance over static,
 decontextualized, and contextual token vectors (with raw-tf and tf-idf
 weightings), a part-of-speech transition metric, sentence BLEU, and the
-four surface length features behind the Reg-base baseline.  `score_segment`
-dispatches all of them for one segment under a `MetricConfig`.
+four surface length features behind the Reg-base baseline.  `score_segments`
+dispatches all of them for a list of segments under a `MetricConfig`, and
+solves every segment's WMD transport problem in one batch.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from mteval.corpus import Segment
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.errors import ConfigError, DataError
-from mteval.flow import FlowSolution, solve_transport
+from mteval.flow import FlowSolution, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
 from mteval.vsm import SimilarityMatrix, Vocabulary, WeightedBow, bow_nfx, bow_nnx
 
@@ -40,6 +41,7 @@ __all__ = [
     "required_resources",
     "scm",
     "score_segment",
+    "score_segments",
     "sentence_bleu",
     "transition_graph",
     "validate_resources",
@@ -219,10 +221,9 @@ class Resources:
         return self._memoized((space, weighting, text), lambda: make_bow(self.tokens(space, text), vocab))
 
     def _memoized(self, key: tuple[str, ...], compute):
-        # setdefault keeps one value per key when scoring threads race on a miss
         value = self._memo.get(key)
         if value is None:
-            value = self._memo.setdefault(key, compute())
+            value = self._memo[key] = compute()
         return value
 
 
@@ -266,6 +267,10 @@ def wmd(x: WeightedBow, y: WeightedBow, store: EmbeddingStore, vocab: Vocabulary
     without an embedding; pairwise Euclidean distances between term vectors
     are the transport costs.
     """
+    return _transport_cost(*_wmd_sides(x, y, store, vocab))
+
+
+def _wmd_sides(x: WeightedBow, y: WeightedBow, store: EmbeddingStore, vocab: Vocabulary):
     ix, wx = _embedded_terms(x, store, vocab)
     iy, wy = _embedded_terms(y, store, vocab)
     if not ix:
@@ -274,7 +279,7 @@ def wmd(x: WeightedBow, y: WeightedBow, store: EmbeddingStore, vocab: Vocabulary
         raise UnscorableSegment("second side has no embedded terms with positive weight")
     ex = np.stack([store[vocab.terms[i]] for i in ix])
     ey = np.stack([store[vocab.terms[i]] for i in iy])
-    return _transport_cost(np.asarray(wx), np.asarray(wy), ex, ey)
+    return np.asarray(wx), np.asarray(wy), ex, ey
 
 
 def _embedded_terms(bow: WeightedBow, store: EmbeddingStore, vocab: Vocabulary):
@@ -289,6 +294,12 @@ def _embedded_terms(bow: WeightedBow, store: EmbeddingStore, vocab: Vocabulary):
 
 
 def _transport_cost(wx: np.ndarray, wy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> float:
+    problem = _transport_problem(wx, wy, ex, ey)
+    return problem if isinstance(problem, float) else solve_transport(*problem).cost
+
+
+def _transport_problem(wx: np.ndarray, wy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> float | tuple:
+    """The (supplies, demands, costs) left to solve, or the cost 0.0 when all mass is pre-matched."""
     if ex.shape[1] != ey.shape[1]:
         raise DataError(f"embedding dimensions differ between sides: {ex.shape[1]} vs {ey.shape[1]}")
     a = wx / wx.sum()
@@ -306,7 +317,7 @@ def _transport_cost(wx: np.ndarray, wy: np.ndarray, ex: np.ndarray, ey: np.ndarr
     rows, cols = a > 1e-14, b > 1e-14  # unit masses: what is left below is subtraction dust
     if not rows.any() or not cols.any():
         return 0.0
-    return solve_transport(a[rows], b[cols], costs[np.ix_(rows, cols)]).cost
+    return a[rows], b[cols], costs[np.ix_(rows, cols)]
 
 
 def wmd_contextual(
@@ -320,6 +331,10 @@ def wmd_contextual(
     nnx weights each occurrence 1; nfx weights it by the idf of its token
     string (``vocab`` required, built from the contextual record file).
     """
+    return _transport_cost(*_contextual_sides(records_x, records_y, weighting, vocab))
+
+
+def _contextual_sides(records_x, records_y, weighting, vocab):
     if weighting not in ("nnx", "nfx"):
         raise ValueError(f"unknown weighting {weighting!r}")
     if weighting == "nfx" and vocab is None:
@@ -348,7 +363,7 @@ def wmd_contextual(
         raise UnscorableSegment("all occurrence weights are zero under nfx")
     ex = np.stack([r.vector for r in kx])
     ey = np.stack([r.vector for r in ky])
-    return _transport_cost(np.asarray(wx), np.asarray(wy), ex, ey)
+    return np.asarray(wx), np.asarray(wy), ex, ey
 
 
 def transition_graph(pos_tags: list[str]) -> TransitionMatrix:
@@ -543,38 +558,54 @@ def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -
     return placeholders
 
 
-def score_segment(
-    segment: Segment,
-    config: MetricConfig,
-    resources: Resources,
-    placeholders: dict[str, float] | None = None,
-) -> MetricVector:
-    """Compute every enabled metric for one segment.
+def score_segments(
+    segments: list[Segment], config: MetricConfig, resources: Resources, placeholders: dict[str, float] | None = None
+) -> list[MetricVector]:
+    """Compute every enabled metric for each segment, in segment order.
 
     Unscorable metrics score NaN (or the given placeholder) and carry a
     flag naming the reason; resource completeness is the caller's
-    responsibility via validate_resources.
+    responsibility via validate_resources.  The WMD metrics first collect
+    each segment's transport problem left after pre-matching; one
+    solve_transport_batch call then solves them all.
     """
-    scores: dict[str, float] = {}
-    flags: dict[str, str] = {}
-    anchor_text = segment.reference if config.mode == "reference_based" else segment.source
-    if anchor_text is None:
-        raise DataError(f"segment {segment.id!r} has no reference but mode is reference_based")
-    for name in config.metrics:
-        try:
-            value, flag = _compute_metric(name, segment, anchor_text, config, resources)
-            if flag is not None:
-                flags[name] = flag
-        except UnscorableSegment as exc:
-            flags[name] = str(exc)
-            value = placeholders[name] if placeholders is not None and name in placeholders else float("nan")
-        scores[name] = value
-    return MetricVector(segment_id=segment.id, scores=scores, flags=flags)
+    vectors = []
+    pending = []  # (scores of one segment, metric, transport problem)
+    for segment in segments:
+        scores: dict[str, float] = {}
+        flags: dict[str, str] = {}
+        anchor_text = segment.reference if config.mode == "reference_based" else segment.source
+        if anchor_text is None:
+            raise DataError(f"segment {segment.id!r} has no reference but mode is reference_based")
+        for name in config.metrics:
+            try:
+                value, flag = _compute_metric(name, segment, anchor_text, config, resources)
+                if flag is not None:
+                    flags[name] = flag
+            except UnscorableSegment as exc:
+                flags[name] = str(exc)
+                value = placeholders[name] if placeholders is not None and name in placeholders else float("nan")
+            if isinstance(value, tuple):
+                pending.append((scores, name, value))
+                value = float("nan")
+            scores[name] = value
+        vectors.append(MetricVector(segment_id=segment.id, scores=scores, flags=flags))
+    for (scores, name, _), solution in zip(pending, solve_transport_batch([p for _, _, p in pending])):
+        scores[name] = solution.cost
+    return vectors
+
+
+def score_segment(
+    segment: Segment, config: MetricConfig, resources: Resources, placeholders: dict[str, float] | None = None
+) -> MetricVector:
+    """`score_segments` for one segment."""
+    return score_segments([segment], config, resources, placeholders)[0]
 
 
 def _compute_metric(
     name: str, segment: Segment, anchor_text: str, config: MetricConfig, resources: Resources
-) -> tuple[float, str | None]:
+) -> tuple[float | tuple, str | None]:
+    """One metric's score and flag; a WMD score is its unsolved transport problem."""
     if name == "bleu":
         return (
             sentence_bleu(
@@ -598,7 +629,7 @@ def _compute_metric(
         rx = groups.get((segment.id, config.anchor_side), [])
         ry = groups.get((segment.id, "hypothesis"), [])
         weighting = "nfx" if name.endswith("_tfidf") else "nnx"
-        return wmd_contextual(rx, ry, weighting, resources.contextual_vocab), None
+        return _transport_problem(*_contextual_sides(rx, ry, weighting, resources.contextual_vocab)), None
 
     # remaining metrics are bag-of-words: pick term space, weighting, store
     tfidf = name.endswith("_tfidf")
@@ -616,4 +647,4 @@ def _compute_metric(
         if x.is_zero() or y.is_zero():
             return 0.0, EMPTY_BOW_FLAG
         return scm(x, y, matrix), None
-    return wmd(x, y, store, vocab), None
+    return _transport_problem(*_wmd_sides(x, y, store, vocab)), None

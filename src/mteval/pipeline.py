@@ -1,8 +1,8 @@
 """Dataset-level scoring: load resources, score every segment, build features.
 
 Bridges the per-segment metrics and the ensemble/evaluation layers: builds
-vocabularies and similarity matrices over a dataset, runs `score_segment`
-across segments (optionally threaded), substitutes placeholders for
+vocabularies and similarity matrices over a dataset, scores every segment
+(with one batched transport solve), substitutes placeholders for
 unscorable cells, and assembles the rectangular feature matrix with
 Reg-base and external columns appended.
 """
@@ -12,14 +12,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from mteval.corpus import Dataset, Segment, dataset_gold, split_by_source
+from mteval.corpus import Dataset, dataset_gold, split_by_source
 from mteval.embeddings import decontextualize, group_records, load_contextual, load_static
 from mteval.ensemble import FeatureMatrix
-from mteval.errors import ConfigError, DataError
+from mteval.errors import ConfigError, DataError, utf8_loader
 from mteval.metrics import (
     REG_BASE_FEATURES,
     MetricConfig,
@@ -29,7 +28,7 @@ from mteval.metrics import (
     needed_similarity_keys,
     reg_base_features,
     required_resources,
-    score_segment,
+    score_segments,
     validate_resources,
 )
 from mteval.tokenization import load_wordpiece_vocab
@@ -55,6 +54,7 @@ logger = logging.getLogger(__name__)
 RESERVED_FEATURE_NAMES = ("RegEMT", "Reg-base")
 
 
+@utf8_loader
 def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
     """Read precomputed per-segment scores to join as extra feature columns.
 
@@ -179,18 +179,10 @@ def score_dataset(
     dataset: Dataset,
     config: MetricConfig,
     resources: Resources,
-    threads: int = 1,
     placeholders: dict[str, float] | None = None,
 ) -> list[MetricVector]:
-    """Score every segment, in dataset order regardless of thread count."""
-
-    def one(segment: Segment) -> MetricVector:
-        return score_segment(segment, config, resources, placeholders)
-
-    if threads <= 1:
-        return [one(segment) for segment in dataset.segments]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, dataset.segments))
+    """Score every segment, in dataset order (see `score_segments`)."""
+    return score_segments(dataset.segments, config, resources, placeholders)
 
 
 def apply_placeholders(vectors: list[MetricVector], placeholders: dict[str, float]) -> None:
@@ -230,7 +222,7 @@ def assemble_features(
 
 
 def score_features(
-    dataset: Dataset, config: MetricConfig, resources: Resources, threads: int = 1
+    dataset: Dataset, config: MetricConfig, resources: Resources
 ) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
     """Split-free scoring for score dumps.
 
@@ -238,14 +230,13 @@ def score_features(
     set (there is no train split here).  Returns the feature matrix, the
     per-segment flags, and the placeholders used.
     """
-    return _featurize(dataset, config, resources, threads)
+    return _featurize(dataset, config, resources)
 
 
 def _featurize(
     dataset: Dataset,
     config: MetricConfig,
     resources: Resources,
-    threads: int,
     placeholder_ids: set[str] | None = None,
 ) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
     """Validate, score, fill placeholders, assemble features, collect flags.
@@ -254,7 +245,7 @@ def _featurize(
     ``placeholder_ids``, or over every segment when it is None.
     """
     validate_resources(config, resources, dataset.segments)
-    vectors = score_dataset(dataset, config, resources, threads)
+    vectors = score_dataset(dataset, config, resources)
     observed = [v for v in vectors if placeholder_ids is None or v.segment_id in placeholder_ids]
     placeholders = compute_placeholders(observed, list(config.metrics))
     apply_placeholders(vectors, placeholders)
@@ -282,7 +273,6 @@ def dataset_features(
     resources: Resources,
     seed: int,
     train_ratio: float = 0.8,
-    threads: int = 1,
 ) -> SplitFeatures:
     """Score a dataset and partition the features along the train/test split.
 
@@ -292,7 +282,7 @@ def dataset_features(
     gold = dataset_gold(dataset)
     train_ds, test_ds = split_by_source(dataset, train_ratio, seed)
     train_ids = {s.id for s in train_ds.segments}
-    features, flags, placeholders = _featurize(dataset, config, resources, threads, train_ids)
+    features, flags, placeholders = _featurize(dataset, config, resources, train_ids)
     row_of = {segment_id: i for i, segment_id in enumerate(features.segment_ids)}
     train_rows = [row_of[s.id] for s in train_ds.segments]
     test_rows = [row_of[s.id] for s in test_ds.segments]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from mteval.errors import DataError
+from mteval.errors import DataError, utf8_loader
 
 # Whitespace tokens longer than this are mapped straight to the unknown
 # token instead of being decomposed character by character.
@@ -34,6 +34,7 @@ class WordPieceVocab:
         return piece in self._lookup
 
 
+@utf8_loader
 def load_wordpiece_vocab(path: str | Path, unk_token: str = "[UNK]") -> WordPieceVocab:
     entries = []
     with open(path, encoding="utf-8-sig") as handle:

@@ -70,6 +70,93 @@ def brute_force_transport(supplies, demands, costs) -> float:
     return float(totals[feasible].min())
 
 
+def loop_solve_transport(supplies, demands, costs):
+    """The solver as it was before batching: one problem, its own numpy calls.
+
+    Returns (flows dict, cost).  Frozen as the reference the batched solver
+    must match bit for bit.
+    """
+    a = np.asarray(supplies, dtype=float)
+    b = np.asarray(demands, dtype=float)
+    costs = np.asarray(costs, dtype=float)
+    n, m = len(a), len(b)
+    if costs.shape != (n, m):
+        raise ValueError(f"cost matrix shape {costs.shape} does not match {n} supplies x {m} demands")
+    if n == 0 or m == 0:
+        raise ValueError("transportation instance needs at least one supply and one demand")
+    if np.any(a < 0) or np.any(b < 0):
+        raise ValueError("supplies and demands must be nonnegative")
+    if not np.all(np.isfinite(costs)) or np.any(costs < 0):
+        raise ValueError("costs must be finite and nonnegative")
+    total_a = float(a.sum())
+    total_b = float(b.sum())
+    scale = max(total_a, total_b, 1.0)
+    if abs(total_a - total_b) > 1e-9 * scale:
+        raise ValueError(f"unbalanced instance: supplies sum to {total_a}, demands to {total_b}")
+    tol = 1e-14 * scale
+    eps = 1e-12 * float(costs.max())
+    flow = np.zeros((n, m))
+    supply_left = a.copy()
+    demand_left = b.copy()
+    for _ in range(2 * (n + m) + 2 * n * m + 16):
+        supply_pred, demand_dist, demand_pred = _loop_shortest_paths(costs, flow > tol, supply_left > tol, eps)
+        ends = np.where(demand_left > tol, demand_dist, np.inf)
+        j = int(np.argmin(ends))
+        if not np.isfinite(ends[j]):
+            break
+        rows, cols = [], [j]
+        for _ in range(n + m):
+            rows.append(int(demand_pred[cols[-1]]))
+            if supply_pred[rows[-1]] < 0:
+                break
+            cols.append(int(supply_pred[rows[-1]]))
+        else:
+            raise RuntimeError("transportation solver found a predecessor cycle; please report this instance")
+        backward = (rows[:-1], cols[1:])
+        bottleneck = min(supply_left[rows[-1]], demand_left[j], flow[backward].min(initial=np.inf))
+        if bottleneck <= tol:
+            break
+        supply_left[rows[-1]] -= bottleneck
+        demand_left[j] -= bottleneck
+        flow[rows, cols] += bottleneck
+        flow[backward] -= bottleneck
+    else:
+        raise RuntimeError("transportation solver failed to converge; please report this instance")
+    if np.any(np.abs(flow.sum(axis=1) - a) > 1e-9 * scale) or np.any(np.abs(flow.sum(axis=0) - b) > 1e-9 * scale):
+        raise RuntimeError("transportation solver left unmet supply or demand beyond tolerance")
+    flow[flow < 0] = 0.0
+    nonzero = np.argwhere(flow > 0)
+    flows = {(int(i), int(j)): float(flow[i, j]) for i, j in nonzero}
+    return flows, float((flow * costs).sum())
+
+
+def _loop_shortest_paths(costs, carries, free_supply, eps):
+    n, m = costs.shape
+    supply_dist = np.where(free_supply, 0.0, np.inf)
+    supply_pred = np.full(n, -1)
+    demand_dist = np.full(m, np.inf)
+    demand_pred = np.zeros(m, dtype=np.int64)
+    backward = np.where(carries, -costs, np.inf)
+    for _ in range(n + m + 1):
+        reach = supply_dist[:, None] + costs
+        pred = reach.argmin(axis=0)
+        dist = reach[pred, np.arange(m)]
+        better = dist < demand_dist - eps
+        if not better.any():
+            return supply_pred, demand_dist, demand_pred
+        demand_dist[better] = dist[better]
+        demand_pred[better] = pred[better]
+        reach = demand_dist[None, :] + backward
+        pred = reach.argmin(axis=1)
+        dist = reach[np.arange(n), pred]
+        better = dist < supply_dist - eps
+        if not better.any():
+            return supply_pred, demand_dist, demand_pred
+        supply_dist[better] = dist[better]
+        supply_pred[better] = pred[better]
+    raise RuntimeError("transportation solver failed to converge; please report this instance")
+
+
 # ---------------------------------------------------------------------------
 # Spearman: quadratic-time average ranks + numpy Pearson
 # ---------------------------------------------------------------------------

@@ -139,6 +139,16 @@ def test_logging_does_not_change_outputs(tmp_path, caplog):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
+def test_verbose_run_logs_the_transport_batch(tmp_path, caplog):
+    config = write_run(tmp_path)
+    with caplog.at_level("INFO"):
+        assert main(["score", "-v", "--config", str(config)]) == 0
+    lines = [message for message in caplog.messages if message.startswith("transport:")]
+    # each of the 15 segments leaves one wmd problem after pre-matching ("the" and
+    # "dog" to "runs"), solved in two augmentations and a round that finds none
+    assert lines == ["transport: 15 problems, largest 2 x 1, 3 lockstep rounds, 30 augmentations"]
+
+
 def test_ablate_writes_curve(tmp_path):
     config = write_run(tmp_path)
     assert main(["ablate", "--config", str(config)]) == 0
@@ -177,8 +187,8 @@ def test_crosslingual_splits_the_eval_dataset_with_its_own_seed(tmp_path, monkey
     splits = []
     featurize = mteval.evaluation.dataset_features
 
-    def spy(dataset, config, resources, seed, train_ratio, threads):
-        split = featurize(dataset, config, resources, seed, train_ratio, threads)
+    def spy(dataset, config, resources, seed, train_ratio):
+        split = featurize(dataset, config, resources, seed, train_ratio)
         splits.append(tuple(split.test.segment_ids))
         return split
 
@@ -208,6 +218,64 @@ def test_non_finite_static_vector_exits_two(tmp_path, capsys, component):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("data error: ") and err[0].endswith("static.txt:3: non-finite vector component")
+
+
+def _spoil_dataset_json(tmp_path, payload):
+    (tmp_path / "data.json").write_bytes('[\n  {"id": "caf\u00e9"}\n]\n'.encode("latin-1"))
+    payload["dataset"] = "data.json"
+    return "data.json", 2
+
+
+def _spoil_contextual(tmp_path, payload):
+    lines = ["segment_id\tside\ttoken_index\ttoken\tvector", "s0\treference\t0\tthe\t1.0 0.0", "s0\thypothesis\t0\tcaf\u00e9\t0.0 1.0"]
+    (tmp_path / "contextual.tsv").write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+    payload["resources"]["contextual_records"] = "contextual.tsv"
+    payload["metrics"] = ["wmd_contextual"]
+    return "contextual.tsv", 3
+
+
+def _spoil_external(tmp_path, payload):
+    ids = [f"s{i}" for i in range(15)]
+    text = "segment_id\tcaf\u00e9\n" + "".join(f"{i}\t1.0\n" for i in ids)
+    (tmp_path / "external.tsv").write_bytes(text.encode("latin-1"))
+    payload["resources"]["external_scores"] = "external.tsv"
+    return "external.tsv", 1
+
+
+def _spoil_appended(name, line):
+    def spoil(tmp_path, payload):
+        number = (tmp_path / name).read_bytes().count(b"\n") + 1
+        with open(tmp_path / name, "ab") as handle:
+            handle.write(line.encode("latin-1"))
+        return name, number
+
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _spoil_appended("data.tsv", "s99\tde\ten\tcaf\u00e9\tthe dog\tthe dog\t1.0\t\t\t\n"),
+        _spoil_dataset_json,
+        _spoil_appended("static.txt", "caf\u00e9 1.0 1.0\n"),
+        _spoil_contextual,
+        _spoil_appended("vocab.txt", "caf\u00e9\n"),
+        _spoil_external,
+        _spoil_appended("config.json", '{"caf\u00e9": 1}\n'),
+    ],
+    ids=["dataset-tsv", "dataset-json", "static", "contextual", "wordpiece", "external", "config"],
+)
+def test_undecodable_input_exits_two_naming_the_file(tmp_path, capsys, spoil):
+    # every loader reads UTF-8; a Latin-1 byte is a data error at its line, not a bug
+    config = write_run(tmp_path)
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    name, line = spoil(tmp_path, payload)
+    if name != "config.json":
+        config.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    assert main(["score", "--config", str(config)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("data error: ") and err[0].endswith(f"{name}:{line}: not valid UTF-8 (invalid continuation byte)")
 
 
 def test_bad_config_exits_one(tmp_path, capsys):
@@ -247,7 +315,7 @@ def test_internal_error_exits_three_on_one_line(tmp_path, capsys, monkeypatch, e
     def fail(*args):
         raise error
 
-    monkeypatch.setattr("mteval.metrics.solve_transport", fail)
+    monkeypatch.setattr("mteval.metrics.solve_transport_batch", fail)
     config = write_run(tmp_path)
     assert main(["score", "--config", str(config)]) == 3
     assert capsys.readouterr().err == f"internal error: {message}\n"
@@ -257,7 +325,7 @@ def test_interrupt_is_not_reported_as_internal_error(tmp_path, monkeypatch):
     def interrupt(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr("mteval.metrics.solve_transport", interrupt)
+    monkeypatch.setattr("mteval.metrics.solve_transport_batch", interrupt)
     with pytest.raises(KeyboardInterrupt):
         main(["score", "--config", str(write_run(tmp_path))])
 

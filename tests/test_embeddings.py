@@ -118,7 +118,7 @@ def test_load_static_does_not_blame_a_number_for_bad_utf8(tmp_path):
     # far enough in that the decoder meets the byte while numpy is reading rows
     rows = b"".join(b"w%d 1.0 0.0\n" % i for i in range(3000))
     path.write_bytes(b"3001 2\n" + rows + b"dog 1.0 \xff\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(DataError, match=r"vectors\.txt:3002: not valid UTF-8 \(invalid start byte\)$"):
         load_static(path)
 
 

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from mteval.flow import FlowSolution, solve_transport
+import mteval.flow
+from mteval.flow import CHUNK_CELLS, FlowSolution, solve_transport, solve_transport_batch
 
-from oracles import brute_force_transport
+from oracles import brute_force_transport, loop_solve_transport
 
 
 def random_instance(rng, max_dim=4):
@@ -193,3 +196,125 @@ def test_zero_cost_cells_are_not_greedily_prematched():
     # 100; the optimum uses the two off-diagonal zero cells instead.
     # Pre-matching shared mass is valid only for metric costs (WMD).
     assert solve_transport([1.0, 1.0], [1.0, 1.0], [[0.0, 0.0], [0.0, 100.0]]).cost == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched solver against the frozen one-problem solver
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def problems(draw, max_dim=18, scaled=False):
+    """A degenerate_instance of up to max_dim x max_dim, or one with all costs zero.
+
+    ``scaled`` multiplies masses and costs by powers of ten, so that a batch
+    mixes problems whose tolerances differ by orders of magnitude.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b, costs = degenerate_instance(rng, draw(st.integers(1, max_dim)))
+    if draw(st.integers(0, 9)) == 0:
+        costs = np.zeros_like(costs)
+    if scaled:
+        mass, cost = draw(st.sampled_from([1e-6, 1.0, 1e6])), draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        a, b, costs = a * mass, b * mass, costs * cost
+    return a, b, costs
+
+
+def assert_matches_frozen_solver(batch, solutions):
+    assert len(solutions) == len(batch)
+    for (a, b, costs), solution in zip(batch, solutions):
+        flows, cost = loop_solve_transport(a, b, costs)
+        assert solution.flows == flows
+        assert solution.cost == cost
+        assert (solution.n_sources, solution.n_sinks) == costs.shape
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(problems(scaled=True), min_size=1, max_size=12))
+def test_batch_is_bit_equal_to_the_frozen_solver(batch):
+    assert_matches_frozen_solver(batch, solve_transport_batch(batch))
+
+
+def test_each_problem_keeps_its_own_tolerances():
+    # A large-mass, large-cost problem must not coarsen its neighbours' dust
+    # threshold (1e-14 of the mass scale) or relaxation threshold (1e-12 of
+    # the largest cost): the 1e-10 supply must still ship, and the 1e-6-scale
+    # costs must still need their backward arc.
+    batch = [
+        ([1.0, 1e-10], [1.0 + 1e-10], [[1.0], [1.0]]),
+        ([1.0, 1.0], [1.0, 1.0], [[0.0, 1e-6], [0.0, 1e-5]]),
+        ([1e6, 2e6], [3e6], [[1e6], [2e6]]),
+    ]
+    assert_matches_frozen_solver([tuple(map(np.asarray, p)) for p in batch], solve_transport_batch(batch))
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems())
+def test_batch_of_one_is_bit_equal_to_the_frozen_solver(problem):
+    assert_matches_frozen_solver([problem], [solve_transport(*problem)])
+
+
+def test_batch_spanning_several_chunks_is_bit_equal(monkeypatch):
+    chunks = []
+    solve_chunk = mteval.flow._solve_chunk
+    monkeypatch.setattr(mteval.flow, "_solve_chunk", lambda chunk: chunks.append(len(chunk)) or solve_chunk(chunk))
+    rng = np.random.default_rng(8)
+    # padded to the 18 x 18 problems, the small ones alone fill a chunk
+    batch = [degenerate_instance(rng, 2) for _ in range(CHUNK_CELLS // (18 * 18))]
+    for _ in range(3):
+        a, b = rng.uniform(0.1, 1.0, size=18), rng.uniform(0.1, 1.0, size=18)
+        batch.insert(0, (a, b * a.sum() / b.sum(), rng.uniform(0.0, 10.0, size=(18, 18))))
+    assert_matches_frozen_solver(batch, solve_transport_batch(batch))
+    assert len(chunks) >= 2 and sum(chunks) == len(batch)
+
+
+def test_empty_batch():
+    assert solve_transport_batch([]) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(problems(max_dim=3))
+def test_batched_costs_match_brute_force(problem):
+    a, b, costs = problem
+    assert abs(solve_transport_batch([problem])[0].cost - brute_force_transport(a, b, costs)) < 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(problems(max_dim=10), min_size=1, max_size=4))
+def test_batched_costs_match_linear_programming(batch):
+    for (a, b, costs), solution in zip(batch, solve_transport_batch(batch)):
+        want = linprog_cost(a, b, costs, primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
+        assert abs(solution.cost - want) < 1e-9 * max(1.0, abs(want))
+
+
+def spoiled(problem, fault):
+    a, b, costs = (np.array(x, dtype=float) for x in problem)
+    if fault == "shape":
+        return a, b, costs[:, :-1]
+    if fault == "empty":
+        return a[:0], b, costs[:0]
+    if fault == "negative mass":
+        a[0] = -a[0] - 1.0
+        return a, b, costs
+    if fault == "negative cost":
+        costs[0, 0] = -1.0
+    elif fault == "infinite cost":
+        costs[-1, -1] = np.inf
+    elif fault == "unbalanced":
+        return a, b * 2.0 + 1.0, costs
+    return a, b, costs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problems(max_dim=5),
+    st.sampled_from(["shape", "empty", "negative mass", "negative cost", "infinite cost", "unbalanced"]),
+    st.lists(problems(max_dim=5), max_size=3),
+)
+def test_bad_instance_raises_the_frozen_solvers_error(problem, fault, others):
+    bad = spoiled(problem, fault)
+    with pytest.raises(ValueError) as want:
+        loop_solve_transport(*bad)
+    with pytest.raises(ValueError) as got:
+        solve_transport_batch(others + [bad])
+    assert str(got.value) == str(want.value)

@@ -8,12 +8,13 @@ import mteval.pipeline
 from mteval.corpus import Dataset, Segment
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
-from mteval.metrics import REG_BASE_FEATURES, MetricConfig, MetricVector, Resources
+from mteval.metrics import REG_BASE_FEATURES, MetricConfig, MetricVector, Resources, score_segment
 from mteval.pipeline import (
     assemble_features,
     build_resources,
     dataset_features,
     load_external_scores,
+    score_dataset,
     score_features,
 )
 from mteval.vsm import build_similarity_matrix
@@ -165,12 +166,23 @@ def test_each_side_text_is_wordpiece_tokenized_once(tmp_path, monkeypatch):
 
 
 def test_score_features_deterministic_across_threads(tiny_run):
+    # Scoring runs on one thread; what could now break determinism is the
+    # dataset-wide transport batch, so compare it with segment-by-segment
+    # scoring, and a rerun with the first run.
     dataset, config, resources = tiny_run
-    single, flags1, _ = score_features(dataset, config, resources, threads=1)
-    pooled, flags4, _ = score_features(dataset, config, resources, threads=4)
-    assert np.array_equal(single.rows, pooled.rows)
-    assert single.segment_ids == pooled.segment_ids
-    assert flags1 == flags4
+    single, flags1, _ = score_features(dataset, config, resources)
+    again, flags2, _ = score_features(dataset, config, resources)
+    assert np.array_equal(single.rows, again.rows)
+    assert single.segment_ids == again.segment_ids
+    assert flags1 == flags2
+    batched = score_dataset(dataset, config, resources)
+    one_by_one = [score_segment(segment, config, resources) for segment in dataset.segments]
+    assert [(v.segment_id, list(v.flags.items())) for v in batched] == [
+        (v.segment_id, list(v.flags.items())) for v in one_by_one
+    ]
+    for b, o in zip(batched, one_by_one):
+        assert list(b.scores) == list(o.scores)
+        assert np.array_equal(list(b.scores.values()), list(o.scores.values()), equal_nan=True)
 
 
 def test_dataset_features_placeholder_uses_train_worst_only(tiny_run):
