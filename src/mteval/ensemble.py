@@ -187,17 +187,20 @@ def mlp_loss(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(delta * delta))
 
 
-def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> MlpParams:
-    """Analytic MSE gradients (ReLU subgradient 0 at the kink)."""
+def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray, out: MlpParams | None = None) -> MlpParams:
+    """Analytic MSE gradients (ReLU subgradient 0 at the kink); with ``out``,
+    they are written into its arrays, its b2 replaced, and ``out`` returned."""
+    if out is None:
+        out = MlpParams(np.empty_like(params.w1), np.empty_like(params.b1), np.empty_like(params.w2), 0.0)
     pre = rows @ params.w1 + params.b1
     hidden = np.maximum(pre, 0.0)
     delta = (hidden @ params.w2 + params.b2 - y) * (2.0 / len(y))
-    grad_w2 = hidden.T @ delta
-    grad_b2 = float(delta.sum())
+    np.matmul(hidden.T, delta, out=out.w2)
+    out.b2 = float(np.add.reduce(delta))
     d_hidden = delta[:, None] * params.w2 * (pre > 0)
-    grad_w1 = rows.T @ d_hidden
-    grad_b1 = d_hidden.sum(axis=0)
-    return MlpParams(w1=grad_w1, b1=grad_b1, w2=grad_w2, b2=grad_b2)
+    np.matmul(rows.T, d_hidden, out=out.w1)
+    np.add.reduce(d_hidden, axis=0, out=out.b1)
+    return out
 
 
 def _unpack(theta: np.ndarray, m: int, hidden: int) -> MlpParams:
@@ -246,8 +249,12 @@ def fit_mlp(
     rows_fit, y_fit = rows[fit_idx], y[fit_idx]
     rows_val, y_val = rows[val_idx], y[val_idx]
 
-    moment1 = np.zeros_like(theta)
-    moment2 = np.zeros_like(theta)
+    # every step updates these buffers in place, in the order of the
+    # textbook Adam expressions, so each element rounds exactly as there
+    live = _unpack(theta, m, hidden)
+    live.b2 = theta[-1:]  # a view, so the forward pass sees every step
+    grad, update, scale, moment1, moment2 = np.zeros((5, len(theta)))
+    grads = _unpack(grad, m, hidden)  # views: mlp_gradients fills grad but its last cell
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     step = 0
 
@@ -256,17 +263,21 @@ def fit_mlp(
     best_epoch = epochs = stale = 0
     for epochs in range(1, max_epochs + 1):
         batch_order = rng.permutation(len(fit_idx))
+        rows_epoch, y_epoch = rows_fit[batch_order], y_fit[batch_order]
         for start in range(0, len(fit_idx), batch_size):
-            chunk = batch_order[start : start + batch_size]
-            grads = mlp_gradients(_unpack(theta, m, hidden), rows_fit[chunk], y_fit[chunk])
-            g = np.concatenate([grads.w1.ravel(), grads.b1, grads.w2, [grads.b2]])
+            stop = start + batch_size
+            grad[-1] = mlp_gradients(live, rows_epoch[start:stop], y_epoch[start:stop], out=grads).b2
             step += 1
-            moment1 = beta1 * moment1 + (1 - beta1) * g
-            moment2 = beta2 * moment2 + (1 - beta2) * (g * g)
-            m1_hat = moment1 / (1 - beta1**step)
-            m2_hat = moment2 / (1 - beta2**step)
-            theta = theta - learning_rate * m1_hat / (np.sqrt(m2_hat) + eps)
-        val_mse = mlp_loss(_unpack(theta, m, hidden), rows_val, y_val)
+            moment1 *= beta1
+            moment1 += np.multiply(grad, 1 - beta1, out=update)
+            moment2 *= beta2
+            moment2 += np.multiply(np.square(grad, out=update), 1 - beta2, out=update)
+            np.divide(moment1, 1 - beta1**step, out=update)  # m1_hat
+            update *= learning_rate
+            np.sqrt(np.divide(moment2, 1 - beta2**step, out=scale), out=scale)  # sqrt(m2_hat)
+            scale += eps
+            theta -= np.divide(update, scale, out=update)
+        val_mse = mlp_loss(live, rows_val, y_val)
         if val_mse < best_val:
             best_val = val_mse
             best = theta.copy()

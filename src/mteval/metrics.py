@@ -152,7 +152,8 @@ class TransitionMatrix:
         if np.any(self.probs < 0) or np.any(self.probs > 1 + 1e-12):
             raise ValueError("transition probabilities must lie in [0, 1]")
         row_sums = self.probs.sum(axis=1)
-        bad = ~(np.isclose(row_sums, 1.0) | (row_sums == 0.0))
+        # np.isclose(row_sums, 1.0) spelled out: its defaults, without its overhead
+        bad = ~((np.abs(row_sums - 1.0) <= 1e-8 + 1e-5) | (row_sums == 0.0))
         if np.any(bad):
             raise ValueError("each row must sum to 1 (or be all-zero)")
 
@@ -247,16 +248,15 @@ def scm(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix) -> float:
 def _soft_quadratic(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix) -> float:
     """x^T S y over the sparse entries (implicit unit diagonal included)."""
     terms = []
+    ys = y.entries
     for i, wx in x.entries.items():
-        wy = y.entries.get(i)
+        wy = ys.get(i)
         if wy is not None:
             terms.append(wx * wy)
         row = matrix.rows.get(i)
         if row:
-            for j, s in row.items():
-                wy = y.entries.get(j)
-                if wy is not None:
-                    terms.append(wx * s * wy)
+            # the key views intersect from the shorter side; fsum is exact in any order
+            terms += [wx * row[j] * ys[j] for j in row.keys() & ys.keys()]
     return math.fsum(terms)
 
 
@@ -422,7 +422,7 @@ def sentence_bleu(reference_tokens: list[str], hypothesis_tokens: list[str], max
         hyp_counts = Counter(_ngrams(hypothesis_tokens, n))
         ref_counts = Counter(_ngrams(reference_tokens, n))
         total = max(h - n + 1, 0)
-        clipped = sum(min(count, ref_counts[gram]) for gram, count in hyp_counts.items())
+        clipped = sum((hyp_counts & ref_counts).values())  # & keeps the smaller count
         if n == 1:
             if clipped == 0:
                 return 0.0
@@ -435,7 +435,7 @@ def sentence_bleu(reference_tokens: list[str], hypothesis_tokens: list[str], max
 
 
 def _ngrams(tokens: list[str], n: int):
-    return (tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return zip(*(tokens[i:] for i in range(n)))
 
 
 def reg_base_features(

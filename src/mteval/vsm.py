@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,6 +28,9 @@ SIMILARITY_ORDERS = ("vocabulary", "idf_descending")
 DEFAULT_THRESHOLD = 0.1
 DEFAULT_EXPONENT = 2.0
 DEFAULT_TOP_K = 100
+
+#: Cells of the block of term rows ranked together, small enough to stay in cache
+CANDIDATE_BLOCK_CELLS = 2**18
 
 
 @dataclass
@@ -180,22 +184,43 @@ class SimilarityCandidates:
     truncated: set[int]
 
     def full_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._ranked(int(np.searchsorted(self.embedded, i)), None)
+        return self._ranked([int(np.searchsorted(self.embedded, i))], None)[0]
 
-    def _ranked(self, k: int, limit: int | None) -> tuple[np.ndarray, np.ndarray]:
-        # one matrix-vector product per term: a blocked matrix product would
-        # round the dot products differently and change which pairs survive
-        values = np.clip(self.normalized @ self.normalized[k], 0.0, 1.0) ** self.exponent
+    def _ranked(self, ks: Sequence[int], limit: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ranked partners of embedded terms ``ks``, at most ``limit`` each."""
+        values = np.empty((len(ks), len(self.embedded)))
+        for r, k in enumerate(ks):
+            # one matrix-vector product per term: a blocked matrix product would
+            # round the dot products differently and change which pairs survive
+            np.matmul(self.normalized, self.normalized[k], out=values[r])
+        np.clip(values, 0.0, 1.0, out=values)
+        values **= self.exponent
         keep = (values >= self.threshold) & (values > 0.0)
-        keep[k] = False
-        positions = np.flatnonzero(keep)
-        kept = values[positions]
-        if limit is not None and len(kept) > limit:
-            cut = np.partition(kept, len(kept) - limit)[len(kept) - limit]
-            top = kept >= cut
-            positions, kept = positions[top], kept[top]
-        ranking = np.lexsort((positions, -kept))[:limit]
-        return self.embedded[positions[ranking]], kept[ranking]
+        keep[np.arange(len(ks)), ks] = False
+        flat, counts, starts, padded = _left_aligned(keep, values)
+        if limit is not None and padded.shape[1] > limit:
+            # drop what falls below each row's limit-th largest value before
+            # the sort: a partition is linear, a sort of long rows is not
+            keep &= values >= -np.partition(padded, limit - 1, axis=1)[:, limit - 1 : limit]
+            flat, counts, starts, padded = _left_aligned(keep, values)
+        # one stable sort per row: decreasing value, ties in increasing index
+        order = np.argsort(padded, axis=1, kind="stable")[:, :limit]
+        chosen = flat[(order + starts[:, None])[order < counts[:, None]]]
+        partners, kept = self.embedded[chosen % len(self.embedded)], values.ravel()[chosen]
+        bounds = np.cumsum(np.minimum(counts, order.shape[1])).tolist()
+        return [(partners[lo:hi], kept[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]
+
+
+def _left_aligned(keep: np.ndarray, values: np.ndarray):
+    """Flat indices, counts and row starts of the kept cells, and their negated
+    values left-aligned in one matrix padded with +inf."""
+    flat = np.flatnonzero(keep)
+    rows = flat // keep.shape[1]
+    counts = np.bincount(rows, minlength=len(keep))
+    starts = np.cumsum(counts) - counts
+    padded = np.full((len(keep), counts.max()), np.inf)
+    padded[rows, np.arange(len(flat)) - starts[rows]] = -values.ravel()[flat]
+    return flat, counts, starts, padded
 
 
 def similarity_candidates(
@@ -219,12 +244,15 @@ def similarity_candidates(
     candidates = SimilarityCandidates(
         len(vocab), threshold, exponent, top_k, np.array(embedded, dtype=np.intp), normalized, {}, set()
     )
-    for k, i in enumerate(embedded):
-        partners, values = candidates._ranked(k, top_k + 1)
-        if len(partners) > top_k:
-            candidates.truncated.add(i)
-            partners, values = partners[:top_k], values[:top_k]
-        candidates.rows[i] = (partners, values)
+    block = max(1, CANDIDATE_BLOCK_CELLS // max(1, len(embedded)))
+    for start in range(0, len(embedded), block):
+        ks = range(start, min(start + block, len(embedded)))
+        for k, (partners, values) in zip(ks, candidates._ranked(ks, top_k + 1)):
+            i = embedded[k]
+            if len(partners) > top_k:
+                candidates.truncated.add(i)
+                partners, values = partners[:top_k], values[:top_k]
+            candidates.rows[i] = (partners, values)
     return candidates
 
 
@@ -255,8 +283,7 @@ def build_similarity_matrix(
     elif (candidates.n_terms, candidates.threshold, candidates.exponent, candidates.top_k) != parameters:
         raise ValueError("similarity candidates were ranked for another vocabulary or other parameters")
     matrix = SimilarityMatrix(dim=len(vocab))
-    budget = np.zeros(len(vocab), dtype=np.intp)
-    linked = np.full(len(vocab), -1, dtype=np.intp)  # linked[j] == i: j is already in row i
+    budget = [0] * len(vocab)  # plain Python: rows are short, numpy's per-call cost would dominate
     for i in term_processing_order(vocab, order):
         if i not in candidates.rows or budget[i] >= top_k:
             continue
@@ -265,18 +292,20 @@ def build_similarity_matrix(
         # ones are exactly those the one-at-a-time walk would insert.
         need = top_k - budget[i]
         row_i = matrix.rows.get(i, {})
-        linked[list(row_i)] = i
-        partners, values = candidates.rows[i]
-        chosen = np.flatnonzero((budget[partners] < top_k) & (linked[partners] != i))[:need]
-        if len(chosen) < need and i in candidates.truncated:
-            partners, values = candidates.full_row(i)
-            chosen = np.flatnonzero((budget[partners] < top_k) & (linked[partners] != i))[:need]
-        if len(chosen) == 0:
+        pairs = _free_pairs(*candidates.rows[i], budget, top_k, row_i, need)
+        if len(pairs) < need and i in candidates.truncated:
+            pairs = _free_pairs(*candidates.full_row(i), budget, top_k, row_i, need)
+        if not pairs:
             continue
-        pairs = list(zip(partners[chosen].tolist(), values[chosen].tolist()))
         matrix.rows.setdefault(i, {}).update(pairs)
         for j, value in pairs:
             matrix.rows.setdefault(j, {})[i] = value
-        budget[partners[chosen]] += 1
-        budget[i] += len(chosen)
+            budget[j] += 1
+        budget[i] += len(pairs)
     return matrix
+
+
+def _free_pairs(partners, values, budget, top_k, row_i, need) -> list[tuple[int, float]]:
+    """The first ``need`` (partner, value) pairs whose partner has budget left and is not in ``row_i``."""
+    pairs = zip(partners.tolist(), values.tolist())
+    return list(islice(((j, value) for j, value in pairs if budget[j] < top_k and j not in row_i), need))

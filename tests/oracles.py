@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import math
 
 import numpy as np
 
@@ -410,3 +411,69 @@ def loop_fit_mlp(
             if stale >= patience:
                 break
     return best
+
+
+# ---------------------------------------------------------------------------
+# soft cosine and similarity candidates: the per-term loops, frozen before
+# the quadratic form walked the shorter side and candidates were ranked in
+# blocks of terms
+# ---------------------------------------------------------------------------
+
+
+def loop_soft_quadratic(x, y, matrix) -> float:
+    """x^T S y over the sparse entries (implicit unit diagonal included)."""
+    terms = []
+    for i, wx in x.entries.items():
+        wy = y.entries.get(i)
+        if wy is not None:
+            terms.append(wx * wy)
+        row = matrix.rows.get(i)
+        if row:
+            for j, s in row.items():
+                wy = y.entries.get(j)
+                if wy is not None:
+                    terms.append(wx * s * wy)
+    return math.fsum(terms)
+
+
+def _loop_ranked(normalized, embedded, threshold, exponent, k, limit):
+    # one matrix-vector product per term: a blocked matrix product would
+    # round the dot products differently and change which pairs survive
+    values = np.clip(normalized @ normalized[k], 0.0, 1.0) ** exponent
+    keep = (values >= threshold) & (values > 0.0)
+    keep[k] = False
+    positions = np.flatnonzero(keep)
+    kept = values[positions]
+    if limit is not None and len(kept) > limit:
+        cut = np.partition(kept, len(kept) - limit)[len(kept) - limit]
+        top = kept >= cut
+        positions, kept = positions[top], kept[top]
+    ranking = np.lexsort((positions, -kept))[:limit]
+    return embedded[positions[ranking]], kept[ranking]
+
+
+def loop_similarity_candidates(vocab, store, threshold, exponent, top_k):
+    """Every embedded term's ranked partners, ranked one term at a time.
+
+    Returns ``(rows, truncated, full_rows)``: term index -> (partners,
+    values) cut to ``top_k``, the set of rows that were cut, and the uncut
+    ranking of each of those rows.
+    """
+    embedded = [i for i, term in enumerate(vocab.terms) if term in store]
+    normalized = np.zeros((0, store.dim))
+    if embedded:
+        vectors = np.stack([store[vocab.terms[i]] for i in embedded]).astype(float)
+        norms = np.linalg.norm(vectors, axis=1)
+        nonzero = norms > 0
+        normalized = np.zeros_like(vectors)
+        normalized[nonzero] = vectors[nonzero] / norms[nonzero, None]
+    embedded_arr = np.array(embedded, dtype=np.intp)
+    rows, truncated, full_rows = {}, set(), {}
+    for k, i in enumerate(embedded):
+        partners, values = _loop_ranked(normalized, embedded_arr, threshold, exponent, k, top_k + 1)
+        if len(partners) > top_k:
+            truncated.add(i)
+            partners, values = partners[:top_k], values[:top_k]
+            full_rows[i] = _loop_ranked(normalized, embedded_arr, threshold, exponent, k, None)
+        rows[i] = (partners, values)
+    return rows, truncated, full_rows

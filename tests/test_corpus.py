@@ -1,8 +1,19 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mteval.corpus import Dataset, Segment, average_judgements, dataset_gold, load_dataset, split_by_source
+from mteval._rng import round_half_up
+from mteval.corpus import (
+    Dataset,
+    Segment,
+    average_judgements,
+    dataset_gold,
+    load_dataset,
+    split_by_source,
+    split_sources,
+)
 from mteval.errors import DataError
 
 TSV_HEADER = "id\tsrc_lang\ttgt_lang\tsource\treference\thypothesis\tjudgements\tpos_source\tpos_reference\tpos_hypothesis"
@@ -180,3 +191,17 @@ def test_split_needs_two_sources():
         split_by_source(ds, 0.8, seed=0)
     with pytest.raises(ValueError):
         split_by_source(_dataset_with_sources(["a", "b"]), 1.0, seed=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcdefghij"), max_size=40),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32),
+)
+def test_split_sources_is_deterministic_and_source_disjoint(sources, ratio, seed):
+    first, second = split_sources(sources, ratio, seed)
+    assert (first, second) == split_sources(list(sources), ratio, seed)
+    assert not set(first) & set(second)
+    assert sorted(first + second) == sorted(set(sources))
+    assert len(first) == round_half_up(ratio * len(set(sources)))

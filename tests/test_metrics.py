@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mteval.corpus import Segment
 from mteval.embeddings import ContextualRecord, EmbeddingStore, decontextualize, group_records
@@ -11,6 +13,7 @@ from mteval.metrics import (
     METRICS,
     MetricConfig,
     Resources,
+    TransitionMatrix,
     UnscorableSegment,
     compositionality,
     compute_placeholders,
@@ -26,7 +29,7 @@ from mteval.metrics import (
 )
 import mteval.metrics as metrics_module
 from mteval.flow import solve_transport
-from mteval.metrics import MetricVector, _transport_cost
+from mteval.metrics import MetricVector, _soft_quadratic, _transport_cost
 from mteval.tokenization import WordPieceVocab
 from mteval.vsm import (
     SimilarityMatrix,
@@ -37,7 +40,7 @@ from mteval.vsm import (
     build_vocabulary,
 )
 
-from oracles import brute_force_transport, dense_scm_oracle
+from oracles import brute_force_transport, dense_scm_oracle, loop_soft_quadratic
 
 
 def store_from(table):
@@ -113,6 +116,53 @@ def test_scm_symmetric_and_in_unit_interval():
         got = scm(x, y, matrix)
         assert got == scm(y, x, matrix)
         assert -1e-12 <= got <= 1.0 + 1e-12
+
+
+def test_soft_quadratic_matches_the_per_term_loop_bit_for_bit():
+    rng = np.random.default_rng(303)
+    for _ in range(300):
+        dim = int(rng.integers(1, 30))
+        matrix = SimilarityMatrix(dim=dim)
+        density = float(rng.choice([0.0, 0.1, 0.5, 1.0]))  # rows from none to every other term
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                if rng.random() < density:
+                    matrix._insert(i, j, float(rng.uniform(1e-3, 1.0)))
+        for i in range(dim):
+            if rng.random() < 0.1:
+                matrix.rows[i] = {}  # an empty row
+        x, y = (
+            WeightedBow({i: float(rng.uniform(0.1, 7.0)) for i in range(dim) if rng.random() < share})
+            for share in rng.choice([0.05, 0.3, 1.0], size=2)  # bags shorter and longer than the rows
+        )
+        for a, b in ((x, y), (y, x), (x, x), (x, WeightedBow(dict(x.entries)))):
+            assert _soft_quadratic(a, b, matrix).hex() == loop_soft_quadratic(a, b, matrix).hex()
+
+
+@st.composite
+def psd_scm_instances(draw):
+    """A similarity matrix from nonnegative vectors (so positive semidefinite) and two bags."""
+    dim = draw(st.integers(1, 8))
+    coordinate = st.floats(0.0, 4.0, allow_subnormal=False)
+    table = {f"t{i}": np.array(draw(st.lists(coordinate, min_size=3, max_size=3))) for i in range(dim)}
+    exponent = draw(st.sampled_from([1.0, 2.0]))
+    vocab = build_vocabulary([list(table)])
+    # no threshold and no budget: every entry is max(0, cosine)^exponent of a Gram matrix
+    matrix = build_similarity_matrix(vocab, store_from(table), threshold=0.0, exponent=exponent, top_k=dim)
+    weight = st.floats(0.01, 100.0)
+    bag = st.dictionaries(st.integers(0, dim - 1), weight, min_size=1).map(WeightedBow)
+    return matrix, draw(bag), draw(bag)
+
+
+@settings(max_examples=300, deadline=None)
+@given(psd_scm_instances())
+def test_scm_properties(instance):
+    matrix, x, y = instance
+    assert scm(x, WeightedBow(dict(x.entries)), matrix) == 1.0
+    got = scm(x, y, matrix)
+    # Cauchy-Schwarz bounds the score by 1; only the last rounding step may pass it
+    assert 0.0 <= got <= 1.0 + 1e-12
+    assert abs(got - scm(y, x, matrix)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +397,41 @@ def test_transition_graph_counts_and_normalizes():
 def test_transition_graph_rejects_empty():
     with pytest.raises(ValueError):
         transition_graph([])
+
+
+def test_transition_matrix_row_sum_check_is_np_isclose():
+    tags = ("A", "B")
+    rows = [
+        [0.5, 0.5],
+        [0.0, 0.0],
+        [1.0, 0.0],
+        [np.nan, 0.5],
+        [np.inf, 0.0],
+        [-np.inf, 1.0],
+        [-0.5, 1.5],
+        [-1e-9, 1.0],
+        [1.0 + 1e-6, 0.0],
+        [0.5, 0.5 + 1e-6],
+        [0.5, 0.5 - 1e-6],
+        [0.5, 0.5 + 1e-4],
+        [0.5, 0.5 - 1e-4],
+        [0.5, 0.5 + 1.00099e-5],
+        [0.5, 0.5 + 1.00101e-5],
+        [0.5, 0.5 - 1.00099e-5],
+        [0.5, 0.5 - 1.00101e-5],
+    ]
+    for first in rows:
+        for second in rows:
+            probs = np.array([first, second])
+            sums = probs.sum(axis=1)
+            in_range = not (np.any(probs < 0) or np.any(probs > 1 + 1e-12))
+            accepted = in_range and bool(np.all(np.isclose(sums, 1.0) | (sums == 0.0)))
+            try:
+                TransitionMatrix(tags, probs)
+            except ValueError:
+                assert not accepted, probs
+            else:
+                assert accepted, probs
 
 
 def test_compositionality_identity_and_single_diagonal():

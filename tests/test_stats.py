@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.stats import spearmanr
 
 from mteval.stats import average_ranks, safe_spearman, spearman
 
@@ -104,3 +107,16 @@ def test_safe_spearman_scores_undefined_rho_as_zero():
 def test_spearman_single_constant_side_is_neutral_zero():
     assert spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
     assert spearman([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) == 0.0
+
+
+# a few distinct values per sequence, so most draws hold ties
+tied_values = st.lists(st.integers(-3, 3).map(float), min_size=2, max_size=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_spearman_matches_scipy_with_ties(data):
+    a = data.draw(tied_values)
+    b = data.draw(st.lists(st.integers(-3, 3).map(float), min_size=len(a), max_size=len(a)))
+    assume(len(set(a)) > 1 and len(set(b)) > 1)  # scipy has no rho for a constant input
+    assert abs(spearman(a, b) - spearmanr(a, b).statistic) <= 1e-12

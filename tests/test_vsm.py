@@ -18,7 +18,9 @@ from mteval.vsm import (
     term_processing_order,
 )
 
-from oracles import greedy_similarity_rows
+import mteval.vsm as vsm_module
+
+from oracles import greedy_similarity_rows, loop_similarity_candidates
 
 
 def store_from(table):
@@ -234,6 +236,41 @@ def test_similarity_matches_the_one_at_a_time_greedy_oracle(monkeypatch):
             assert build_similarity_matrix(vocab, store, order, threshold, exponent, top_k).rows == want
     # rows whose stored candidates ran out were ranked again
     assert full_rows
+
+
+def assert_same_rows(got, want):
+    assert got.keys() == want.keys()
+    for i, (want_partners, want_values) in want.items():
+        partners, values = got[i]
+        assert partners.dtype == want_partners.dtype and partners.tobytes() == want_partners.tobytes(), i
+        assert values.dtype == want_values.dtype and values.tobytes() == want_values.tobytes(), i
+
+
+def test_similarity_candidates_match_the_per_term_loop_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(404)
+    instances = [random_similarity_instance(rng) for _ in range(150)]
+    # one embedded term; a zero vector beside a term without one; a wide clustered vocabulary
+    instances.append((build_vocabulary([["solo"]]), store_from({"solo": [1.0, 2.0]})))
+    instances.append((build_vocabulary([["zero", "none", "one"]]), store_from({"zero": [0.0, 0.0], "one": [1.0, 0.0]})))
+    centroids = rng.normal(size=(3, 4))
+    clustered = {f"c{i}": centroids[i % 3] + 0.2 * rng.normal(size=4) for i in range(150)}
+    instances.append((build_vocabulary([list(clustered)]), store_from(clustered)))
+    truncated_rows = 0
+    for vocab, store in instances:
+        n_embedded = sum(term in store for term in vocab.terms)
+        # blocks of one term, of a few terms, and of every term at once
+        block = int(rng.choice([1, 2, 3, max(1, n_embedded - 1), max(1, n_embedded), n_embedded + 1]))
+        monkeypatch.setattr(vsm_module, "CANDIDATE_BLOCK_CELLS", block * max(1, n_embedded))
+        threshold = float(rng.choice([0.0, 0.1, 0.5, 1.0]))
+        exponent = float(rng.choice([1.0, 2.0, 3.0]))
+        top_k = int(rng.choice([1, 2, 5, 40]))
+        got = similarity_candidates(vocab, store, threshold, exponent, top_k)
+        rows, truncated, full_rows = loop_similarity_candidates(vocab, store, threshold, exponent, top_k)
+        assert_same_rows(got.rows, rows)
+        assert got.truncated == truncated
+        assert_same_rows({i: got.full_row(i) for i in truncated}, full_rows)
+        truncated_rows += len(truncated)
+    assert truncated_rows
 
 
 def test_similarity_candidates_must_match_the_build():
