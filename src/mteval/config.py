@@ -24,16 +24,19 @@ Schema (relative paths resolve against the config file's directory)::
     }
 
 Validation is exhaustive: every problem found is reported in one error.
+Numbers must lie in their `_RANGES`; ``output_dir`` is a nonempty string.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import inf
 from pathlib import Path
 
 from mteval.errors import ConfigError, utf8_loader
 from mteval.metrics import METRICS, MODES, MetricConfig
+from mteval.vsm import DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K
 
 __all__ = ["RunConfig", "load_run_config"]
 
@@ -51,10 +54,17 @@ _TOP_KEYS = {
     "mlp",
     "output_dir",
 }
-_SIMILARITY_KEYS = {"threshold", "exponent", "top_k"}
 _RESOURCE_KEYS = {"static_embeddings", "contextual_records", "wordpiece_vocab", "external_scores"}
 _SPLIT_KEYS = {"ratio", "seed"}
-_MLP_KEYS = {"hidden", "learning_rate", "batch_size", "max_epochs", "patience", "val_fraction"}
+#: section -> key -> (integers only, open interval of valid values)
+_RANGES = {
+    "similarity": {"threshold": (False, -inf, inf), "exponent": (False, 0, inf), "top_k": (True, 0, inf)},
+    "split": {"ratio": (False, 0, 1)},
+    "mlp": {
+        "hidden": (True, 0, inf), "learning_rate": (False, 0, inf), "batch_size": (True, 0, inf),
+        "max_epochs": (True, 0, inf), "patience": (True, 0, inf), "val_fraction": (False, 0, 1),
+    },
+}
 
 
 @dataclass
@@ -92,19 +102,27 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
     unknown = set(payload) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown keys: {sorted(unknown)}")
+    sections: dict[str, dict] = {}
     for key, allowed in (
-        ("similarity", _SIMILARITY_KEYS),
+        ("similarity", _RANGES["similarity"]),
         ("resources", _RESOURCE_KEYS),
         ("split", _SPLIT_KEYS),
-        ("mlp", _MLP_KEYS),
+        ("mlp", _RANGES["mlp"]),
     ):
         section = payload.get(key, {})
         if not isinstance(section, dict):
             problems.append(f"'{key}' must be an object")
-        else:
-            bad = set(section) - allowed
-            if bad:
-                problems.append(f"unknown keys under '{key}': {sorted(bad)}")
+            continue
+        sections[key] = section
+        bad = set(section).difference(allowed)
+        if bad:
+            problems.append(f"unknown keys under '{key}': {sorted(bad)}")
+        for name, (integer, low, high) in _RANGES.get(key, {}).items():
+            value = section.get(name)
+            number = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
+            if name in section and not (number and low < value < high):
+                kind = "an integer" if integer else "a number"
+                problems.append(f"'{key}.{name}' must be {kind} in ({low}, {high}), got {value!r}")
 
     dataset = payload.get("dataset")
     if not isinstance(dataset, str) or not dataset:
@@ -122,15 +140,11 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
     if unknown_metrics:
         problems.append(f"unknown metrics: {unknown_metrics}; known: {sorted(METRICS)}")
 
-    split = payload.get("split") if isinstance(payload.get("split"), dict) else {}
+    split, similarity, resources = (sections.get(key, {}) for key in ("split", "similarity", "resources"))
     seed = split.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append("'split.seed' (integer) is mandatory; runs must be reproducible")
         seed = 0
-    ratio = split.get("ratio", 0.8)
-    if not isinstance(ratio, (int, float)) or not 0 < ratio < 1:
-        problems.append(f"'split.ratio' must lie in (0, 1), got {ratio!r}")
-        ratio = 0.8
 
     fmt = payload.get("dataset_format")
     if fmt is not None and fmt not in ("tsv", "json"):
@@ -139,10 +153,10 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
     for flag in ("reg_base", "lowercase", "compositionality_full_matrix"):
         if flag in payload and not isinstance(payload[flag], bool):
             problems.append(f"'{flag}' must be a boolean")
+    output_dir = payload.get("output_dir")
+    if "output_dir" in payload and (not isinstance(output_dir, str) or not output_dir):
+        problems.append(f"'output_dir' must be a nonempty path string, got {output_dir!r}")
 
-    similarity = payload.get("similarity") if isinstance(payload.get("similarity"), dict) else {}
-    mlp_options = dict(payload.get("mlp")) if isinstance(payload.get("mlp"), dict) else {}
-    resources = payload.get("resources") if isinstance(payload.get("resources"), dict) else {}
     for key, value in resources.items():
         if key in _RESOURCE_KEYS and (not isinstance(value, str) or not value):
             problems.append(f"'resources.{key}' must be a nonempty path string")
@@ -156,9 +170,9 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
                 reg_base=payload.get("reg_base", True),
                 lowercase=payload.get("lowercase", False),
                 compositionality_full_matrix=payload.get("compositionality_full_matrix", False),
-                similarity_threshold=float(similarity.get("threshold", 0.1)),
-                similarity_exponent=float(similarity.get("exponent", 2.0)),
-                similarity_top_k=int(similarity.get("top_k", 100)),
+                similarity_threshold=float(similarity.get("threshold", DEFAULT_THRESHOLD)),
+                similarity_exponent=float(similarity.get("exponent", DEFAULT_EXPONENT)),
+                similarity_top_k=similarity.get("top_k", DEFAULT_TOP_K),
             )
         except ConfigError as exc:
             problems.append(str(exc))
@@ -179,7 +193,7 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
         contextual_path=resolve("contextual_records"),
         wordpiece_vocab_path=resolve("wordpiece_vocab"),
         external_scores_path=resolve("external_scores"),
-        split_ratio=float(ratio),
-        mlp_options=mlp_options,
-        output_dir=(base_dir / payload["output_dir"]) if payload.get("output_dir") else None,
+        split_ratio=float(split.get("ratio", 0.8)),
+        mlp_options=dict(sections.get("mlp", {})),
+        output_dir=(base_dir / output_dir) if output_dir is not None else None,
     )

@@ -15,7 +15,6 @@ for each side.  Two on-disk layouts are read:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Iterable
 
 from mteval._rng import Xorshift64Star, round_half_up
-from mteval.errors import DataError, utf8_loader
+from mteval.errors import DataError, tsv_rows, utf8_loader
 
 _TSV_COLUMNS = [
     "id",
@@ -164,22 +163,11 @@ def load_dataset(path: str | Path, format: str | None = None, name: str | None =
 
 
 def _load_tsv(path: Path) -> list[Segment]:
-    segments = []
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+    with open(path, encoding="utf-8-sig") as handle:
+        header, rows = tsv_rows(handle, path)
         if header != _TSV_COLUMNS:
             raise DataError(f"{path}:1: header must be {_TSV_COLUMNS}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_TSV_COLUMNS):
-                raise DataError(f"{path}:{lineno}: expected {len(_TSV_COLUMNS)} columns, got {len(row)}")
-            segments.append(_segment_from_fields(dict(zip(_TSV_COLUMNS, row)), f"{path}:{lineno}"))
-    return segments
+        return [_segment_from_fields(dict(zip(_TSV_COLUMNS, row)), f"{path}:{lineno}") for lineno, row in rows]
 
 
 def _load_json(path: Path) -> list[Segment]:
@@ -197,17 +185,10 @@ def _load_json(path: Path) -> list[Segment]:
             raise DataError(f"{where}: expected an object")
         fields = {}
         for column in _TSV_COLUMNS:
-            value = record.get(column, "")
-            if column == "judgements":
-                if isinstance(value, list):
-                    value = ",".join(repr(v) for v in value)
-                elif value is None:
-                    value = ""
-            elif isinstance(value, (list, tuple)):
-                value = " ".join(str(v) for v in value)
-            elif value is None:
-                value = ""
-            fields[column] = str(value)
+            value = record.get(column)
+            if isinstance(value, list):  # judgements as in the TSV column, tags space-separated
+                value = ",".join(map(repr, value)) if column == "judgements" else " ".join(map(str, value))
+            fields[column] = "" if value is None else str(value)
         segments.append(_segment_from_fields(fields, where))
     return segments
 

@@ -10,6 +10,7 @@ lets the embedding metrics run without on-the-fly inference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 from dataclasses import dataclass
@@ -18,11 +19,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from mteval.errors import DataError, utf8_loader
+from mteval.errors import DataError, tsv_rows, utf8_loader
 
 logger = logging.getLogger(__name__)
 
 SIDES = ("source", "reference", "hypothesis")
+_CONTEXTUAL_COLUMNS = ["segment_id", "side", "token_index", "token", "vector"]
 
 
 @dataclass
@@ -69,29 +71,33 @@ def load_static(path: str | Path) -> EmbeddingStore:
     """Load a word-vector text file.
 
     The header count is informative only (a mismatch logs a warning), but
-    every row must carry exactly ``dim`` finite values; trailing spaces, as
-    the original word2vec tool writes them, are ignored.  A duplicated token
-    keeps the last vector seen and logs a warning.  A malformed file is
-    reported at its first bad line.  numpy parses all values in one pass,
-    so numbers follow its syntax: ASCII digits and no ``_`` grouping.
+    every row must carry exactly ``dim`` values under the vector rule of
+    `_parse_vectors`.  A duplicated token keeps the last vector seen and
+    logs a warning.  A malformed file is reported at its first bad line.
     """
     path = Path(path)
     with open(path, encoding="utf-8-sig") as handle:
         header = handle.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}:1: expected header '<count> <dim>'")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise DataError(f"{path}:1: expected integer header '<count> <dim>'") from None
-        if dim <= 0:
-            raise DataError(f"{path}:1: dimension must be positive, got {dim}")
-        tokens, linenos, values, fault = _static_rows(handle, path, dim)
-    non_finite = ~np.isfinite(values).all(axis=1)
-    if non_finite.any():
-        first = int(non_finite.argmax())
-        fault = DataError(f"{path}:{linenos[first]}: non-finite vector component")
-        values = values[:first]
+    try:
+        count, dim = map(int, header)
+    except ValueError:  # a field that is not an integer, or not two fields
+        raise DataError(f"{path}:1: expected integer header '<count> <dim>'") from None
+    if dim <= 0:
+        raise DataError(f"{path}:1: dimension must be positive, got {dim}")
+
+    def read_rows():
+        with open(path, encoding="utf-8-sig") as handle:
+            handle.readline()
+            for lineno, line in enumerate(handle, start=2):
+                if line.isspace():
+                    continue
+                line = line.rstrip("\n").rstrip(" ")
+                if line.count(" ") != dim:
+                    raise DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {line.count(' ') + 1} fields")
+                token, _, text = line.partition(" ")
+                yield lineno, token, text
+
+    linenos, tokens, values, fault = _parse_vectors(path, read_rows)
     table: dict[str, np.ndarray] = {}
     for token, lineno, vector in zip(tokens, linenos, values):  # stops at the first bad row
         if token in table:
@@ -104,52 +110,54 @@ def load_static(path: str | Path) -> EmbeddingStore:
     return EmbeddingStore(dim=dim, table=table)
 
 
-def _static_rows(handle, path: Path, dim: int, limit: int | None = None):
-    """Parse the data rows after the header, or only the first ``limit`` of them.
+def _parse_vectors(path: Path, read_rows):
+    """Parse the vector texts of ``read_rows()`` with one streaming ``np.loadtxt`` pass.
 
-    Returns (tokens, line numbers, (n, dim) values, fault), where ``fault``
-    is the DataError of the first malformed row, or None.  The values cover
-    the rows before the fault, so the caller can still report an earlier
-    non-finite row first.  Python splits off each token; one ``np.loadtxt``
-    call parses every value.  It pulls rows one at a time, so a number it
-    cannot parse is on the last row handed to it; the rows before that one
-    are then parsed again from a fresh handle.
+    The vector rule of both loaders: single-space separators, trailing
+    spaces ignored, numpy's number syntax (ASCII digits, no ``_``), finite
+    values.  ``read_rows()`` opens the file and yields (line number, item,
+    vector text) per row, raising DataError at a malformed one.  Returns
+    (line numbers, items, (n, dim) values, fault): ``fault`` is the
+    DataError of the first bad line or None, and the values stop before
+    it.  numpy pulls rows one at a time, so a number it cannot parse is on
+    the last row handed over; the rows before it are then parsed again.
     """
-    tokens: list[str] = []
     linenos: list[int] = []
+    items: list = []
     fault = None
 
-    def value_texts():
+    def texts():
         nonlocal fault
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            if len(tokens) == limit:
-                return
-            line = line.rstrip("\n").rstrip(" ")
-            if line.count(" ") != dim:
-                fault = DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {line.count(' ') + 1} fields")
-                return
-            token, _, text = line.partition(" ")
-            tokens.append(token)
-            linenos.append(lineno)
-            yield text
+        try:
+            for lineno, item, text in read_rows():
+                linenos.append(lineno)
+                items.append(item)
+                yield text
+        except DataError as exc:
+            fault = exc
 
-    texts = value_texts()
-    first = next(texts, None)
-    if first is None:  # np.loadtxt warns on empty input
-        return tokens, linenos, np.empty((0, dim)), fault
     try:
-        values = np.loadtxt(itertools.chain([first], texts), dtype=float, delimiter=" ", comments=None, ndmin=2)
+        values = _loadtxt(texts())
     except UnicodeDecodeError:  # a ValueError too, but not a number's fault
         raise
     except ValueError:
-        bad = len(tokens) - 1
-        with open(path, encoding="utf-8-sig") as again:
-            again.readline()
-            before = _static_rows(again, path, dim, limit=bad)
-        return *before[:3], DataError(f"{path}:{linenos[bad]}: non-numeric vector component")
-    return tokens, linenos, values, fault
+        bad = len(linenos) - 1
+        values = _loadtxt(text for _, _, text in itertools.islice(read_rows(), bad))
+        fault = DataError(f"{path}:{linenos[bad]}: non-numeric vector component")
+    non_finite = ~np.isfinite(values).all(axis=1)
+    if non_finite.any():
+        first = int(non_finite.argmax())
+        fault = DataError(f"{path}:{linenos[first]}: non-finite vector component")
+        values = values[:first]
+    return linenos, items, values, fault
+
+
+def _loadtxt(texts) -> np.ndarray:
+    """One (n, dim) float matrix of space-separated number texts, none of them empty."""
+    first = next(texts, None)
+    if first is None:  # np.loadtxt warns on empty input
+        return np.empty((0, 0))
+    return np.loadtxt(itertools.chain([first], texts), dtype=float, delimiter=" ", comments=None, ndmin=2)
 
 
 @utf8_loader
@@ -157,45 +165,47 @@ def load_contextual(path: str | Path) -> list[ContextualRecord]:
     """Load contextual occurrence vectors from TSV.
 
     Columns (header row required): segment_id, side, token_index, token,
-    vector -- the vector being space-separated reals.  The triple
-    (segment_id, side, token_index) must be unique; all vectors must share
-    one dimension.
+    vector -- the vector under the rule of `_parse_vectors`, like a static
+    one.  The triple (segment_id, side, token_index) must be unique; all
+    vectors share the first one's dimension, as rows of one matrix.  A
+    malformed file is reported at its first bad line.
     """
     path = Path(path)
-    expected = ["segment_id", "side", "token_index", "token", "vector"]
+
+    def read_rows():
+        dim = None
+        with open(path, encoding="utf-8-sig") as handle:
+            header, rows = tsv_rows(handle, path)
+            if header != _CONTEXTUAL_COLUMNS:
+                raise DataError(f"{path}:1: header must be {_CONTEXTUAL_COLUMNS}, got {header}")
+            for lineno, (segment_id, side, raw_index, token, text) in rows:
+                try:
+                    token_index = int(raw_index)
+                except ValueError:
+                    raise DataError(f"{path}:{lineno}: malformed token_index {raw_index!r}") from None
+                text = text.rstrip(" ")
+                if not text:
+                    raise DataError(f"{path}:{lineno}: empty vector")
+                size = text.count(" ") + 1
+                dim = dim or size
+                if size != dim:
+                    raise DataError(f"{path}:{lineno}: vector has {size} components, expected {dim}")
+                yield lineno, (segment_id, side, token_index, token), text
+
+    linenos, items, values, fault = _parse_vectors(path, read_rows)
     records: list[ContextualRecord] = []
     seen: set[tuple[str, str, int]] = set()
-    dim = None
-    with open(path, encoding="utf-8-sig") as handle:
-        header = handle.readline().rstrip("\n").split("\t")
-        if header != expected:
-            raise DataError(f"{path}:1: header must be {expected}, got {header}")
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(expected):
-                raise DataError(f"{path}:{lineno}: expected {len(expected)} columns, got {len(parts)}")
-            segment_id, side, raw_index, token, raw_vector = parts
-            try:
-                token_index = int(raw_index)
-                vector = np.array([float(v) for v in raw_vector.split()], dtype=float)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed token_index or vector") from None
-            if dim is None:
-                dim = len(vector)
-            elif len(vector) != dim:
-                raise DataError(f"{path}:{lineno}: vector has {len(vector)} components, expected {dim}")
-            key = (segment_id, side, token_index)
-            if key in seen:
-                raise DataError(f"{path}:{lineno}: duplicate (segment_id, side, token_index) {key}")
-            seen.add(key)
-            try:
-                records.append(
-                    ContextualRecord(segment_id=segment_id, side=side, token_index=token_index, token=token, vector=vector)
-                )
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+    for lineno, (segment_id, side, token_index, token), vector in zip(linenos, items, values):
+        key = (segment_id, side, token_index)
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate (segment_id, side, token_index) {key}")
+        seen.add(key)
+        try:
+            records.append(ContextualRecord(segment_id, side, token_index, token, vector))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+    if fault is not None:
+        raise fault
     return records
 
 
@@ -204,18 +214,13 @@ def decontextualize(records: Sequence[ContextualRecord]) -> EmbeddingStore:
     if not records:
         raise DataError("cannot decontextualize an empty record list")
     dim = len(records[0].vector)
-    sums: dict[str, np.ndarray] = {}
-    counts: dict[str, int] = {}
+    occurrences: dict[str, list[np.ndarray]] = {}
     for record in records:
         if len(record.vector) != dim:
             raise DataError(f"mixed vector dimensions: {len(record.vector)} vs {dim}")
-        if record.token in sums:
-            sums[record.token] = sums[record.token] + record.vector
-            counts[record.token] += 1
-        else:
-            sums[record.token] = record.vector.astype(float)
-            counts[record.token] = 1
-    table = {token: sums[token] / counts[token] for token in sums}
+        occurrences.setdefault(record.token, []).append(record.vector)
+    # each sum runs left to right in record order, into a new array
+    table = {token: functools.reduce(np.add, vectors) / len(vectors) for token, vectors in occurrences.items()}
     return EmbeddingStore(dim=dim, table=table)
 
 

@@ -2,7 +2,7 @@
 
 The split matters to the command line, which exits 1 on ConfigError and 2
 on DataError.  Both subclass ValueError so library callers can catch one
-type.
+type.  Every loader wears `utf8_loader`; every TSV loader reads through `tsv_rows`.
 """
 
 import functools
@@ -34,3 +34,28 @@ def utf8_loader(load):
             raise
 
     return loader
+
+
+def tsv_rows(handle, path):
+    """The header fields of a tab-separated file and an iterator over its data rows.
+
+    The iterator yields (line number, fields), skipping empty and
+    whitespace-only lines; a row whose field count differs from the
+    header's is a DataError at its line.  Fields are split on tabs alone:
+    no quoting, no field-length limit.
+    """
+    header = handle.readline()
+    if not header:
+        raise DataError(f"{path}: empty file")
+    header = header.rstrip("\n").split("\t")
+
+    def rows():
+        for lineno, line in enumerate(handle, start=2):
+            if line.isspace():
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(fields)}")
+            yield lineno, fields
+
+    return header, rows()

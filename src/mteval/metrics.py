@@ -21,7 +21,9 @@ from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.errors import ConfigError, DataError
 from mteval.flow import FlowSolution, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
-from mteval.vsm import SimilarityMatrix, Vocabulary, WeightedBow, bow_nfx, bow_nnx
+from mteval.vsm import (
+    DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K, SimilarityMatrix, Vocabulary, WeightedBow, bow_nfx, bow_nnx
+)
 
 __all__ = [
     "EMPTY_BOW_FLAG",
@@ -67,7 +69,7 @@ REG_BASE_FEATURES = (
 class UnscorableSegment(DataError):
     """A metric cannot produce a score for this segment (e.g. all terms OOV).
 
-    Callers substitute the configured placeholder value and record a flag.
+    `score_segments` scores it NaN with a flag; the pipeline fills in a placeholder.
     """
 
 
@@ -114,9 +116,9 @@ class MetricConfig:
     reg_base: bool = True
     lowercase: bool = False
     compositionality_full_matrix: bool = False
-    similarity_threshold: float = 0.1
-    similarity_exponent: float = 2.0
-    similarity_top_k: int = 100
+    similarity_threshold: float = DEFAULT_THRESHOLD
+    similarity_exponent: float = DEFAULT_EXPONENT
+    similarity_top_k: int = DEFAULT_TOP_K
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -524,19 +526,18 @@ def required_resources(config: MetricConfig) -> dict[str, list[str]]:
     return needed
 
 
+#: The (term space, processing order) of the similarity matrix each SCM variant reads
+_SCM_MATRICES = {
+    "scm": ("words", "vocabulary"),
+    "scm_tfidf": ("words", "idf_descending"),
+    "scm_decontextualized": ("pieces", "vocabulary"),
+    "scm_decontextualized_tfidf": ("pieces", "idf_descending"),
+}
+
+
 def needed_similarity_keys(config: MetricConfig) -> set[tuple[str, str]]:
     """(term space, processing order) pairs the enabled SCM variants require."""
-    keys = set()
-    for name in config.metrics:
-        if name == "scm":
-            keys.add(("words", "vocabulary"))
-        elif name == "scm_tfidf":
-            keys.add(("words", "idf_descending"))
-        elif name == "scm_decontextualized":
-            keys.add(("pieces", "vocabulary"))
-        elif name == "scm_decontextualized_tfidf":
-            keys.add(("pieces", "idf_descending"))
-    return keys
+    return {_SCM_MATRICES[name] for name in config.metrics if name in _SCM_MATRICES}
 
 
 def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -> dict[str, float]:
@@ -558,16 +559,14 @@ def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -
     return placeholders
 
 
-def score_segments(
-    segments: list[Segment], config: MetricConfig, resources: Resources, placeholders: dict[str, float] | None = None
-) -> list[MetricVector]:
+def score_segments(segments: list[Segment], config: MetricConfig, resources: Resources) -> list[MetricVector]:
     """Compute every enabled metric for each segment, in segment order.
 
-    Unscorable metrics score NaN (or the given placeholder) and carry a
-    flag naming the reason; resource completeness is the caller's
-    responsibility via validate_resources.  The WMD metrics first collect
-    each segment's transport problem left after pre-matching; one
-    solve_transport_batch call then solves them all.
+    Unscorable metrics score NaN and carry a flag naming the reason;
+    resource completeness is the caller's responsibility via
+    validate_resources.  The WMD metrics first collect each segment's
+    transport problem left after pre-matching; one solve_transport_batch
+    call then solves them all.
     """
     vectors = []
     pending = []  # (scores of one segment, metric, transport problem)
@@ -584,7 +583,7 @@ def score_segments(
                     flags[name] = flag
             except UnscorableSegment as exc:
                 flags[name] = str(exc)
-                value = placeholders[name] if placeholders is not None and name in placeholders else float("nan")
+                value = float("nan")
             if isinstance(value, tuple):
                 pending.append((scores, name, value))
                 value = float("nan")
@@ -595,11 +594,9 @@ def score_segments(
     return vectors
 
 
-def score_segment(
-    segment: Segment, config: MetricConfig, resources: Resources, placeholders: dict[str, float] | None = None
-) -> MetricVector:
+def score_segment(segment: Segment, config: MetricConfig, resources: Resources) -> MetricVector:
     """`score_segments` for one segment."""
-    return score_segments([segment], config, resources, placeholders)[0]
+    return score_segments([segment], config, resources)[0]
 
 
 def _compute_metric(
@@ -642,9 +639,7 @@ def _compute_metric(
     x = resources.bag(space, weighting, anchor_text, config.lowercase)
     y = resources.bag(space, weighting, segment.hypothesis, config.lowercase)
     if name.startswith("scm"):
-        order = "idf_descending" if tfidf else "vocabulary"
-        matrix = resources.sims[(space, order)]
         if x.is_zero() or y.is_zero():
             return 0.0, EMPTY_BOW_FLAG
-        return scm(x, y, matrix), None
+        return scm(x, y, resources.sims[_SCM_MATRICES[name]]), None
     return _transport_problem(*_wmd_sides(x, y, store, vocab)), None

@@ -9,7 +9,6 @@ Reg-base and external columns appended.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from pathlib import Path
 from mteval.corpus import Dataset, dataset_gold, split_by_source
 from mteval.embeddings import decontextualize, group_records, load_contextual, load_static
 from mteval.ensemble import FeatureMatrix
-from mteval.errors import ConfigError, DataError, utf8_loader
+from mteval.errors import ConfigError, DataError, tsv_rows, utf8_loader
 from mteval.metrics import (
     REG_BASE_FEATURES,
     MetricConfig,
@@ -37,7 +36,6 @@ from mteval.vsm import build_similarity_matrix, build_vocabulary, similarity_can
 __all__ = [
     "RESERVED_FEATURE_NAMES",
     "SplitFeatures",
-    "apply_placeholders",
     "assemble_features",
     "build_resources",
     "dataset_features",
@@ -62,13 +60,9 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
     feature name -> segment id -> value, preserving column order.
     """
     path = Path(path)
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t", quoting=csv.QUOTE_NONE)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty external-scores file") from None
-        if not header or header[0] != "segment_id":
+    with open(path, encoding="utf-8-sig") as handle:
+        header, rows = tsv_rows(handle, path)
+        if header[0] != "segment_id":
             raise DataError(f"{path}: first column must be 'segment_id', got {header[:1]}")
         names = header[1:]
         if not names:
@@ -79,9 +73,7 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
             if name in RESERVED_FEATURE_NAMES:
                 raise ConfigError(f"{path}: column name {name!r} is reserved for the ensembles")
         scores: dict[str, dict[str, float]] = {name: {} for name in names}
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+        for lineno, row in rows:
             segment_id = row[0]
             if segment_id in scores[names[0]]:
                 raise DataError(f"{path}:{lineno}: duplicate segment id {segment_id!r}")
@@ -175,22 +167,9 @@ def _side_documents(dataset: Dataset, resources: Resources, space: str, lowercas
     return documents
 
 
-def score_dataset(
-    dataset: Dataset,
-    config: MetricConfig,
-    resources: Resources,
-    placeholders: dict[str, float] | None = None,
-) -> list[MetricVector]:
+def score_dataset(dataset: Dataset, config: MetricConfig, resources: Resources) -> list[MetricVector]:
     """Score every segment, in dataset order (see `score_segments`)."""
-    return score_segments(dataset.segments, config, resources, placeholders)
-
-
-def apply_placeholders(vectors: list[MetricVector], placeholders: dict[str, float]) -> None:
-    """Replace NaN cells of unscorable metrics with their placeholder values."""
-    for vector in vectors:
-        for name, value in vector.scores.items():
-            if math.isnan(value):
-                vector.scores[name] = placeholders[name]
+    return score_segments(dataset.segments, config, resources)
 
 
 def feature_names(config: MetricConfig, resources: Resources) -> list[str]:
@@ -224,12 +203,7 @@ def assemble_features(
 def score_features(
     dataset: Dataset, config: MetricConfig, resources: Resources
 ) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
-    """Split-free scoring for score dumps.
-
-    Placeholders come from the worst value observed over the whole scored
-    set (there is no train split here).  Returns the feature matrix, the
-    per-segment flags, and the placeholders used.
-    """
+    """Split-free scoring for score dumps: `_featurize` with placeholders from every segment."""
     return _featurize(dataset, config, resources)
 
 
@@ -241,14 +215,19 @@ def _featurize(
 ) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
     """Validate, score, fill placeholders, assemble features, collect flags.
 
-    Placeholders are the worst values over the segments in
-    ``placeholder_ids``, or over every segment when it is None.
+    Each NaN cell of an unscorable metric gets the metric's placeholder:
+    the worst value over the segments in ``placeholder_ids``, or over every
+    segment when it is None.  Returns the feature matrix, the per-segment
+    flags, and the placeholders used.
     """
     validate_resources(config, resources, dataset.segments)
     vectors = score_dataset(dataset, config, resources)
     observed = [v for v in vectors if placeholder_ids is None or v.segment_id in placeholder_ids]
     placeholders = compute_placeholders(observed, list(config.metrics))
-    apply_placeholders(vectors, placeholders)
+    for vector in vectors:
+        for name, value in vector.scores.items():
+            if math.isnan(value):
+                vector.scores[name] = placeholders[name]
     features = assemble_features(dataset, config, resources, vectors)
     flags = {v.segment_id: dict(v.flags) for v in vectors if v.flags}
     return features, flags, placeholders

@@ -10,10 +10,12 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 
 from mteval._rng import round_half_up
+from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.ensemble import MlpParams, mlp_gradients, mlp_loss
 from mteval.errors import DataError
 
@@ -271,6 +273,26 @@ def naive_decontextualize(records) -> dict[str, np.ndarray]:
     return {token: np.mean(np.stack(vectors), axis=0) for token, vectors in buckets.items()}
 
 
+def loop_decontextualize(records):
+    """Running sum per token, one record at a time, then one division per token."""
+    if not records:
+        raise DataError("cannot decontextualize an empty record list")
+    dim = len(records[0].vector)
+    sums: dict[str, np.ndarray] = {}
+    counts: dict[str, int] = {}
+    for record in records:
+        if len(record.vector) != dim:
+            raise DataError(f"mixed vector dimensions: {len(record.vector)} vs {dim}")
+        if record.token in sums:
+            sums[record.token] = sums[record.token] + record.vector
+            counts[record.token] += 1
+        else:
+            sums[record.token] = record.vector.astype(float)
+            counts[record.token] = 1
+    table = {token: sums[token] / counts[token] for token in sums}
+    return EmbeddingStore(dim=dim, table=table)
+
+
 # ---------------------------------------------------------------------------
 # MLP: central finite-difference gradients
 # ---------------------------------------------------------------------------
@@ -349,6 +371,55 @@ def loop_load_static(path, logger):
     if len(table) != count:
         logger.warning("%s: header declares %d tokens but %d were read", path, count, len(table))
     return dim, table
+
+
+# ---------------------------------------------------------------------------
+# contextual vectors: the row-by-row loader, frozen before its vector column
+# went through load_static's numpy parser
+# ---------------------------------------------------------------------------
+
+
+def loop_load_contextual(path):
+    """Split each vector on any whitespace and convert it value by value with float().
+
+    Returns the list of ContextualRecords; each record's vector is its own array.
+    """
+    path = Path(path)
+    expected = ["segment_id", "side", "token_index", "token", "vector"]
+    records: list[ContextualRecord] = []
+    seen: set[tuple[str, str, int]] = set()
+    dim = None
+    with open(path, encoding="utf-8-sig") as handle:
+        header = handle.readline().rstrip("\n").split("\t")
+        if header != expected:
+            raise DataError(f"{path}:1: header must be {expected}, got {header}")
+        for lineno, line in enumerate(handle, start=2):
+            if not line.strip():
+                continue
+            parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(expected):
+                raise DataError(f"{path}:{lineno}: expected {len(expected)} columns, got {len(parts)}")
+            segment_id, side, raw_index, token, raw_vector = parts
+            try:
+                token_index = int(raw_index)
+                vector = np.array([float(v) for v in raw_vector.split()], dtype=float)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed token_index or vector") from None
+            if dim is None:
+                dim = len(vector)
+            elif len(vector) != dim:
+                raise DataError(f"{path}:{lineno}: vector has {len(vector)} components, expected {dim}")
+            key = (segment_id, side, token_index)
+            if key in seen:
+                raise DataError(f"{path}:{lineno}: duplicate (segment_id, side, token_index) {key}")
+            seen.add(key)
+            try:
+                records.append(
+                    ContextualRecord(segment_id=segment_id, side=side, token_index=token_index, token=token, vector=vector)
+                )
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+    return records
 
 
 # ---------------------------------------------------------------------------

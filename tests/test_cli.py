@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -110,6 +111,51 @@ def test_evaluate_reports_zero_for_two_constant_columns(tmp_path):
     rows = [line.split("\t") for line in (tmp_path / "out" / "correlation_matrix.tsv").read_text(encoding="utf-8").splitlines()]
     header, by_name = rows[0], {row[0]: row for row in rows[1:]}
     assert by_name["const_a"][header.index("const_b")] == "0.000000"
+
+
+def write_contextual_run(tmp_path):
+    """The demo de-en dataset, source_based, with 8-d occurrence vectors made from each token and its position."""
+    rows = ["segment_id\tside\ttoken_index\ttoken\tvector"]
+    words = set()
+    for line in (DEMO_DATA / "deen.tsv").read_text(encoding="utf-8").splitlines()[1:]:
+        fields = line.split("\t")
+        for side, text in (("source", fields[3]), ("hypothesis", fields[5])):
+            for position, token in enumerate(text.split()):
+                words.add(token)
+                base = sum(map(ord, token))
+                vector = [((base * (j + 3) + 31 * position) % 199 - 99) / 97 for j in range(8)]
+                rows.append("\t".join([fields[0], side, str(position), token, " ".join(map(repr, vector))]))
+    (tmp_path / "contextual.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    # every word is one piece, so the decontextualized metrics see every record's token
+    (tmp_path / "vocab.txt").write_text("\n".join(["[UNK]"] + sorted(words)) + "\n", encoding="utf-8")
+    payload = {
+        "dataset": str(DEMO_DATA / "deen.tsv"),
+        "mode": "source_based",
+        "metrics": ["scm_decontextualized", "wmd_decontextualized_tfidf", "wmd_contextual", "wmd_contextual_tfidf"],
+        "resources": {"contextual_records": "contextual.tsv", "wordpiece_vocab": "vocab.txt"},
+        "split": {"ratio": 0.5, "seed": 17},
+        "mlp": {"hidden": 16, "max_epochs": 200, "patience": 15},
+        "output_dir": "out",
+    }
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    return config
+
+
+# sha256 of each output file, recorded before the contextual loader moved onto the shared vector parser
+CONTEXTUAL_EVALUATE_SHA256 = {
+    "correlation_matrix.tsv": "388cd725c76224374488868267e6e545ccf584a27c0e5ae8996bab438c29d052",
+    "correlations.tsv": "3d4e74a9a1e4f6fb8eef0a538eda69f109e36e8de578a4c012586782fd19338c",
+    "flags.tsv": "1addd40ba7c95bca7f4e08361a37a96760c89b69def5542abf33b0909856221f",
+}
+
+
+def test_contextual_evaluate_outputs_are_pinned(tmp_path):
+    config = write_contextual_run(tmp_path)
+    assert main(["evaluate", "--config", str(config)]) == 0
+    out = tmp_path / "out"
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(out.iterdir())}
+    assert got == CONTEXTUAL_EVALUATE_SHA256
 
 
 def test_verbose_flag_before_or_after_the_subcommand(tmp_path):
@@ -287,6 +333,46 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert main(["score", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     assert "seed" in err and "sacrebleu" in err
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "value"),
+    [
+        ("mlp", "batch_size", 0),
+        ("mlp", "hidden", "x"),
+        ("mlp", "hidden", 2.5),
+        ("mlp", "hidden", True),
+        ("mlp", "max_epochs", 0),
+        ("mlp", "patience", -1),
+        ("mlp", "learning_rate", "fast"),
+        ("mlp", "learning_rate", 0),
+        ("mlp", "learning_rate", float("inf")),
+        ("mlp", "val_fraction", 0),
+        ("mlp", "val_fraction", 1.0),
+        ("similarity", "top_k", "many"),
+        ("similarity", "top_k", 2.7),
+        ("similarity", "threshold", [1]),
+        ("similarity", "threshold", True),
+        ("similarity", "threshold", float("nan")),
+        ("similarity", "exponent", float("nan")),
+        ("similarity", "exponent", 0),
+        (None, "output_dir", 5),
+        (None, "output_dir", ""),
+    ],
+)
+def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, section, key, value):
+    config = write_run(tmp_path)
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    if section is None:
+        payload[key] = value
+    else:
+        payload.setdefault(section, {})[key] = value
+    config.write_text(json.dumps(payload), encoding="utf-8")  # NaN and Infinity as Python's json writes them
+    assert main(["evaluate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    name = key if section is None else f"{section}.{key}"
+    assert f"'{name}' must be" in err
 
 
 def test_malformed_dataset_exits_two(tmp_path, capsys):

@@ -69,6 +69,13 @@ def test_load_tsv_error_names_line(tmp_path):
     assert ":3" in str(err.value)  # header is line 1
 
 
+def test_load_tsv_has_no_field_length_limit(tmp_path):
+    path = tmp_path / "long.tsv"
+    hypothesis = " ".join(["word"] * 40_000)  # 199,999 characters
+    write_tsv(path, [f"a\tde\ten\tQuelle\tref\t{hypothesis}x\t1.0\t\t\t"])
+    assert len(load_dataset(path).segments[0].hypothesis) == 200_000
+
+
 def test_load_tsv_duplicate_id(tmp_path):
     path = tmp_path / "dup.tsv"
     write_tsv(

@@ -16,7 +16,7 @@ from mteval.embeddings import (
 )
 from mteval.errors import DataError
 
-from oracles import loop_load_static, naive_decontextualize
+from oracles import loop_decontextualize, loop_load_contextual, loop_load_static, naive_decontextualize
 
 
 def write_static(tmp_path, text):
@@ -232,6 +232,93 @@ def test_load_static_round_trips_repr_written_vectors(tmp_path, case):
         assert store[token].tobytes() == np.array(vector, dtype=np.float64).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# load_contextual against the row-by-row loader
+# ---------------------------------------------------------------------------
+
+CONTEXTUAL_FAULTS = ["columns", "index", "count", "non-numeric", "non-finite", "duplicate", "side", "negative"]
+
+
+def random_contextual_file(rng) -> tuple[str, set[str]]:
+    """Text of a random contextual-records file within the shared vector rule, and its planted faults.
+
+    At most one fault per line: within a line the two loaders check in different orders.
+    """
+    dim = int(rng.integers(1, 5))
+    n = int(rng.integers(0, 10))
+    faulty = set(rng.choice(n, size=min(n, int(rng.choice([0, 0, 1, 2]))), replace=False).tolist()) if n else set()
+    kinds = set()
+    lines = ["segment_id\tside\ttoken_index\ttoken\tvector"]
+    keys = []
+    for row in range(n):
+        while rng.random() < 0.2:
+            lines.append(BLANK_LINES[rng.integers(len(BLANK_LINES))])
+        key = [f"s{rng.integers(3)}", ["source", "reference", "hypothesis"][rng.integers(3)], str(row)]
+        values = [random_value(rng) for _ in range(dim)]
+        kind = CONTEXTUAL_FAULTS[rng.integers(len(CONTEXTUAL_FAULTS))] if row in faulty else None
+        if kind in ("duplicate", "count") and not keys:
+            kind = None  # the first row sets the dimension and has no key before it
+        kinds.add(kind)
+        if kind == "index":
+            key[2] = ["x", "1.5", ""][rng.integers(3)]
+        elif kind == "count":
+            if rng.random() < 0.5 and dim > 1:
+                values.pop()
+            else:
+                values.append(random_value(rng))
+        elif kind in ("non-numeric", "non-finite"):
+            choices = [fault for fault in SWEEP_FAULTS[kind] if fault]  # an empty value is a double space
+            values[rng.integers(dim)] = choices[rng.integers(len(choices))]
+        elif kind == "duplicate":
+            key = list(keys[rng.integers(len(keys))])
+        elif kind == "side":
+            key[1] = ["src", "Source", ""][rng.integers(3)]
+        elif kind == "negative":
+            key[2] = "-1"
+        keys.append(key)
+        fields = key + [SWEEP_TOKENS[rng.integers(len(SWEEP_TOKENS))], " ".join(values) + " " * int(rng.integers(0, 3))]
+        if kind == "columns":
+            fields = fields[:-1] if rng.random() < 0.5 else fields + ["extra"]
+        lines.append("\t".join(fields))
+    newline = "\r\n" if rng.random() < 0.25 else "\n"
+    return newline.join(lines) + newline, kinds - {None}
+
+
+def contextual_outcome(load):
+    """Every field of every record, or where and what kind the first fault is.
+
+    The two loaders word a bad number, a bad token_index and a non-finite
+    vector differently; the line and the kind of fault must agree.
+    """
+    try:
+        return [(r.segment_id, r.side, r.token_index, r.token, r.vector.dtype.str, r.vector.shape, r.vector.tobytes()) for r in load()]
+    except DataError as exc:
+        location, _, message = str(exc).partition(": ")
+        if message.startswith(("malformed", "non-numeric")):
+            message = "malformed"
+        elif message.startswith("non-finite"):
+            message = "non-finite"
+        return location, message
+
+
+def test_load_contextual_matches_the_row_by_row_loader(tmp_path):
+    rng = np.random.default_rng(2025)
+    path = tmp_path / "ctx.tsv"
+    seen = dict.fromkeys(CONTEXTUAL_FAULTS + ["two faults", "clean"], 0)
+    for _ in range(600):
+        text, kinds = random_contextual_file(rng)
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = contextual_outcome(lambda: load_contextual(path))
+        assert got == contextual_outcome(lambda: loop_load_contextual(path)), text
+        for kind in kinds:
+            seen[kind] += 1
+        seen["two faults"] += len(kinds) == 2
+        seen["clean"] += isinstance(got, list) and len(got) > 0
+    assert min(seen.values()) >= 10, seen
+
+
 def test_cosine_properties():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -297,12 +384,28 @@ def test_decontextualize_matches_naive_oracle():
             assert np.allclose(store[token], expected[token], atol=1e-12, rtol=0)
 
 
+def test_decontextualize_matches_the_running_sum_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(1, 40))
+        values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-5, 5, size=(n, 1))
+        values[rng.random(size=values.shape) < 0.1] = -0.0
+        # rows of one matrix, as load_contextual makes them
+        records = [ContextualRecord("s1", "source", i, "abc"[int(rng.integers(0, 3))], values[i]) for i in range(n)]
+        got, want = decontextualize(records), loop_decontextualize(records)
+        assert got.dim == want.dim
+        assert {t: v.tobytes() for t, v in got.table.items()} == {t: v.tobytes() for t, v in want.table.items()}
+
+
 def test_decontextualize_rejects_empty_and_mixed_dims():
     with pytest.raises(DataError):
         decontextualize([])
     records = [record("s1", "source", 0, "a", [1.0]), record("s1", "source", 1, "b", [1.0, 2.0])]
     with pytest.raises(DataError, match="mixed"):
         decontextualize(records)
+
+
+CONTEXTUAL_HEADER = "segment_id\tside\ttoken_index\ttoken\tvector\n"
 
 
 def test_load_contextual_roundtrip(tmp_path):
@@ -341,6 +444,37 @@ def test_load_contextual_errors(tmp_path):
     path.write_text(head + "s1\tsource\t0\tcat\t1.0\ns1\tsource\t1\tdog\t2.0 3.0\n", encoding="utf-8")
     with pytest.raises(DataError, match=":3:.*expected 1"):
         load_contextual(path)
+
+
+def test_load_contextual_records_share_one_matrix(tmp_path):
+    path = tmp_path / "ctx.tsv"
+    path.write_text(CONTEXTUAL_HEADER + "s1\tsource\t0\tcat\t1.0 2.0\ns1\tsource\t1\tdog\t3.0 4.0 \n", encoding="utf-8")
+    records = load_contextual(path)
+    assert records[1].vector.tolist() == [3.0, 4.0]
+    assert records[0].vector.base is not None
+    assert records[0].vector.base is records[1].vector.base
+
+
+def test_load_contextual_rejects_an_empty_vector(tmp_path):
+    # numpy's parser skips an empty line, which would shift every later vector up one record
+    path = tmp_path / "ctx.tsv"
+    for rows in (["1.0", " ", "2.0"], ["", "1.0"]):
+        lines = [f"s1\tsource\t{i}\tcat\t{vector}\n" for i, vector in enumerate(rows)]
+        path.write_text(CONTEXTUAL_HEADER + "".join(lines), encoding="utf-8")
+        line = 2 + [vector.strip() for vector in rows].index("")
+        with pytest.raises(DataError, match=rf":{line}: empty vector$"):
+            load_contextual(path)
+
+
+@pytest.mark.parametrize("vector", ["1.0 1_0", "1.0 \u0661", "1.0  2.0", "1.0\u00a02.0", " 1.0 2.0", ""])
+def test_both_loaders_reject_a_vector_outside_the_shared_rule(tmp_path, vector):
+    # float() and a whitespace split read all of these; neither loader does
+    static = write_static(tmp_path, f"2 2\ncat 1.0 0.0\ndog {vector}\n")
+    contextual = tmp_path / "ctx.tsv"
+    contextual.write_text(CONTEXTUAL_HEADER + f"s1\tsource\t0\tcat\t1.0 0.0\ns1\tsource\t1\tdog\t{vector}\n", encoding="utf-8")
+    for load, path in ((load_static, static), (load_contextual, contextual)):
+        with pytest.raises(DataError, match=r":3: "):
+            load(path)
 
 
 def test_group_records_sorted_by_token_index():

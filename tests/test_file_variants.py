@@ -1,4 +1,5 @@
-"""Every text input loads the same with a UTF-8 byte-order mark or CRLF line ends."""
+"""Every text input loads the same with a UTF-8 byte-order mark or CRLF line ends,
+and every TSV input the same with blank or whitespace-only lines."""
 
 import dataclasses
 import json
@@ -74,6 +75,21 @@ def test_loader_accepts_a_byte_order_mark(tmp_path, kind):
         path.write_bytes((prefix + text).encode("utf-8"))
         loaded[variant] = view(loader(path))
     assert loaded["bom"] == loaded["plain"]
+
+
+@pytest.mark.parametrize("kind", ["contextual", "dataset-tsv", "external"])
+def test_tsv_loaders_skip_blank_and_whitespace_only_lines(tmp_path, kind):
+    name, source, loader, view = LOADERS[kind]
+    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
+    header, *rows = text.splitlines()
+    loaded = {}
+    for variant, lines in (("plain", [header] + rows), ("blank", [header] + [f"{row}\n\n \t \n\t" for row in rows] + [""])):
+        folder = tmp_path / variant
+        folder.mkdir()
+        path = folder / name
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")  # the blank variant ends in an empty line
+        loaded[variant] = view(loader(path))
+    assert loaded["blank"] == loaded["plain"]
 
 
 def test_crlf_inputs_give_identical_outputs(tmp_path):

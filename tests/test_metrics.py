@@ -679,11 +679,9 @@ def test_score_segment_flags_oov_hypothesis():
     # SCM against an all-OOV side is the defined 0 with a flag
     assert vector.scores["scm"] == 0.0
     assert vector.flags["scm"] == EMPTY_BOW_FLAG
-    # WMD is unscorable: NaN without placeholders, substituted with them
+    # WMD is unscorable: NaN, filled in later by the pipeline's placeholders
     assert math.isnan(vector.scores["wmd"])
     assert "wmd" in vector.flags
-    filled = score_segment(bad, config, resources, placeholders={"wmd": 9.5})
-    assert filled.scores["wmd"] == 9.5
 
 
 def test_score_segment_source_based_anchor():
