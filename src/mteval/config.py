@@ -30,6 +30,7 @@ Numbers must lie in their `_RANGES`; ``output_dir`` is a nonempty string.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from math import inf
 from pathlib import Path
@@ -56,13 +57,13 @@ _TOP_KEYS = {
 }
 _RESOURCE_KEYS = {"static_embeddings", "contextual_records", "wordpiece_vocab", "external_scores"}
 _SPLIT_KEYS = {"ratio", "seed"}
-#: section -> key -> (integers only, open interval of valid values)
+#: section -> key -> (integers only, open interval of valid values); real values are compared as floats
 _RANGES = {
-    "similarity": {"threshold": (False, -inf, inf), "exponent": (False, 0, inf), "top_k": (True, 0, inf)},
+    "similarity": {"threshold": (False, -inf, inf), "exponent": (False, 0, inf), "top_k": (True, 0, sys.maxsize)},
     "split": {"ratio": (False, 0, 1)},
     "mlp": {
-        "hidden": (True, 0, inf), "learning_rate": (False, 0, inf), "batch_size": (True, 0, inf),
-        "max_epochs": (True, 0, inf), "patience": (True, 0, inf), "val_fraction": (False, 0, 1),
+        "hidden": (True, 0, sys.maxsize), "learning_rate": (False, 0, inf), "batch_size": (True, 0, sys.maxsize),
+        "max_epochs": (True, 0, sys.maxsize), "patience": (True, 0, sys.maxsize), "val_fraction": (False, 0, 1),
     },
 }
 
@@ -120,7 +121,11 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
         for name, (integer, low, high) in _RANGES.get(key, {}).items():
             value = section.get(name)
             number = isinstance(value, int if integer else (int, float)) and not isinstance(value, bool)
-            if name in section and not (number and low < value < high):
+            try:
+                in_range = number and low < (value if integer else float(value)) < high
+            except OverflowError:  # an integer too large for a float
+                in_range = False
+            if name in section and not in_range:
                 kind = "an integer" if integer else "a number"
                 problems.append(f"'{key}.{name}' must be {kind} in ({low}, {high}), got {value!r}")
 

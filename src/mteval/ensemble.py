@@ -119,7 +119,6 @@ class EnsembleModel:
     weights: np.ndarray | None = None  # linear
     intercept: float | None = None  # linear
     mlp: MlpParams | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "mlp"):
@@ -294,7 +293,6 @@ def fit_mlp(
         feature_names=list(features.feature_names),
         standardization=standardization or StandardizationParams.identity(m),
         mlp=_unpack(best, m, hidden),
-        seed=seed,
     )
 
 

@@ -38,15 +38,12 @@ __all__ = [
     "UnscorableSegment",
     "compositionality",
     "compute_placeholders",
-    "needed_similarity_keys",
     "reg_base_features",
-    "required_resources",
     "scm",
     "score_segment",
     "score_segments",
     "sentence_bleu",
     "transition_graph",
-    "validate_resources",
     "wmd",
     "wmd_contextual",
 ]
@@ -75,28 +72,43 @@ class UnscorableSegment(DataError):
 
 @dataclass(frozen=True)
 class MetricInfo:
-    """Static facts about one registered metric."""
+    """Static facts about one registered metric; the rest follows from them."""
 
-    higher_is_better: bool
-    reference_only: bool  # disallowed in source_based mode
-    resources: frozenset[str]  # of: static, contextual, wordpiece, pos
+    family: str  # scm, wmd, bleu or compositionality
+    space: str = "none"  # words (static), pieces (decontextualized), contextual or none
+    weighting: str = "nnx"  # nnx (raw tf) or nfx (tf-idf)
+
+    @property
+    def higher_is_better(self) -> bool:
+        return self.family in ("scm", "bleu")
+
+    @property
+    def reference_only(self) -> bool:
+        """Static vectors and BLEU compare with a same-language text: disallowed in source_based mode."""
+        return self.space == "words" or self.family == "bleu"
+
+    @property
+    def similarity_key(self) -> tuple[str, str] | None:
+        """The (term space, processing order) of the similarity matrix an SCM variant reads."""
+        if self.family != "scm":
+            return None
+        return self.space, "idf_descending" if self.weighting == "nfx" else "vocabulary"
 
 
-#: Registry of every scoreable metric: direction, mode restrictions, and
-#: which loaded resources it needs.
+#: Registry of every scoreable metric: its family, term space and weighting
 METRICS: dict[str, MetricInfo] = {
-    "scm": MetricInfo(True, True, frozenset({"static"})),
-    "scm_tfidf": MetricInfo(True, True, frozenset({"static"})),
-    "wmd": MetricInfo(False, True, frozenset({"static"})),
-    "wmd_tfidf": MetricInfo(False, True, frozenset({"static"})),
-    "scm_decontextualized": MetricInfo(True, False, frozenset({"contextual", "wordpiece"})),
-    "scm_decontextualized_tfidf": MetricInfo(True, False, frozenset({"contextual", "wordpiece"})),
-    "wmd_decontextualized": MetricInfo(False, False, frozenset({"contextual", "wordpiece"})),
-    "wmd_decontextualized_tfidf": MetricInfo(False, False, frozenset({"contextual", "wordpiece"})),
-    "wmd_contextual": MetricInfo(False, False, frozenset({"contextual"})),
-    "wmd_contextual_tfidf": MetricInfo(False, False, frozenset({"contextual"})),
-    "compositionality": MetricInfo(False, False, frozenset({"pos"})),
-    "bleu": MetricInfo(True, True, frozenset()),
+    "scm": MetricInfo("scm", "words"),
+    "scm_tfidf": MetricInfo("scm", "words", "nfx"),
+    "wmd": MetricInfo("wmd", "words"),
+    "wmd_tfidf": MetricInfo("wmd", "words", "nfx"),
+    "scm_decontextualized": MetricInfo("scm", "pieces"),
+    "scm_decontextualized_tfidf": MetricInfo("scm", "pieces", "nfx"),
+    "wmd_decontextualized": MetricInfo("wmd", "pieces"),
+    "wmd_decontextualized_tfidf": MetricInfo("wmd", "pieces", "nfx"),
+    "wmd_contextual": MetricInfo("wmd", "contextual"),
+    "wmd_contextual_tfidf": MetricInfo("wmd", "contextual", "nfx"),
+    "compositionality": MetricInfo("compositionality"),
+    "bleu": MetricInfo("bleu"),
 }
 
 
@@ -470,76 +482,6 @@ def reg_base_features(
     )
 
 
-def validate_resources(config: MetricConfig, resources: Resources, segments: list[Segment]) -> None:
-    """Check, before any scoring starts, that every enabled metric can run.
-
-    All problems are collected and reported together in one ConfigError.
-    """
-    problems: list[str] = []
-    needed = required_resources(config)
-    if "static" in needed:
-        if resources.static_store is None:
-            problems.append("static embeddings required by: " + ", ".join(needed["static"]))
-        if resources.vocab_words is None:
-            problems.append("word vocabulary missing (build it over the dataset before scoring)")
-    if "wordpiece" in needed and resources.wp_vocab is None:
-        problems.append("wordpiece vocabulary required by: " + ", ".join(needed["wordpiece"]))
-    if "contextual" in needed:
-        if resources.contextual_groups is None:
-            problems.append("contextual record file required by: " + ", ".join(needed["contextual"]))
-        if any(m.startswith(("scm_decontextualized", "wmd_decontextualized")) for m in config.metrics):
-            if resources.decon_store is None:
-                problems.append("decontextualized store missing (derive it from the contextual records)")
-            if resources.vocab_pieces is None:
-                problems.append("piece vocabulary missing (build it over the dataset before scoring)")
-    for key in needed_similarity_keys(config):
-        if key not in resources.sims:
-            problems.append(f"similarity matrix for {key[0]} terms in {key[1]} order not built")
-    if any(m.startswith("wmd_contextual") and m.endswith("_tfidf") for m in config.metrics):
-        if resources.contextual_vocab is None:
-            problems.append("contextual token vocabulary missing (needed for wmd_contextual_tfidf idf)")
-    if "compositionality" in config.metrics:
-        anchor_field = "pos_reference" if config.mode == "reference_based" else "pos_source"
-        for segment in segments:
-            if getattr(segment, anchor_field) is None or segment.pos_hypothesis is None:
-                problems.append(
-                    f"segment {segment.id!r} lacks {anchor_field} or pos_hypothesis tags for compositionality"
-                )
-                break
-    if config.mode == "reference_based":
-        for segment in segments:
-            if segment.reference is None:
-                problems.append(f"segment {segment.id!r} has no reference but mode is reference_based")
-                break
-    if problems:
-        raise ConfigError("configuration problems:\n  - " + "\n  - ".join(problems))
-
-
-def required_resources(config: MetricConfig) -> dict[str, list[str]]:
-    """Each resource the config needs -> the enabled metrics (and reg_base) needing it."""
-    needed: dict[str, list[str]] = {}
-    for name in config.metrics:
-        for resource in METRICS[name].resources:
-            needed.setdefault(resource, []).append(name)
-    if config.reg_base:
-        needed.setdefault("wordpiece", []).append("reg_base")
-    return needed
-
-
-#: The (term space, processing order) of the similarity matrix each SCM variant reads
-_SCM_MATRICES = {
-    "scm": ("words", "vocabulary"),
-    "scm_tfidf": ("words", "idf_descending"),
-    "scm_decontextualized": ("pieces", "vocabulary"),
-    "scm_decontextualized_tfidf": ("pieces", "idf_descending"),
-}
-
-
-def needed_similarity_keys(config: MetricConfig) -> set[tuple[str, str]]:
-    """(term space, processing order) pairs the enabled SCM variants require."""
-    return {_SCM_MATRICES[name] for name in config.metrics if name in _SCM_MATRICES}
-
-
 def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -> dict[str, float]:
     """Worst observed value per metric, for substituting unscorable segments.
 
@@ -563,8 +505,8 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
     """Compute every enabled metric for each segment, in segment order.
 
     Unscorable metrics score NaN and carry a flag naming the reason;
-    resource completeness is the caller's responsibility via
-    validate_resources.  The WMD metrics first collect each segment's
+    resource completeness is the caller's responsibility (`build_resources`
+    checks it for a run).  The WMD metrics first collect each segment's
     transport problem left after pre-matching; one solve_transport_batch
     call then solves them all.
     """
@@ -573,7 +515,7 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
     for segment in segments:
         scores: dict[str, float] = {}
         flags: dict[str, str] = {}
-        anchor_text = segment.reference if config.mode == "reference_based" else segment.source
+        anchor_text = getattr(segment, config.anchor_side)
         if anchor_text is None:
             raise DataError(f"segment {segment.id!r} has no reference but mode is reference_based")
         for name in config.metrics:
@@ -603,7 +545,8 @@ def _compute_metric(
     name: str, segment: Segment, anchor_text: str, config: MetricConfig, resources: Resources
 ) -> tuple[float | tuple, str | None]:
     """One metric's score and flag; a WMD score is its unsolved transport problem."""
-    if name == "bleu":
+    info = METRICS[name]
+    if info.family == "bleu":
         return (
             sentence_bleu(
                 resources.tokens("words", anchor_text, config.lowercase),
@@ -611,8 +554,8 @@ def _compute_metric(
             ),
             None,
         )
-    if name == "compositionality":
-        anchor_tags = segment.pos_reference if config.mode == "reference_based" else segment.pos_source
+    if info.family == "compositionality":
+        anchor_tags = getattr(segment, f"pos_{config.anchor_side}")
         if anchor_tags is None or segment.pos_hypothesis is None:
             raise UnscorableSegment("missing PoS tags")
         value = compositionality(
@@ -621,25 +564,21 @@ def _compute_metric(
             full_matrix=config.compositionality_full_matrix,
         )
         return value, None
-    if name.startswith("wmd_contextual"):
+    if info.space == "contextual":
         groups = resources.contextual_groups or {}
         rx = groups.get((segment.id, config.anchor_side), [])
         ry = groups.get((segment.id, "hypothesis"), [])
-        weighting = "nfx" if name.endswith("_tfidf") else "nnx"
-        return _transport_problem(*_contextual_sides(rx, ry, weighting, resources.contextual_vocab)), None
+        return _transport_problem(*_contextual_sides(rx, ry, info.weighting, resources.contextual_vocab)), None
 
-    # remaining metrics are bag-of-words: pick term space, weighting, store
-    tfidf = name.endswith("_tfidf")
-    if "decontextualized" in name:
-        vocab, store, space = resources.vocab_pieces, resources.decon_store, "pieces"
+    # remaining metrics are bag-of-words over static (words) or decontextualized (pieces) vectors
+    if info.space == "pieces":
+        vocab, store = resources.vocab_pieces, resources.decon_store
     else:
-        vocab, store, space = resources.vocab_words, resources.static_store, "words"
-    assert vocab is not None and store is not None  # guaranteed by validate_resources
-    weighting = "nfx" if tfidf else "nnx"
-    x = resources.bag(space, weighting, anchor_text, config.lowercase)
-    y = resources.bag(space, weighting, segment.hypothesis, config.lowercase)
-    if name.startswith("scm"):
+        vocab, store = resources.vocab_words, resources.static_store
+    x = resources.bag(info.space, info.weighting, anchor_text, config.lowercase)
+    y = resources.bag(info.space, info.weighting, segment.hypothesis, config.lowercase)
+    if info.family == "scm":
         if x.is_zero() or y.is_zero():
             return 0.0, EMPTY_BOW_FLAG
-        return scm(x, y, resources.sims[_SCM_MATRICES[name]]), None
+        return scm(x, y, resources.sims[info.similarity_key]), None
     return _transport_problem(*_wmd_sides(x, y, store, vocab)), None

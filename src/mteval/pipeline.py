@@ -19,16 +19,14 @@ from mteval.embeddings import decontextualize, group_records, load_contextual, l
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError, tsv_rows, utf8_loader
 from mteval.metrics import (
+    METRICS,
     REG_BASE_FEATURES,
     MetricConfig,
     MetricVector,
     Resources,
     compute_placeholders,
-    needed_similarity_keys,
     reg_base_features,
-    required_resources,
     score_segments,
-    validate_resources,
 )
 from mteval.tokenization import load_wordpiece_vocab
 from mteval.vsm import build_similarity_matrix, build_vocabulary, similarity_candidates
@@ -46,6 +44,14 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+#: The run-config resource paths each term space reads
+_SPACE_PATHS = {
+    "words": ("static_embeddings",),
+    "pieces": ("contextual_records", "wordpiece_vocab"),
+    "contextual": ("contextual_records",),
+    "none": (),
+}
 
 #: Column names reserved for the ensembles in reports; external-scores
 #: files may not reuse them.
@@ -96,22 +102,39 @@ def build_resources(
     wordpiece_vocab_path: str | Path | None = None,
     external_scores_path: str | Path | None = None,
 ) -> Resources:
-    """Load files and precompute vocabularies / similarity matrices for a run.
+    """Check what the run needs, then load only that and precompute vocabularies / similarity matrices.
 
-    Only resources the configured metrics actually use are loaded; missing
-    required paths are reported together as one ConfigError.
+    Missing required paths and segments the configured metrics cannot score
+    are all reported in one ConfigError, before any file is read.
     """
-    needed = required_resources(config)
+    needed: dict[str, list[str]] = {}  # path key -> the metrics (and reg_base) needing it
+    for name in config.metrics:
+        for key in _SPACE_PATHS[METRICS[name].space]:
+            needed.setdefault(key, []).append(name)
+    if config.reg_base:
+        needed.setdefault("wordpiece_vocab", []).append("reg_base")
     paths = {
-        "static": ("static_embeddings", static_path),
-        "wordpiece": ("wordpiece_vocab", wordpiece_vocab_path),
-        "contextual": ("contextual_records", contextual_path),
+        "static_embeddings": static_path,
+        "wordpiece_vocab": wordpiece_vocab_path,
+        "contextual_records": contextual_path,
     }
     problems = [
-        f"{key} path required by: " + ", ".join(needed[resource])
-        for resource, (key, path) in paths.items()
-        if resource in needed and path is None
+        f"{key} path required by: " + ", ".join(needed[key])
+        for key, path in paths.items()
+        if key in needed and path is None
     ]
+    if "compositionality" in config.metrics:
+        anchor_field = f"pos_{config.anchor_side}"
+        for segment in dataset.segments:
+            if getattr(segment, anchor_field) is None or segment.pos_hypothesis is None:
+                problems.append(
+                    f"segment {segment.id!r} lacks {anchor_field} or pos_hypothesis tags for compositionality"
+                )
+                break
+    for segment in dataset.segments:
+        if getattr(segment, config.anchor_side) is None:
+            problems.append(f"segment {segment.id!r} has no reference but mode is reference_based")
+            break
     if problems:
         raise ConfigError("configuration problems:\n  - " + "\n  - ".join(problems))
 
@@ -119,12 +142,11 @@ def build_resources(
     if wordpiece_vocab_path is not None:
         resources.wp_vocab = load_wordpiece_vocab(wordpiece_vocab_path)
 
-    if "static" in needed:
+    if "static_embeddings" in needed:
         resources.static_store = load_static(static_path)
         resources.vocab_words = build_vocabulary(_side_documents(dataset, resources, "words", config.lowercase))
 
-    wants_decon = any("decontextualized" in name for name in config.metrics)
-    if "contextual" in needed:
+    if "contextual_records" in needed:
         records = load_contextual(contextual_path)
         resources.contextual_groups = group_records(records)
         group_docs = [
@@ -132,13 +154,13 @@ def build_resources(
             for key in sorted(resources.contextual_groups)
         ]
         resources.contextual_vocab = build_vocabulary(group_docs)
-        if wants_decon:
+        if any(METRICS[name].space == "pieces" for name in config.metrics):
             resources.decon_store = decontextualize(records)
             resources.vocab_pieces = build_vocabulary(_side_documents(dataset, resources, "pieces", config.lowercase))
 
     similarity = (config.similarity_threshold, config.similarity_exponent, config.similarity_top_k)
     candidates = {}  # both orders of a term space share one ranking of every term's partners
-    for space, order in sorted(needed_similarity_keys(config)):
+    for space, order in sorted({METRICS[name].similarity_key for name in config.metrics} - {None}):
         vocab = resources.vocab_words if space == "words" else resources.vocab_pieces
         store = resources.static_store if space == "words" else resources.decon_store
         if space not in candidates:
@@ -201,26 +223,18 @@ def assemble_features(
 
 
 def score_features(
-    dataset: Dataset, config: MetricConfig, resources: Resources
-) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
-    """Split-free scoring for score dumps: `_featurize` with placeholders from every segment."""
-    return _featurize(dataset, config, resources)
-
-
-def _featurize(
     dataset: Dataset,
     config: MetricConfig,
     resources: Resources,
     placeholder_ids: set[str] | None = None,
 ) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
-    """Validate, score, fill placeholders, assemble features, collect flags.
+    """Score, fill placeholders, assemble features, collect flags.
 
     Each NaN cell of an unscorable metric gets the metric's placeholder:
     the worst value over the segments in ``placeholder_ids``, or over every
     segment when it is None.  Returns the feature matrix, the per-segment
     flags, and the placeholders used.
     """
-    validate_resources(config, resources, dataset.segments)
     vectors = score_dataset(dataset, config, resources)
     observed = [v for v in vectors if placeholder_ids is None or v.segment_id in placeholder_ids]
     placeholders = compute_placeholders(observed, list(config.metrics))
@@ -261,7 +275,7 @@ def dataset_features(
     gold = dataset_gold(dataset)
     train_ds, test_ds = split_by_source(dataset, train_ratio, seed)
     train_ids = {s.id for s in train_ds.segments}
-    features, flags, placeholders = _featurize(dataset, config, resources, train_ids)
+    features, flags, placeholders = score_features(dataset, config, resources, train_ids)
     row_of = {segment_id: i for i, segment_id in enumerate(features.segment_ids)}
     train_rows = [row_of[s.id] for s in train_ds.segments]
     test_rows = [row_of[s.id] for s in test_ds.segments]

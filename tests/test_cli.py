@@ -358,6 +358,12 @@ def test_bad_config_exits_one(tmp_path, capsys):
         ("similarity", "exponent", 0),
         (None, "output_dir", 5),
         (None, "output_dir", ""),
+        # integers past a float's range, or past sys.maxsize where an integer is expected
+        pytest.param("similarity", "threshold", 10**400, id="similarity-threshold-10**400"),
+        pytest.param("similarity", "exponent", 10**400, id="similarity-exponent-10**400"),
+        pytest.param("similarity", "top_k", 10**400, id="similarity-top_k-10**400"),
+        pytest.param("mlp", "learning_rate", 10**400, id="mlp-learning_rate-10**400"),
+        pytest.param("mlp", "hidden", 10**400, id="mlp-hidden-10**400"),
     ],
 )
 def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, section, key, value):
@@ -373,6 +379,62 @@ def test_bad_config_value_exits_one_naming_the_key(tmp_path, capsys, section, ke
     assert err.startswith("configuration error: ")
     name = key if section is None else f"{section}.{key}"
     assert f"'{name}' must be" in err
+
+
+@pytest.mark.parametrize("static", ["static.txt", None, "missing.txt"], ids=["all-paths", "no-path", "missing-file"])
+def test_run_problems_are_reported_together_before_any_file_is_read(tmp_path, capsys, static):
+    config = write_run(tmp_path, metrics=("scm", "wmd", "bleu", "compositionality"))
+    rows = (tmp_path / "data.tsv").read_text(encoding="utf-8").splitlines()
+    rows[1] = rows[1].replace("\tthe dog runs\t", "\t\t", 1)  # s0 loses its reference; no row has PoS tags
+    (tmp_path / "data.tsv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    if static is None:
+        del payload["resources"]["static_embeddings"]
+    else:
+        payload["resources"]["static_embeddings"] = static
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["score", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: configuration problems:")
+    assert err.count("configuration error:") == 1
+    assert "segment 's0' lacks pos_reference or pos_hypothesis tags for compositionality" in err
+    assert "segment 's0' has no reference but mode is reference_based" in err
+    assert ("static_embeddings path required by: scm, wmd" in err) == (static is None)
+
+
+# sha256 of every output of the demo runs, one directory per command, recorded before
+# the metric table replaced parsing metric names
+DEMO_SHA256 = {
+    "deen/score/scores.tsv": "39e4ade87f999e131ccb71f0cc319771c08980c7c5e3ea5a831bab0ad124b993",
+    "deen/score/flags.tsv": "9dc4d0ae64a400d8931f0302830a2f14519c1de70fefb9082f1f1fe95efbdebc",
+    "deen/evaluate/flags.tsv": "9dc4d0ae64a400d8931f0302830a2f14519c1de70fefb9082f1f1fe95efbdebc",
+    "deen/evaluate/correlations.tsv": "e0467470f102c7cb073ef43263dd18d56be91f401844bb30bfc61b1e416fe779",
+    "deen/evaluate/correlation_matrix.tsv": "e7a2c5833673fd63c98a348ff5d9887202fdfcbb76f85cf3b8783c59f6d7ba76",
+    "deen/ablate/ablation.csv": "69ea27c5684ef05ca0893338f2366f8d653142733d960b52a76543bea765f5af",
+    "sven/score/scores.tsv": "c45eae813a2c676f810077f6e0c9058cd374e61075f69477687be638b1ab683b",
+    "sven/score/flags.tsv": "1addd40ba7c95bca7f4e08361a37a96760c89b69def5542abf33b0909856221f",
+    "sven/evaluate/flags.tsv": "1addd40ba7c95bca7f4e08361a37a96760c89b69def5542abf33b0909856221f",
+    "sven/evaluate/correlations.tsv": "e4889652be34ec5fb7b81036970015d5d75854031ba0c21d83c8f65e1118c126",
+    "sven/evaluate/correlation_matrix.tsv": "e26b8bf8f17587bd2b11c0ff316fbab62b09c98ee3ddf92837fa7e75c403eb94",
+    "sven/ablate/ablation.csv": "0bd7f3cf8c202cd256791b9a39e1e3277faeb1f1b7e8cf1c686dd40b4985a267",
+    "crosslingual/crosslingual.tsv": "92d7495e1b7d2af1dab74f9bfcade603ca4e8aa168608d546e36e21c91508f8e",
+}
+
+
+def test_demo_outputs_are_pinned(tmp_path):
+    for pair in ("deen", "sven"):
+        for command in ("score", "evaluate", "ablate"):
+            config = DEMO_DATA / f"run_{pair}.json"
+            assert main([command, "--config", str(config), "--out", str(tmp_path / pair / command)]) == 0
+    fit, report = DEMO_DATA / "run_deen.json", DEMO_DATA / "run_sven.json"
+    out = tmp_path / "crosslingual"
+    assert main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(report), "--out", str(out)]) == 0
+    got = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert got == DEMO_SHA256
 
 
 def test_malformed_dataset_exits_two(tmp_path, capsys):

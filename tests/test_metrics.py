@@ -17,13 +17,11 @@ from mteval.metrics import (
     UnscorableSegment,
     compositionality,
     compute_placeholders,
-    needed_similarity_keys,
     reg_base_features,
     scm,
     score_segment,
     sentence_bleu,
     transition_graph,
-    validate_resources,
     wmd,
     wmd_contextual,
 )
@@ -595,13 +593,45 @@ def test_metric_config_validation():
 
 
 def test_needed_similarity_keys():
-    config = MetricConfig(mode="reference_based", metrics=("scm", "scm_tfidf", "scm_decontextualized", "wmd"))
-    assert needed_similarity_keys(config) == {
+    def needed(metrics):
+        return {METRICS[name].similarity_key for name in metrics} - {None}
+
+    assert needed(("scm", "scm_tfidf", "scm_decontextualized", "wmd")) == {
         ("words", "vocabulary"),
         ("words", "idf_descending"),
         ("pieces", "vocabulary"),
     }
-    assert needed_similarity_keys(MetricConfig(mode="reference_based", metrics=("bleu",))) == set()
+    assert needed(("bleu",)) == set()
+
+
+# (higher_is_better, reference_only) of every metric, as literals
+METRIC_DIRECTIONS = {
+    "scm": (True, True),
+    "scm_tfidf": (True, True),
+    "wmd": (False, True),
+    "wmd_tfidf": (False, True),
+    "scm_decontextualized": (True, False),
+    "scm_decontextualized_tfidf": (True, False),
+    "wmd_decontextualized": (False, False),
+    "wmd_decontextualized_tfidf": (False, False),
+    "wmd_contextual": (False, False),
+    "wmd_contextual_tfidf": (False, False),
+    "compositionality": (False, False),
+    "bleu": (True, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(METRIC_DIRECTIONS))
+def test_metric_table_entry_matches_its_name(name):
+    info = METRICS[name]
+    assert info.family in ("scm", "wmd", "bleu", "compositionality")
+    assert info.space in ("words", "pieces", "contextual", "none")
+    assert info.weighting in ("nnx", "nfx")
+    assert name.startswith(info.family)
+    assert ("_decontextualized" in name) == (info.space == "pieces")
+    assert ("_contextual" in name) == (info.space == "contextual")
+    assert name.endswith("_tfidf") == (info.weighting == "nfx")
+    assert (info.higher_is_better, info.reference_only) == METRIC_DIRECTIONS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +686,6 @@ def identity_fixture():
 
 def test_score_segment_identity_values():
     segment, config, resources = identity_fixture()
-    validate_resources(config, resources, [segment])
     vector = score_segment(segment, config, resources)
     assert set(vector.scores) == set(ALL_METRICS)
     assert vector.flags == {}
@@ -694,33 +723,6 @@ def test_score_segment_source_based_anchor():
     x = transition_graph(["DET", "NOUN"])
     y = transition_graph(["DET", "NOUN", "VERB"])
     assert vector.scores["compositionality"] == compositionality(x, y)
-
-
-def test_validate_resources_collects_problems():
-    segment, config, _ = identity_fixture()
-    with pytest.raises(ConfigError) as err:
-        validate_resources(config, Resources(), [segment])
-    message = str(err.value)
-    assert "static embeddings" in message
-    assert "contextual record file" in message
-    assert "wordpiece vocabulary" in message
-    assert "similarity matrix" in message
-
-
-def test_validate_resources_needs_pos_tags():
-    _, _, resources = identity_fixture()
-    config = MetricConfig(mode="reference_based", metrics=("compositionality",))
-    plain = make_segment()  # no tags
-    with pytest.raises(ConfigError, match="pos"):
-        validate_resources(config, resources, [plain])
-
-
-def test_validate_resources_needs_references():
-    _, _, resources = identity_fixture()
-    config = MetricConfig(mode="reference_based", metrics=("bleu",))
-    no_ref = make_segment(reference=None)
-    with pytest.raises(ConfigError, match="no reference"):
-        validate_resources(config, resources, [no_ref])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,20 @@ def test_build_resources_reports_missing_paths_together():
     assert "static_embeddings" in message
     assert "contextual_records" in message
     assert "wordpiece_vocab" in message
+
+
+def test_build_resources_needs_pos_tags():
+    config = MetricConfig(mode="reference_based", metrics=("compositionality",), reg_base=False)
+    with pytest.raises(ConfigError, match="pos"):
+        build_resources(config, make_dataset())  # no tags
+
+
+def test_build_resources_needs_references():
+    dataset = make_dataset()
+    dataset.segments[2] = replace(dataset.segments[2], reference=None)
+    config = MetricConfig(mode="reference_based", metrics=("bleu",), reg_base=False)
+    with pytest.raises(ConfigError, match="no reference"):
+        build_resources(config, dataset)
 
 
 def test_score_features_shape_and_flags(tiny_run):
