@@ -19,7 +19,7 @@ import numpy as np
 from mteval.corpus import Segment
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.errors import ConfigError, DataError
-from mteval.flow import FlowSolution, solve_transport, solve_transport_batch
+from mteval.flow import CHUNK_CELLS, FlowSolution, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
 from mteval.vsm import (
     DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K, SimilarityMatrix, Vocabulary, WeightedBow, bow_nfx, bow_nnx
@@ -506,13 +506,13 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
 
     Unscorable metrics score NaN and carry a flag naming the reason;
     resource completeness is the caller's responsibility (`build_resources`
-    checks it for a run).  The WMD metrics first collect each segment's
-    transport problem left after pre-matching; one solve_transport_batch
-    call then solves them all.
+    checks it for a run).  The WMD metrics collect each segment's transport
+    problem left after pre-matching; a solve_transport_batch call solves the
+    pending ones whenever they reach CHUNK_CELLS cells, and at the end.
     """
     vectors = []
-    pending = []  # (scores of one segment, metric, transport problem)
-    for segment in segments:
+    pending, cells = [], 0  # (scores of one segment, metric, transport problem); their cost cells
+    for count, segment in enumerate(segments, start=1):
         scores: dict[str, float] = {}
         flags: dict[str, str] = {}
         anchor_text = getattr(segment, config.anchor_side)
@@ -528,11 +528,14 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
                 value = float("nan")
             if isinstance(value, tuple):
                 pending.append((scores, name, value))
+                cells += value[2].size
                 value = float("nan")
             scores[name] = value
         vectors.append(MetricVector(segment_id=segment.id, scores=scores, flags=flags))
-    for (scores, name, _), solution in zip(pending, solve_transport_batch([p for _, _, p in pending])):
-        scores[name] = solution.cost
+        if cells >= CHUNK_CELLS or count == len(segments):
+            for (scores, name, _), solution in zip(pending, solve_transport_batch([p for _, _, p in pending])):
+                scores[name] = solution.cost
+            pending, cells = [], 0
     return vectors
 
 

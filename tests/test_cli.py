@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import mteval.embeddings
 import mteval.evaluation
 from mteval.cli import build_parser, main
 from mteval.config import load_run_config
@@ -435,6 +436,19 @@ def test_demo_outputs_are_pinned(tmp_path):
         if path.is_file()
     }
     assert got == DEMO_SHA256
+
+
+def test_crosslingual_parses_the_shared_vectors_file_once(tmp_path, monkeypatch):
+    # both demo configs name vectors.txt; the eval side reads the fit side's cache entry
+    parsed = []
+    parse = mteval.embeddings._parse_vectors
+    monkeypatch.setattr(mteval.embeddings, "_parse_vectors", lambda path, *args: parsed.append(path) or parse(path, *args))
+    fit, report = DEMO_DATA / "run_deen.json", DEMO_DATA / "run_sven.json"
+    argv = ["crosslingual", "--fit-config", str(fit), "--eval-config", str(report), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert parsed == [DEMO_DATA / "vectors.txt"]
+    digest = hashlib.sha256((tmp_path / "crosslingual.tsv").read_bytes()).hexdigest()
+    assert digest == DEMO_SHA256["crosslingual/crosslingual.tsv"]
 
 
 def test_malformed_dataset_exits_two(tmp_path, capsys):

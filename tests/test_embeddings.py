@@ -1,13 +1,17 @@
+import io
 import logging
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mteval import embeddings
 from mteval.embeddings import (
     ContextualRecord,
+    EmbeddingStore,
     cosine,
     decontextualize,
     group_records,
@@ -487,3 +491,208 @@ def test_group_records_sorted_by_token_index():
     groups = group_records(records)
     assert set(groups) == {("s1", "source"), ("s1", "hypothesis")}
     assert [r.token for r in groups[("s1", "source")]] == ["a", "b", "c"]
+
+
+# ---------------------------------------------------------------------------
+# the parsed-vector cache
+# ---------------------------------------------------------------------------
+
+# a duplicate token and a header count mismatch (two warnings), a trailing NUL,
+# a character outside the BMP, a subnormal value and a 64-bit token index
+CACHE_FILES = {
+    load_static: ("vectors.txt", "3 2\ncat\x00 1.5 -0.25\n\U0001d518x 0.0 1e-320\ncat\x00 2.0 3.0 \n"),
+    load_contextual: (
+        "ctx.tsv",
+        CONTEXTUAL_HEADER + "s\x00\U0001d518\tsource\t0\tcat\x00\t1.5 -0.25\n\ns1\thypothesis\t4294967296\t\U0001d518x\t0.0 1e-320\n",
+    ),
+}
+CACHE_TOKENS = ["cat\x00", "\U0001d518x"]
+
+
+def write_cache_case(tmp_path, load, old="", new=""):
+    name, text = CACHE_FILES[load]
+    path = tmp_path / name
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return path
+
+
+def cached_load(load, path, caplog):
+    """(bits of what ``load(path)`` returned, or its DataError text; warnings; its one cache line)."""
+    caplog.clear()
+    with caplog.at_level("INFO", logger="mteval.embeddings"):
+        try:
+            loaded = load(path)
+        except DataError as exc:
+            loaded = str(exc)
+    if isinstance(loaded, EmbeddingStore):
+        loaded = (loaded.dim, [(token, v.dtype.str, v.shape, v.tobytes()) for token, v in loaded.table.items()])
+    elif not isinstance(loaded, str):
+        loaded = [(r.segment_id, r.side, r.token_index, r.token, r.vector.dtype.str, r.vector.tobytes()) for r in loaded]
+    warned = [record.getMessage() for record in caplog.records if record.levelno >= logging.WARNING]
+    cache_lines = [message for message in caplog.messages if "vector cache" in message]
+    assert len(cache_lines) <= 1, cache_lines
+    return loaded, warned, cache_lines[0] if cache_lines else None
+
+
+def cache_entries(cache_home):
+    return sorted(path.name for path in (cache_home / "mteval").glob("*"))
+
+
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_hit_is_the_parse_bit_for_bit(tmp_path, cache_home, caplog, load):
+    path = write_cache_case(tmp_path, load)
+    miss = cached_load(load, path, caplog)
+    (entry,) = cache_entries(cache_home)
+    hit = cached_load(load, path, caplog)
+    assert miss[2] == f"{path}: vector cache miss, {cache_home / 'mteval' / entry} written"
+    assert hit[2] == f"{path}: vector cache hit, {cache_home / 'mteval' / entry}"
+    assert hit[:2] == miss[:2]
+    assert len(miss[1]) == (2 if load is load_static else 0)
+    tokens = [row[0] for row in miss[0][1]] if load is load_static else [row[3] for row in miss[0]]
+    assert tokens == CACHE_TOKENS
+    if load is load_contextual:
+        assert [row[:3] for row in hit[0]] == [("s\x00\U0001d518", "source", 0), ("s1", "hypothesis", 2**32)]
+    assert entry.startswith("static-" if load is load_static else "contextual-") and entry.endswith(".npy")
+
+
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_misses_on_one_changed_byte(tmp_path, cache_home, caplog, load):
+    first = cached_load(load, write_cache_case(tmp_path, load), caplog)
+    changed = cached_load(load, write_cache_case(tmp_path, load, "1e-320", "2e-320"), caplog)
+    assert "cache miss" in changed[2] and len(cache_entries(cache_home)) == 2
+    assert changed[0] != first[0]
+    assert cached_load(load, write_cache_case(tmp_path, load), caplog)[0] == first[0]
+
+
+VALUES, ITEMS0, OFFSETS0 = 1, 2, 3  # positions in an entry: line numbers, values, then the item fields
+
+
+def read_arrays(entry):
+    arrays, size = [], entry.stat().st_size
+    with open(entry, "rb") as handle:
+        while handle.tell() < size:
+            arrays.append(np.load(handle))
+    return arrays
+
+
+def save_arrays(arrays, changes):
+    buffer = io.BytesIO()
+    for i, array in enumerate(arrays):
+        np.save(buffer, changes.get(i, array))
+    return buffer.getvalue()
+
+
+def truncate(arrays, raw):
+    return raw[: len(raw) // 2]
+
+
+def garbage(arrays, raw):
+    return b"not a cache entry"
+
+
+def trailing_bytes(arrays, raw):
+    return raw + b"\0"
+
+
+def wrong_width(arrays, raw):  # a static file's header declares the width; a contextual one does not
+    return save_arrays(arrays, {VALUES: arrays[VALUES][:, :1].copy()})
+
+
+def missing_row(arrays, raw):
+    return save_arrays(arrays, {VALUES: arrays[VALUES][:-1]})
+
+
+def non_finite(arrays, raw):
+    values = arrays[VALUES].copy()
+    values[-1, -1] = np.inf
+    return save_arrays(arrays, {VALUES: values})
+
+
+def short_items(arrays, raw):
+    return save_arrays(arrays, {OFFSETS0: arrays[OFFSETS0][:-1]})
+
+
+def pickled_items(arrays, raw):
+    return save_arrays(arrays, {ITEMS0: np.array([object()], dtype=object)})
+
+
+SPOILS = [truncate, garbage, trailing_bytes, wrong_width, missing_row, non_finite, short_items, pickled_items]
+
+
+@pytest.mark.parametrize(
+    ("load", "spoil"),
+    [(load, spoil) for load in CACHE_FILES for spoil in SPOILS if (load, spoil) != (load_contextual, wrong_width)],
+    ids=lambda value: value.__name__,
+)
+def test_vector_cache_spoiled_entry_is_a_miss_and_rewritten(tmp_path, cache_home, caplog, load, spoil):
+    path = write_cache_case(tmp_path, load)
+    want = cached_load(load, path, caplog)
+    (entry,) = (cache_home / "mteval").glob("*.npy")
+    entry.write_bytes(spoil(read_arrays(entry), entry.read_bytes()))
+    got = cached_load(load, path, caplog)
+    assert got[:2] == want[:2]
+    assert got[2].startswith(f"{path}: vector cache miss (") and got[2].endswith(f", {entry} written")
+    assert cached_load(load, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
+    assert cache_entries(cache_home) == [entry.name]
+
+
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_that_cannot_be_written_still_loads(tmp_path, cache_home, caplog, monkeypatch, load):
+    path = write_cache_case(tmp_path, load)
+    want = cached_load(load, path, caplog)
+    blocked = tmp_path / "not-a-directory"
+    blocked.write_text("", encoding="utf-8")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocked))
+    for _ in range(2):
+        got = cached_load(load, path, caplog)
+        assert got[:2] == want[:2]
+        assert "cache miss" in got[2] and " not written: " in got[2]
+    assert blocked.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_keys_an_entry_by_the_bytes_it_parsed(tmp_path, cache_home, caplog, monkeypatch, load):
+    path = write_cache_case(tmp_path, load)
+    parse = embeddings._parse_vectors
+
+    def change_then_parse(*args):  # the file changes after the lookup, before the parse
+        write_cache_case(tmp_path, load, "1e-320", "2e-320")
+        return parse(*args)
+
+    monkeypatch.setattr(embeddings, "_parse_vectors", change_then_parse)
+    changed = cached_load(load, path, caplog)
+    monkeypatch.setattr(embeddings, "_parse_vectors", parse)
+    again = cached_load(load, path, caplog)
+    assert again[0] == changed[0] and again[2].startswith(f"{path}: vector cache hit, ")
+    original = cached_load(load, write_cache_case(tmp_path, load), caplog)
+    assert "cache miss" in original[2] and original[0] != changed[0]
+    assert len(cache_entries(cache_home)) == 2
+
+
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_misses_when_the_row_rule_changes(tmp_path, cache_home, caplog, monkeypatch, load):
+    path = write_cache_case(tmp_path, load)
+    first = cached_load(load, path, caplog)
+    source = Path(embeddings.__file__)
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for name in ("embeddings.py", "errors.py"):
+        (copy / name).write_bytes(source.with_name(name).read_bytes())
+    monkeypatch.setattr(embeddings, "__file__", str(copy / "embeddings.py"))
+    assert "cache hit" in cached_load(load, path, caplog)[2]  # the same source elsewhere
+    with open(copy / "errors.py", "a", encoding="utf-8") as errors:
+        errors.write("# another revision of the row rule\n")
+    changed = cached_load(load, path, caplog)
+    assert "cache miss" in changed[2] and changed[:2] == first[:2]
+    assert len(cache_entries(cache_home)) == 2
+
+
+@pytest.mark.parametrize(("value", "fault"), [("abc", "non-numeric"), ("inf", "non-finite"), ("1e400", "non-finite")])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_never_keeps_a_faulty_file(tmp_path, cache_home, caplog, load, value, fault):
+    path = write_cache_case(tmp_path, load, "1e-320", value)
+    line = 3 if load is load_static else 4
+    first = cached_load(load, path, caplog)
+    assert first[0] == f"{path}:{line}: {fault} vector component"
+    assert cached_load(load, path, caplog)[:2] == first[:2]
+    assert cache_entries(cache_home) == []

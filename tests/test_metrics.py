@@ -20,13 +20,14 @@ from mteval.metrics import (
     reg_base_features,
     scm,
     score_segment,
+    score_segments,
     sentence_bleu,
     transition_graph,
     wmd,
     wmd_contextual,
 )
 import mteval.metrics as metrics_module
-from mteval.flow import solve_transport
+from mteval.flow import solve_transport, solve_transport_batch
 from mteval.metrics import MetricVector, _soft_quadratic, _transport_cost
 from mteval.tokenization import WordPieceVocab
 from mteval.vsm import (
@@ -643,7 +644,7 @@ ALL_METRICS = tuple(METRICS)
 
 def identity_fixture():
     segment = make_segment(
-        pos_source=("DET", "NOUN"),
+        pos_source=("NOUN", "NOUN"),
         pos_reference=("DET", "NOUN", "VERB"),
         pos_hypothesis=("DET", "NOUN", "VERB"),
     )
@@ -719,10 +720,33 @@ def test_score_segment_source_based_anchor():
     vector = score_segment(segment, config, resources)
     # source "der hund" vs identical-vector hypothesis tokens is a real flow
     assert vector.scores["wmd_contextual"] > 0.0
-    # source tags DET,NOUN vs hypothesis DET,NOUN,VERB
-    x = transition_graph(["DET", "NOUN"])
+    # source tags NOUN,NOUN vs hypothesis DET,NOUN,VERB; the source's
+    # self-transition scores 1.0 where the reference tags would score 0.0
+    x = transition_graph(["NOUN", "NOUN"])
     y = transition_graph(["DET", "NOUN", "VERB"])
-    assert vector.scores["compositionality"] == compositionality(x, y)
+    assert vector.scores["compositionality"] == compositionality(x, y) == 1.0
+
+
+def test_score_segments_solves_pending_problems_every_chunk_cells(monkeypatch):
+    _, _, resources = identity_fixture()
+    hypotheses = ["der hund runs", "the hund", "dog der the", "runs runs hund", "hund the dog"]
+    segments = [make_segment(id=f"s{i}", hypothesis=hypothesis) for i, hypothesis in enumerate(hypotheses)]
+    config = MetricConfig(mode="reference_based", metrics=("wmd", "wmd_tfidf"))
+    calls = []
+
+    def counted(problems):
+        calls.append(len(problems))
+        return solve_transport_batch(problems)
+
+    monkeypatch.setattr("mteval.metrics.solve_transport_batch", counted)
+    want = score_segments(segments, config, resources)
+    assert [count for count in calls if count] == [2 * len(segments)]
+    calls.clear()
+    monkeypatch.setattr("mteval.metrics.CHUNK_CELLS", 5)
+    got = score_segments(segments, config, resources)
+    assert len([count for count in calls if count]) > 1 and sum(calls) == 2 * len(segments)  # each problem solved once
+    assert [vector.scores for vector in got] == [vector.scores for vector in want]
+    assert all(value > 0.0 for vector in got for value in vector.scores.values())
 
 
 # ---------------------------------------------------------------------------
