@@ -45,14 +45,7 @@ def demo_full_protocol():
     print("\n2. the full protocol on the bundled de-en toy corpus")
     config = load_run_config(DATA / "run_deen.json")
     dataset = load_dataset(config.dataset_path, config.dataset_format)
-    resources = build_resources(
-        config.metric_config,
-        dataset,
-        static_path=config.static_path,
-        contextual_path=config.contextual_path,
-        wordpiece_vocab_path=config.wordpiece_vocab_path,
-        external_scores_path=config.external_scores_path,
-    )
+    resources = build_resources(config.metric_config, dataset, config.resources)
     result = evaluate_dataset(
         dataset,
         config.metric_config,

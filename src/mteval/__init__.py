@@ -10,7 +10,7 @@ ablation.
 """
 
 from mteval.corpus import Dataset, GoldScore, Segment, average_judgements, load_dataset, split_by_source
-from mteval.embeddings import ContextualRecord, EmbeddingStore, cosine, decontextualize, load_static
+from mteval.embeddings import ContextualRecord, EmbeddingStore, decontextualize, load_static
 from mteval.ensemble import (
     EnsembleModel,
     FeatureMatrix,
@@ -72,7 +72,6 @@ __all__ = [
     "build_vocabulary",
     "compositionality",
     "correlation_report",
-    "cosine",
     "cross_lingual_eval",
     "decontextualize",
     "fit_linear",

@@ -70,15 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_run(config: RunConfig):
     dataset = load_dataset(config.dataset_path, config.dataset_format)
-    resources = build_resources(
-        config.metric_config,
-        dataset,
-        static_path=config.static_path,
-        contextual_path=config.contextual_path,
-        wordpiece_vocab_path=config.wordpiece_vocab_path,
-        external_scores_path=config.external_scores_path,
-    )
-    return dataset, resources
+    return dataset, build_resources(config.metric_config, dataset, config.resources)
 
 
 def _out_dir(args, config: RunConfig) -> Path:

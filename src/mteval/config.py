@@ -37,6 +37,7 @@ from pathlib import Path
 
 from mteval.errors import ConfigError, utf8_loader
 from mteval.metrics import METRICS, MODES, MetricConfig
+from mteval.pipeline import RESOURCE_KEYS
 from mteval.vsm import DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K
 
 __all__ = ["RunConfig", "load_run_config"]
@@ -55,7 +56,6 @@ _TOP_KEYS = {
     "mlp",
     "output_dir",
 }
-_RESOURCE_KEYS = {"static_embeddings", "contextual_records", "wordpiece_vocab", "external_scores"}
 _SPLIT_KEYS = {"ratio", "seed"}
 #: section -> key -> (integers only, open interval of valid values); real values are compared as floats
 _RANGES = {
@@ -74,10 +74,7 @@ class RunConfig:
     seed: int
     metric_config: MetricConfig
     dataset_format: str | None = None
-    static_path: Path | None = None
-    contextual_path: Path | None = None
-    wordpiece_vocab_path: Path | None = None
-    external_scores_path: Path | None = None
+    resources: dict[str, Path] = field(default_factory=dict)  # resource key -> resolved path
     split_ratio: float = 0.8
     mlp_options: dict = field(default_factory=dict)
     output_dir: Path | None = None
@@ -106,7 +103,7 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
     sections: dict[str, dict] = {}
     for key, allowed in (
         ("similarity", _RANGES["similarity"]),
-        ("resources", _RESOURCE_KEYS),
+        ("resources", RESOURCE_KEYS),
         ("split", _SPLIT_KEYS),
         ("mlp", _RANGES["mlp"]),
     ):
@@ -163,7 +160,7 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
         problems.append(f"'output_dir' must be a nonempty path string, got {output_dir!r}")
 
     for key, value in resources.items():
-        if key in _RESOURCE_KEYS and (not isinstance(value, str) or not value):
+        if key in RESOURCE_KEYS and (not isinstance(value, str) or not value):
             problems.append(f"'resources.{key}' must be a nonempty path string")
 
     metric_config = None
@@ -185,19 +182,12 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
     if problems:
         raise ConfigError(f"{where}: invalid configuration:\n  - " + "\n  - ".join(problems))
 
-    def resolve(key: str) -> Path | None:
-        value = resources.get(key)
-        return (base_dir / value) if value else None
-
     return RunConfig(
         dataset_path=base_dir / dataset,
         seed=seed,
         metric_config=metric_config,
         dataset_format=fmt,
-        static_path=resolve("static_embeddings"),
-        contextual_path=resolve("contextual_records"),
-        wordpiece_vocab_path=resolve("wordpiece_vocab"),
-        external_scores_path=resolve("external_scores"),
+        resources={key: base_dir / value for key, value in resources.items()},
         split_ratio=float(split.get("ratio", 0.8)),
         mlp_options=dict(sections.get("mlp", {})),
         output_dir=(base_dir / output_dir) if output_dir is not None else None,

@@ -146,7 +146,8 @@ def load_dataset(path: str | Path, format: str | None = None, name: str | None =
 
     ``format`` is "tsv" or "json"; when omitted it is taken from the file
     suffix.  Row order is preserved.  Malformed rows raise DataError naming
-    the offending line; duplicate ids raise DataError.
+    the offending line; duplicate ids and a file with no segments raise
+    DataError.
     """
     path = Path(path)
     if format is None:
@@ -159,6 +160,8 @@ def load_dataset(path: str | Path, format: str | None = None, name: str | None =
         segments = _load_json(path)
     else:
         raise DataError(f"unsupported dataset format {format!r} (expected tsv or json)")
+    if not segments:
+        raise DataError(f"{path}: no segments")
     return Dataset(segments=segments, name=name)
 
 

@@ -319,19 +319,6 @@ def decontextualize(records: Sequence[ContextualRecord]) -> EmbeddingStore:
     return EmbeddingStore(dim=dim, table=table)
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, with zero vectors mapped to 0.0 instead of NaN."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError(f"vector length mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def group_records(records: Iterable[ContextualRecord]) -> dict[tuple[str, str], list[ContextualRecord]]:
     """Index records by (segment_id, side), each group sorted by token_index."""
     groups: dict[tuple[str, str], list[ContextualRecord]] = {}

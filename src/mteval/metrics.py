@@ -198,25 +198,22 @@ class MetricVector:
 class Resources:
     """Loaded artifacts the configured metrics draw on.
 
-    ``sims`` is keyed by (term space, processing order) with term space
-    "words" (whitespace tokens + static vectors) or "pieces" (WordPiece
-    tokens + decontextualized vectors) and order "vocabulary" or
-    "idf_descending".  ``contextual_vocab`` carries document frequencies of
-    token strings over the contextual record file, one document per
-    (segment, side) group.
+    ``vocabs``, ``stores`` and ``sims`` are keyed by term space: "words"
+    (whitespace tokens + static vectors), "pieces" (WordPiece tokens +
+    decontextualized vectors) and, for ``vocabs`` only, "contextual"
+    (document frequencies of token strings over the contextual record file,
+    one document per (segment, side) group).  ``sims`` adds the processing
+    order, "vocabulary" or "idf_descending", to its key.
 
     `tokens` and `bag` memoize per side text, so the vocabulary build, the
     metrics and the Reg-base features tokenize each distinct side once and
     bag it once per (term space, weighting).
     """
 
-    static_store: EmbeddingStore | None = None
     wp_vocab: WordPieceVocab | None = None
-    decon_store: EmbeddingStore | None = None
     contextual_groups: dict[tuple[str, str], list[ContextualRecord]] | None = None
-    contextual_vocab: Vocabulary | None = None
-    vocab_words: Vocabulary | None = None
-    vocab_pieces: Vocabulary | None = None
+    vocabs: dict[str, Vocabulary] = field(default_factory=dict)
+    stores: dict[str, EmbeddingStore] = field(default_factory=dict)
     sims: dict[tuple[str, str], SimilarityMatrix] = field(default_factory=dict)
     external: dict[str, dict[str, float]] = field(default_factory=dict)
     _memo: dict[tuple[str, ...], object] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -231,9 +228,8 @@ class Resources:
     def bag(self, space: str, weighting: str, text: str, lowercase: bool = False) -> WeightedBow:
         """nnx or nfx bag of one side text over the term space's vocabulary."""
         text = text.lower() if lowercase else text
-        vocab = self.vocab_words if space == "words" else self.vocab_pieces
         make_bow = bow_nfx if weighting == "nfx" else bow_nnx
-        return self._memoized((space, weighting, text), lambda: make_bow(self.tokens(space, text), vocab))
+        return self._memoized((space, weighting, text), lambda: make_bow(self.tokens(space, text), self.vocabs[space]))
 
     def _memoized(self, key: tuple[str, ...], compute):
         value = self._memo.get(key)
@@ -452,15 +448,13 @@ def _ngrams(tokens: list[str], n: int):
     return zip(*(tokens[i:] for i in range(n)))
 
 
-def reg_base_features(
-    segment: Segment, vocab: WordPieceVocab | Resources, mode: str, lowercase: bool = False
-) -> np.ndarray:
+def reg_base_features(segment: Segment, resources: Resources, mode: str, lowercase: bool = False) -> np.ndarray:
     """Four surface features: character lengths and WordPiece counts.
 
     Order matches REG_BASE_FEATURES: anchor chars, hypothesis chars, anchor
     piece count, hypothesis piece count, where the anchor is the reference
-    (reference_based) or the source (source_based).  ``vocab`` is the
-    WordPiece vocabulary, or a run's Resources to reuse its tokenization.
+    (reference_based) or the source (source_based).  Pieces come from
+    ``resources.wp_vocab``, through the run's tokenization memo.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
@@ -471,7 +465,6 @@ def reg_base_features(
     else:
         anchor = segment.source
     hyp = segment.hypothesis
-    resources = vocab if isinstance(vocab, Resources) else Resources(wp_vocab=vocab)
     return np.array(
         [
             float(len(anchor)),
@@ -571,17 +564,13 @@ def _compute_metric(
         groups = resources.contextual_groups or {}
         rx = groups.get((segment.id, config.anchor_side), [])
         ry = groups.get((segment.id, "hypothesis"), [])
-        return _transport_problem(*_contextual_sides(rx, ry, info.weighting, resources.contextual_vocab)), None
+        return _transport_problem(*_contextual_sides(rx, ry, info.weighting, resources.vocabs.get(info.space))), None
 
     # remaining metrics are bag-of-words over static (words) or decontextualized (pieces) vectors
-    if info.space == "pieces":
-        vocab, store = resources.vocab_pieces, resources.decon_store
-    else:
-        vocab, store = resources.vocab_words, resources.static_store
     x = resources.bag(info.space, info.weighting, anchor_text, config.lowercase)
     y = resources.bag(info.space, info.weighting, segment.hypothesis, config.lowercase)
     if info.family == "scm":
         if x.is_zero() or y.is_zero():
             return 0.0, EMPTY_BOW_FLAG
         return scm(x, y, resources.sims[info.similarity_key]), None
-    return _transport_problem(*_wmd_sides(x, y, store, vocab)), None
+    return _transport_problem(*_wmd_sides(x, y, resources.stores[info.space], resources.vocabs[info.space])), None

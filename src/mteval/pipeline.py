@@ -33,6 +33,7 @@ from mteval.vsm import build_similarity_matrix, build_vocabulary, similarity_can
 
 __all__ = [
     "RESERVED_FEATURE_NAMES",
+    "RESOURCE_KEYS",
     "SplitFeatures",
     "assemble_features",
     "build_resources",
@@ -45,7 +46,9 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: The run-config resource paths each term space reads
+#: The run config's resource keys, in the order their missing paths are reported
+RESOURCE_KEYS = ("static_embeddings", "wordpiece_vocab", "contextual_records", "external_scores")
+#: The resource keys each term space reads
 _SPACE_PATHS = {
     "words": ("static_embeddings",),
     "pieces": ("contextual_records", "wordpiece_vocab"),
@@ -94,34 +97,26 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
     return scores
 
 
-def build_resources(
-    config: MetricConfig,
-    dataset: Dataset,
-    static_path: str | Path | None = None,
-    contextual_path: str | Path | None = None,
-    wordpiece_vocab_path: str | Path | None = None,
-    external_scores_path: str | Path | None = None,
-) -> Resources:
+def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str | Path] | None = None) -> Resources:
     """Check what the run needs, then load only that and precompute vocabularies / similarity matrices.
 
-    Missing required paths and segments the configured metrics cannot score
-    are all reported in one ConfigError, before any file is read.
+    ``paths`` maps resource keys (`RESOURCE_KEYS`, as in a run config) to
+    files.  Unknown keys, missing required paths and segments the configured
+    metrics cannot score are all reported in one ConfigError, before any
+    file is read.
     """
+    paths = paths or {}
     needed: dict[str, list[str]] = {}  # path key -> the metrics (and reg_base) needing it
     for name in config.metrics:
         for key in _SPACE_PATHS[METRICS[name].space]:
             needed.setdefault(key, []).append(name)
     if config.reg_base:
         needed.setdefault("wordpiece_vocab", []).append("reg_base")
-    paths = {
-        "static_embeddings": static_path,
-        "wordpiece_vocab": wordpiece_vocab_path,
-        "contextual_records": contextual_path,
-    }
-    problems = [
+    problems = [f"unknown resource key {key!r}" for key in paths if key not in RESOURCE_KEYS]
+    problems += [
         f"{key} path required by: " + ", ".join(needed[key])
-        for key, path in paths.items()
-        if key in needed and path is None
+        for key in RESOURCE_KEYS
+        if key in needed and paths.get(key) is None
     ]
     if "compositionality" in config.metrics:
         anchor_field = f"pos_{config.anchor_side}"
@@ -139,30 +134,27 @@ def build_resources(
         raise ConfigError("configuration problems:\n  - " + "\n  - ".join(problems))
 
     resources = Resources()
-    if wordpiece_vocab_path is not None:
-        resources.wp_vocab = load_wordpiece_vocab(wordpiece_vocab_path)
-
+    if paths.get("wordpiece_vocab") is not None:
+        resources.wp_vocab = load_wordpiece_vocab(paths["wordpiece_vocab"])
     if "static_embeddings" in needed:
-        resources.static_store = load_static(static_path)
-        resources.vocab_words = build_vocabulary(_side_documents(dataset, resources, "words", config.lowercase))
-
+        resources.stores["words"] = load_static(paths["static_embeddings"])
     if "contextual_records" in needed:
-        records = load_contextual(contextual_path)
+        records = load_contextual(paths["contextual_records"])
         resources.contextual_groups = group_records(records)
         group_docs = [
             [record.token for record in resources.contextual_groups[key]]
             for key in sorted(resources.contextual_groups)
         ]
-        resources.contextual_vocab = build_vocabulary(group_docs)
+        resources.vocabs["contextual"] = build_vocabulary(group_docs)
         if any(METRICS[name].space == "pieces" for name in config.metrics):
-            resources.decon_store = decontextualize(records)
-            resources.vocab_pieces = build_vocabulary(_side_documents(dataset, resources, "pieces", config.lowercase))
+            resources.stores["pieces"] = decontextualize(records)
+    for space in resources.stores:
+        resources.vocabs[space] = build_vocabulary(_side_documents(dataset, resources, space, config.lowercase))
 
     similarity = (config.similarity_threshold, config.similarity_exponent, config.similarity_top_k)
     candidates = {}  # both orders of a term space share one ranking of every term's partners
     for space, order in sorted({METRICS[name].similarity_key for name in config.metrics} - {None}):
-        vocab = resources.vocab_words if space == "words" else resources.vocab_pieces
-        store = resources.static_store if space == "words" else resources.decon_store
+        vocab, store = resources.vocabs[space], resources.stores[space]
         if space not in candidates:
             candidates[space] = similarity_candidates(vocab, store, *similarity)
         logger.info("building %s-order similarity matrix over %d %s terms", order, len(vocab.terms), space)
@@ -170,8 +162,8 @@ def build_resources(
             vocab, store, order, *similarity, candidates=candidates[space]
         )
 
-    if external_scores_path is not None:
-        resources.external = load_external_scores(external_scores_path)
+    if paths.get("external_scores") is not None:
+        resources.external = load_external_scores(paths["external_scores"])
         native = set(config.metrics) | set(REG_BASE_FEATURES)
         clash = native & set(resources.external)
         if clash:

@@ -247,8 +247,7 @@ def identity_fixture():
         },
     )
     side_docs = [["der", "hund"], ["the", "dog", "runs"], ["the", "dog", "runs"]]
-    vocab_words = build_vocabulary(side_docs)
-    vocab_pieces = build_vocabulary(side_docs)  # every word is a single piece
+    vocabs = {"words": build_vocabulary(side_docs), "pieces": build_vocabulary(side_docs)}  # every word is a single piece
     records = []
     for side, tokens in (
         ("source", ["der", "hund"]),
@@ -262,20 +261,17 @@ def identity_fixture():
                 )
             )
     groups = group_records(records)
-    contextual_vocab = build_vocabulary([[r.token for r in groups[key]] for key in sorted(groups)])
-    decon = decontextualize(records)
+    vocabs["contextual"] = build_vocabulary([[r.token for r in groups[key]] for key in sorted(groups)])
+    stores = {"words": static, "pieces": decontextualize(records)}
     sims = {}
-    for space, vocab, store in (("words", vocab_words, static), ("pieces", vocab_pieces, decon)):
+    for space in stores:
         for order in ("vocabulary", "idf_descending"):
-            sims[(space, order)] = build_similarity_matrix(vocab, store, order=order)
+            sims[(space, order)] = build_similarity_matrix(vocabs[space], stores[space], order=order)
     resources = Resources(
-        static_store=static,
         wp_vocab=WordPieceVocab(entries=("[UNK]", "the", "dog", "runs", "der", "hund")),
-        decon_store=decon,
         contextual_groups=groups,
-        contextual_vocab=contextual_vocab,
-        vocab_words=vocab_words,
-        vocab_pieces=vocab_pieces,
+        vocabs=vocabs,
+        stores=stores,
         sims=sims,
     )
     return segment, config, resources

@@ -458,6 +458,17 @@ def test_malformed_dataset_exits_two(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(("name", "text"), [("data.tsv", HEADER + "\n"), ("data.json", "[]\n")], ids=["tsv", "json"])
+def test_empty_dataset_exits_two(tmp_path, capsys, name, text):
+    config = write_run(tmp_path)
+    (tmp_path / name).write_text(text, encoding="utf-8")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["dataset"] = name
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["score", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"data error: {tmp_path / name}: no segments"]
+
+
 def test_missing_input_file_exits_two(tmp_path, capsys):
     config = write_run(tmp_path)
     (tmp_path / "static.txt").unlink()
@@ -501,7 +512,7 @@ def test_load_run_config_resolves_paths_relative_to_file(tmp_path):
     config = write_run(tmp_path)
     run = load_run_config(config)
     assert run.dataset_path == tmp_path / "data.tsv"
-    assert run.static_path == tmp_path / "static.txt"
+    assert run.resources == {"static_embeddings": tmp_path / "static.txt", "wordpiece_vocab": tmp_path / "vocab.txt"}
     assert run.output_dir == tmp_path / "out"
     assert run.seed == 11
     assert run.split_ratio == 0.8

@@ -12,7 +12,6 @@ from mteval import embeddings
 from mteval.embeddings import (
     ContextualRecord,
     EmbeddingStore,
-    cosine,
     decontextualize,
     group_records,
     load_contextual,
@@ -321,27 +320,6 @@ def test_load_contextual_matches_the_row_by_row_loader(tmp_path):
         seen["two faults"] += len(kinds) == 2
         seen["clean"] += isinstance(got, list) and len(got) > 0
     assert min(seen.values()) >= 10, seen
-
-
-def test_cosine_properties():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        u = rng.normal(size=6)
-        v = rng.normal(size=6)
-        c = cosine(u, v)
-        assert -1.0 - 1e-12 <= c <= 1.0 + 1e-12
-        assert cosine(u, v) == cosine(v, u)
-        # scaling either argument by a positive factor changes nothing
-        assert abs(cosine(3.0 * u, v) - c) < 1e-12
-    assert abs(cosine([1.0, 0.0], [1.0, 0.0]) - 1.0) < 1e-15
-    assert cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
-    assert abs(cosine([1.0, 0.0], [-1.0, 0.0]) + 1.0) < 1e-15
-
-
-def test_cosine_zero_vector_and_mismatch():
-    assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-    with pytest.raises(ValueError):
-        cosine([1.0], [1.0, 2.0])
 
 
 def record(seg, side, idx, token, vec):

@@ -47,7 +47,9 @@ def record_fields(records):
 
 def config_fields(config):
     # paths resolve against the config's own directory; compare what they name
-    return {key: value.name if isinstance(value, Path) else value for key, value in vars(config).items()}
+    fields = {key: value.name if isinstance(value, Path) else value for key, value in vars(config).items()}
+    fields["resources"] = {key: path.name for key, path in config.resources.items()}
+    return fields
 
 
 # (file name, demo file or literal text, loader, comparable view of the result)

@@ -531,22 +531,22 @@ def make_segment(**kwargs):
 
 def test_reg_base_features_direct_counts():
     segment = make_segment(source="ab", reference=None, hypothesis="abcd")
-    got = reg_base_features(segment, WP, mode="source_based")
+    got = reg_base_features(segment, Resources(wp_vocab=WP), mode="source_based")
     assert got.tolist() == [2.0, 4.0, 1.0, 1.0]
 
 
 def test_reg_base_features_multi_piece_tokens():
     segment = make_segment(source="unaffable", reference="ab", hypothesis="unaffable")
-    got = reg_base_features(segment, WP, mode="source_based")
+    got = reg_base_features(segment, Resources(wp_vocab=WP), mode="source_based")
     assert got.tolist() == [9.0, 9.0, 3.0, 3.0]
-    got = reg_base_features(segment, WP, mode="reference_based")
+    got = reg_base_features(segment, Resources(wp_vocab=WP), mode="reference_based")
     assert got.tolist() == [2.0, 9.0, 1.0, 3.0]
 
 
 def test_reg_base_features_missing_reference():
     segment = make_segment(reference=None)
     with pytest.raises(DataError):
-        reg_base_features(segment, WP, mode="reference_based")
+        reg_base_features(segment, Resources(wp_vocab=WP), mode="reference_based")
 
 
 # ---------------------------------------------------------------------------
@@ -659,27 +659,23 @@ def identity_fixture():
         }
     )
     side_docs = [["der", "hund"], ["the", "dog", "runs"], ["the", "dog", "runs"]]
-    vocab_words = build_vocabulary(side_docs)
-    vocab_pieces = build_vocabulary(side_docs)  # every word is a single piece in WP
+    vocabs = {"words": build_vocabulary(side_docs), "pieces": build_vocabulary(side_docs)}  # every word is a single piece in WP
     records = []
     for side, tokens in (("source", ["der", "hund"]), ("reference", ["the", "dog", "runs"]), ("hypothesis", ["the", "dog", "runs"])):
         for i, token in enumerate(tokens):
             records.append(ctx("s1", side, i, token, static[token] + 0.25))
     groups = group_records(records)
-    contextual_vocab = build_vocabulary([[r.token for r in groups[key]] for key in sorted(groups)])
-    decon = decontextualize(records)
+    vocabs["contextual"] = build_vocabulary([[r.token for r in groups[key]] for key in sorted(groups)])
+    stores = {"words": static, "pieces": decontextualize(records)}
     sims = {}
-    for space, vocab, store in (("words", vocab_words, static), ("pieces", vocab_pieces, decon)):
+    for space in stores:
         for order in ("vocabulary", "idf_descending"):
-            sims[(space, order)] = build_similarity_matrix(vocab, store, order=order)
+            sims[(space, order)] = build_similarity_matrix(vocabs[space], stores[space], order=order)
     resources = Resources(
-        static_store=static,
         wp_vocab=WP,
-        decon_store=decon,
         contextual_groups=groups,
-        contextual_vocab=contextual_vocab,
-        vocab_words=vocab_words,
-        vocab_pieces=vocab_pieces,
+        vocabs=vocabs,
+        stores=stores,
         sims=sims,
     )
     return segment, config, resources

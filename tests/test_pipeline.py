@@ -80,28 +80,30 @@ def write_inputs(tmp_path, dataset):
     return static, ctx, vocab
 
 
+def run_paths(static, ctx, vocab):
+    return {"static_embeddings": static, "contextual_records": ctx, "wordpiece_vocab": vocab}
+
+
 @pytest.fixture
 def tiny_run(tmp_path):
     dataset = make_dataset(oov_hypothesis_at=4)
     static, ctx, vocab = write_inputs(tmp_path, dataset)
     config = MetricConfig(mode="reference_based", metrics=METRIC_SET)
-    resources = build_resources(
-        config, dataset, static_path=static, contextual_path=ctx, wordpiece_vocab_path=vocab
-    )
+    resources = build_resources(config, dataset, run_paths(static, ctx, vocab))
     return dataset, config, resources
 
 
 def test_build_resources_populates_what_the_config_needs(tiny_run):
     dataset, config, resources = tiny_run
-    assert resources.static_store is not None and resources.static_store.dim == 2
+    assert resources.stores["words"].dim == 2
     assert resources.wp_vocab is not None
-    assert resources.decon_store is not None
-    assert resources.contextual_groups and resources.contextual_vocab is not None
+    assert set(resources.stores) == {"words", "pieces"}
+    assert resources.contextual_groups and set(resources.vocabs) == {"words", "pieces", "contextual"}
     # one document per segment side: 6 segments x (source, reference, hypothesis)
-    assert resources.vocab_words.n_docs == 18
-    assert resources.vocab_pieces.n_docs == 18
+    assert resources.vocabs["words"].n_docs == 18
+    assert resources.vocabs["pieces"].n_docs == 18
     # contextual df unit is the (segment, side) record group
-    assert resources.contextual_vocab.n_docs == 18
+    assert resources.vocabs["contextual"].n_docs == 18
     assert set(resources.sims) == {
         ("words", "vocabulary"),
         ("words", "idf_descending"),
@@ -118,13 +120,12 @@ def test_build_resources_ranks_candidates_once_per_term_space(tmp_path, monkeypa
         mteval.pipeline, "similarity_candidates", lambda terms, *args: ranked.append(terms) or rank(terms, *args)
     )
     config = MetricConfig(mode="reference_based", metrics=METRIC_SET + ("scm_decontextualized_tfidf",))
-    resources = build_resources(config, dataset, static_path=static, contextual_path=ctx, wordpiece_vocab_path=vocab)
+    resources = build_resources(config, dataset, run_paths(static, ctx, vocab))
     assert len(resources.sims) == 4
     assert len(ranked) == 2
-    assert {id(terms) for terms in ranked} == {id(resources.vocab_words), id(resources.vocab_pieces)}
+    assert {id(terms) for terms in ranked} == {id(resources.vocabs["words"]), id(resources.vocabs["pieces"])}
     for (space, order), matrix in resources.sims.items():
-        terms = resources.vocab_words if space == "words" else resources.vocab_pieces
-        store = resources.static_store if space == "words" else resources.decon_store
+        terms, store = resources.vocabs[space], resources.stores[space]
         assert matrix.rows == build_similarity_matrix(terms, store, order).rows
 
 
@@ -136,6 +137,12 @@ def test_build_resources_reports_missing_paths_together():
     assert "static_embeddings" in message
     assert "contextual_records" in message
     assert "wordpiece_vocab" in message
+
+
+def test_build_resources_names_an_unknown_resource_key(tmp_path):
+    config = MetricConfig(mode="reference_based", metrics=("bleu",), reg_base=False)
+    with pytest.raises(ConfigError, match="unknown resource key 'static_vectors'"):
+        build_resources(config, make_dataset(), {"static_vectors": tmp_path / "missing.txt"})
 
 
 def test_build_resources_needs_pos_tags():
@@ -175,7 +182,7 @@ def test_each_side_text_is_wordpiece_tokenized_once(tmp_path, monkeypatch):
     tokenize = mteval.metrics.wordpiece_tokenize
     monkeypatch.setattr(mteval.metrics, "wordpiece_tokenize", lambda text, wp: calls.append(text) or tokenize(text, wp))
     config = MetricConfig(mode="reference_based", metrics=METRIC_SET + ("wmd_decontextualized_tfidf",), reg_base=True)
-    resources = build_resources(config, dataset, static_path=static, contextual_path=ctx, wordpiece_vocab_path=vocab)
+    resources = build_resources(config, dataset, run_paths(static, ctx, vocab))
     score_features(dataset, config, resources)
     assert sorted(calls) == sorted(texts)
 
@@ -278,7 +285,7 @@ def test_external_columns_join_by_segment_id(tmp_path):
         "segment_id\tcomet\nseg2\t0.3\nseg0\t0.1\nseg1\t0.2\n", encoding="utf-8"
     )
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
-    resources = build_resources(config, dataset, wordpiece_vocab_path=vocab, external_scores_path=ext)
+    resources = build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
     features, _, _ = score_features(dataset, config, resources)
     col = features.feature_names.index("comet")
     assert features.rows[:, col].tolist() == [0.1, 0.2, 0.3]
@@ -290,7 +297,7 @@ def test_external_column_missing_segment_is_an_error(tmp_path):
     ext = tmp_path / "ext.tsv"
     ext.write_text("segment_id\tcomet\nseg0\t0.1\nseg1\t0.2\n", encoding="utf-8")
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
-    resources = build_resources(config, dataset, wordpiece_vocab_path=vocab, external_scores_path=ext)
+    resources = build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
     with pytest.raises(DataError, match="seg2"):
         score_features(dataset, config, resources)
 
@@ -302,7 +309,7 @@ def test_external_column_name_collision_with_native(tmp_path):
     ext.write_text("segment_id\tbleu\nseg0\t0.1\nseg1\t0.2\nseg2\t0.3\n", encoding="utf-8")
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
     with pytest.raises(ConfigError, match="collide"):
-        build_resources(config, dataset, wordpiece_vocab_path=vocab, external_scores_path=ext)
+        build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
 
 
 def test_assemble_features_needs_some_feature():
