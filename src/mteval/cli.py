@@ -24,7 +24,7 @@ from mteval.corpus import load_dataset
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
 from mteval.evaluation import ablation, cross_lingual_eval, evaluate_dataset
-from mteval.pipeline import build_resources, dataset_features, feature_names, score_features
+from mteval.pipeline import build_resources, dataset_features, feature_names, require_segments, score_features
 
 logger = logging.getLogger(__name__)
 
@@ -135,6 +135,7 @@ def cmd_ablate(args) -> int:
     if n_features < 2:
         raise ConfigError(f"ablate needs at least 2 features (metrics, reg_base, external scores), got {n_features}")
     split = dataset_features(dataset, config.metric_config, resources, config.seed, config.split_ratio)
+    require_segments(split, dataset, config.split_ratio, "train", "test")
     curve = ablation(
         split.train,
         split.test,
@@ -157,6 +158,10 @@ def cmd_crosslingual(args) -> int:
         raise ConfigError("fit and eval configs must enable identical metrics in the same mode")
     fit_dataset, fit_resources = _load_run(fit_config)
     eval_dataset, eval_resources = _load_run(eval_config)
+    fit_names = feature_names(fit_config.metric_config, fit_resources)
+    eval_names = feature_names(eval_config.metric_config, eval_resources)
+    if fit_names != eval_names:
+        raise ConfigError(f"fit and eval configs must yield the same feature columns: fit {fit_names}, eval {eval_names}")
     rho = cross_lingual_eval(
         fit_dataset,
         eval_dataset,

@@ -10,6 +10,7 @@ one dataset's train split and reports on another's test split.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +21,7 @@ from mteval.corpus import Dataset
 from mteval.ensemble import FeatureMatrix, predict, select_model
 from mteval.errors import ConfigError
 from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources
-from mteval.pipeline import dataset_features
+from mteval.pipeline import dataset_features, require_segments
 from mteval.stats import safe_spearman
 
 __all__ = [
@@ -67,15 +68,18 @@ def correlation_report(features: FeatureMatrix, gold: list[float]) -> Correlatio
     if features.n != len(gold):
         raise ValueError("gold length does not match feature rows")
     names = list(features.feature_names)
-    columns = {name: features.rows[:, i] for i, name in enumerate(names)}
-    matrix: dict[tuple[str, str], float] = {(name, name): 1.0 for name in names}
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            rho = safe_spearman(columns[a], columns[b])
-            matrix[(a, b)] = rho
-            matrix[(b, a)] = rho
-    to_gold = {name: safe_spearman(columns[name], gold) for name in names}
+    matrix = {(name, name): 1.0 for name in names} | _pairwise_spearman(features)
+    to_gold = {name: safe_spearman(features.rows[:, i], gold) for i, name in enumerate(names)}
     return CorrelationReport(names=names, matrix=matrix, to_gold=to_gold)
+
+
+def _pairwise_spearman(features: FeatureMatrix) -> dict[tuple[str, str], float]:
+    """`safe_spearman` of every pair of distinct columns, measured once and stored under both orders."""
+    columns = dict(zip(features.feature_names, features.rows.T))
+    matrix = {}
+    for a, b in itertools.combinations(features.feature_names, 2):
+        matrix[(a, b)] = matrix[(b, a)] = safe_spearman(columns[a], columns[b])
+    return matrix
 
 
 @dataclass
@@ -103,7 +107,6 @@ def ablation(
     test: FeatureMatrix,
     gold_train: list[float],
     gold_test: list[float],
-    feature_names: list[str] | None = None,
     *,
     seed: int,
     sources: list[str] | None = None,
@@ -111,11 +114,11 @@ def ablation(
 ) -> AblationCurve:
     """Iteratively drop the feature most correlated with any other and refit.
 
-    Pairwise |rho| is measured on the train split only; ties go to the
-    lexicographically smaller name.  Step 0 records the full ensemble, and
-    the curve ends once the single-feature model has been recorded.
+    Pairwise |rho| is measured once, on the train split only; ties go to
+    the lexicographically smaller name.  Step 0 records the full ensemble,
+    and the curve ends once the single-feature model has been recorded.
     """
-    remaining = list(feature_names) if feature_names is not None else list(train.feature_names)
+    remaining = list(train.feature_names)
     if len(remaining) < 2:
         raise ValueError("ablation needs at least 2 features")
 
@@ -123,34 +126,15 @@ def ablation(
         model = select_model(train.select(names), gold_train, seed=seed, sources=sources, mlp_options=mlp_options)
         return safe_spearman(predict(model, test.select(names)), gold_test)
 
+    redundancy = {pair: abs(rho) for pair, rho in _pairwise_spearman(train).items()}
     steps = [AblationStep(step=0, eliminated=None, remaining_count=len(remaining), test_rho=fit_and_score(remaining))]
-    step_no = 1
-    while len(remaining) > 1:
-        victim = _most_redundant(train, remaining)
+    for step_no in range(1, len(train.feature_names)):
+        # the feature with the largest |rho| to any other remaining feature
+        victim = min(remaining, key=lambda a: (-max(redundancy[(a, b)] for b in remaining if b != a), a))
         remaining.remove(victim)
-        steps.append(
-            AblationStep(
-                step=step_no,
-                eliminated=victim,
-                remaining_count=len(remaining),
-                test_rho=fit_and_score(remaining),
-            )
-        )
+        steps.append(AblationStep(step_no, victim, len(remaining), fit_and_score(remaining)))
         logger.debug("ablation step %d: dropped %s (%d left)", step_no, victim, len(remaining))
-        step_no += 1
     return AblationCurve(steps=steps)
-
-
-def _most_redundant(train: FeatureMatrix, remaining: list[str]) -> str:
-    """The feature with the largest |rho| to any other remaining feature."""
-    columns = {name: train.rows[:, train.feature_names.index(name)] for name in remaining}
-    worst: dict[str, float] = {name: -np.inf for name in remaining}
-    for i, a in enumerate(remaining):
-        for b in remaining[i + 1 :]:
-            rho = abs(safe_spearman(columns[a], columns[b]))
-            worst[a] = max(worst[a], rho)
-            worst[b] = max(worst[b], rho)
-    return min(remaining, key=lambda name: (-worst[name], name))
 
 
 @dataclass
@@ -179,6 +163,7 @@ def evaluate_dataset(
     if not config.reg_base:
         raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
     split = dataset_features(dataset, config, resources, seed, train_ratio)
+    require_segments(split, dataset, train_ratio, "train", "test")
     regemt = select_model(split.train, split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options)
     base_names = list(REG_BASE_FEATURES)
     reg_base = select_model(
@@ -227,6 +212,8 @@ def cross_lingual_eval(
     eval_train_ratio = train_ratio if eval_train_ratio is None else eval_train_ratio
     fit_split = dataset_features(fit_dataset, config, fit_resources, seed, train_ratio)
     eval_split = dataset_features(eval_dataset, config, eval_resources, eval_seed, eval_train_ratio)
+    require_segments(fit_split, fit_dataset, train_ratio, "train")
+    require_segments(eval_split, eval_dataset, eval_train_ratio, "test")
     model = select_model(
         fit_split.train, fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
     )

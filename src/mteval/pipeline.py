@@ -40,6 +40,7 @@ __all__ = [
     "dataset_features",
     "feature_names",
     "load_external_scores",
+    "require_segments",
     "score_dataset",
     "score_features",
 ]
@@ -280,3 +281,13 @@ def dataset_features(
         flags=flags,
         placeholders=placeholders,
     )
+
+
+def require_segments(split: SplitFeatures, dataset: Dataset, ratio: float, *sides: str) -> None:
+    """A DataError unless each named side ("train", "test") of the split holds at least 2 segments."""
+    for side in sides:
+        count = getattr(split, side).n
+        if count < 2:
+            raise DataError(
+                f"dataset {dataset.name!r}: split ratio {ratio} leaves {count} segments on the {side} side; need at least 2"
+            )

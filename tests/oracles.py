@@ -18,6 +18,7 @@ from mteval._rng import round_half_up
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.ensemble import MlpParams, mlp_gradients, mlp_loss
 from mteval.errors import DataError
+from mteval.stats import safe_spearman
 
 # ---------------------------------------------------------------------------
 # transportation problem: exhaustive basic-feasible-solution enumeration
@@ -195,6 +196,34 @@ def loop_average_ranks(values) -> np.ndarray:
         ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+# ---------------------------------------------------------------------------
+# ablation: every remaining pair measured afresh at every step
+# ---------------------------------------------------------------------------
+
+
+def loop_ablation_order(train) -> list[str]:
+    """The order in which ablation eliminates the columns of a train FeatureMatrix.
+
+    Each step measures |rho| for every pair of remaining columns again and
+    drops the column with the largest |rho| to any other; ties go to the
+    smaller name.
+    """
+    remaining = list(train.feature_names)
+    order = []
+    while len(remaining) > 1:
+        columns = {name: train.rows[:, train.feature_names.index(name)] for name in remaining}
+        worst = {name: -np.inf for name in remaining}
+        for i, a in enumerate(remaining):
+            for b in remaining[i + 1 :]:
+                rho = abs(safe_spearman(columns[a], columns[b]))
+                worst[a] = max(worst[a], rho)
+                worst[b] = max(worst[b], rho)
+        victim = min(remaining, key=lambda name: (-worst[name], name))
+        order.append(victim)
+        remaining.remove(victim)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -449,6 +450,71 @@ def test_crosslingual_parses_the_shared_vectors_file_once(tmp_path, monkeypatch)
     assert parsed == [DEMO_DATA / "vectors.txt"]
     digest = hashlib.sha256((tmp_path / "crosslingual.tsv").read_bytes()).hexdigest()
     assert digest == DEMO_SHA256["crosslingual/crosslingual.tsv"]
+
+
+def demo_copy(tmp_path, pair, ratio=None, external=True):
+    """A copy of demos/data whose run_<pair>.json has the given split ratio or no external scores."""
+    data = tmp_path / "data"
+    if not data.exists():
+        shutil.copytree(DEMO_DATA, data)
+    config = data / f"run_{pair}.json"
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    if ratio is not None:
+        payload["split"]["ratio"] = ratio
+    if not external:
+        del payload["resources"]["external_scores"]
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("change", ["missing", "renamed"])
+def test_crosslingual_rejects_different_feature_columns(tmp_path, capsys, change):
+    fit = demo_copy(tmp_path, "deen")
+    report = demo_copy(tmp_path, "sven", external=change != "missing")
+    if change == "renamed":
+        external = tmp_path / "data" / "sven_external.tsv"
+        external.write_text(external.read_text(encoding="utf-8").replace("\tcomet", "\tbleurt", 1), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(report), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("configuration error: fit and eval configs must yield the same feature columns")
+    assert "'comet'" in err[0]
+    assert not (out / "crosslingual.tsv").exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "ratio", "side"),
+    [("evaluate", 0.95, "test"), ("ablate", 0.95, "test"), ("evaluate", 0.01, "train"), ("ablate", 0.01, "train")],
+)
+def test_split_leaving_a_side_under_two_segments_exits_two(tmp_path, capsys, command, ratio, side):
+    # run_deen.json's dataset has 9 sources: ratio 0.95 keeps all 9 for training, 0.01 none
+    config = demo_copy(tmp_path, "deen", ratio=ratio)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"data error: dataset 'deen': split ratio {ratio} leaves 0 segments on the {side} side; need at least 2"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_crosslingual_fit_split_without_a_train_side_exits_two(tmp_path, capsys):
+    fit = demo_copy(tmp_path, "deen", ratio=0.01)
+    report = demo_copy(tmp_path, "sven")
+    assert main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(report), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data error: dataset 'deen': split ratio 0.01 leaves 0 segments on the train side; need at least 2"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("fit_ratio", "eval_ratio", "rho"),
+    [(0.95, None, "0.800000"), (None, 0.01, "0.979866")],  # fit on all of de-en; report on all of sv-en
+)
+def test_crosslingual_uses_one_side_of_each_split(tmp_path, fit_ratio, eval_ratio, rho):
+    fit = demo_copy(tmp_path, "deen", ratio=fit_ratio)
+    report = demo_copy(tmp_path, "sven", ratio=eval_ratio)
+    assert main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(report), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "crosslingual.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines == ["fit_dataset\teval_dataset\ttest_rho", f"deen\tsven\t{rho}"]
 
 
 def test_malformed_dataset_exits_two(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mteval.evaluation
 from mteval.corpus import Dataset, Segment
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError
@@ -13,6 +16,7 @@ from mteval.evaluation import (
 from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources
 from mteval.stats import spearman
 from mteval.tokenization import WordPieceVocab
+from oracles import loop_ablation_order
 
 
 def matrix(rows, names=None, ids=None):
@@ -191,6 +195,43 @@ def test_ablation_csv_format(tmp_path):
     assert lines[0] == "step,eliminated,remaining,test_rho"
     assert lines[1].startswith("0,,3,")
     assert len(lines) == 1 + len(curve.steps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_ablation_order_matches_the_per_step_loop(data):
+    # fewer than 10 rows keeps model selection linear-only; small integers make exact |rho| ties
+    n = data.draw(st.integers(3, 9), label="rows")
+    k = data.draw(st.integers(2, 7), label="columns")
+    fresh = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    columns = [data.draw(fresh)]
+    while len(columns) < k:
+        kind = data.draw(st.sampled_from(["fresh", "duplicate", "negated", "constant"]))
+        if kind == "fresh":
+            columns.append(data.draw(fresh))
+        elif kind == "constant":
+            columns.append([data.draw(st.integers(-2, 2))] * n)
+        else:
+            twin = data.draw(st.sampled_from(columns))
+            columns.append(twin if kind == "duplicate" else [-x for x in twin])
+    names = data.draw(st.permutations([f"f{j}" for j in range(k)]))
+    train = matrix(np.array(columns, dtype=float).T, names=list(names))
+    gold = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    curve = ablation(train, train, gold, gold, seed=1)
+    assert [s.eliminated for s in curve.steps[1:]] == loop_ablation_order(train)
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_ablation_measures_each_train_pair_once(monkeypatch, k):
+    calls = []
+    measure = mteval.evaluation.safe_spearman
+    monkeypatch.setattr(mteval.evaluation, "safe_spearman", lambda a, b: calls.append(1) or measure(a, b))
+    rng = np.random.default_rng(k)
+    train = matrix(rng.normal(size=(8, k)))
+    gold = rng.normal(size=8).tolist()
+    ablation(train, train, gold, gold, seed=1)
+    # each pair once, plus the test rho of each of the k fits
+    assert len(calls) == k * (k - 1) // 2 + k
 
 
 # ---------------------------------------------------------------------------
