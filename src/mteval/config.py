@@ -17,7 +17,7 @@ Schema (relative paths resolve against the config file's directory)::
         "wordpiece_vocab": "wordpiece.txt",
         "external_scores": "external.tsv"
       },
-      "split": {"ratio": 0.8, "seed": 7},    // seed is mandatory
+      "split": {"ratio": 0.8, "seed": 7},    // seed is mandatory, >= 0
       "mlp": {"hidden": 100, "learning_rate": 0.001, "batch_size": 32,
               "max_epochs": 500, "patience": 25, "val_fraction": 0.1},
       "output_dir": "runs/mqm"               // optional
@@ -147,6 +147,8 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
     if not isinstance(seed, int) or isinstance(seed, bool):
         problems.append("'split.seed' (integer) is mandatory; runs must be reproducible")
         seed = 0
+    elif seed < 0:
+        problems.append(f"'split.seed' must be an integer >= 0, got {seed}")
 
     fmt = payload.get("dataset_format")
     if fmt is not None and fmt not in ("tsv", "json"):

@@ -107,14 +107,14 @@ class Dataset:
         return list(dict.fromkeys(seg.source for seg in self.segments))
 
 
-def _parse_judgements(raw: str, where: str) -> tuple[float, ...]:
+def _parse_judgements(raw: str) -> tuple[float, ...]:
     raw = raw.strip()
     if not raw:
         return ()
     try:
         return tuple(float(part) for part in raw.split(","))
     except ValueError as exc:
-        raise DataError(f"{where}: bad judgements field {raw!r}") from exc
+        raise DataError(f"bad judgements field {raw!r}") from exc
 
 
 def _parse_pos(raw: str) -> tuple[str, ...] | None:
@@ -131,7 +131,7 @@ def _segment_from_fields(fields: dict[str, str], where: str) -> Segment:
             source=fields["source"],
             reference=fields["reference"] if fields["reference"] else None,
             hypothesis=fields["hypothesis"],
-            judgements=_parse_judgements(fields["judgements"], where),
+            judgements=_parse_judgements(fields["judgements"]),
             pos_source=_parse_pos(fields["pos_source"]),
             pos_reference=_parse_pos(fields["pos_reference"]),
             pos_hypothesis=_parse_pos(fields["pos_hypothesis"]),
@@ -141,7 +141,7 @@ def _segment_from_fields(fields: dict[str, str], where: str) -> Segment:
 
 
 @utf8_loader
-def load_dataset(path: str | Path, format: str | None = None, name: str | None = None) -> Dataset:
+def load_dataset(path: str | Path, format: str | None = None) -> Dataset:
     """Load a dataset from a TSV or JSON file.
 
     ``format`` is "tsv" or "json"; when omitted it is taken from the file
@@ -152,8 +152,6 @@ def load_dataset(path: str | Path, format: str | None = None, name: str | None =
     path = Path(path)
     if format is None:
         format = path.suffix.lstrip(".").lower()
-    if name is None:
-        name = path.stem
     if format == "tsv":
         segments = _load_tsv(path)
     elif format == "json":
@@ -162,7 +160,7 @@ def load_dataset(path: str | Path, format: str | None = None, name: str | None =
         raise DataError(f"unsupported dataset format {format!r} (expected tsv or json)")
     if not segments:
         raise DataError(f"{path}: no segments")
-    return Dataset(segments=segments, name=name)
+    return Dataset(segments=segments, name=path.stem)
 
 
 def _load_tsv(path: Path) -> list[Segment]:

@@ -152,9 +152,8 @@ def fit_linear(
     features: FeatureMatrix,
     gold: list[float],
     standardization: StandardizationParams | None = None,
-    damping: float = 1e-8,
 ) -> EnsembleModel:
-    """Least squares min ||Xw + b - y||^2 by damped normal equations.
+    """Least squares min ||Xw + b - y||^2 by normal equations damped by 1e-8 I.
 
     ``features`` should already be standardized; pass the params used so
     predict can reapply them (identity is assumed otherwise).
@@ -165,7 +164,7 @@ def fit_linear(
     if features.n < 2:
         raise ValueError("linear fit needs at least 2 rows")
     design = np.hstack([features.rows, np.ones((features.n, 1))])
-    gram = design.T @ design + damping * np.eye(features.m + 1)
+    gram = design.T @ design + 1e-8 * np.eye(features.m + 1)
     solution = np.linalg.solve(gram, design.T @ y)
     return EnsembleModel(
         kind="linear",
@@ -242,7 +241,7 @@ def fit_mlp(
     # Adam is elementwise, so one flat [w1, b1, w2, b2] vector takes the same steps
     theta = np.concatenate([w1.ravel(), np.zeros(hidden), w2, [0.0]])
 
-    n_val = max(1, round_half_up(val_fraction * n))
+    n_val = min(max(1, round_half_up(val_fraction * n)), n - 1)  # at least one row to fit on
     order = rng.permutation(n)
     val_idx, fit_idx = order[:n_val], order[n_val:]
     rows_fit, y_fit = rows[fit_idx], y[fit_idx]

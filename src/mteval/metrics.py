@@ -19,7 +19,7 @@ import numpy as np
 from mteval.corpus import Segment
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.errors import ConfigError, DataError
-from mteval.flow import CHUNK_CELLS, FlowSolution, solve_transport, solve_transport_batch
+from mteval.flow import CHUNK_CELLS, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
 from mteval.vsm import (
     DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K, SimilarityMatrix, Vocabulary, WeightedBow, bow_nfx, bow_nnx
@@ -27,7 +27,6 @@ from mteval.vsm import (
 
 __all__ = [
     "EMPTY_BOW_FLAG",
-    "FlowSolution",
     "METRICS",
     "MetricConfig",
     "MetricInfo",

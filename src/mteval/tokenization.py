@@ -17,17 +17,19 @@ from mteval.errors import DataError, utf8_loader
 # token instead of being decomposed character by character.
 MAX_WORDPIECE_INPUT_CHARS = 100
 
+#: The piece standing for a token with no decomposition; every vocabulary holds it
+UNK_TOKEN = "[UNK]"
+
 
 @dataclass(frozen=True)
 class WordPieceVocab:
     entries: tuple[str, ...]
-    unk_token: str = "[UNK]"
 
     def __post_init__(self):
         if not self.entries:
             raise DataError("WordPiece vocabulary is empty")
-        if self.unk_token not in self.entries:
-            raise DataError(f"unknown-token {self.unk_token!r} missing from the vocabulary")
+        if UNK_TOKEN not in self.entries:
+            raise DataError(f"unknown-token {UNK_TOKEN!r} missing from the vocabulary")
         object.__setattr__(self, "_lookup", frozenset(self.entries))
 
     def __contains__(self, piece: str) -> bool:
@@ -35,14 +37,14 @@ class WordPieceVocab:
 
 
 @utf8_loader
-def load_wordpiece_vocab(path: str | Path, unk_token: str = "[UNK]") -> WordPieceVocab:
+def load_wordpiece_vocab(path: str | Path) -> WordPieceVocab:
     entries = []
     with open(path, encoding="utf-8-sig") as handle:
         for line in handle:
             token = line.rstrip("\n")
             if token:
                 entries.append(token)
-    return WordPieceVocab(entries=tuple(entries), unk_token=unk_token)
+    return WordPieceVocab(entries=tuple(entries))
 
 
 def whitespace_tokenize(text: str) -> list[str]:
@@ -66,7 +68,7 @@ def wordpiece_tokenize(text: str, vocab: WordPieceVocab) -> list[str]:
 
 def _split_token(token: str, vocab: WordPieceVocab) -> list[str]:
     if len(token) > MAX_WORDPIECE_INPUT_CHARS:
-        return [vocab.unk_token]
+        return [UNK_TOKEN]
     pieces = []
     start = 0
     while start < len(token):
@@ -81,7 +83,7 @@ def _split_token(token: str, vocab: WordPieceVocab) -> list[str]:
                 break
             end -= 1
         if match is None:
-            return [vocab.unk_token]
+            return [UNK_TOKEN]
         pieces.append(match)
         start = end
     return pieces

@@ -45,9 +45,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: str) -> bool:
-        return term in self.index
-
     def idf(self, term: str) -> float:
         """ln(n_docs / df); unseen terms fall back to df = 1."""
         if self.n_docs < 1:

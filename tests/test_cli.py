@@ -616,3 +616,125 @@ def test_load_run_config_rejects_bad_json_and_missing_file(tmp_path):
     path.write_text('["not", "an", "object"]', encoding="utf-8")
     with pytest.raises(ConfigError, match="object"):
         load_run_config(path)
+
+
+
+# ---------------------------------------------------------------------------
+# user-facing error paths: one row per problem, each a one-line message
+# ---------------------------------------------------------------------------
+
+
+def _set(*keys_and_value):
+    """Set payload[k1][k2]... = value in the run config."""
+    *keys, value = keys_and_value
+
+    def spoil(tmp_path, payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return spoil
+
+
+def _row(**columns):
+    """Replace columns of data.tsv's first data row (line 2)."""
+
+    def spoil(tmp_path, payload):
+        lines = (tmp_path / "data.tsv").read_text(encoding="utf-8").splitlines()
+        fields = lines[1].split("\t")
+        for column, value in columns.items():
+            fields[HEADER.split("\t").index(column)] = value
+        lines[1] = "\t".join(fields)
+        (tmp_path / "data.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    return spoil
+
+
+def _file(name, text, *key):
+    """Write ``name`` and point the config key (default: the dataset) at it."""
+
+    def spoil(tmp_path, payload):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        _set(*(key or ("dataset",)), name)(tmp_path, payload)
+
+    return spoil
+
+
+def _source_based_bleu(tmp_path, payload):
+    payload["mode"] = "source_based"
+    payload["metrics"] = ["bleu"]
+
+
+EXTERNAL_WITH_NAN = "segment_id\text\n" + "".join(f"s{i}\t{'nan' if i == 1 else '0.5'}\n" for i in range(15))
+INVALID_CONFIG = "config.json: invalid configuration:\n  - "
+
+ERROR_TABLE = {
+    # configuration problems name the config file and the key
+    "section-not-object": (_set("mlp", [1]), 1, INVALID_CONFIG + "'mlp' must be an object"),
+    "unknown-section-key": (_set("split", "shuffle", True), 1, INVALID_CONFIG + "unknown keys under 'split': ['shuffle']"),
+    "metrics-not-list": (_set("metrics", "bleu"), 1, INVALID_CONFIG + "'metrics' must be a list of metric names"),
+    "bad-dataset-format": (_set("dataset_format", "csv"), 1, INVALID_CONFIG + "'dataset_format' must be 'tsv' or 'json'"),
+    "non-boolean-flag": (_set("lowercase", "yes"), 1, INVALID_CONFIG + "'lowercase' must be a boolean"),
+    "empty-resource-path": (
+        _set("resources", "static_embeddings", ""), 1, INVALID_CONFIG + "'resources.static_embeddings' must be a nonempty path"
+    ),
+    "metric-enabled-twice": (_set("metrics", ["bleu", "bleu"]), 1, INVALID_CONFIG + "metric 'bleu' enabled twice"),
+    "reference-only-source-based": (
+        _source_based_bleu, 1, INVALID_CONFIG + "metric 'bleu' needs a same-language reference and cannot run source_based"
+    ),
+    # dataset problems, most naming the file and the line or record
+    "empty-id": (_row(id=""), 2, "data.tsv:2: segment id must be nonempty"),
+    "empty-source": (_row(source=""), 2, "data.tsv:2: segment 's0': source must be nonempty"),
+    "non-finite-judgement": (_row(judgements="nan,1"), 2, "data.tsv:2: segment 's0': non-finite judgement nan"),
+    "pos-without-text": (
+        _row(reference="", pos_reference="DET NOUN"), 2, "data.tsv:2: segment 's0': pos_reference given but the text side is missing"
+    ),
+    "mixed-language-pairs": (_row(tgt_lang="fr"), 2, "dataset 'data' mixes language pairs: [('de', 'en'), ('de', 'fr')]"),
+    "bad-tsv-header": (_file("other.tsv", "id\tsource\n"), 2, "other.tsv:1: header must be ["),
+    "unsupported-format": (_file("data.csv", "id,source\n"), 2, "unsupported dataset format 'csv' (expected tsv or json)"),
+    "invalid-json": (_file("data.json", "[{"), 2, "data.json: invalid JSON: "),
+    "json-not-array": (_file("data.json", "{}"), 2, "data.json: expected a JSON array of records"),
+    "json-record-not-object": (_file("data.json", "[1]"), 2, "data.json:record 0: expected an object"),
+    # other inputs
+    "non-finite-external": (
+        _file("external.tsv", EXTERNAL_WITH_NAN, "resources", "external_scores"), 2, "external.tsv:3: non-finite value in column 'ext'"
+    ),
+    "empty-tsv-file": (_file("data.tsv", ""), 2, "data.tsv: empty file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_TABLE))
+def test_input_error_exits_with_its_code_and_names_where(tmp_path, capsys, case):
+    spoil, code, fragment = ERROR_TABLE[case]
+    config = write_run(tmp_path)
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    spoil(tmp_path, payload)
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["score", "--config", str(config)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " if code == 1 else "data error: ")
+    assert fragment in err
+    assert err.count("\n") == (1 if code == 2 else 2)  # a config error: its header line and one line per problem
+    assert not (tmp_path / "out").exists()
+
+
+def test_bad_judgements_cell_names_its_location_once(tmp_path, capsys):
+    config = write_run(tmp_path)
+    _row(judgements="1,x")(tmp_path, {})
+    assert main(["score", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"data error: {tmp_path / 'data.tsv'}:2: bad judgements field '1,x'\n"
+
+
+@pytest.mark.parametrize("command", ["score", "evaluate", "ablate", "crosslingual"])
+@pytest.mark.parametrize(("seed", "code"), [(-1, 1), (2**70, 0)], ids=["negative", "past-64-bits"])
+def test_split_seed_must_be_non_negative(tmp_path, capsys, command, seed, code):
+    if command == "crosslingual":
+        fit = write_run(tmp_path, config_name="fit.json", seed=seed)
+        argv = ["crosslingual", "--fit-config", str(fit), "--eval-config", str(write_run(tmp_path, config_name="eval.json"))]
+    else:
+        argv = [command, "--config", str(write_run(tmp_path, seed=seed))]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    problem = "'split.seed' must be an integer >= 0, got -1"
+    assert err == ("" if code == 0 else f"configuration error: {argv[2]}: invalid configuration:\n  - {problem}\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mteval.ensemble
 from mteval.ensemble import (
     EnsembleModel,
     FeatureMatrix,
@@ -196,6 +197,17 @@ def test_fit_mlp_learns_a_noisy_linear_map():
     residual = float(np.mean((pred - y) ** 2))
     assert residual < 0.2 * float(np.var(y))
     assert spearman(pred, y) > 0.9
+
+
+@pytest.mark.parametrize(("n", "val_fraction"), [(20, 0.99), (256, 0.999), (320, 0.999)])
+def test_fit_mlp_keeps_a_row_to_fit_on(monkeypatch, n, val_fraction):
+    # a validation slice rounding to every row would leave the random initialisation untrained
+    steps = []
+    gradients = mteval.ensemble.mlp_gradients
+    monkeypatch.setattr(mteval.ensemble, "mlp_gradients", lambda *args, **kwargs: steps.append(1) or gradients(*args, **kwargs))
+    features = random_matrix(np.random.default_rng(n), n, 2)
+    fit_mlp(features, features.rows[:, 0], seed=3, hidden=4, max_epochs=2, val_fraction=val_fraction)
+    assert len(steps) == 2
 
 
 # (n, m, hidden, batch_size, learning_rate, max_epochs, patience)

@@ -745,6 +745,14 @@ def test_score_segments_solves_pending_problems_every_chunk_cells(monkeypatch):
     assert all(value > 0.0 for vector in got for value in vector.scores.values())
 
 
+def test_score_segments_rejects_a_segment_without_its_anchor():
+    # hand-built segments reach score_segments without build_resources' check
+    segments = [make_segment(id="s1"), make_segment(id="s2", reference=None)]
+    config = MetricConfig(mode="reference_based", metrics=("bleu",))
+    with pytest.raises(DataError, match=r"^segment 's2' has no reference but mode is reference_based$"):
+        score_segments(segments, config, Resources())
+
+
 # ---------------------------------------------------------------------------
 # placeholders
 # ---------------------------------------------------------------------------
