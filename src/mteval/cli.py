@@ -45,20 +45,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=int, default=1, help="accepted, has no effect")
         cmd.add_argument("--out", type=Path, default=None, help="output directory (default: config output_dir, else '.')")
 
-    score = sub.add_parser("score", help="dump per-segment metric scores")
-    score.add_argument("--config", type=Path, required=True, help="JSON run config")
-    common(score)
-    score.set_defaults(func=cmd_score)
-
-    evaluate = sub.add_parser("evaluate", help="test-split correlations of all metrics, RegEMT, and Reg-base")
-    evaluate.add_argument("--config", type=Path, required=True, help="JSON run config")
-    common(evaluate)
-    evaluate.set_defaults(func=cmd_evaluate)
-
-    ablate = sub.add_parser("ablate", help="correlation-driven feature elimination curve")
-    ablate.add_argument("--config", type=Path, required=True, help="JSON run config")
-    common(ablate)
-    ablate.set_defaults(func=cmd_ablate)
+    for name, func, summary in (
+        ("score", cmd_score, "dump per-segment metric scores"),
+        ("evaluate", cmd_evaluate, "test-split correlations of all metrics, RegEMT, and Reg-base"),
+        ("ablate", cmd_ablate, "correlation-driven feature elimination curve"),
+    ):
+        command = sub.add_parser(name, help=summary)
+        command.add_argument("--config", type=Path, required=True, help="JSON run config")
+        common(command)
+        command.set_defaults(func=func)
 
     crosslingual = sub.add_parser("crosslingual", help="fit on one language pair, report on another")
     crosslingual.add_argument("--fit-config", type=Path, required=True, help="JSON run config of the fitting pair")

@@ -76,10 +76,12 @@ class Segment:
                 )
 
 
-@dataclass(frozen=True)
-class GoldScore:
-    segment_id: str
-    value: float
+class _IndexedError(DataError):
+    """A dataset problem first seen at ``index`` in its segment list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass
@@ -91,13 +93,14 @@ class Dataset:
 
     def __post_init__(self):
         seen: set[str] = set()
-        for seg in self.segments:
+        for index, seg in enumerate(self.segments):
             if seg.id in seen:
-                raise DataError(f"duplicate segment id {seg.id!r} in dataset {self.name!r}")
+                raise _IndexedError(index, f"duplicate segment id {seg.id!r} in dataset {self.name!r}")
             seen.add(seg.id)
-        pairs = {(seg.src_lang, seg.tgt_lang) for seg in self.segments}
-        if len(pairs) > 1:
-            raise DataError(f"dataset {self.name!r} mixes language pairs: {sorted(pairs)}")
+        pairs = [(seg.src_lang, seg.tgt_lang) for seg in self.segments]
+        for index, pair in enumerate(pairs):
+            if pair != pairs[0]:
+                raise _IndexedError(index, f"dataset {self.name!r} mixes language pairs: {sorted(set(pairs))}")
 
     def __len__(self) -> int:
         return len(self.segments)
@@ -122,9 +125,10 @@ def _parse_pos(raw: str) -> tuple[str, ...] | None:
     return tuple(raw.split()) if raw else None
 
 
-def _segment_from_fields(fields: dict[str, str], where: str) -> Segment:
+def _located_segment(fields: dict[str, str], where: str) -> tuple[str, Segment]:
+    """(where, the segment of one row's fields); a bad field is a DataError at ``where``."""
     try:
-        return Segment(
+        return where, Segment(
             id=fields["id"].strip(),
             src_lang=fields["src_lang"].strip(),
             tgt_lang=fields["tgt_lang"].strip(),
@@ -145,33 +149,36 @@ def load_dataset(path: str | Path, format: str | None = None) -> Dataset:
     """Load a dataset from a TSV or JSON file.
 
     ``format`` is "tsv" or "json"; when omitted it is taken from the file
-    suffix.  Row order is preserved.  Malformed rows raise DataError naming
-    the offending line; duplicate ids and a file with no segments raise
-    DataError.
+    suffix.  Row order is preserved.  Malformed rows, a repeated id and a
+    second language pair raise DataError naming the offending line (TSV) or
+    record (JSON); a file with no segments raises DataError.
     """
     path = Path(path)
     if format is None:
         format = path.suffix.lstrip(".").lower()
     if format == "tsv":
-        segments = _load_tsv(path)
+        located = _load_tsv(path)
     elif format == "json":
-        segments = _load_json(path)
+        located = _load_json(path)
     else:
-        raise DataError(f"unsupported dataset format {format!r} (expected tsv or json)")
-    if not segments:
+        raise DataError(f"{path}: unsupported dataset format {format!r} (expected tsv or json)")
+    if not located:
         raise DataError(f"{path}: no segments")
-    return Dataset(segments=segments, name=path.stem)
+    try:
+        return Dataset(segments=[segment for _, segment in located], name=path.stem)
+    except _IndexedError as exc:
+        raise DataError(f"{located[exc.index][0]}: {exc}") from None
 
 
-def _load_tsv(path: Path) -> list[Segment]:
+def _load_tsv(path: Path) -> list[tuple[str, Segment]]:
     with open(path, encoding="utf-8-sig") as handle:
         header, rows = tsv_rows(handle, path)
         if header != _TSV_COLUMNS:
             raise DataError(f"{path}:1: header must be {_TSV_COLUMNS}, got {header}")
-        return [_segment_from_fields(dict(zip(_TSV_COLUMNS, row)), f"{path}:{lineno}") for lineno, row in rows]
+        return [_located_segment(dict(zip(_TSV_COLUMNS, row)), f"{path}:{lineno}") for lineno, row in rows]
 
 
-def _load_json(path: Path) -> list[Segment]:
+def _load_json(path: Path) -> list[tuple[str, Segment]]:
     with open(path, encoding="utf-8-sig") as handle:
         try:
             records = json.load(handle)
@@ -190,11 +197,11 @@ def _load_json(path: Path) -> list[Segment]:
             if isinstance(value, list):  # judgements as in the TSV column, tags space-separated
                 value = ",".join(map(repr, value)) if column == "judgements" else " ".join(map(str, value))
             fields[column] = "" if value is None else str(value)
-        segments.append(_segment_from_fields(fields, where))
+        segments.append(_located_segment(fields, where))
     return segments
 
 
-def average_judgements(segment: Segment) -> GoldScore:
+def average_judgements(segment: Segment) -> float:
     """Gold standard for a segment: the arithmetic mean of its judgements.
 
     math.fsum keeps the mean exactly rounded, hence invariant under
@@ -202,12 +209,12 @@ def average_judgements(segment: Segment) -> GoldScore:
     """
     if not segment.judgements:
         raise DataError(f"segment {segment.id!r} has no judgements")
-    return GoldScore(segment_id=segment.id, value=math.fsum(segment.judgements) / len(segment.judgements))
+    return math.fsum(segment.judgements) / len(segment.judgements)
 
 
 def dataset_gold(dataset: Dataset) -> list[float]:
     """Averaged judgements for every segment, aligned with dataset order."""
-    return [average_judgements(seg).value for seg in dataset.segments]
+    return [average_judgements(seg) for seg in dataset.segments]
 
 
 def split_sources(sources: Iterable[str], ratio: float, seed: int) -> tuple[list[str], list[str]]:

@@ -29,7 +29,6 @@ logger = logging.getLogger(__name__)
 
 SIDES = ("source", "reference", "hypothesis")
 _CONTEXTUAL_COLUMNS = ["segment_id", "side", "token_index", "token", "vector"]
-_ITEM_FIELDS = {"static": "s", "contextual": "ssis"}  # the fields of each loader's row items: "s" str, "i" int
 
 
 @dataclass
@@ -121,14 +120,15 @@ def _parse_vectors(path: Path, read_rows, digest):
     spaces ignored, numpy's number syntax (ASCII digits, no ``_``), finite
     values.  ``read_rows(handle)`` yields (line number, item, vector text)
     per row of the file, every byte read of which goes into ``digest``, and
-    raises DataError at a malformed row.  Returns (line numbers, items,
-    (n, dim) values, fault): ``fault`` is the DataError of the first bad
-    line or None, and the values stop before it.  numpy pulls rows one at
-    a time, so a number it cannot parse is on the last row handed over;
-    the rows before it are then parsed again.
+    raises DataError at a malformed row; an item is one string without a
+    newline.  Returns (line numbers, items, (n, dim) values, fault):
+    ``fault`` is the DataError of the first bad line or None, and the
+    values stop before it.  numpy pulls rows one at a time, so a number it
+    cannot parse is on the last row handed over; the rows before it are
+    then parsed again.
     """
     linenos: list[int] = []
-    items: list = []
+    items: list[str] = []
     fault = None
 
     def texts(handle):
@@ -192,7 +192,7 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None):
             while block := handle.read(1 << 20):
                 key.update(block)
         entry = directory / f"{kind}-{key.hexdigest()}.npy"
-        parsed = _read_entry(entry, kind, dim)
+        parsed = _read_entry(entry, dim)
         logger.info("%s: vector cache hit, %s", path, entry)
         return parsed
     except Exception as exc:  # no entry, or a spoiled one: parse the file
@@ -201,7 +201,7 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None):
     status = "not written: a faulty or empty file, or no cache directory"
     try:
         if entry is not None and fault is None and linenos:
-            _write_entry(entry := directory / f"{kind}-{digest.hexdigest()}.npy", kind, linenos, items, values)
+            _write_entry(entry := directory / f"{kind}-{digest.hexdigest()}.npy", linenos, items, values)
             status = "written"
     except Exception as exc:  # an unwritable cache is no reason to fail the load
         status = f"not written: {exc}"
@@ -209,15 +209,9 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None):
     return parsed
 
 
-def _write_entry(entry: Path, kind: str, linenos, items, values) -> None:
-    """Write a parse atomically, as `np.save` arrays one after another: line numbers, values, item fields."""
-    arrays = [np.array(linenos, dtype=np.int64), values]
-    for field, column in zip(_ITEM_FIELDS[kind], [items] if kind == "static" else zip(*items)):
-        if field == "i":
-            arrays.append(np.array(column, dtype=np.int64))
-        else:  # UTF-8 bytes and int64 code-point offsets
-            offsets = np.cumsum([0, *map(len, column)], dtype=np.int64)
-            arrays += [np.frombuffer("".join(column).encode(), dtype=np.uint8), offsets]
+def _write_entry(entry: Path, linenos, items, values) -> None:
+    """Write a parse atomically, as three `np.save` arrays: line numbers, values, items joined by newlines in UTF-8."""
+    arrays = [np.array(linenos, dtype=np.int64), values, np.frombuffer("\n".join(items).encode(), dtype=np.uint8)]
     entry.parent.mkdir(parents=True, exist_ok=True)
     handle, temp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
     try:
@@ -230,22 +224,16 @@ def _write_entry(entry: Path, kind: str, linenos, items, values) -> None:
         raise
 
 
-def _read_entry(entry: Path, kind: str, dim: int | None):
+def _read_entry(entry: Path, dim: int | None):
     """The `_parse_vectors` result an entry holds; ValueError unless it fits the loader."""
     with open(entry, "rb") as handle:
         load = functools.partial(np.load, handle, allow_pickle=False)
-        linenos, values, columns = load().tolist(), load(), []
-        for field in _ITEM_FIELDS[kind]:
-            if field == "i":
-                columns.append(load().tolist())
-            else:
-                text, offsets = load().tobytes().decode(), load().tolist()
-                columns.append([text[start:end] for start, end in zip(offsets, offsets[1:])])
+        linenos, values, items = load().tolist(), load(), load().tobytes().decode().split("\n")  # not splitlines()
         n, width = values.shape
-        fits = values.dtype == np.float64 and 0 < width == (dim or width) and {len(linenos), *map(len, columns)} == {n}
+        fits = values.dtype == np.float64 and 0 < width == (dim or width) and len(linenos) == len(items) == n
         if not (fits and handle.read(1) == b"" and np.isfinite(values).all()):
             raise ValueError("the cache entry does not fit the loader")
-    return linenos, columns[0] if kind == "static" else list(zip(*columns)), values, None
+    return linenos, items, values, None
 
 
 def _loadtxt(texts) -> np.ndarray:
@@ -285,12 +273,14 @@ def load_contextual(path: str | Path) -> list[ContextualRecord]:
             dim = dim or size
             if size != dim:
                 raise DataError(f"{path}:{lineno}: vector has {size} components, expected {dim}")
-            yield lineno, (segment_id, side, token_index, token), text
+            yield lineno, f"{segment_id}\t{side}\t{token_index}\t{token}", text  # tab-split fields hold no tab
 
     linenos, items, values, fault = _cached_parse(path, "contextual", read_rows)
     records: list[ContextualRecord] = []
     seen: set[tuple[str, str, int]] = set()
-    for lineno, (segment_id, side, token_index, token), vector in zip(linenos, items, values):
+    for lineno, item, vector in zip(linenos, items, values):
+        segment_id, side, index_text, token = item.split("\t")
+        token_index = int(index_text)
         key = (segment_id, side, token_index)
         if key in seen:
             raise DataError(f"{path}:{lineno}: duplicate (segment_id, side, token_index) {key}")

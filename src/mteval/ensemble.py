@@ -16,7 +16,7 @@ import numpy as np
 
 from mteval._rng import round_half_up
 from mteval.corpus import split_sources
-from mteval.stats import safe_spearman
+from mteval.stats import spearman
 
 __all__ = [
     "EnsembleModel",
@@ -348,11 +348,11 @@ def select_model(
         y_val = y[val_idx]
 
         linear_model = fit_linear(sub_std, y_fit, standardization=sub_params)
-        rho_linear = safe_spearman(predict(linear_model, holdout), y_val)
+        rho_linear = spearman(predict(linear_model, holdout), y_val)
         rho_mlp = -np.inf
         if len(fit_idx) >= 10:
             mlp_model = fit_mlp(sub_std, y_fit, seed=seed, standardization=sub_params, **mlp_options)
-            rho_mlp = safe_spearman(predict(mlp_model, holdout), y_val)
+            rho_mlp = spearman(predict(mlp_model, holdout), y_val)
         if rho_mlp - rho_linear > SELECTION_TIE:
             kind = "mlp"
         logger.debug(

@@ -22,7 +22,7 @@ from mteval.ensemble import FeatureMatrix, predict, select_model
 from mteval.errors import ConfigError
 from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources
 from mteval.pipeline import dataset_features, require_segments
-from mteval.stats import safe_spearman
+from mteval.stats import spearman
 
 __all__ = [
     "AblationCurve",
@@ -69,16 +69,16 @@ def correlation_report(features: FeatureMatrix, gold: list[float]) -> Correlatio
         raise ValueError("gold length does not match feature rows")
     names = list(features.feature_names)
     matrix = {(name, name): 1.0 for name in names} | _pairwise_spearman(features)
-    to_gold = {name: safe_spearman(features.rows[:, i], gold) for i, name in enumerate(names)}
+    to_gold = {name: spearman(features.rows[:, i], gold) for i, name in enumerate(names)}
     return CorrelationReport(names=names, matrix=matrix, to_gold=to_gold)
 
 
 def _pairwise_spearman(features: FeatureMatrix) -> dict[tuple[str, str], float]:
-    """`safe_spearman` of every pair of distinct columns, measured once and stored under both orders."""
+    """`spearman` of every pair of distinct columns, measured once and stored under both orders."""
     columns = dict(zip(features.feature_names, features.rows.T))
     matrix = {}
     for a, b in itertools.combinations(features.feature_names, 2):
-        matrix[(a, b)] = matrix[(b, a)] = safe_spearman(columns[a], columns[b])
+        matrix[(a, b)] = matrix[(b, a)] = spearman(columns[a], columns[b])
     return matrix
 
 
@@ -124,7 +124,7 @@ def ablation(
 
     def fit_and_score(names: list[str]) -> float:
         model = select_model(train.select(names), gold_train, seed=seed, sources=sources, mlp_options=mlp_options)
-        return safe_spearman(predict(model, test.select(names)), gold_test)
+        return spearman(predict(model, test.select(names)), gold_test)
 
     redundancy = {pair: abs(rho) for pair, rho in _pairwise_spearman(train).items()}
     steps = [AblationStep(step=0, eliminated=None, remaining_count=len(remaining), test_rho=fit_and_score(remaining))]
@@ -217,4 +217,4 @@ def cross_lingual_eval(
     model = select_model(
         fit_split.train, fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
     )
-    return safe_spearman(predict(model, eval_split.test), eval_split.gold_test)
+    return spearman(predict(model, eval_split.test), eval_split.gold_test)

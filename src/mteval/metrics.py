@@ -353,18 +353,9 @@ def _contextual_sides(records_x, records_y, weighting, vocab):
     if not records_y:
         raise UnscorableSegment("second side has no contextual vectors")
 
-    def parts(records):
-        if weighting == "nnx":
-            kept = list(records)
-            weights = [1.0] * len(kept)
-        else:
-            kept, weights = [], []
-            for record in records:
-                w = vocab.idf(record.token)
-                if w > 0:
-                    kept.append(record)
-                    weights.append(w)
-        return kept, weights
+    def parts(records):  # nnx is nfx with weight 1 for every occurrence
+        weighted = [(r, 1.0 if weighting == "nnx" else vocab.idf(r.token)) for r in records]
+        return [r for r, w in weighted if w > 0], [w for _, w in weighted if w > 0]
 
     kx, wx = parts(records_x)
     ky, wy = parts(records_y)
@@ -447,31 +438,32 @@ def _ngrams(tokens: list[str], n: int):
     return zip(*(tokens[i:] for i in range(n)))
 
 
-def reg_base_features(segment: Segment, resources: Resources, mode: str, lowercase: bool = False) -> np.ndarray:
+def reg_base_features(segment: Segment, resources: Resources, config: MetricConfig) -> np.ndarray:
     """Four surface features: character lengths and WordPiece counts.
 
     Order matches REG_BASE_FEATURES: anchor chars, hypothesis chars, anchor
     piece count, hypothesis piece count, where the anchor is the reference
     (reference_based) or the source (source_based).  Pieces come from
-    ``resources.wp_vocab``, through the run's tokenization memo.
+    ``resources.wp_vocab``, through the run's tokenization memo, with the
+    config's case folding.
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == "reference_based":
-        if segment.reference is None:
-            raise DataError(f"segment {segment.id!r} has no reference but mode is reference_based")
-        anchor = segment.reference
-    else:
-        anchor = segment.source
-    hyp = segment.hypothesis
+    anchor, hyp = _anchor_text(segment, config), segment.hypothesis
     return np.array(
         [
             float(len(anchor)),
             float(len(hyp)),
-            float(len(resources.tokens("pieces", anchor, lowercase))),
-            float(len(resources.tokens("pieces", hyp, lowercase))),
+            float(len(resources.tokens("pieces", anchor, config.lowercase))),
+            float(len(resources.tokens("pieces", hyp, config.lowercase))),
         ]
     )
+
+
+def _anchor_text(segment: Segment, config: MetricConfig) -> str:
+    """The text the hypothesis is compared with under the config's mode: the reference or the source."""
+    anchor = getattr(segment, config.anchor_side)
+    if anchor is None:
+        raise DataError(f"segment {segment.id!r} has no reference but mode is reference_based")
+    return anchor
 
 
 def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -> dict[str, float]:
@@ -507,9 +499,7 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
     for count, segment in enumerate(segments, start=1):
         scores: dict[str, float] = {}
         flags: dict[str, str] = {}
-        anchor_text = getattr(segment, config.anchor_side)
-        if anchor_text is None:
-            raise DataError(f"segment {segment.id!r} has no reference but mode is reference_based")
+        anchor_text = _anchor_text(segment, config)
         for name in config.metrics:
             try:
                 value, flag = _compute_metric(name, segment, anchor_text, config, resources)

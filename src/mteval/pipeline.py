@@ -135,7 +135,7 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
         raise ConfigError("configuration problems:\n  - " + "\n  - ".join(problems))
 
     resources = Resources()
-    if paths.get("wordpiece_vocab") is not None:
+    if "wordpiece_vocab" in needed:
         resources.wp_vocab = load_wordpiece_vocab(paths["wordpiece_vocab"])
     if "static_embeddings" in needed:
         resources.stores["words"] = load_static(paths["static_embeddings"])
@@ -201,7 +201,7 @@ def assemble_features(
     for segment, vector in zip(dataset.segments, vectors):
         row = [vector.scores[name] for name in config.metrics]
         if config.reg_base:
-            row.extend(reg_base_features(segment, resources, config.mode, config.lowercase))
+            row.extend(reg_base_features(segment, resources, config))
         for name in resources.external:
             try:
                 row.append(resources.external[name][segment.id])

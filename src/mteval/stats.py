@@ -23,10 +23,11 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman's rank correlation: Pearson correlation of average-tie ranks.
 
-    Raises ValueError on length mismatch, fewer than two observations, or
-    when both inputs are constant (the coefficient is undefined).  When
-    exactly one input is constant the association is not measurable and the
-    neutral value 0.0 is returned rather than NaN.
+    Raises ValueError on length mismatch or fewer than two observations.
+    When either input is constant the coefficient is undefined, and the
+    neutral value 0.0 is returned rather than NaN: the one policy for an
+    undefined correlation, so reports, model selection and ablation all
+    score it as 0.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -34,11 +35,7 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 1 or len(a) < 2:
         raise ValueError("spearman needs two 1-d sequences of length >= 2")
-    a_const = bool(np.all(a == a[0]))
-    b_const = bool(np.all(b == b[0]))
-    if a_const and b_const:
-        raise ValueError("spearman undefined: both inputs are constant")
-    if a_const or b_const:
+    if np.all(a == a[0]) or np.all(b == b[0]):
         return 0.0
     ra = average_ranks(a)
     rb = average_ranks(b)
@@ -53,15 +50,3 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     rho = float(np.dot(da, db) / np.sqrt(np.dot(da, da) * np.dot(db, db)))
     return max(-1.0, min(1.0, rho))
 
-
-def safe_spearman(a: Sequence[float], b: Sequence[float]) -> float:
-    """`spearman`, with the undefined rho of two constant inputs reported as 0.0.
-
-    This is the one policy for an undefined correlation: reports, model
-    selection and ablation all score it as 0.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape == b.shape and a.ndim == 1 and len(a) >= 2 and np.all(a == a[0]) and np.all(b == b[0]):
-        return 0.0
-    return spearman(a, b)

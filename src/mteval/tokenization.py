@@ -44,7 +44,10 @@ def load_wordpiece_vocab(path: str | Path) -> WordPieceVocab:
             token = line.rstrip("\n")
             if token:
                 entries.append(token)
-    return WordPieceVocab(entries=tuple(entries))
+    try:
+        return WordPieceVocab(entries=tuple(entries))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def whitespace_tokenize(text: str) -> list[str]:

@@ -18,7 +18,7 @@ from mteval._rng import round_half_up
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.ensemble import MlpParams, mlp_gradients, mlp_loss
 from mteval.errors import DataError
-from mteval.stats import safe_spearman
+from mteval.stats import spearman
 
 # ---------------------------------------------------------------------------
 # transportation problem: exhaustive basic-feasible-solution enumeration
@@ -217,7 +217,7 @@ def loop_ablation_order(train) -> list[str]:
         worst = {name: -np.inf for name in remaining}
         for i, a in enumerate(remaining):
             for b in remaining[i + 1 :]:
-                rho = abs(safe_spearman(columns[a], columns[b]))
+                rho = abs(spearman(columns[a], columns[b]))
                 worst[a] = max(worst[a], rho)
                 worst[b] = max(worst[b], rho)
         victim = min(remaining, key=lambda name: (-worst[name], name))

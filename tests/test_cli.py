@@ -690,9 +690,14 @@ ERROR_TABLE = {
     "pos-without-text": (
         _row(reference="", pos_reference="DET NOUN"), 2, "data.tsv:2: segment 's0': pos_reference given but the text side is missing"
     ),
-    "mixed-language-pairs": (_row(tgt_lang="fr"), 2, "dataset 'data' mixes language pairs: [('de', 'en'), ('de', 'fr')]"),
+    "mixed-language-pairs": (
+        _row(tgt_lang="fr"), 2, "data.tsv:3: dataset 'data' mixes language pairs: [('de', 'en'), ('de', 'fr')]"
+    ),
+    "duplicate-id": (_row(id="s1"), 2, "data.tsv:3: duplicate segment id 's1' in dataset 'data'"),
     "bad-tsv-header": (_file("other.tsv", "id\tsource\n"), 2, "other.tsv:1: header must be ["),
-    "unsupported-format": (_file("data.csv", "id,source\n"), 2, "unsupported dataset format 'csv' (expected tsv or json)"),
+    "unsupported-format": (
+        _file("data.csv", "id,source\n"), 2, "data.csv: unsupported dataset format 'csv' (expected tsv or json)"
+    ),
     "invalid-json": (_file("data.json", "[{"), 2, "data.json: invalid JSON: "),
     "json-not-array": (_file("data.json", "{}"), 2, "data.json: expected a JSON array of records"),
     "json-record-not-object": (_file("data.json", "[1]"), 2, "data.json:record 0: expected an object"),
@@ -701,6 +706,14 @@ ERROR_TABLE = {
         _file("external.tsv", EXTERNAL_WITH_NAN, "resources", "external_scores"), 2, "external.tsv:3: non-finite value in column 'ext'"
     ),
     "empty-tsv-file": (_file("data.tsv", ""), 2, "data.tsv: empty file"),
+    "empty-wordpiece-vocab": (
+        _file("vocab.txt", "", "resources", "wordpiece_vocab"), 2, "vocab.txt: WordPiece vocabulary is empty"
+    ),
+    "wordpiece-vocab-without-unk": (
+        _file("vocab.txt", "the\ndog\n", "resources", "wordpiece_vocab"),
+        2,
+        "vocab.txt: unknown-token '[UNK]' missing from the vocabulary",
+    ),
 }
 
 
@@ -724,6 +737,24 @@ def test_bad_judgements_cell_names_its_location_once(tmp_path, capsys):
     _row(judgements="1,x")(tmp_path, {})
     assert main(["score", "--config", str(config)]) == 2
     assert capsys.readouterr().err == f"data error: {tmp_path / 'data.tsv'}:2: bad judgements field '1,x'\n"
+
+
+@pytest.mark.parametrize("vocab", ["without-unk", "missing"])
+def test_unread_wordpiece_vocab_is_not_loaded(tmp_path, vocab):
+    config = write_run(tmp_path, metrics=("bleu",))
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["reg_base"] = False
+    del payload["resources"]["static_embeddings"]
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["score", "--config", str(config)]) == 0
+    want = (tmp_path / "out" / "scores.tsv").read_bytes()
+    if vocab == "missing":
+        (tmp_path / "vocab.txt").unlink()
+    else:
+        (tmp_path / "vocab.txt").write_text("the\ndog\n", encoding="utf-8")
+    shutil.rmtree(tmp_path / "out")
+    assert main(["score", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / "scores.tsv").read_bytes() == want
 
 
 @pytest.mark.parametrize("command", ["score", "evaluate", "ablate", "crosslingual"])

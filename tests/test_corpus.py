@@ -124,9 +124,9 @@ def test_pos_tags_must_match_token_count():
 
 def test_average_judgements():
     seg = make_segment(0, judgements=(1.0, 2.0, 3.0))
-    assert average_judgements(seg).value == 2.0
-    assert average_judgements(make_segment(1, judgements=(0.5,))).value == 0.5
-    assert average_judgements(make_segment(2, judgements=(-1.0, 1.0))).value == 0.0
+    assert average_judgements(seg) == 2.0
+    assert average_judgements(make_segment(1, judgements=(0.5,))) == 0.5
+    assert average_judgements(make_segment(2, judgements=(-1.0, 1.0))) == 0.0
 
 
 def test_average_judgements_permutation_invariant():
@@ -134,10 +134,10 @@ def test_average_judgements_permutation_invariant():
 
     rng = np.random.default_rng(3)
     values = list(rng.normal(size=9))
-    base = average_judgements(make_segment(0, judgements=values)).value
+    base = average_judgements(make_segment(0, judgements=values))
     for _ in range(20):
         rng.shuffle(values)
-        assert average_judgements(make_segment(0, judgements=values)).value == base
+        assert average_judgements(make_segment(0, judgements=values)) == base
 
 
 def test_average_judgements_empty_errors():

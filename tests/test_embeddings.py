@@ -542,7 +542,31 @@ def test_vector_cache_misses_on_one_changed_byte(tmp_path, cache_home, caplog, l
     assert cached_load(load, write_cache_case(tmp_path, load), caplog)[0] == first[0]
 
 
-VALUES, ITEMS0, OFFSETS0 = 1, 2, 3  # positions in an entry: line numbers, values, then the item fields
+# a tab, which a static token may hold, and characters str.splitlines() breaks a line at
+SPLITLINES_TOKENS = ["a\tb", "c\x0bd", "e\x1cf", "g\x85h", "i\u2028j"]
+
+
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_keeps_items_that_splitlines_would_break(tmp_path, cache_home, caplog, load):
+    if load is load_static:
+        text = f"{len(SPLITLINES_TOKENS)} 2\n" + "".join(f"{token} {i} 0.5\n" for i, token in enumerate(SPLITLINES_TOKENS))
+        tokens = SPLITLINES_TOKENS
+    else:
+        text = CONTEXTUAL_HEADER + "s\u2028\tsource\t0\tk\u2028l\t1.5 -0.25\ns1\thypothesis\t1\tm\t0.0 1.0\n"
+        tokens = ["k\u2028l", "m"]
+    path = tmp_path / "vectors.txt"
+    path.write_text(text, encoding="utf-8")
+    miss = cached_load(load, path, caplog)
+    hit = cached_load(load, path, caplog)
+    assert "cache miss" in miss[2] and "cache hit" in hit[2]
+    assert hit[:2] == miss[:2]
+    got = [row[0] for row in hit[0][1]] if load is load_static else [row[3] for row in hit[0]]
+    assert got == tokens
+    if load is load_contextual:
+        assert hit[0][0][:3] == ("s\u2028", "source", 0)
+
+
+VALUES, ITEMS = 1, 2  # positions in an entry: line numbers, values, the items' text
 
 
 def read_arrays(entry):
@@ -586,12 +610,13 @@ def non_finite(arrays, raw):
     return save_arrays(arrays, {VALUES: values})
 
 
-def short_items(arrays, raw):
-    return save_arrays(arrays, {OFFSETS0: arrays[OFFSETS0][:-1]})
+def short_items(arrays, raw):  # the text of every item but the last
+    text = arrays[ITEMS].tobytes()
+    return save_arrays(arrays, {ITEMS: np.frombuffer(text[: text.rindex(b"\n")], dtype=np.uint8)})
 
 
 def pickled_items(arrays, raw):
-    return save_arrays(arrays, {ITEMS0: np.array([object()], dtype=object)})
+    return save_arrays(arrays, {ITEMS: np.array([object()], dtype=object)})
 
 
 SPOILS = [truncate, garbage, trailing_bytes, wrong_width, missing_row, non_finite, short_items, pickled_items]

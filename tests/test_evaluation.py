@@ -224,8 +224,8 @@ def test_ablation_order_matches_the_per_step_loop(data):
 @pytest.mark.parametrize("k", [3, 7])
 def test_ablation_measures_each_train_pair_once(monkeypatch, k):
     calls = []
-    measure = mteval.evaluation.safe_spearman
-    monkeypatch.setattr(mteval.evaluation, "safe_spearman", lambda a, b: calls.append(1) or measure(a, b))
+    measure = mteval.evaluation.spearman
+    monkeypatch.setattr(mteval.evaluation, "spearman", lambda a, b: calls.append(1) or measure(a, b))
     rng = np.random.default_rng(k)
     train = matrix(rng.normal(size=(8, k)))
     gold = rng.normal(size=8).tolist()

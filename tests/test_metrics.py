@@ -531,22 +531,22 @@ def make_segment(**kwargs):
 
 def test_reg_base_features_direct_counts():
     segment = make_segment(source="ab", reference=None, hypothesis="abcd")
-    got = reg_base_features(segment, Resources(wp_vocab=WP), mode="source_based")
+    got = reg_base_features(segment, Resources(wp_vocab=WP), MetricConfig("source_based", ()))
     assert got.tolist() == [2.0, 4.0, 1.0, 1.0]
 
 
 def test_reg_base_features_multi_piece_tokens():
     segment = make_segment(source="unaffable", reference="ab", hypothesis="unaffable")
-    got = reg_base_features(segment, Resources(wp_vocab=WP), mode="source_based")
+    got = reg_base_features(segment, Resources(wp_vocab=WP), MetricConfig("source_based", ()))
     assert got.tolist() == [9.0, 9.0, 3.0, 3.0]
-    got = reg_base_features(segment, Resources(wp_vocab=WP), mode="reference_based")
+    got = reg_base_features(segment, Resources(wp_vocab=WP), MetricConfig("reference_based", ()))
     assert got.tolist() == [2.0, 9.0, 1.0, 3.0]
 
 
 def test_reg_base_features_missing_reference():
     segment = make_segment(reference=None)
     with pytest.raises(DataError):
-        reg_base_features(segment, Resources(wp_vocab=WP), mode="reference_based")
+        reg_base_features(segment, Resources(wp_vocab=WP), MetricConfig("reference_based", ()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,67 @@
+"""Source hygiene of src/mteval, checked on the syntax tree (no linter needed).
+
+Every imported name is used in its module, and every name a module's
+``__all__`` lists is defined there, so each public name keeps one import
+path: its defining module.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mteval").glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import (``from __future__`` aside) that the module never loads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def exported_but_not_defined(tree: ast.Module) -> list[str]:
+    """Names in ``__all__`` that no top-level def, class or assignment of the module binds."""
+    exported, defined = [], set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {target.id for target in targets if isinstance(target, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                exported = ast.literal_eval(node.value)
+    return [name for name in exported if name not in defined]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_all_lists_only_names_defined_in_the_module(path):
+    assert exported_but_not_defined(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_checks_see_a_stale_import_and_a_re_export():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from mteval.errors import ConfigError, DataError\n"
+        "from mteval.flow import FlowSolution\n"
+        "__all__ = ['FlowSolution', 'check']\n"
+        "def check(x: np.ndarray) -> None:\n"
+        "    raise DataError(os.path.sep)\n"
+    )
+    assert unused_imports(tree) == ["line 4: ConfigError", "line 5: FlowSolution"]
+    assert exported_but_not_defined(tree) == ["FlowSolution"]

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from mteval.stats import average_ranks, safe_spearman, spearman
+from mteval.stats import average_ranks, spearman
 
 from oracles import loop_average_ranks, rank_oracle, spearman_oracle
 
@@ -93,15 +93,14 @@ def test_spearman_errors():
         spearman([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         spearman([1.0], [2.0])
-    with pytest.raises(ValueError):
-        spearman([2.0, 2.0], [5.0, 5.0])  # both constant: undefined
+    assert spearman([2.0, 2.0], [5.0, 5.0]) == 0.0  # both constant: undefined, scored as 0
 
 
-def test_safe_spearman_scores_undefined_rho_as_zero():
-    assert safe_spearman([2.0, 2.0], [5.0, 5.0]) == 0.0
-    assert safe_spearman([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]) == spearman([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])
+def test_spearman_scores_undefined_rho_as_zero():
+    assert spearman([2.0, 2.0], [5.0, 5.0]) == 0.0
+    assert spearman([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]) == -0.5
     with pytest.raises(ValueError):
-        safe_spearman([1.0, 1.0], [1.0, 1.0, 1.0])
+        spearman([1.0, 1.0], [1.0, 1.0, 1.0])
 
 
 def test_spearman_single_constant_side_is_neutral_zero():
