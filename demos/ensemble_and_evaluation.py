@@ -16,8 +16,8 @@ import numpy as np
 from mteval.config import load_run_config
 from mteval.corpus import load_dataset
 from mteval.ensemble import FeatureMatrix, predict, select_model
-from mteval.evaluation import evaluate_dataset
-from mteval.pipeline import build_resources
+from mteval.evaluation import evaluate
+from mteval.pipeline import build_resources, dataset_features
 from mteval.stats import spearman
 
 DATA = Path(__file__).parent / "data"
@@ -46,15 +46,9 @@ def demo_full_protocol():
     config = load_run_config(DATA / "run_deen.json")
     dataset = load_dataset(config.dataset_path, config.dataset_format)
     resources = build_resources(config.metric_config, dataset, config.resources)
-    result = evaluate_dataset(
-        dataset,
-        config.metric_config,
-        resources,
-        seed=config.seed,
-        train_ratio=config.split_ratio,
-        mlp_options=config.mlp_options,
-    )
-    print(f"  {len(dataset)} segments -> {result.n_train} train / {result.n_test} test (split by source text)")
+    split = dataset_features(dataset, config.metric_config, resources, config.seed, config.split_ratio)
+    result = evaluate(split, seed=config.seed, mlp_options=config.mlp_options)
+    print(f"  {len(dataset)} segments -> {split.train.n} train / {split.test.n} test (split by source text)")
     print(f"  RegEMT selected the {result.regemt_kind} regressor\n")
     print("  test-split Spearman to the human judgements:")
     for name, rho in sorted(result.report.to_gold.items(), key=lambda kv: -kv[1]):

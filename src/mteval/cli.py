@@ -14,6 +14,7 @@ correlation left undefined by two constant inputs is reported as 0.
 from __future__ import annotations
 
 import argparse
+import csv
 import logging
 import sys
 from pathlib import Path
@@ -21,10 +22,9 @@ from pathlib import Path
 from mteval import __version__
 from mteval.config import RunConfig, load_run_config
 from mteval.corpus import load_dataset
-from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
-from mteval.evaluation import ablation, cross_lingual_eval, evaluate_dataset
-from mteval.pipeline import build_resources, dataset_features, feature_names, require_segments, score_features
+from mteval.evaluation import AblationCurve, ablation, cross_lingual_eval, evaluate
+from mteval.pipeline import SplitFeatures, build_resources, dataset_features, feature_names, require_segments, score_features
 
 logger = logging.getLogger(__name__)
 
@@ -68,25 +68,38 @@ def _load_run(config: RunConfig):
     return dataset, build_resources(config.metric_config, dataset, config.resources)
 
 
+def _split(config: RunConfig, dataset, resources, *sides: str) -> SplitFeatures:
+    """Score a run's dataset and split its features by source; a DataError unless each named side holds 2 segments."""
+    split = dataset_features(dataset, config.metric_config, resources, config.seed, config.split_ratio)
+    require_segments(split, dataset, config.split_ratio, *sides)
+    return split
+
+
 def _out_dir(args, config: RunConfig) -> Path:
     out = args.out or config.output_dir or Path(".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_scores_tsv(path: Path, features: FeatureMatrix) -> None:
+def _write_table(path: Path, header: list[str], rows) -> None:
+    """A UTF-8, LF-terminated, tab-separated table: float cells as 6-decimal fixed point, the rest as str."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("segment_id\t" + "\t".join(features.feature_names) + "\n")
-        for segment_id, row in zip(features.segment_ids, features.rows):
-            handle.write(segment_id + "\t" + "\t".join(f"{cell:.6f}" for cell in row) + "\n")
+        for row in [header, *rows]:
+            handle.write("\t".join(f"{cell:.6f}" if isinstance(cell, float) else str(cell) for cell in row) + "\n")
 
 
-def _write_flags_tsv(path: Path, flags: dict[str, dict[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("segment_id\tmetric\tflag\n")
-        for segment_id in sorted(flags):
-            for metric in sorted(flags[segment_id]):
-                handle.write(f"{segment_id}\t{metric}\t{flags[segment_id][metric]}\n")
+def _write_flags(path: Path, flags: dict[str, dict[str, str]]) -> None:
+    rows = ([segment_id, metric, flag] for segment_id in sorted(flags) for metric, flag in sorted(flags[segment_id].items()))
+    _write_table(path, ["segment_id", "metric", "flag"], rows)
+
+
+def _write_ablation(path: Path, curve: AblationCurve) -> None:
+    """ablation.csv, through csv.writer: an external column name may hold a comma."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["step", "eliminated", "remaining", "test_rho"])
+        for step in curve.steps:
+            writer.writerow([step.step, step.eliminated or "", step.remaining_count, f"{step.test_rho:.6f}"])
 
 
 def cmd_score(args) -> int:
@@ -94,31 +107,26 @@ def cmd_score(args) -> int:
     dataset, resources = _load_run(config)
     features, flags, _ = score_features(dataset, config.metric_config, resources)
     out = _out_dir(args, config)
-    _write_scores_tsv(out / "scores.tsv", features)
-    _write_flags_tsv(out / "flags.tsv", flags)
+    rows = ([segment_id, *row] for segment_id, row in zip(features.segment_ids, features.rows))
+    _write_table(out / "scores.tsv", ["segment_id", *features.feature_names], rows)
+    _write_flags(out / "flags.tsv", flags)
     logger.info("wrote %s and %s", out / "scores.tsv", out / "flags.tsv")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config)
-    dataset, resources = _load_run(config)
-    result = evaluate_dataset(
-        dataset,
-        config.metric_config,
-        resources,
-        seed=config.seed,
-        train_ratio=config.split_ratio,
-        mlp_options=config.mlp_options,
-    )
+    split = _split(config, *_load_run(config), "train", "test")
+    result = evaluate(split, seed=config.seed, mlp_options=config.mlp_options)
     out = _out_dir(args, config)
-    result.report.write_to_gold_tsv(out / "correlations.tsv")
-    result.report.write_matrix_tsv(out / "correlation_matrix.tsv")
-    _write_flags_tsv(out / "flags.tsv", result.flags)
+    report, names = result.report, result.report.names
+    _write_table(out / "correlations.tsv", ["metric", "spearman_to_gold"], ([a, report.to_gold[a]] for a in names))
+    _write_table(out / "correlation_matrix.tsv", ["metric", *names], ([a, *(report.rho(a, b) for b in names)] for a in names))
+    _write_flags(out / "flags.tsv", split.flags)
     print(
-        f"test segments: {result.n_test} (train {result.n_train})\n"
-        f"RegEMT ({result.regemt_kind}): {result.report.to_gold['RegEMT']:.6f}\n"
-        f"Reg-base ({result.reg_base_kind}): {result.report.to_gold['Reg-base']:.6f}"
+        f"test segments: {split.test.n} (train {split.train.n})\n"
+        f"RegEMT ({result.regemt_kind}): {report.to_gold['RegEMT']:.6f}\n"
+        f"Reg-base ({result.reg_base_kind}): {report.to_gold['Reg-base']:.6f}"
     )
     return 0
 
@@ -129,8 +137,7 @@ def cmd_ablate(args) -> int:
     n_features = len(feature_names(config.metric_config, resources))
     if n_features < 2:
         raise ConfigError(f"ablate needs at least 2 features (metrics, reg_base, external scores), got {n_features}")
-    split = dataset_features(dataset, config.metric_config, resources, config.seed, config.split_ratio)
-    require_segments(split, dataset, config.split_ratio, "train", "test")
+    split = _split(config, dataset, resources, "train", "test")
     curve = ablation(
         split.train,
         split.test,
@@ -141,7 +148,7 @@ def cmd_ablate(args) -> int:
         mlp_options=config.mlp_options,
     )
     out = _out_dir(args, config)
-    curve.write_csv(out / "ablation.csv")
+    _write_ablation(out / "ablation.csv", curve)
     logger.info("wrote %s", out / "ablation.csv")
     return 0
 
@@ -157,22 +164,12 @@ def cmd_crosslingual(args) -> int:
     eval_names = feature_names(eval_config.metric_config, eval_resources)
     if fit_names != eval_names:
         raise ConfigError(f"fit and eval configs must yield the same feature columns: fit {fit_names}, eval {eval_names}")
-    rho = cross_lingual_eval(
-        fit_dataset,
-        eval_dataset,
-        fit_config.metric_config,
-        fit_resources,
-        eval_resources,
-        seed=fit_config.seed,
-        train_ratio=fit_config.split_ratio,
-        eval_seed=eval_config.seed,
-        eval_train_ratio=eval_config.split_ratio,
-        mlp_options=fit_config.mlp_options,
-    )
+    fit_split = _split(fit_config, fit_dataset, fit_resources, "train")
+    eval_split = _split(eval_config, eval_dataset, eval_resources, "test")
+    rho = cross_lingual_eval(fit_split, eval_split, seed=fit_config.seed, mlp_options=fit_config.mlp_options)
     out = _out_dir(args, fit_config)
-    with open(out / "crosslingual.tsv", "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("fit_dataset\teval_dataset\ttest_rho\n")
-        handle.write(f"{fit_dataset.name}\t{eval_dataset.name}\t{rho:.6f}\n")
+    row = [fit_dataset.name, eval_dataset.name, rho]
+    _write_table(out / "crosslingual.tsv", ["fit_dataset", "eval_dataset", "test_rho"], [row])
     print(f"RegEMT-X ({fit_dataset.name} -> {eval_dataset.name}): {rho:.6f}")
     return 0
 

@@ -56,6 +56,8 @@ class Segment:
     def __post_init__(self):
         if not self.id:
             raise DataError("segment id must be nonempty")
+        if any(char in self.id for char in "\t\n\r"):  # it would break the rows of every output table
+            raise DataError(f"segment id {self.id!r} holds a tab or a line break")
         if not self.hypothesis:
             raise DataError(f"segment {self.id!r}: hypothesis must be nonempty")
         if not self.source:

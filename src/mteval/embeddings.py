@@ -172,16 +172,23 @@ class _Hashed(io.FileIO):
         return size
 
 
-def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None):
+def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None, item_rule=None):
     """`_parse_vectors` through an on-disk cache of parses without fault.
 
     An entry in ``$XDG_CACHE_HOME/mteval`` (default ``~/.cache/mteval``) is
     keyed by the sha256 of the loader, numpy's version, this module's and
     `mteval.errors`'s source (the row rule and layout) and the bytes parsed.
     A hit stands for every check of every row but those of the shapes,
-    ``dim`` and finiteness, which it repeats.  Any cache failure falls back
-    to the parse.  One INFO line per load tells which.
+    ``dim``, finiteness and ``item_rule``, which it repeats: that rule, when
+    given, turns each item into the loader's form, and an item it rejects
+    with a ValueError spoils the entry.  Any cache failure falls back to the
+    parse.  One INFO line per load tells which.
     """
+    def apply_rule(linenos, items, values, fault):
+        if item_rule is not None:
+            items = [item_rule(item) for item in items]
+        return linenos, items, values, fault
+
     entry = digest = None
     try:
         directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mteval"
@@ -192,7 +199,7 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None):
             while block := handle.read(1 << 20):
                 key.update(block)
         entry = directory / f"{kind}-{key.hexdigest()}.npy"
-        parsed = _read_entry(entry, dim)
+        parsed = apply_rule(*_read_entry(entry, dim))
         logger.info("%s: vector cache hit, %s", path, entry)
         return parsed
     except Exception as exc:  # no entry, or a spoiled one: parse the file
@@ -206,7 +213,7 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None):
     except Exception as exc:  # an unwritable cache is no reason to fail the load
         status = f"not written: {exc}"
     logger.info("%s: vector cache miss%s, %s %s", path, spoiled, entry, status)
-    return parsed
+    return apply_rule(*parsed)
 
 
 def _write_entry(entry: Path, linenos, items, values) -> None:
@@ -275,12 +282,14 @@ def load_contextual(path: str | Path) -> list[ContextualRecord]:
                 raise DataError(f"{path}:{lineno}: vector has {size} components, expected {dim}")
             yield lineno, f"{segment_id}\t{side}\t{token_index}\t{token}", text  # tab-split fields hold no tab
 
-    linenos, items, values, fault = _cached_parse(path, "contextual", read_rows)
+    def item_rule(item: str) -> tuple[str, str, int, str]:
+        segment_id, side, index_text, token = item.split("\t")
+        return segment_id, side, int(index_text), token
+
+    linenos, items, values, fault = _cached_parse(path, "contextual", read_rows, item_rule=item_rule)
     records: list[ContextualRecord] = []
     seen: set[tuple[str, str, int]] = set()
-    for lineno, item, vector in zip(linenos, items, values):
-        segment_id, side, index_text, token = item.split("\t")
-        token_index = int(index_text)
+    for lineno, (segment_id, side, token_index, token), vector in zip(linenos, items, values):
         key = (segment_id, side, token_index)
         if key in seen:
             raise DataError(f"{path}:{lineno}: duplicate (segment_id, side, token_index) {key}")

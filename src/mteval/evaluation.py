@@ -1,27 +1,25 @@
 """Evaluation protocol: correlations to gold, ablation, cross-lingual transfer.
 
-Everything is judged by Spearman's rank correlation.  `evaluate_dataset`
-reports each feature's test correlation plus the RegEMT and Reg-base
-ensembles and their pairwise correlation matrix; `ablation` repeatedly
-drops the most redundant feature and refits; `cross_lingual_eval` fits on
-one dataset's train split and reports on another's test split.
+Everything is judged by Spearman's rank correlation, on features already
+split by source (`pipeline.dataset_features`).  `evaluate` reports each
+feature's test correlation plus the RegEMT and Reg-base ensembles and their
+pairwise correlation matrix; `ablation` repeatedly drops the most redundant
+feature and refits; `cross_lingual_eval` fits on one split's train side and
+reports on another's test side.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from mteval.corpus import Dataset
 from mteval.ensemble import FeatureMatrix, predict, select_model
 from mteval.errors import ConfigError
-from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources
-from mteval.pipeline import dataset_features, require_segments
+from mteval.metrics import REG_BASE_FEATURES
+from mteval.pipeline import SplitFeatures
 from mteval.stats import spearman
 
 __all__ = [
@@ -32,7 +30,7 @@ __all__ = [
     "ablation",
     "correlation_report",
     "cross_lingual_eval",
-    "evaluate_dataset",
+    "evaluate",
 ]
 
 logger = logging.getLogger(__name__)
@@ -48,19 +46,6 @@ class CorrelationReport:
 
     def rho(self, a: str, b: str) -> float:
         return self.matrix[(a, b)]
-
-    def write_matrix_tsv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("metric\t" + "\t".join(self.names) + "\n")
-            for a in self.names:
-                cells = "\t".join(f"{self.matrix[(a, b)]:.6f}" for b in self.names)
-                handle.write(f"{a}\t{cells}\n")
-
-    def write_to_gold_tsv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("metric\tspearman_to_gold\n")
-            for name in self.names:
-                handle.write(f"{name}\t{self.to_gold[name]:.6f}\n")
 
 
 def correlation_report(features: FeatureMatrix, gold: list[float]) -> CorrelationReport:
@@ -93,13 +78,6 @@ class AblationStep:
 @dataclass
 class AblationCurve:
     steps: list[AblationStep]
-
-    def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["step", "eliminated", "remaining", "test_rho"])
-            for step in self.steps:
-                writer.writerow([step.step, step.eliminated or "", step.remaining_count, f"{step.test_rho:.6f}"])
 
 
 def ablation(
@@ -142,30 +120,18 @@ class EvaluationResult:
     """Test-split correlations of every feature and both ensembles."""
 
     report: CorrelationReport
-    n_train: int
-    n_test: int
     regemt_kind: str
     reg_base_kind: str
-    flags: dict[str, dict[str, str]]
 
 
-def evaluate_dataset(
-    dataset: Dataset,
-    config: MetricConfig,
-    resources: Resources,
-    seed: int,
-    train_ratio: float = 0.8,
-    mlp_options: dict | None = None,
-) -> EvaluationResult:
+def evaluate(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> EvaluationResult:
     """Fit RegEMT (all features) and Reg-base (surface features) on the train
-    split, then report test-split Spearman correlations for every feature and
+    side, then report test-side Spearman correlations for every feature and
     both ensemble prediction columns, plus their pairwise matrix."""
-    if not config.reg_base:
-        raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
-    split = dataset_features(dataset, config, resources, seed, train_ratio)
-    require_segments(split, dataset, train_ratio, "train", "test")
-    regemt = select_model(split.train, split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options)
     base_names = list(REG_BASE_FEATURES)
+    if not set(base_names) <= set(split.train.feature_names):
+        raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
+    regemt = select_model(split.train, split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options)
     reg_base = select_model(
         split.train.select(base_names), split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options
     )
@@ -177,43 +143,15 @@ def evaluate_dataset(
         list(split.test.segment_ids),
     )
     report = correlation_report(extended, split.gold_test)
-    return EvaluationResult(
-        report=report,
-        n_train=split.train.n,
-        n_test=split.test.n,
-        regemt_kind=regemt.kind,
-        reg_base_kind=reg_base.kind,
-        flags=split.flags,
-    )
+    return EvaluationResult(report=report, regemt_kind=regemt.kind, reg_base_kind=reg_base.kind)
 
 
 def cross_lingual_eval(
-    fit_dataset: Dataset,
-    eval_dataset: Dataset,
-    config: MetricConfig,
-    fit_resources: Resources,
-    eval_resources: Resources,
-    *,
-    seed: int,
-    train_ratio: float = 0.8,
-    eval_seed: int | None = None,
-    eval_train_ratio: float | None = None,
-    mlp_options: dict | None = None,
+    fit_split: SplitFeatures, eval_split: SplitFeatures, *, seed: int, mlp_options: dict | None = None
 ) -> float:
-    """RegEMT transfer: fit on one language pair, report on another.
-
-    The ensemble is fit on fit_dataset's train split and its Spearman rho
-    is reported on eval_dataset's test split.  Each dataset is split with
-    its own seed and ratio; ``eval_seed`` and ``eval_train_ratio`` default
-    to the fit values.  Both datasets must yield the same feature columns
-    (predict refuses misaligned names).
-    """
-    eval_seed = seed if eval_seed is None else eval_seed
-    eval_train_ratio = train_ratio if eval_train_ratio is None else eval_train_ratio
-    fit_split = dataset_features(fit_dataset, config, fit_resources, seed, train_ratio)
-    eval_split = dataset_features(eval_dataset, config, eval_resources, eval_seed, eval_train_ratio)
-    require_segments(fit_split, fit_dataset, train_ratio, "train")
-    require_segments(eval_split, eval_dataset, eval_train_ratio, "test")
+    """RegEMT transfer: the Spearman rho on ``eval_split``'s test side of
+    the ensemble fit on ``fit_split``'s train side.  Both must hold the same
+    feature columns (predict refuses misaligned names)."""
     model = select_model(
         fit_split.train, fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
     )

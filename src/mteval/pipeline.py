@@ -141,6 +141,8 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
         resources.stores["words"] = load_static(paths["static_embeddings"])
     if "contextual_records" in needed:
         records = load_contextual(paths["contextual_records"])
+        if not records:
+            raise DataError(f"{paths['contextual_records']}: no records")
         resources.contextual_groups = group_records(records)
         group_docs = [
             [record.token for record in resources.contextual_groups[key]]

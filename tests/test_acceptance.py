@@ -16,9 +16,11 @@ import numpy as np
 from mteval.corpus import Dataset, Segment, split_by_source
 from mteval.embeddings import ContextualRecord, EmbeddingStore, decontextualize, group_records
 from mteval.ensemble import FeatureMatrix, MlpParams, mlp_gradients, mlp_loss, predict, select_model
-from mteval.evaluation import ablation, cross_lingual_eval, evaluate_dataset
+from mteval.cli import _write_ablation
+from mteval.evaluation import ablation, cross_lingual_eval, evaluate
 from mteval.flow import solve_transport
 from mteval.metrics import METRICS, MetricConfig, Resources, scm, score_segment
+from mteval.pipeline import dataset_features
 from mteval.stats import spearman
 from mteval.tokenization import WordPieceVocab
 from mteval.vsm import SimilarityMatrix, WeightedBow, build_similarity_matrix, build_vocabulary
@@ -333,7 +335,7 @@ def test_ensemble_beats_best_single_feature():
     wins = 0
     for seed in range(10):
         dataset, resources = synthetic_judged_dataset(1000 + seed)
-        result = evaluate_dataset(dataset, config, resources, seed=seed, mlp_options=FAST_MLP)
+        result = evaluate(dataset_features(dataset, config, resources, seed), seed=seed, mlp_options=FAST_MLP)
         to_gold = result.report.to_gold
         best_single = max(v for name, v in to_gold.items() if name not in ("RegEMT", "Reg-base"))
         if to_gold["RegEMT"] - best_single >= 0.03:
@@ -351,9 +353,10 @@ def test_transfer_rho_close_to_in_domain_rho():
         eval_ds, eval_res = synthetic_judged_dataset(
             3000 + seed, n_segments=600, langs=("fi", "en"), source_word="lähde"
         )
-        in_domain = evaluate_dataset(eval_ds, config, eval_res, seed=seed, mlp_options=FAST_MLP)
+        eval_split = dataset_features(eval_ds, config, eval_res, seed)
+        in_domain = evaluate(eval_split, seed=seed, mlp_options=FAST_MLP)
         transferred = cross_lingual_eval(
-            fit_ds, eval_ds, config, fit_res, eval_res, seed=seed, mlp_options=FAST_MLP
+            dataset_features(fit_ds, config, fit_res, seed), eval_split, seed=seed, mlp_options=FAST_MLP
         )
         gap = abs(transferred - in_domain.report.to_gold["RegEMT"])
         assert gap <= 0.1, f"seed {seed}: transfer gap {gap:.3f}"
@@ -416,7 +419,7 @@ def test_ablation_eliminates_duplicates_first(tmp_path):
 
     # and the emitted CSV carries the same curve
     out = tmp_path / "curve.csv"
-    curve.write_csv(out)
+    _write_ablation(out, curve)
     lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,eliminated,remaining,test_rho"
     assert len(lines) == len(names) + 1

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import mteval.cli
 import mteval.embeddings
-import mteval.evaluation
 from mteval.cli import build_parser, main
 from mteval.config import load_run_config
 from mteval.errors import ConfigError
@@ -96,6 +96,17 @@ def test_evaluate_reports_ensembles(tmp_path, capsys):
     first = (tmp_path / "out" / "correlations.tsv").read_bytes()
     assert main(["evaluate", "--config", str(config)]) == 0
     assert (tmp_path / "out" / "correlations.tsv").read_bytes() == first
+
+
+def test_evaluate_without_reg_base_exits_one_and_writes_nothing(tmp_path, capsys):
+    config = write_run(tmp_path)
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["reg_base"] = False
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    assert main(["evaluate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: evaluate reports Reg-base and needs reg_base features enabled"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_reports_zero_for_two_constant_columns(tmp_path):
@@ -233,14 +244,14 @@ def test_crosslingual_degenerate_pair(tmp_path, capsys):
 
 def test_crosslingual_splits_the_eval_dataset_with_its_own_seed(tmp_path, monkeypatch):
     splits = []
-    featurize = mteval.evaluation.dataset_features
+    featurize = mteval.cli.dataset_features
 
     def spy(dataset, config, resources, seed, train_ratio):
         split = featurize(dataset, config, resources, seed, train_ratio)
         splits.append(tuple(split.test.segment_ids))
         return split
 
-    monkeypatch.setattr(mteval.evaluation, "dataset_features", spy)
+    monkeypatch.setattr(mteval.cli, "dataset_features", spy)
     fit = write_run(tmp_path, config_name="fit.json", seed=11)
     for eval_seed in (12, 13):
         eval_ = write_run(tmp_path, config_name="eval.json", seed=eval_seed)
@@ -666,6 +677,25 @@ def _source_based_bleu(tmp_path, payload):
     payload["metrics"] = ["bleu"]
 
 
+def _json_id(suffix):
+    """Rewrite data.tsv as data.json, with ``suffix`` appended to the first record's id."""
+
+    def spoil(tmp_path, payload):
+        lines = (tmp_path / "data.tsv").read_text(encoding="utf-8").splitlines()
+        records = [dict(zip(HEADER.split("\t"), line.split("\t"))) for line in lines[1:]]
+        records[0]["id"] += suffix
+        (tmp_path / "data.json").write_text(json.dumps(records), encoding="utf-8")
+        payload["dataset"] = "data.json"
+
+    return spoil
+
+
+def _header_only_records(tmp_path, payload):
+    (tmp_path / "records.tsv").write_text("segment_id\tside\ttoken_index\ttoken\tvector\n", encoding="utf-8")
+    payload["metrics"] = ["wmd_contextual"]
+    payload["resources"]["contextual_records"] = "records.tsv"
+
+
 EXTERNAL_WITH_NAN = "segment_id\text\n" + "".join(f"s{i}\t{'nan' if i == 1 else '0.5'}\n" for i in range(15))
 INVALID_CONFIG = "config.json: invalid configuration:\n  - "
 
@@ -701,11 +731,14 @@ ERROR_TABLE = {
     "invalid-json": (_file("data.json", "[{"), 2, "data.json: invalid JSON: "),
     "json-not-array": (_file("data.json", "{}"), 2, "data.json: expected a JSON array of records"),
     "json-record-not-object": (_file("data.json", "[1]"), 2, "data.json:record 0: expected an object"),
+    "json-id-with-tab": (_json_id("\tX"), 2, "data.json:record 0: segment id 's0\\tX' holds a tab or a line break"),
+    "json-id-with-newline": (_json_id("\nY"), 2, "data.json:record 0: segment id 's0\\nY' holds a tab or a line break"),
     # other inputs
     "non-finite-external": (
         _file("external.tsv", EXTERNAL_WITH_NAN, "resources", "external_scores"), 2, "external.tsv:3: non-finite value in column 'ext'"
     ),
     "empty-tsv-file": (_file("data.tsv", ""), 2, "data.tsv: empty file"),
+    "header-only-contextual-records": (_header_only_records, 2, "records.tsv: no records"),
     "empty-wordpiece-vocab": (
         _file("vocab.txt", "", "resources", "wordpiece_vocab"), 2, "vocab.txt: WordPiece vocabulary is empty"
     ),

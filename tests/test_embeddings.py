@@ -639,6 +639,28 @@ def test_vector_cache_spoiled_entry_is_a_miss_and_rewritten(tmp_path, cache_home
     assert cache_entries(cache_home) == [entry.name]
 
 
+def lost_tab(arrays, raw):  # the first item's segment id and side run together
+    text = arrays[ITEMS].tobytes().replace(b"\t", b" ", 1)
+    return save_arrays(arrays, {ITEMS: np.frombuffer(text, dtype=np.uint8)})
+
+
+def non_integer_index(arrays, raw):
+    text = arrays[ITEMS].tobytes().replace(b"\t0\t", b"\tx\t", 1)
+    return save_arrays(arrays, {ITEMS: np.frombuffer(text, dtype=np.uint8)})
+
+
+@pytest.mark.parametrize("spoil", [lost_tab, non_integer_index], ids=lambda spoil: spoil.__name__)
+def test_vector_cache_contextual_entry_with_a_spoiled_item_is_a_miss(tmp_path, cache_home, caplog, spoil):
+    path = write_cache_case(tmp_path, load_contextual)
+    want = cached_load(load_contextual, path, caplog)
+    (entry,) = (cache_home / "mteval").glob("*.npy")
+    entry.write_bytes(spoil(read_arrays(entry), entry.read_bytes()))
+    got = cached_load(load_contextual, path, caplog)
+    assert got[:2] == want[:2]
+    assert got[2].startswith(f"{path}: vector cache miss (ValueError: ") and got[2].endswith(f", {entry} written")
+    assert cached_load(load_contextual, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
+
+
 @pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
 def test_vector_cache_that_cannot_be_written_still_loads(tmp_path, cache_home, caplog, monkeypatch, load):
     path = write_cache_case(tmp_path, load)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mteval.evaluation
+from mteval.cli import _write_ablation, _write_table
 from mteval.corpus import Dataset, Segment
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError
@@ -11,9 +12,10 @@ from mteval.evaluation import (
     ablation,
     correlation_report,
     cross_lingual_eval,
-    evaluate_dataset,
+    evaluate,
 )
 from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources
+from mteval.pipeline import dataset_features
 from mteval.stats import spearman
 from mteval.tokenization import WordPieceVocab
 from oracles import loop_ablation_order
@@ -58,8 +60,9 @@ def test_correlation_report_tsv_outputs(tmp_path):
     report = correlation_report(m, [1.0, 2.0, 3.0])
     matrix_path = tmp_path / "matrix.tsv"
     gold_path = tmp_path / "gold.tsv"
-    report.write_matrix_tsv(matrix_path)
-    report.write_to_gold_tsv(gold_path)
+    names = report.names
+    _write_table(matrix_path, ["metric", *names], ([a, *(report.rho(a, b) for b in names)] for a in names))
+    _write_table(gold_path, ["metric", "spearman_to_gold"], ([a, report.to_gold[a]] for a in names))
     lines = matrix_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "metric\tx\ty"
     assert lines[1].startswith("x\t1.000000\t")
@@ -190,7 +193,7 @@ def test_ablation_csv_format(tmp_path):
     train, test, gold_train, gold_test = ablation_fixture(rng)
     curve = ablation(train, test, gold_train, gold_test, seed=2)
     path = tmp_path / "ablation.csv"
-    curve.write_csv(path)
+    _write_ablation(path, curve)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,eliminated,remaining,test_rho"
     assert lines[1].startswith("0,,3,")
@@ -271,12 +274,13 @@ def test_evaluate_dataset_reports_both_ensembles():
     dataset = make_dataset("wmt", n, rng, gold=2.0 * f1)
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
     resources = Resources(wp_vocab=WP, external={"f1": external_feature(dataset, f1)})
-    result = evaluate_dataset(dataset, config, resources, seed=4)
+    split = dataset_features(dataset, config, resources, seed=4)
+    result = evaluate(split, seed=4)
     names = result.report.names
     assert names[-2:] == ["RegEMT", "Reg-base"]
     assert "bleu" in names and "f1" in names
     assert set(REG_BASE_FEATURES) <= set(names)
-    assert result.n_train + result.n_test == n
+    assert split.train.n + split.test.n == n
     assert result.regemt_kind in ("linear", "mlp")
     # gold is exactly 2*f1, so the ensemble must rank the test split perfectly
     assert result.report.to_gold["f1"] == 1.0
@@ -287,13 +291,13 @@ def test_evaluate_dataset_requires_reg_base():
     rng = np.random.default_rng(10)
     dataset = make_dataset("wmt", 10, rng)
     config = MetricConfig(mode="reference_based", metrics=("bleu",), reg_base=False)
+    split = dataset_features(dataset, config, Resources(wp_vocab=WP), seed=1)
     with pytest.raises(ConfigError, match="reg_base"):
-        evaluate_dataset(dataset, config, Resources(wp_vocab=WP), seed=1)
+        evaluate(split, seed=1)
 
 
 def test_cross_lingual_degenerate_transfer_equals_in_domain():
     from mteval.ensemble import predict, select_model
-    from mteval.pipeline import dataset_features
 
     rng = np.random.default_rng(11)
     n = 30
@@ -301,8 +305,8 @@ def test_cross_lingual_degenerate_transfer_equals_in_domain():
     dataset = make_dataset("pair", n, rng, gold=f1 + 0.2 * rng.normal(size=n))
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
     resources = Resources(wp_vocab=WP, external={"f1": external_feature(dataset, f1)})
-    got = cross_lingual_eval(dataset, dataset, config, resources, resources, seed=6)
     split = dataset_features(dataset, config, resources, seed=6)
+    got = cross_lingual_eval(split, split, seed=6)
     model = select_model(split.train, split.gold_train, seed=6, sources=split.train_sources)
     want = float(spearman(predict(model, split.test), split.gold_test))
     assert got == want
@@ -317,5 +321,7 @@ def test_cross_lingual_gold_equals_shared_feature():
     config = MetricConfig(mode="reference_based", metrics=("bleu",), reg_base=False)
     fit_res = Resources(wp_vocab=WP, external={"f1": external_feature(fit_ds, f_fit)})
     eval_res = Resources(wp_vocab=WP, external={"f1": external_feature(eval_ds, f_eval)})
-    rho = cross_lingual_eval(fit_ds, eval_ds, config, fit_res, eval_res, seed=2)
+    fit_split = dataset_features(fit_ds, config, fit_res, seed=2)
+    eval_split = dataset_features(eval_ds, config, eval_res, seed=2)
+    rho = cross_lingual_eval(fit_split, eval_split, seed=2)
     assert rho == 1.0

@@ -2,7 +2,9 @@
 
 Every imported name is used in its module, and every name a module's
 ``__all__`` lists is defined there, so each public name keeps one import
-path: its defining module.
+path: its defining module.  Only the command line opens a file for
+writing: the library reads inputs and returns values, and the CLI writes
+every output table.
 """
 
 import ast
@@ -42,6 +44,18 @@ def exported_but_not_defined(tree: ast.Module) -> list[str]:
     return [name for name in exported if name not in defined]
 
 
+def writing_opens(tree: ast.Module) -> list[str]:
+    """Calls of the builtin ``open`` whose mode writes (w, a, x or +) or is not a string literal."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [keyword.value for keyword in node.keywords if keyword.arg == "mode"]
+            for mode in modes:
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                    lines.append(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
@@ -65,3 +79,24 @@ def test_the_checks_see_a_stale_import_and_a_re_export():
     )
     assert unused_imports(tree) == ["line 4: ConfigError", "line 5: FlowSolution"]
     assert exported_but_not_defined(tree) == ["FlowSolution"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_only_the_cli_opens_files_for_writing(path):
+    assert path.name == "cli.py" or writing_opens(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_write_check_sees_every_writing_mode():
+    tree = ast.parse(
+        "open(p)\n"
+        "open(p, 'rb', encoding=None)\n"
+        "open(p, mode='r')\n"
+        "os.fdopen(handle, 'wb')\n"
+        "open(p, 'w', encoding='utf-8')\n"
+        "with open(p, mode='a') as handle:\n"
+        "    pass\n"
+        "open(p, 'xb')\n"
+        "open(p, 'r+')\n"
+        "open(p, chosen_mode)\n"
+    )
+    assert writing_opens(tree) == ["line 5", "line 6", "line 8", "line 9", "line 10"]
