@@ -16,7 +16,6 @@ import io
 import itertools
 import logging
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -198,7 +197,7 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None, item
         with open(path, "rb") as handle:
             while block := handle.read(1 << 20):
                 key.update(block)
-        entry = directory / f"{kind}-{key.hexdigest()}.npy"
+        entry = directory / f"{kind}-{key.hexdigest()}.npz"
         parsed = apply_rule(*_read_entry(entry, dim))
         logger.info("%s: vector cache hit, %s", path, entry)
         return parsed
@@ -208,7 +207,7 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None, item
     status = "not written: a faulty or empty file, or no cache directory"
     try:
         if entry is not None and fault is None and linenos:
-            _write_entry(entry := directory / f"{kind}-{digest.hexdigest()}.npy", linenos, items, values)
+            _write_entry(entry := directory / f"{kind}-{digest.hexdigest()}.npz", linenos, items, values)
             status = "written"
     except Exception as exc:  # an unwritable cache is no reason to fail the load
         status = f"not written: {exc}"
@@ -217,29 +216,27 @@ def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None, item
 
 
 def _write_entry(entry: Path, linenos, items, values) -> None:
-    """Write a parse atomically, as three `np.save` arrays: line numbers, values, items joined by newlines in UTF-8."""
-    arrays = [np.array(linenos, dtype=np.int64), values, np.frombuffer("\n".join(items).encode(), dtype=np.uint8)]
+    """Write a parse as an owner-only npz archive, not through a link: line numbers, values, items in UTF-8 lines."""
     entry.parent.mkdir(parents=True, exist_ok=True)
-    handle, temp = tempfile.mkstemp(suffix=".tmp", dir=entry.parent)
-    try:
-        with os.fdopen(handle, "wb") as out:
-            for array in arrays:
-                np.save(out, array)
-        os.replace(temp, entry)
-    except BaseException:
-        os.unlink(temp)
-        raise
+    text = np.frombuffer("\n".join(items).encode(), dtype=np.uint8)
+    with os.fdopen(os.open(entry, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, 0o600), "wb") as out:
+        np.savez(out, linenos=np.array(linenos, dtype=np.int64), values=values, items=text)
 
 
 def _read_entry(entry: Path, dim: int | None):
     """The `_parse_vectors` result an entry holds; ValueError unless it fits the loader."""
-    with open(entry, "rb") as handle:
-        load = functools.partial(np.load, handle, allow_pickle=False)
-        linenos, values, items = load().tolist(), load(), load().tobytes().decode().split("\n")  # not splitlines()
-        n, width = values.shape
-        fits = values.dtype == np.float64 and 0 < width == (dim or width) and len(linenos) == len(items) == n
-        if not (fits and handle.read(1) == b"" and np.isfinite(values).all()):
-            raise ValueError("the cache entry does not fit the loader")
+    arrays = []
+    with open(entry, "rb") as handle, np.load(handle, allow_pickle=False) as archive:  # np.load leaks a failed path
+        for name in ("linenos", "values", "items"):
+            with archive.zip.open(f"{name}.npy") as member:
+                arrays.append(np.lib.format.read_array(member, allow_pickle=False))
+                if member.read(1):  # zipfile checks a member's CRC-32 only once a read reaches the member's end
+                    raise ValueError(f"the cache entry's {name} member holds bytes past its array")
+    linenos, values, items = arrays[0].tolist(), arrays[1], arrays[2].tobytes().decode().split("\n")  # not splitlines()
+    n, width = values.shape
+    fits = values.dtype == np.float64 and 0 < width == (dim or width) and len(linenos) == len(items) == n
+    if not (fits and np.isfinite(values).all()):
+        raise ValueError("the cache entry does not fit the loader")
     return linenos, items, values, None
 
 

@@ -23,7 +23,8 @@ def average_ranks(values: Sequence[float]) -> np.ndarray:
 def spearman(a: Sequence[float], b: Sequence[float]) -> float:
     """Spearman's rank correlation: Pearson correlation of average-tie ranks.
 
-    Raises ValueError on length mismatch or fewer than two observations.
+    Raises ValueError on length mismatch, fewer than two observations or a
+    non-finite value, which has no rank.
     When either input is constant the coefficient is undefined, and the
     neutral value 0.0 is returned rather than NaN: the one policy for an
     undefined correlation, so reports, model selection and ablation all
@@ -35,6 +36,8 @@ def spearman(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.ndim != 1 or len(a) < 2:
         raise ValueError("spearman needs two 1-d sequences of length >= 2")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("spearman needs finite values")
     if np.all(a == a[0]) or np.all(b == b[0]):
         return 0.0
     ra = average_ranks(a)

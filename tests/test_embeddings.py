@@ -530,7 +530,7 @@ def test_vector_cache_hit_is_the_parse_bit_for_bit(tmp_path, cache_home, caplog,
     assert tokens == CACHE_TOKENS
     if load is load_contextual:
         assert [row[:3] for row in hit[0]] == [("s\x00\U0001d518", "source", 0), ("s1", "hypothesis", 2**32)]
-    assert entry.startswith("static-" if load is load_static else "contextual-") and entry.endswith(".npy")
+    assert entry.startswith("static-" if load is load_static else "contextual-") and entry.endswith(".npz")
 
 
 @pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
@@ -566,21 +566,17 @@ def test_vector_cache_keeps_items_that_splitlines_would_break(tmp_path, cache_ho
         assert hit[0][0][:3] == ("s\u2028", "source", 0)
 
 
-VALUES, ITEMS = 1, 2  # positions in an entry: line numbers, values, the items' text
+VALUES, ITEMS = "values", "items"  # members of an entry besides "linenos", the line numbers
 
 
 def read_arrays(entry):
-    arrays, size = [], entry.stat().st_size
-    with open(entry, "rb") as handle:
-        while handle.tell() < size:
-            arrays.append(np.load(handle))
-    return arrays
+    with np.load(entry) as archive:
+        return {name: archive[name] for name in archive.files}
 
 
 def save_arrays(arrays, changes):
     buffer = io.BytesIO()
-    for i, array in enumerate(arrays):
-        np.save(buffer, changes.get(i, array))
+    np.savez(buffer, **{**arrays, **changes})
     return buffer.getvalue()
 
 
@@ -630,11 +626,14 @@ SPOILS = [truncate, garbage, trailing_bytes, wrong_width, missing_row, non_finit
 def test_vector_cache_spoiled_entry_is_a_miss_and_rewritten(tmp_path, cache_home, caplog, load, spoil):
     path = write_cache_case(tmp_path, load)
     want = cached_load(load, path, caplog)
-    (entry,) = (cache_home / "mteval").glob("*.npy")
+    (entry,) = (cache_home / "mteval").glob("*.npz")
     entry.write_bytes(spoil(read_arrays(entry), entry.read_bytes()))
     got = cached_load(load, path, caplog)
     assert got[:2] == want[:2]
-    assert got[2].startswith(f"{path}: vector cache miss (") and got[2].endswith(f", {entry} written")
+    if spoil is trailing_bytes:  # a zip archive is found from its end record, so bytes after an intact one are ignored
+        assert got[2] == f"{path}: vector cache hit, {entry}"
+    else:
+        assert got[2].startswith(f"{path}: vector cache miss (") and got[2].endswith(f", {entry} written")
     assert cached_load(load, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
     assert cache_entries(cache_home) == [entry.name]
 
@@ -653,12 +652,90 @@ def non_integer_index(arrays, raw):
 def test_vector_cache_contextual_entry_with_a_spoiled_item_is_a_miss(tmp_path, cache_home, caplog, spoil):
     path = write_cache_case(tmp_path, load_contextual)
     want = cached_load(load_contextual, path, caplog)
-    (entry,) = (cache_home / "mteval").glob("*.npy")
+    (entry,) = (cache_home / "mteval").glob("*.npz")
     entry.write_bytes(spoil(read_arrays(entry), entry.read_bytes()))
     got = cached_load(load_contextual, path, caplog)
     assert got[:2] == want[:2]
     assert got[2].startswith(f"{path}: vector cache miss (ValueError: ") and got[2].endswith(f", {entry} written")
     assert cached_load(load_contextual, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
+
+
+QUARTER = np.float64(-0.25).tobytes()  # a value of both cache cases, as an entry stores it
+
+
+@pytest.mark.parametrize(
+    ("load", "old", "new"),
+    [
+        *[(load, QUARTER, bytes([QUARTER[0] ^ 1]) + QUARTER[1:]) for load in CACHE_FILES],  # the significand's lowest bit
+        (load_contextual, b"\t0\t", b"\t5\t"),  # still an item the item rule accepts
+        (load_contextual, b"\tsource\t", b"\tsourcX\t"),  # an item the record checks would blame on the file
+    ],
+    ids=["static-value_bit", "contextual-value_bit", "contextual-token_index", "contextual-side"],
+)
+def test_vector_cache_entry_edited_in_place_is_a_miss(tmp_path, cache_home, caplog, load, old, new):
+    path = write_cache_case(tmp_path, load)
+    want = cached_load(load, path, caplog)
+    (entry,) = (cache_home / "mteval").glob("*.npz")
+    raw = entry.read_bytes()
+    assert raw.count(old) == 1
+    entry.write_bytes(raw.replace(old, new))
+    got = cached_load(load, path, caplog)
+    assert got[:2] == want[:2]
+    assert got[2].startswith(f"{path}: vector cache miss (") and got[2].endswith(f", {entry} written")
+    assert cached_load(load, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
+
+
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+def test_vector_cache_entry_with_any_flipped_bit_loads_the_parse(tmp_path, cache_home, caplog, load):
+    path = write_cache_case(tmp_path, load)
+    want = cached_load(load, path, caplog)
+    (entry,) = (cache_home / "mteval").glob("*.npz")
+    raw = entry.read_bytes()
+    for offset in range(len(raw)):
+        entry.write_bytes(raw[:offset] + bytes([raw[offset] ^ 1]) + raw[offset + 1 :])
+        assert cached_load(load, path, caplog)[:2] == want[:2], offset
+    assert cache_entries(cache_home) == [entry.name]
+
+
+# Members past zipfile's read-ahead, so a shape shrunk in a member's header leaves the member's tail unread.
+LARGE_CACHE_FILES = {
+    load_static: ("vectors.txt", "2000 2\n" + "".join(f"tok{i:05d} {i}.5 -0.25\n" for i in range(2000)), b"(17999,)", b"(17998,)"),
+    load_contextual: (
+        "ctx.tsv",
+        CONTEXTUAL_HEADER + "".join(f"s{i}\tsource\t0\tw\t{' '.join(['0.5'] * 8)}\n" for i in range(200)),
+        b"(200, 8)",
+        b"(200, 7)",
+    ),
+}
+
+
+@pytest.mark.parametrize("load", LARGE_CACHE_FILES, ids=["static-items_shape", "contextual-values_width"])
+def test_vector_cache_entry_with_a_shrunk_member_shape_is_a_miss(tmp_path, cache_home, caplog, load):
+    name, text, old, new = LARGE_CACHE_FILES[load]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    want = cached_load(load, path, caplog)
+    (entry,) = (cache_home / "mteval").glob("*.npz")
+    raw = entry.read_bytes()
+    assert raw.count(old) == 1
+    entry.write_bytes(raw.replace(old, new))
+    got = cached_load(load, path, caplog)
+    assert got[:2] == want[:2]
+    assert got[2].startswith(f"{path}: vector cache miss (") and got[2].endswith(f", {entry} written")
+    assert cached_load(load, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
+
+
+def test_vector_cache_entry_is_owner_only_and_never_written_through_a_link(tmp_path, cache_home, caplog):
+    path = write_cache_case(tmp_path, load_contextual)
+    want = cached_load(load_contextual, path, caplog)
+    (entry,) = (cache_home / "mteval").glob("*.npz")
+    assert entry.stat().st_mode & 0o777 == 0o600  # an entry holds the evaluation's segment ids and tokens
+    target = tmp_path / "target"
+    target.write_bytes(b"not an entry")
+    entry.unlink()
+    entry.symlink_to(target)
+    assert cached_load(load_contextual, path, caplog)[:2] == want[:2]
+    assert target.read_bytes() == b"not an entry"
 
 
 @pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])

@@ -1,15 +1,67 @@
-"""The README's code runs against the current API."""
+"""The README's code runs against the current API, and its tables restate the code's."""
 
+import itertools
 import math
 import re
+import sys
+from math import inf
 from pathlib import Path
 
+from mteval.config import _RANGES
+from mteval.metrics import METRICS
+from mteval.pipeline import _SPACE_PATHS
+
 ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def readme_table(header: str) -> list[str]:
+    """The rows of the README table under ``header``, up to the first line that is not a row."""
+    lines = README.splitlines()
+    return list(itertools.takewhile(lambda line: line.startswith("|"), lines[lines.index(header) :]))
 
 
 def test_readme_library_quickstart_runs(monkeypatch, capsys):
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"Library:\n\n```python\n(.*?)```", readme, re.S).group(1)
+    block = re.search(r"Library:\n\n```python\n(.*?)```", README, re.S).group(1)
     monkeypatch.chdir(ROOT)  # the block names demos/data by a path relative to the repository root
     exec(compile(block, "README.md", "exec"), {})
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+RESOURCE_NAMES = {
+    "static_embeddings": "static embeddings",
+    "contextual_records": "contextual records",
+    "wordpiece_vocab": "WordPiece vocab",
+}
+FAMILY_NEEDS = {"compositionality": "part-of-speech tags"}  # what a metric without a term space reads
+
+
+def test_readme_metrics_table_matches_the_metric_registry():
+    groups: dict[tuple[str, str], list[str]] = {}  # one row per (family, term space), its weightings together
+    for name, info in METRICS.items():
+        groups.setdefault((info.family, info.space), []).append(name)
+    rows = ["| name | needs | reference-less modes |", "| --- | --- | --- |"]
+    for (family, space), names in groups.items():
+        needs = " + ".join(RESOURCE_NAMES[key] for key in _SPACE_PATHS[space]) or FAMILY_NEEDS.get(family, "—")
+        reference_less = "no" if METRICS[names[0]].reference_only else "yes"
+        rows.append(f"| {', '.join(f'`{name}`' for name in names)} | {needs} | {reference_less} |")
+    assert readme_table(rows[0]) == rows
+
+
+RANGE_TEXTS = {
+    (True, 0, sys.maxsize): "integers ≥ 1",
+    (False, 0, inf): "finite numbers > 0",
+    (False, -inf, inf): "finite numbers",
+    (False, 0, 1): "numbers in (0, 1)",
+}
+
+
+def test_readme_run_config_ranges_match_the_validated_ranges():
+    keys: dict[str, list[str]] = {text: [] for text in RANGE_TEXTS.values()}
+    for section in sorted(_RANGES):
+        for name, bounds in _RANGES[section].items():
+            keys[RANGE_TEXTS[bounds]].append(f"`{section}.{name}`")
+    rows = ["| key | valid values |", "| --- | --- |"]
+    rows += [f"| {', '.join(names)} | {text} |" for text, names in keys.items() if names]
+    rows += ["| `split.seed` | integers ≥ 0 |", "| `output_dir` | a nonempty path string |"]  # checked outside the table
+    assert readme_table(rows[0]) == rows

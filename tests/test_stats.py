@@ -96,6 +96,15 @@ def test_spearman_errors():
     assert spearman([2.0, 2.0], [5.0, 5.0]) == 0.0  # both constant: undefined, scored as 0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_spearman_rejects_a_non_finite_value_on_either_side(value):
+    finite = [1.0, 2.0, 3.0, 4.0, 5.0]
+    for a, b in [([value] * 5, finite), ([1.0, value, 3.0, 4.0, 5.0], finite)]:
+        for pair in [(a, b), (b, a), (a, finite[::-1])]:
+            with pytest.raises(ValueError, match="finite"):
+                spearman(*pair)
+
+
 def test_spearman_scores_undefined_rho_as_zero():
     assert spearman([2.0, 2.0], [5.0, 5.0]) == 0.0
     assert spearman([1.0, 2.0, 3.0], [3.0, 1.0, 2.0]) == -0.5
