@@ -39,8 +39,8 @@ def show_bow(label, bow, vocab):
 
 
 def main():
-    store = load_static(DATA / "vectors.txt")
     vocab = build_vocabulary(CORPUS)
+    store = load_static(DATA / "vectors.txt", vocab.index)  # only the vocabulary's vectors are parsed
 
     print(f"reference : {REFERENCE!r}")
     print(f"hypothesis: {HYPOTHESIS!r}")

@@ -18,7 +18,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
@@ -70,13 +70,14 @@ class ContextualRecord:
 
 
 @utf8_loader
-def load_static(path: str | Path) -> EmbeddingStore:
-    """Load a word-vector text file.
+def load_static(path: str | Path, keep: Container[str]) -> EmbeddingStore:
+    """Load the vectors of the tokens in ``keep`` from a word-vector text file.
 
-    The header count is informative only (a mismatch logs a warning), but
-    every row must carry exactly ``dim`` values under the vector rule of
-    `_parse_vectors`.  A duplicated token keeps the last vector seen and
-    logs a warning.  A malformed file is reported at its first bad line.
+    Every row must carry one token and exactly ``dim`` fields, but only the
+    rows of kept tokens are parsed, under the vector rule of `_parse_vectors`.
+    The header count of distinct tokens is informative only (a mismatch logs
+    a warning).  A duplicated kept token keeps the last vector seen and logs
+    a warning.  A malformed file is reported at its first bad line.
     """
     path = Path(path)
     with open(path, encoding="utf-8-sig") as handle:
@@ -87,6 +88,7 @@ def load_static(path: str | Path) -> EmbeddingStore:
         raise DataError(f"{path}:1: expected integer header '<count> <dim>'") from None
     if dim <= 0:
         raise DataError(f"{path}:1: dimension must be positive, got {dim}")
+    distinct: set[str] = set()
 
     def read_rows(handle):
         handle.readline()
@@ -97,9 +99,11 @@ def load_static(path: str | Path) -> EmbeddingStore:
             if line.count(" ") != dim:
                 raise DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {line.count(' ') + 1} fields")
             token, _, text = line.partition(" ")
-            yield lineno, token, text
+            distinct.add(token)
+            if token in keep:
+                yield lineno, token, text
 
-    linenos, tokens, values, fault = _cached_parse(path, "static", read_rows, dim)
+    linenos, tokens, values, fault = _parse_vectors(path, read_rows)
     table: dict[str, np.ndarray] = {}
     for token, lineno, vector in zip(tokens, linenos, values):  # stops at the first bad row
         if token in table:
@@ -107,24 +111,24 @@ def load_static(path: str | Path) -> EmbeddingStore:
         table[token] = vector
     if fault is not None:
         raise fault
-    if len(table) != count:
-        logger.warning("%s: header declares %d tokens but %d were read", path, count, len(table))
+    if len(distinct) != count:
+        logger.warning("%s: header declares %d tokens but %d were read", path, count, len(distinct))
     return EmbeddingStore(dim=dim, table=table)
 
 
-def _parse_vectors(path: Path, read_rows, digest):
+def _parse_vectors(path: Path, read_rows, digest=None):
     """Parse the vector texts of ``read_rows`` with one streaming ``np.loadtxt`` pass.
 
     The vector rule of both loaders: single-space separators, trailing
     spaces ignored, numpy's number syntax (ASCII digits, no ``_``), finite
     values.  ``read_rows(handle)`` yields (line number, item, vector text)
-    per row of the file, every byte read of which goes into ``digest``, and
-    raises DataError at a malformed row; an item is one string without a
-    newline.  Returns (line numbers, items, (n, dim) values, fault):
-    ``fault`` is the DataError of the first bad line or None, and the
-    values stop before it.  numpy pulls rows one at a time, so a number it
-    cannot parse is on the last row handed over; the rows before it are
-    then parsed again.
+    per row to parse, and raises DataError at a malformed line; every byte
+    read of the file goes into ``digest``, when given.  An item is one
+    string without a newline.  Returns (line numbers, items, (n, dim)
+    values, fault): ``fault`` is the DataError of the first bad line or
+    None, and the values stop before it.  numpy pulls rows one at a time,
+    so a number it cannot parse is on the last row handed over; the rows
+    before it are then parsed again.
     """
     linenos: list[int] = []
     items: list[str] = []
@@ -140,7 +144,8 @@ def _parse_vectors(path: Path, read_rows, digest):
         except DataError as exc:
             fault = exc
 
-    with io.TextIOWrapper(io.BufferedReader(_Hashed(path, digest), 1 << 20), encoding="utf-8-sig") as handle:
+    raw = io.FileIO(path) if digest is None else _Hashed(path, digest)
+    with io.TextIOWrapper(io.BufferedReader(raw, 1 << 20), encoding="utf-8-sig") as handle:
         try:
             values = _loadtxt(texts(handle))
         except UnicodeDecodeError:  # a ValueError too, but not a number's fault
@@ -171,48 +176,44 @@ class _Hashed(io.FileIO):
         return size
 
 
-def _cached_parse(path: Path, kind: str, read_rows, dim: int | None = None, item_rule=None):
-    """`_parse_vectors` through an on-disk cache of parses without fault.
+def _cached_parse(path: Path, read_rows, item_rule):
+    """`_parse_vectors` of a contextual file through an on-disk cache of parses without fault.
 
     An entry in ``$XDG_CACHE_HOME/mteval`` (default ``~/.cache/mteval``) is
-    keyed by the sha256 of the loader, numpy's version, this module's and
+    keyed by the sha256 of numpy's version, this module's and
     `mteval.errors`'s source (the row rule and layout) and the bytes parsed.
     A hit stands for every check of every row but those of the shapes,
-    ``dim``, finiteness and ``item_rule``, which it repeats: that rule, when
-    given, turns each item into the loader's form, and an item it rejects
-    with a ValueError spoils the entry.  Any cache failure falls back to the
-    parse.  One INFO line per load tells which.
+    finiteness and ``item_rule``, which it repeats: that rule turns each
+    item into the loader's form, and an item it rejects with a ValueError
+    spoils the entry.  Any cache failure falls back to the parse.  One INFO
+    line per load tells which.
     """
-    def apply_rule(linenos, items, values, fault):
-        if item_rule is not None:
-            items = [item_rule(item) for item in items]
-        return linenos, items, values, fault
-
     entry = digest = None
     try:
         directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mteval"
         source = b"".join(Path(__file__).with_name(name).read_bytes() for name in ("embeddings.py", "errors.py"))
-        prefix = f"mteval {kind} vectors, numpy {np.__version__}, source {hashlib.sha256(source).hexdigest()}\n"
+        prefix = f"mteval contextual vectors, numpy {np.__version__}, source {hashlib.sha256(source).hexdigest()}\n"
         digest, key = hashlib.sha256(prefix.encode()), hashlib.sha256(prefix.encode())
         with open(path, "rb") as handle:
             while block := handle.read(1 << 20):
                 key.update(block)
-        entry = directory / f"{kind}-{key.hexdigest()}.npz"
-        parsed = apply_rule(*_read_entry(entry, dim))
+        entry = directory / f"contextual-{key.hexdigest()}.npz"
+        linenos, items, values = _read_entry(entry)
+        parsed = linenos, [item_rule(item) for item in items], values, None
         logger.info("%s: vector cache hit, %s", path, entry)
         return parsed
     except Exception as exc:  # no entry, or a spoiled one: parse the file
         spoiled = "" if isinstance(exc, FileNotFoundError) else f" ({type(exc).__name__}: {exc})"
-    parsed = linenos, items, values, fault = _parse_vectors(path, read_rows, digest or hashlib.sha256())
+    linenos, items, values, fault = _parse_vectors(path, read_rows, digest or hashlib.sha256())
     status = "not written: a faulty or empty file, or no cache directory"
     try:
         if entry is not None and fault is None and linenos:
-            _write_entry(entry := directory / f"{kind}-{digest.hexdigest()}.npz", linenos, items, values)
+            _write_entry(entry := directory / f"contextual-{digest.hexdigest()}.npz", linenos, items, values)
             status = "written"
     except Exception as exc:  # an unwritable cache is no reason to fail the load
         status = f"not written: {exc}"
     logger.info("%s: vector cache miss%s, %s %s", path, spoiled, entry, status)
-    return apply_rule(*parsed)
+    return linenos, [item_rule(item) for item in items], values, fault
 
 
 def _write_entry(entry: Path, linenos, items, values) -> None:
@@ -223,8 +224,8 @@ def _write_entry(entry: Path, linenos, items, values) -> None:
         np.savez(out, linenos=np.array(linenos, dtype=np.int64), values=values, items=text)
 
 
-def _read_entry(entry: Path, dim: int | None):
-    """The `_parse_vectors` result an entry holds; ValueError unless it fits the loader."""
+def _read_entry(entry: Path):
+    """The line numbers, items and values an entry holds; ValueError unless they fit together."""
     arrays = []
     with open(entry, "rb") as handle, np.load(handle, allow_pickle=False) as archive:  # np.load leaks a failed path
         for name in ("linenos", "values", "items"):
@@ -234,10 +235,10 @@ def _read_entry(entry: Path, dim: int | None):
                     raise ValueError(f"the cache entry's {name} member holds bytes past its array")
     linenos, values, items = arrays[0].tolist(), arrays[1], arrays[2].tobytes().decode().split("\n")  # not splitlines()
     n, width = values.shape
-    fits = values.dtype == np.float64 and 0 < width == (dim or width) and len(linenos) == len(items) == n
+    fits = values.dtype == np.float64 and width > 0 and len(linenos) == len(items) == n
     if not (fits and np.isfinite(values).all()):
         raise ValueError("the cache entry does not fit the loader")
-    return linenos, items, values, None
+    return linenos, items, values
 
 
 def _loadtxt(texts) -> np.ndarray:
@@ -283,7 +284,7 @@ def load_contextual(path: str | Path) -> list[ContextualRecord]:
         segment_id, side, index_text, token = item.split("\t")
         return segment_id, side, int(index_text), token
 
-    linenos, items, values, fault = _cached_parse(path, "contextual", read_rows, item_rule=item_rule)
+    linenos, items, values, fault = _cached_parse(path, read_rows, item_rule)
     records: list[ContextualRecord] = []
     seen: set[tuple[str, str, int]] = set()
     for lineno, (segment_id, side, token_index, token), vector in zip(linenos, items, values):

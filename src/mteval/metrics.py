@@ -399,9 +399,7 @@ def compositionality(x: TransitionMatrix, y: TransitionMatrix, full_matrix: bool
 def _embed(matrix: TransitionMatrix, union: list[str]) -> np.ndarray:
     out = np.zeros((len(union), len(union)))
     positions = [union.index(t) for t in matrix.tags]
-    for a, pa in enumerate(positions):
-        for b, pb in enumerate(positions):
-            out[pa, pb] = matrix.probs[a, b]
+    out[np.ix_(positions, positions)] = matrix.probs
     return out
 
 

@@ -29,7 +29,7 @@ from mteval.metrics import (
     score_segments,
 )
 from mteval.tokenization import load_wordpiece_vocab
-from mteval.vsm import build_similarity_matrix, build_vocabulary, similarity_candidates
+from mteval.vsm import Vocabulary, build_similarity_matrix, build_vocabulary, similarity_candidates
 
 __all__ = [
     "RESERVED_FEATURE_NAMES",
@@ -137,8 +137,9 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
     resources = Resources()
     if "wordpiece_vocab" in needed:
         resources.wp_vocab = load_wordpiece_vocab(paths["wordpiece_vocab"])
-    if "static_embeddings" in needed:
-        resources.stores["words"] = load_static(paths["static_embeddings"])
+    if "static_embeddings" in needed:  # the vocabulary first: only its terms' vectors are parsed
+        words = resources.vocabs["words"] = _side_vocabulary(dataset, resources, "words", config.lowercase)
+        resources.stores["words"] = load_static(paths["static_embeddings"], words.index)
     if "contextual_records" in needed:
         records = load_contextual(paths["contextual_records"])
         if not records:
@@ -151,8 +152,7 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
         resources.vocabs["contextual"] = build_vocabulary(group_docs)
         if any(METRICS[name].space == "pieces" for name in config.metrics):
             resources.stores["pieces"] = decontextualize(records)
-    for space in resources.stores:
-        resources.vocabs[space] = build_vocabulary(_side_documents(dataset, resources, space, config.lowercase))
+            resources.vocabs["pieces"] = _side_vocabulary(dataset, resources, "pieces", config.lowercase)
 
     similarity = (config.similarity_threshold, config.similarity_exponent, config.similarity_top_k)
     candidates = {}  # both orders of a term space share one ranking of every term's partners
@@ -174,14 +174,14 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
     return resources
 
 
-def _side_documents(dataset: Dataset, resources: Resources, space: str, lowercase: bool) -> list[list[str]]:
-    """One document per segment side, the df unit for every vocabulary."""
+def _side_vocabulary(dataset: Dataset, resources: Resources, space: str, lowercase: bool) -> Vocabulary:
+    """The term space's vocabulary over one document per segment side, the df unit for every vocabulary."""
     documents = []
     for segment in dataset.segments:
         for text in (segment.source, segment.reference, segment.hypothesis):
             if text is not None:
                 documents.append(resources.tokens(space, text, lowercase))
-    return documents
+    return build_vocabulary(documents)
 
 
 def score_dataset(dataset: Dataset, config: MetricConfig, resources: Resources) -> list[MetricVector]:

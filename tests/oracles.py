@@ -365,12 +365,15 @@ def finite_difference_gradients(loss_fn, params, h: float = 1e-5):
 # ---------------------------------------------------------------------------
 
 
-def loop_load_static(path, logger):
-    """Split each row in Python and convert it value by value with float().
+def loop_load_static(path, keep, logger):
+    """Split each row in Python and convert the values of tokens in ``keep`` one by one with float().
 
-    Returns ``(dim, table)``; warnings go to ``logger``.
+    A row of any other token is checked for its field count only, and
+    counts towards the header's.  Returns ``(dim, table)``; warnings go to
+    ``logger``.
     """
     table: dict[str, np.ndarray] = {}
+    distinct: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         header = handle.readline().split()
         if len(header) != 2:
@@ -388,6 +391,9 @@ def loop_load_static(path, logger):
             if len(parts) != dim + 1:
                 raise DataError(f"{path}:{lineno}: expected 1 token + {dim} values, got {len(parts)} fields")
             token = parts[0]
+            distinct.add(token)
+            if token not in keep:
+                continue
             try:
                 vector = np.array([float(v) for v in parts[1:]], dtype=float)
             except ValueError:
@@ -397,8 +403,8 @@ def loop_load_static(path, logger):
             if token in table:
                 logger.warning("%s:%d: duplicate token %r, keeping the later vector", path, lineno, token)
             table[token] = vector
-    if len(table) != count:
-        logger.warning("%s: header declares %d tokens but %d were read", path, count, len(table))
+    if len(distinct) != count:
+        logger.warning("%s: header declares %d tokens but %d were read", path, count, len(distinct))
     return dim, table
 
 

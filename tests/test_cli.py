@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 import mteval.cli
-import mteval.embeddings
 from mteval.cli import build_parser, main
 from mteval.config import load_run_config
 from mteval.errors import ConfigError
@@ -279,6 +278,24 @@ def test_non_finite_static_vector_exits_two(tmp_path, capsys, component):
     assert err[0].startswith("data error: ") and err[0].endswith("static.txt:3: non-finite vector component")
 
 
+@pytest.mark.parametrize("component", ["nan", "oops"])
+def test_a_bad_value_of_an_unused_word_does_not_stop_score(tmp_path, component):
+    # only the rows of the dataset's words are parsed; the others are checked for their field count
+    config = write_run(tmp_path)
+    assert main(["score", "--config", str(config)]) == 0
+    clean = (tmp_path / "out" / "scores.tsv").read_bytes()
+    vectors = f"4 2\nthe 1.0 0.0\ncat {component} 0.5\ndog 0.5 0.5\nruns 0.0 1.0\n"
+    (tmp_path / "static.txt").write_text(vectors, encoding="utf-8")
+    assert main(["score", "--config", str(config)]) == 0
+    assert (tmp_path / "out" / "scores.tsv").read_bytes() == clean
+
+
+def test_score_writes_no_static_vector_cache_entry(tmp_path, cache_home):
+    config = write_run(tmp_path)
+    assert main(["score", "--config", str(config)]) == 0
+    assert list((cache_home / "mteval").glob("static-*")) == []
+
+
 def _spoil_dataset_json(tmp_path, payload):
     (tmp_path / "data.json").write_bytes('[\n  {"id": "caf\u00e9"}\n]\n'.encode("latin-1"))
     payload["dataset"] = "data.json"
@@ -448,19 +465,6 @@ def test_demo_outputs_are_pinned(tmp_path):
         if path.is_file()
     }
     assert got == DEMO_SHA256
-
-
-def test_crosslingual_parses_the_shared_vectors_file_once(tmp_path, monkeypatch):
-    # both demo configs name vectors.txt; the eval side reads the fit side's cache entry
-    parsed = []
-    parse = mteval.embeddings._parse_vectors
-    monkeypatch.setattr(mteval.embeddings, "_parse_vectors", lambda path, *args: parsed.append(path) or parse(path, *args))
-    fit, report = DEMO_DATA / "run_deen.json", DEMO_DATA / "run_sven.json"
-    argv = ["crosslingual", "--fit-config", str(fit), "--eval-config", str(report), "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert parsed == [DEMO_DATA / "vectors.txt"]
-    digest = hashlib.sha256((tmp_path / "crosslingual.tsv").read_bytes()).hexdigest()
-    assert digest == DEMO_SHA256["crosslingual/crosslingual.tsv"]
 
 
 def demo_copy(tmp_path, pair, ratio=None, external=True):

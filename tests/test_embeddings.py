@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from mteval import embeddings
 from mteval.embeddings import (
     ContextualRecord,
-    EmbeddingStore,
     decontextualize,
     group_records,
     load_contextual,
@@ -30,7 +29,7 @@ def write_static(tmp_path, text):
 
 def test_load_static_word_vector_format(tmp_path):
     path = write_static(tmp_path, "2 3\ncat 1.0 0.0 0.5\ndog 0.0 2.0 -1.0\n")
-    store = load_static(path)
+    store = load_static(path, {"cat", "dog", "fish"})
     assert store.dim == 3
     assert len(store) == 2
     assert store["cat"].tolist() == [1.0, 0.0, 0.5]
@@ -42,32 +41,32 @@ def test_load_static_word_vector_format(tmp_path):
 def test_load_static_header_errors(tmp_path):
     path = write_static(tmp_path, "nonsense\n")
     with pytest.raises(DataError, match=":1:"):
-        load_static(path)
+        load_static(path, {"cat"})
     path = write_static(tmp_path, "x y\n")
     with pytest.raises(DataError, match="integer header"):
-        load_static(path)
+        load_static(path, {"cat"})
     path = write_static(tmp_path, "1 0\ncat\n")
     with pytest.raises(DataError, match="positive"):
-        load_static(path)
+        load_static(path, {"cat"})
 
 
 def test_load_static_row_errors_carry_line_numbers(tmp_path):
     path = write_static(tmp_path, "2 3\ncat 1.0 0.0 0.5\ndog 0.0 2.0\n")
     with pytest.raises(DataError, match=":3:"):
-        load_static(path)
+        load_static(path, {"cat", "dog"})
     path = write_static(tmp_path, "1 2\ncat 1.0 oops\n")
     with pytest.raises(DataError, match=":2:.*non-numeric"):
-        load_static(path)
+        load_static(path, {"cat"})
     # a trailing space does not hide a missing value
     path = write_static(tmp_path, "2 3\ncat 1.0 0.0 0.5 \ndog 0.0 2.0 \n")
     with pytest.raises(DataError, match=":3:.*3 values, got 3 fields"):
-        load_static(path)
+        load_static(path, {"cat", "dog"})
 
 
 def test_load_static_accepts_trailing_space_rows(tmp_path):
     # the original word2vec C tool ends every row with a space
     path = write_static(tmp_path, "2 3\ncat 1.0 0.0 0.5 \ndog 0.0 2.0 -1.0 \n")
-    store = load_static(path)
+    store = load_static(path, {"cat", "dog"})
     assert store["cat"].tolist() == [1.0, 0.0, 0.5]
     assert store["dog"].tolist() == [0.0, 2.0, -1.0]
 
@@ -75,7 +74,7 @@ def test_load_static_accepts_trailing_space_rows(tmp_path):
 def test_load_static_duplicate_keeps_last_and_warns(tmp_path, caplog):
     path = write_static(tmp_path, "2 2\ncat 1.0 0.0\ncat 0.0 1.0\n")
     with caplog.at_level("WARNING"):
-        store = load_static(path)
+        store = load_static(path, {"cat"})
     assert store["cat"].tolist() == [0.0, 1.0]
     assert any("duplicate token" in message for message in caplog.messages)
 
@@ -83,7 +82,7 @@ def test_load_static_duplicate_keeps_last_and_warns(tmp_path, caplog):
 def test_load_static_count_mismatch_is_only_a_warning(tmp_path, caplog):
     path = write_static(tmp_path, "5 2\ncat 1.0 0.0\n")
     with caplog.at_level("WARNING"):
-        store = load_static(path)
+        store = load_static(path, {"cat"})
     assert len(store) == 1
     assert any("header declares" in message for message in caplog.messages)
 
@@ -92,7 +91,7 @@ def test_load_static_header_only_file_is_an_empty_store(tmp_path):
     path = write_static(tmp_path, "0 3\n\n  \n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        store = load_static(path)
+        store = load_static(path, set())
     assert store.dim == 3
     assert len(store) == 0
 
@@ -102,10 +101,10 @@ def test_load_static_reports_the_first_bad_line(tmp_path):
     for late in ("dog 1.0\n", "dog 1.0 oops\n"):
         path = write_static(tmp_path, "3 2\ncat 1.0 0.0\nbird nan 0.0\n" + late)
         with pytest.raises(DataError, match=r":3: non-finite"):
-            load_static(path)
+            load_static(path, {"cat", "bird", "dog"})
     path = write_static(tmp_path, "3 2\ncat 1.0 oops\nbird nan 0.0\ndog 1.0\n")
     with pytest.raises(DataError, match=r":2: non-numeric"):
-        load_static(path)
+        load_static(path, {"cat", "bird", "dog"})
 
 
 @pytest.mark.parametrize("value", ["1_0", "\u0661", "0x10", "nan(1)"])
@@ -113,7 +112,7 @@ def test_load_static_accepts_only_numpy_number_syntax(tmp_path, value):
     # float() also reads digit grouping and non-ASCII digits; the loader does not
     path = write_static(tmp_path, f"2 2\ncat 1.0 0.0\ndog 1.0 {value}\n")
     with pytest.raises(DataError, match=r":3: non-numeric vector component"):
-        load_static(path)
+        load_static(path, {"cat", "dog"})
 
 
 def test_load_static_does_not_blame_a_number_for_bad_utf8(tmp_path):
@@ -122,12 +121,29 @@ def test_load_static_does_not_blame_a_number_for_bad_utf8(tmp_path):
     rows = b"".join(b"w%d 1.0 0.0\n" % i for i in range(3000))
     path.write_bytes(b"3001 2\n" + rows + b"dog 1.0 \xff\n")
     with pytest.raises(DataError, match=r"vectors\.txt:3002: not valid UTF-8 \(invalid start byte\)$"):
-        load_static(path)
+        load_static(path, {"dog"})
+
+
+def test_load_static_parses_only_the_kept_rows(tmp_path, caplog):
+    # a row of another token is checked for its field count and its UTF-8 only
+    path = tmp_path / "vectors.txt"
+    path.write_bytes("4 2\ncat 1.0 0.0\ndog nan oops\nemu 1.0 \xff\ncat 0.5 0.5\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r":4: not valid UTF-8"):
+        load_static(path, {"cat"})
+    path = write_static(tmp_path, "4 2\ncat 1.0 0.0\ndog nan oops\nemu 1.0\ncat 0.5 0.5\n")
+    with pytest.raises(DataError, match=r":4: expected 1 token \+ 2 values, got 2 fields"):
+        load_static(path, {"cat"})
+    path = write_static(tmp_path, "4 2\ncat 1.0 0.0\ndog nan oops\nemu 1.0 inf\ncat 0.5 0.5\n")
+    with caplog.at_level("WARNING"):
+        store = load_static(path, {"cat", "fish"})
+    assert {token: vector.tolist() for token, vector in store.table.items()} == {"cat": [0.5, 0.5]}
+    # the header counts the distinct tokens of every row, kept or not
+    assert caplog.messages == [f"{path}:5: duplicate token 'cat', keeping the later vector", f"{path}: header declares 4 tokens but 3 were read"]
 
 
 def test_load_static_rows_share_one_matrix(tmp_path):
     path = write_static(tmp_path, "2 2\ncat 1.0 0.0\ndog 0.0 1.0\n")
-    store = load_static(path)
+    store = load_static(path, {"cat", "dog"})
     assert store["cat"].base is not None
     assert store["cat"].base is store["dog"].base
 
@@ -192,17 +208,22 @@ def load_outcome(load, caplog):
 
 
 def test_load_static_matches_the_row_by_row_loader(tmp_path, caplog):
-    rng = np.random.default_rng(2024)
+    rng, keep_rng = np.random.default_rng(2024), np.random.default_rng(2026)
     path = tmp_path / "vectors.txt"
-    seen = {"count": 0, "non-numeric": 0, "non-finite": 0, "two faults": 0, "duplicates": 0, "empty": 0}
+    seen = dict.fromkeys(["count", "non-numeric", "non-finite", "two faults", "duplicates", "empty", "fault not kept"], 0)
     for _ in range(600):
         text, kinds = random_vector_file(rng)
         path.write_bytes(text.encode("utf-8"))
-        with caplog.at_level("WARNING"), warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = load_outcome(lambda: load_static(path).table, caplog)
-            want = load_outcome(lambda: loop_load_static(path, ORACLE_LOG)[1], caplog)
-        assert got == want, text
+        some = set(keep_rng.choice(SWEEP_TOKENS, size=int(keep_rng.integers(len(SWEEP_TOKENS) + 1)), replace=False).tolist())
+        outcomes = []
+        for keep in (some, set(SWEEP_TOKENS)):
+            with caplog.at_level("WARNING"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = load_outcome(lambda: load_static(path, keep).table, caplog)
+                want = load_outcome(lambda: loop_load_static(path, keep, ORACLE_LOG)[1], caplog)
+            assert got == want, (text, keep)
+            outcomes.append(want[0])
+        seen["fault not kept"] += isinstance(outcomes[1], str) and outcomes[0] != outcomes[1]
         for kind in kinds:
             seen[kind] += 1
         seen["two faults"] += len(kinds) == 2
@@ -229,7 +250,7 @@ def test_load_static_round_trips_repr_written_vectors(tmp_path, case):
     lines = [f"{len(rows)} {dim}"] + [" ".join([token] + [repr(v) for v in vector]) for token, vector in rows]
     path = tmp_path / "vectors.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    store = load_static(path)
+    store = load_static(path, {token for token, _ in rows})
     assert list(store.table) == [token for token, _ in rows]
     for token, vector in rows:
         assert store[token].tobytes() == np.array(vector, dtype=np.float64).tobytes()
@@ -454,9 +475,10 @@ def test_both_loaders_reject_a_vector_outside_the_shared_rule(tmp_path, vector):
     static = write_static(tmp_path, f"2 2\ncat 1.0 0.0\ndog {vector}\n")
     contextual = tmp_path / "ctx.tsv"
     contextual.write_text(CONTEXTUAL_HEADER + f"s1\tsource\t0\tcat\t1.0 0.0\ns1\tsource\t1\tdog\t{vector}\n", encoding="utf-8")
-    for load, path in ((load_static, static), (load_contextual, contextual)):
-        with pytest.raises(DataError, match=r":3: "):
-            load(path)
+    with pytest.raises(DataError, match=r":3: "):
+        load_static(static, {"cat", "dog"})
+    with pytest.raises(DataError, match=r":3: "):
+        load_contextual(contextual)
 
 
 def test_group_records_sorted_by_token_index():
@@ -475,10 +497,8 @@ def test_group_records_sorted_by_token_index():
 # the parsed-vector cache
 # ---------------------------------------------------------------------------
 
-# a duplicate token and a header count mismatch (two warnings), a trailing NUL,
-# a character outside the BMP, a subnormal value and a 64-bit token index
+# a trailing NUL, a character outside the BMP, a subnormal value and a 64-bit token index
 CACHE_FILES = {
-    load_static: ("vectors.txt", "3 2\ncat\x00 1.5 -0.25\n\U0001d518x 0.0 1e-320\ncat\x00 2.0 3.0 \n"),
     load_contextual: (
         "ctx.tsv",
         CONTEXTUAL_HEADER + "s\x00\U0001d518\tsource\t0\tcat\x00\t1.5 -0.25\n\ns1\thypothesis\t4294967296\t\U0001d518x\t0.0 1e-320\n",
@@ -502,9 +522,7 @@ def cached_load(load, path, caplog):
             loaded = load(path)
         except DataError as exc:
             loaded = str(exc)
-    if isinstance(loaded, EmbeddingStore):
-        loaded = (loaded.dim, [(token, v.dtype.str, v.shape, v.tobytes()) for token, v in loaded.table.items()])
-    elif not isinstance(loaded, str):
+    if not isinstance(loaded, str):
         loaded = [(r.segment_id, r.side, r.token_index, r.token, r.vector.dtype.str, r.vector.tobytes()) for r in loaded]
     warned = [record.getMessage() for record in caplog.records if record.levelno >= logging.WARNING]
     cache_lines = [message for message in caplog.messages if "vector cache" in message]
@@ -516,7 +534,7 @@ def cache_entries(cache_home):
     return sorted(path.name for path in (cache_home / "mteval").glob("*"))
 
 
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_hit_is_the_parse_bit_for_bit(tmp_path, cache_home, caplog, load):
     path = write_cache_case(tmp_path, load)
     miss = cached_load(load, path, caplog)
@@ -525,15 +543,13 @@ def test_vector_cache_hit_is_the_parse_bit_for_bit(tmp_path, cache_home, caplog,
     assert miss[2] == f"{path}: vector cache miss, {cache_home / 'mteval' / entry} written"
     assert hit[2] == f"{path}: vector cache hit, {cache_home / 'mteval' / entry}"
     assert hit[:2] == miss[:2]
-    assert len(miss[1]) == (2 if load is load_static else 0)
-    tokens = [row[0] for row in miss[0][1]] if load is load_static else [row[3] for row in miss[0]]
-    assert tokens == CACHE_TOKENS
-    if load is load_contextual:
-        assert [row[:3] for row in hit[0]] == [("s\x00\U0001d518", "source", 0), ("s1", "hypothesis", 2**32)]
-    assert entry.startswith("static-" if load is load_static else "contextual-") and entry.endswith(".npz")
+    assert len(miss[1]) == 0
+    assert [row[3] for row in miss[0]] == CACHE_TOKENS
+    assert [row[:3] for row in hit[0]] == [("s\x00\U0001d518", "source", 0), ("s1", "hypothesis", 2**32)]
+    assert entry.startswith("contextual-") and entry.endswith(".npz")
 
 
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_misses_on_one_changed_byte(tmp_path, cache_home, caplog, load):
     first = cached_load(load, write_cache_case(tmp_path, load), caplog)
     changed = cached_load(load, write_cache_case(tmp_path, load, "1e-320", "2e-320"), caplog)
@@ -542,28 +558,18 @@ def test_vector_cache_misses_on_one_changed_byte(tmp_path, cache_home, caplog, l
     assert cached_load(load, write_cache_case(tmp_path, load), caplog)[0] == first[0]
 
 
-# a tab, which a static token may hold, and characters str.splitlines() breaks a line at
-SPLITLINES_TOKENS = ["a\tb", "c\x0bd", "e\x1cf", "g\x85h", "i\u2028j"]
-
-
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_keeps_items_that_splitlines_would_break(tmp_path, cache_home, caplog, load):
-    if load is load_static:
-        text = f"{len(SPLITLINES_TOKENS)} 2\n" + "".join(f"{token} {i} 0.5\n" for i, token in enumerate(SPLITLINES_TOKENS))
-        tokens = SPLITLINES_TOKENS
-    else:
-        text = CONTEXTUAL_HEADER + "s\u2028\tsource\t0\tk\u2028l\t1.5 -0.25\ns1\thypothesis\t1\tm\t0.0 1.0\n"
-        tokens = ["k\u2028l", "m"]
+    # U+2028 is a line break to str.splitlines()
+    text = CONTEXTUAL_HEADER + "s\u2028\tsource\t0\tk\u2028l\t1.5 -0.25\ns1\thypothesis\t1\tm\t0.0 1.0\n"
     path = tmp_path / "vectors.txt"
     path.write_text(text, encoding="utf-8")
     miss = cached_load(load, path, caplog)
     hit = cached_load(load, path, caplog)
     assert "cache miss" in miss[2] and "cache hit" in hit[2]
     assert hit[:2] == miss[:2]
-    got = [row[0] for row in hit[0][1]] if load is load_static else [row[3] for row in hit[0]]
-    assert got == tokens
-    if load is load_contextual:
-        assert hit[0][0][:3] == ("s\u2028", "source", 0)
+    assert [row[3] for row in hit[0]] == ["k\u2028l", "m"]
+    assert hit[0][0][:3] == ("s\u2028", "source", 0)
 
 
 VALUES, ITEMS = "values", "items"  # members of an entry besides "linenos", the line numbers
@@ -592,10 +598,6 @@ def trailing_bytes(arrays, raw):
     return raw + b"\0"
 
 
-def wrong_width(arrays, raw):  # a static file's header declares the width; a contextual one does not
-    return save_arrays(arrays, {VALUES: arrays[VALUES][:, :1].copy()})
-
-
 def missing_row(arrays, raw):
     return save_arrays(arrays, {VALUES: arrays[VALUES][:-1]})
 
@@ -615,12 +617,12 @@ def pickled_items(arrays, raw):
     return save_arrays(arrays, {ITEMS: np.array([object()], dtype=object)})
 
 
-SPOILS = [truncate, garbage, trailing_bytes, wrong_width, missing_row, non_finite, short_items, pickled_items]
+SPOILS = [truncate, garbage, trailing_bytes, missing_row, non_finite, short_items, pickled_items]
 
 
 @pytest.mark.parametrize(
     ("load", "spoil"),
-    [(load, spoil) for load in CACHE_FILES for spoil in SPOILS if (load, spoil) != (load_contextual, wrong_width)],
+    [(load, spoil) for load in CACHE_FILES for spoil in SPOILS],
     ids=lambda value: value.__name__,
 )
 def test_vector_cache_spoiled_entry_is_a_miss_and_rewritten(tmp_path, cache_home, caplog, load, spoil):
@@ -660,7 +662,7 @@ def test_vector_cache_contextual_entry_with_a_spoiled_item_is_a_miss(tmp_path, c
     assert cached_load(load_contextual, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
 
 
-QUARTER = np.float64(-0.25).tobytes()  # a value of both cache cases, as an entry stores it
+QUARTER = np.float64(-0.25).tobytes()  # a value of the cache case, as an entry stores it
 
 
 @pytest.mark.parametrize(
@@ -670,7 +672,7 @@ QUARTER = np.float64(-0.25).tobytes()  # a value of both cache cases, as an entr
         (load_contextual, b"\t0\t", b"\t5\t"),  # still an item the item rule accepts
         (load_contextual, b"\tsource\t", b"\tsourcX\t"),  # an item the record checks would blame on the file
     ],
-    ids=["static-value_bit", "contextual-value_bit", "contextual-token_index", "contextual-side"],
+    ids=["contextual-value_bit", "contextual-token_index", "contextual-side"],
 )
 def test_vector_cache_entry_edited_in_place_is_a_miss(tmp_path, cache_home, caplog, load, old, new):
     path = write_cache_case(tmp_path, load)
@@ -685,7 +687,7 @@ def test_vector_cache_entry_edited_in_place_is_a_miss(tmp_path, cache_home, capl
     assert cached_load(load, path, caplog) == (want[0], want[1], f"{path}: vector cache hit, {entry}")
 
 
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_entry_with_any_flipped_bit_loads_the_parse(tmp_path, cache_home, caplog, load):
     path = write_cache_case(tmp_path, load)
     want = cached_load(load, path, caplog)
@@ -699,7 +701,6 @@ def test_vector_cache_entry_with_any_flipped_bit_loads_the_parse(tmp_path, cache
 
 # Members past zipfile's read-ahead, so a shape shrunk in a member's header leaves the member's tail unread.
 LARGE_CACHE_FILES = {
-    load_static: ("vectors.txt", "2000 2\n" + "".join(f"tok{i:05d} {i}.5 -0.25\n" for i in range(2000)), b"(17999,)", b"(17998,)"),
     load_contextual: (
         "ctx.tsv",
         CONTEXTUAL_HEADER + "".join(f"s{i}\tsource\t0\tw\t{' '.join(['0.5'] * 8)}\n" for i in range(200)),
@@ -709,7 +710,7 @@ LARGE_CACHE_FILES = {
 }
 
 
-@pytest.mark.parametrize("load", LARGE_CACHE_FILES, ids=["static-items_shape", "contextual-values_width"])
+@pytest.mark.parametrize("load", LARGE_CACHE_FILES, ids=["contextual-values_width"])
 def test_vector_cache_entry_with_a_shrunk_member_shape_is_a_miss(tmp_path, cache_home, caplog, load):
     name, text, old, new = LARGE_CACHE_FILES[load]
     path = tmp_path / name
@@ -738,7 +739,7 @@ def test_vector_cache_entry_is_owner_only_and_never_written_through_a_link(tmp_p
     assert target.read_bytes() == b"not an entry"
 
 
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_that_cannot_be_written_still_loads(tmp_path, cache_home, caplog, monkeypatch, load):
     path = write_cache_case(tmp_path, load)
     want = cached_load(load, path, caplog)
@@ -752,7 +753,7 @@ def test_vector_cache_that_cannot_be_written_still_loads(tmp_path, cache_home, c
     assert blocked.read_text(encoding="utf-8") == ""
 
 
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_keys_an_entry_by_the_bytes_it_parsed(tmp_path, cache_home, caplog, monkeypatch, load):
     path = write_cache_case(tmp_path, load)
     parse = embeddings._parse_vectors
@@ -771,7 +772,7 @@ def test_vector_cache_keys_an_entry_by_the_bytes_it_parsed(tmp_path, cache_home,
     assert len(cache_entries(cache_home)) == 2
 
 
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_misses_when_the_row_rule_changes(tmp_path, cache_home, caplog, monkeypatch, load):
     path = write_cache_case(tmp_path, load)
     first = cached_load(load, path, caplog)
@@ -790,11 +791,10 @@ def test_vector_cache_misses_when_the_row_rule_changes(tmp_path, cache_home, cap
 
 
 @pytest.mark.parametrize(("value", "fault"), [("abc", "non-numeric"), ("inf", "non-finite"), ("1e400", "non-finite")])
-@pytest.mark.parametrize("load", CACHE_FILES, ids=["static", "contextual"])
+@pytest.mark.parametrize("load", CACHE_FILES, ids=["contextual"])
 def test_vector_cache_never_keeps_a_faulty_file(tmp_path, cache_home, caplog, load, value, fault):
     path = write_cache_case(tmp_path, load, "1e-320", value)
-    line = 3 if load is load_static else 4
     first = cached_load(load, path, caplog)
-    assert first[0] == f"{path}:{line}: {fault} vector component"
+    assert first[0] == f"{path}:4: {fault} vector component"
     assert cached_load(load, path, caplog)[:2] == first[:2]
     assert cache_entries(cache_home) == []

@@ -37,6 +37,11 @@ DATASET_JSON = json.dumps(
 )
 
 
+def load_demo_vectors(path):
+    words = {line.split(" ", 1)[0] for line in (DEMO_DATA / "vectors.txt").read_text(encoding="utf-8").splitlines()[1:]}
+    return load_static(path, words)
+
+
 def store_fields(store):
     return store.dim, {token: vector.tolist() for token, vector in store.table.items()}
 
@@ -54,7 +59,7 @@ def config_fields(config):
 
 # (file name, demo file or literal text, loader, comparable view of the result)
 LOADERS = {
-    "static": ("vectors.txt", DEMO_DATA / "vectors.txt", load_static, store_fields),
+    "static": ("vectors.txt", DEMO_DATA / "vectors.txt", load_demo_vectors, store_fields),
     "contextual": ("ctx.tsv", CONTEXTUAL, load_contextual, record_fields),
     "dataset-tsv": ("deen.tsv", DEMO_DATA / "deen.tsv", load_dataset, lambda dataset: dataset),
     "dataset-json": ("deen.json", DATASET_JSON, load_dataset, lambda dataset: dataset),

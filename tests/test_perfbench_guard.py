@@ -51,7 +51,7 @@ def test_similarity_build_keeps_what_the_tracer_reads():
 
 def test_load_static_length_counts_the_vector_rows(tmp_path):
     # the tracer reports len(load_static(...)) as embeddings.load_static.records:
-    # one per distinct token, so blank lines and a repeated token add nothing
+    # one per distinct kept token, so blank lines and a repeated token add nothing
     path = tmp_path / "vectors.txt"
     path.write_text("4 2\ncat 1 0\n\ndog 0 1\n   \ncat 0.5 0.5\nemu 1 1\n\n", encoding="utf-8")
-    assert len(load_static(path)) == 3
+    assert len(load_static(path, {"cat", "dog", "emu"})) == 3
