@@ -24,7 +24,7 @@ from mteval.config import RunConfig, load_run_config
 from mteval.corpus import load_dataset
 from mteval.errors import ConfigError, DataError
 from mteval.evaluation import AblationCurve, ablation, cross_lingual_eval, evaluate
-from mteval.pipeline import SplitFeatures, build_resources, dataset_features, feature_names, require_segments, score_features
+from mteval.pipeline import SplitFeatures, build_resources, dataset_features, feature_names, score_dataset
 
 logger = logging.getLogger(__name__)
 
@@ -71,7 +71,12 @@ def _load_run(config: RunConfig):
 def _split(config: RunConfig, dataset, resources, *sides: str) -> SplitFeatures:
     """Score a run's dataset and split its features by source; a DataError unless each named side holds 2 segments."""
     split = dataset_features(dataset, config.metric_config, resources, config.seed, config.split_ratio)
-    require_segments(split, dataset, config.split_ratio, *sides)
+    for side in sides:
+        count = getattr(split, side).n
+        if count < 2:
+            raise DataError(
+                f"dataset {dataset.name!r}: split ratio {config.split_ratio} leaves {count} segments on the {side} side; need at least 2"
+            )
     return split
 
 
@@ -105,7 +110,7 @@ def _write_ablation(path: Path, curve: AblationCurve) -> None:
 def cmd_score(args) -> int:
     config = load_run_config(args.config)
     dataset, resources = _load_run(config)
-    features, flags, _ = score_features(dataset, config.metric_config, resources)
+    features, flags, _ = score_dataset(dataset, config.metric_config, resources)
     out = _out_dir(args, config)
     rows = ([segment_id, *row] for segment_id, row in zip(features.segment_ids, features.rows))
     _write_table(out / "scores.tsv", ["segment_id", *features.feature_names], rows)

@@ -204,7 +204,8 @@ class Resources:
     one document per (segment, side) group).  ``sims`` adds the processing
     order, "vocabulary" or "idf_descending", to its key.
 
-    `tokens` and `bag` memoize per side text, so the vocabulary build, the
+    ``lowercase`` is the run's case folding.  `tokens` and `bag` fold each
+    side text by it and memoize per folded text, so the vocabulary build, the
     metrics and the Reg-base features tokenize each distinct side once and
     bag it once per (term space, weighting).
     """
@@ -215,18 +216,19 @@ class Resources:
     stores: dict[str, EmbeddingStore] = field(default_factory=dict)
     sims: dict[tuple[str, str], SimilarityMatrix] = field(default_factory=dict)
     external: dict[str, dict[str, float]] = field(default_factory=dict)
+    lowercase: bool = False
     _memo: dict[tuple[str, ...], object] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def tokens(self, space: str, text: str, lowercase: bool = False) -> list[str]:
+    def tokens(self, space: str, text: str) -> list[str]:
         """Whitespace ("words") or WordPiece ("pieces") tokens of one side text."""
-        text = text.lower() if lowercase else text
+        text = text.lower() if self.lowercase else text
         if space == "words":
             return self._memoized((space, text), lambda: whitespace_tokenize(text))
         return self._memoized((space, text), lambda: wordpiece_tokenize(text, self.wp_vocab))
 
-    def bag(self, space: str, weighting: str, text: str, lowercase: bool = False) -> WeightedBow:
+    def bag(self, space: str, weighting: str, text: str) -> WeightedBow:
         """nnx or nfx bag of one side text over the term space's vocabulary."""
-        text = text.lower() if lowercase else text
+        text = text.lower() if self.lowercase else text
         make_bow = bow_nfx if weighting == "nfx" else bow_nnx
         return self._memoized((space, weighting, text), lambda: make_bow(self.tokens(space, text), self.vocabs[space]))
 
@@ -443,15 +445,15 @@ def reg_base_features(segment: Segment, resources: Resources, config: MetricConf
     piece count, hypothesis piece count, where the anchor is the reference
     (reference_based) or the source (source_based).  Pieces come from
     ``resources.wp_vocab``, through the run's tokenization memo, with the
-    config's case folding.
+    resources' case folding.
     """
     anchor, hyp = _anchor_text(segment, config), segment.hypothesis
     return np.array(
         [
             float(len(anchor)),
             float(len(hyp)),
-            float(len(resources.tokens("pieces", anchor, config.lowercase))),
-            float(len(resources.tokens("pieces", hyp, config.lowercase))),
+            float(len(resources.tokens("pieces", anchor))),
+            float(len(resources.tokens("pieces", hyp))),
         ]
     )
 
@@ -532,8 +534,8 @@ def _compute_metric(
     if info.family == "bleu":
         return (
             sentence_bleu(
-                resources.tokens("words", anchor_text, config.lowercase),
-                resources.tokens("words", segment.hypothesis, config.lowercase),
+                resources.tokens("words", anchor_text),
+                resources.tokens("words", segment.hypothesis),
             ),
             None,
         )
@@ -554,8 +556,8 @@ def _compute_metric(
         return _transport_problem(*_contextual_sides(rx, ry, info.weighting, resources.vocabs.get(info.space))), None
 
     # remaining metrics are bag-of-words over static (words) or decontextualized (pieces) vectors
-    x = resources.bag(info.space, info.weighting, anchor_text, config.lowercase)
-    y = resources.bag(info.space, info.weighting, segment.hypothesis, config.lowercase)
+    x = resources.bag(info.space, info.weighting, anchor_text)
+    y = resources.bag(info.space, info.weighting, segment.hypothesis)
     if info.family == "scm":
         if x.is_zero() or y.is_zero():
             return 0.0, EMPTY_BOW_FLAG

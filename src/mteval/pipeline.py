@@ -1,10 +1,10 @@
-"""Dataset-level scoring: load resources, score every segment, build features.
+"""Dataset-level scoring in three steps: build resources, score, split.
 
-Bridges the per-segment metrics and the ensemble/evaluation layers: builds
-vocabularies and similarity matrices over a dataset, scores every segment
-(with one batched transport solve), substitutes placeholders for
-unscorable cells, and assembles the rectangular feature matrix with
-Reg-base and external columns appended.
+`build_resources` loads what the configured metrics read and builds
+vocabularies and similarity matrices over a dataset.  `score_dataset`
+turns the dataset into the feature table: metric scores (placeholders in
+unscorable cells), then the Reg-base and external columns.
+`dataset_features` partitions that table along the train/test split.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from mteval.metrics import (
     METRICS,
     REG_BASE_FEATURES,
     MetricConfig,
-    MetricVector,
     Resources,
     compute_placeholders,
     reg_base_features,
@@ -35,14 +34,11 @@ __all__ = [
     "RESERVED_FEATURE_NAMES",
     "RESOURCE_KEYS",
     "SplitFeatures",
-    "assemble_features",
     "build_resources",
     "dataset_features",
     "feature_names",
     "load_external_scores",
-    "require_segments",
     "score_dataset",
-    "score_features",
 ]
 
 logger = logging.getLogger(__name__)
@@ -134,11 +130,11 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
     if problems:
         raise ConfigError("configuration problems:\n  - " + "\n  - ".join(problems))
 
-    resources = Resources()
+    resources = Resources(lowercase=config.lowercase)
     if "wordpiece_vocab" in needed:
         resources.wp_vocab = load_wordpiece_vocab(paths["wordpiece_vocab"])
     if "static_embeddings" in needed:  # the vocabulary first: only its terms' vectors are parsed
-        words = resources.vocabs["words"] = _side_vocabulary(dataset, resources, "words", config.lowercase)
+        words = resources.vocabs["words"] = _side_vocabulary(dataset, resources, "words")
         resources.stores["words"] = load_static(paths["static_embeddings"], words.index)
     if "contextual_records" in needed:
         records = load_contextual(paths["contextual_records"])
@@ -152,7 +148,7 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
         resources.vocabs["contextual"] = build_vocabulary(group_docs)
         if any(METRICS[name].space == "pieces" for name in config.metrics):
             resources.stores["pieces"] = decontextualize(records)
-            resources.vocabs["pieces"] = _side_vocabulary(dataset, resources, "pieces", config.lowercase)
+            resources.vocabs["pieces"] = _side_vocabulary(dataset, resources, "pieces")
 
     similarity = (config.similarity_threshold, config.similarity_exponent, config.similarity_top_k)
     candidates = {}  # both orders of a term space share one ranking of every term's partners
@@ -174,19 +170,14 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
     return resources
 
 
-def _side_vocabulary(dataset: Dataset, resources: Resources, space: str, lowercase: bool) -> Vocabulary:
+def _side_vocabulary(dataset: Dataset, resources: Resources, space: str) -> Vocabulary:
     """The term space's vocabulary over one document per segment side, the df unit for every vocabulary."""
     documents = []
     for segment in dataset.segments:
         for text in (segment.source, segment.reference, segment.hypothesis):
             if text is not None:
-                documents.append(resources.tokens(space, text, lowercase))
+                documents.append(resources.tokens(space, text))
     return build_vocabulary(documents)
-
-
-def score_dataset(dataset: Dataset, config: MetricConfig, resources: Resources) -> list[MetricVector]:
-    """Score every segment, in dataset order (see `score_segments`)."""
-    return score_segments(dataset.segments, config, resources)
 
 
 def feature_names(config: MetricConfig, resources: Resources) -> list[str]:
@@ -194,14 +185,30 @@ def feature_names(config: MetricConfig, resources: Resources) -> list[str]:
     return list(config.metrics) + (list(REG_BASE_FEATURES) if config.reg_base else []) + list(resources.external)
 
 
-def assemble_features(
-    dataset: Dataset, config: MetricConfig, resources: Resources, vectors: list[MetricVector]
-) -> FeatureMatrix:
-    """The feature table, one row per segment, columns in feature_names order."""
+def score_dataset(
+    dataset: Dataset,
+    config: MetricConfig,
+    resources: Resources,
+    placeholder_ids: set[str] | None = None,
+) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
+    """The feature table: one row per segment, in dataset order, columns in feature_names order.
+
+    Scores every segment (see `score_segments`), then appends the Reg-base
+    and external columns.  Each NaN cell of an unscorable metric gets the
+    metric's placeholder: the worst value over the segments in
+    ``placeholder_ids``, or over every segment when it is None.  Returns the
+    feature matrix, the per-segment flags, and the placeholders used.
+    """
     names = feature_names(config, resources)
+    if not names:
+        raise ConfigError("no features configured: enable metrics, reg_base, or external scores")
+    vectors = score_segments(dataset.segments, config, resources)
+    observed = [v for v in vectors if placeholder_ids is None or v.segment_id in placeholder_ids]
+    placeholders = compute_placeholders(observed, list(config.metrics))
     rows = []
     for segment, vector in zip(dataset.segments, vectors):
-        row = [vector.scores[name] for name in config.metrics]
+        scores = vector.scores
+        row = [placeholders[name] if math.isnan(scores[name]) else scores[name] for name in config.metrics]
         if config.reg_base:
             row.extend(reg_base_features(segment, resources, config))
         for name in resources.external:
@@ -212,34 +219,8 @@ def assemble_features(
                     f"external column {name!r} has no score for segment {segment.id!r}"
                 ) from None
         rows.append(row)
-    if not names:
-        raise ConfigError("no features configured: enable metrics, reg_base, or external scores")
-    return FeatureMatrix(rows, names, [s.id for s in dataset.segments])
-
-
-def score_features(
-    dataset: Dataset,
-    config: MetricConfig,
-    resources: Resources,
-    placeholder_ids: set[str] | None = None,
-) -> tuple[FeatureMatrix, dict[str, dict[str, str]], dict[str, float]]:
-    """Score, fill placeholders, assemble features, collect flags.
-
-    Each NaN cell of an unscorable metric gets the metric's placeholder:
-    the worst value over the segments in ``placeholder_ids``, or over every
-    segment when it is None.  Returns the feature matrix, the per-segment
-    flags, and the placeholders used.
-    """
-    vectors = score_dataset(dataset, config, resources)
-    observed = [v for v in vectors if placeholder_ids is None or v.segment_id in placeholder_ids]
-    placeholders = compute_placeholders(observed, list(config.metrics))
-    for vector in vectors:
-        for name, value in vector.scores.items():
-            if math.isnan(value):
-                vector.scores[name] = placeholders[name]
-    features = assemble_features(dataset, config, resources, vectors)
-    flags = {v.segment_id: dict(v.flags) for v in vectors if v.flags}
-    return features, flags, placeholders
+    flags = {v.segment_id: v.flags for v in vectors if v.flags}
+    return FeatureMatrix(rows, names, [s.id for s in dataset.segments]), flags, placeholders
 
 
 @dataclass
@@ -270,7 +251,7 @@ def dataset_features(
     gold = dataset_gold(dataset)
     train_ds, test_ds = split_by_source(dataset, train_ratio, seed)
     train_ids = {s.id for s in train_ds.segments}
-    features, flags, placeholders = score_features(dataset, config, resources, train_ids)
+    features, flags, placeholders = score_dataset(dataset, config, resources, train_ids)
     row_of = {segment_id: i for i, segment_id in enumerate(features.segment_ids)}
     train_rows = [row_of[s.id] for s in train_ds.segments]
     test_rows = [row_of[s.id] for s in test_ds.segments]
@@ -284,12 +265,3 @@ def dataset_features(
         placeholders=placeholders,
     )
 
-
-def require_segments(split: SplitFeatures, dataset: Dataset, ratio: float, *sides: str) -> None:
-    """A DataError unless each named side ("train", "test") of the split holds at least 2 segments."""
-    for side in sides:
-        count = getattr(split, side).n
-        if count < 2:
-            raise DataError(
-                f"dataset {dataset.name!r}: split ratio {ratio} leaves {count} segments on the {side} side; need at least 2"
-            )

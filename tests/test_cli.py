@@ -467,6 +467,32 @@ def test_demo_outputs_are_pinned(tmp_path):
     assert got == DEMO_SHA256
 
 
+def test_lowercase_scores_a_title_cased_copy_like_the_original(tmp_path):
+    config = demo_copy(tmp_path, "deen")
+    lines = (tmp_path / "data" / "deen.tsv").read_text(encoding="utf-8").splitlines()
+    texts = [lines[0].split("\t").index(side) for side in ("source", "reference", "hypothesis")]
+    cased = [lines[0]]
+    for line in lines[1:]:
+        fields = line.split("\t")
+        for i in texts:
+            fields[i] = " ".join(token.title() for token in fields[i].split(" "))
+        cased.append("\t".join(fields))
+    (tmp_path / "data" / "cased.tsv").write_text("\n".join(cased) + "\n", encoding="utf-8")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+
+    def score(name, dataset, lowercase):
+        """scores.tsv and flags.tsv of the demo run on ``dataset``."""
+        payload.update(dataset=dataset, lowercase=lowercase)
+        run = tmp_path / "data" / f"run_{name}.json"
+        run.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["score", "--config", str(run), "--out", str(tmp_path / name)]) == 0
+        return [(tmp_path / name / table).read_bytes() for table in ("scores.tsv", "flags.tsv")]
+
+    original = score("original", "deen.tsv", False)
+    assert score("folded", "cased.tsv", True) == original
+    assert score("cased", "cased.tsv", False)[0] != original[0]
+
+
 def demo_copy(tmp_path, pair, ratio=None, external=True):
     """A copy of demos/data whose run_<pair>.json has the given split ratio or no external scores."""
     data = tmp_path / "data"
@@ -694,6 +720,11 @@ def _json_id(suffix):
     return spoil
 
 
+def _no_features(tmp_path, payload):
+    payload["metrics"] = []
+    payload["reg_base"] = False
+
+
 def _header_only_records(tmp_path, payload):
     (tmp_path / "records.tsv").write_text("segment_id\tside\ttoken_index\ttoken\tvector\n", encoding="utf-8")
     payload["metrics"] = ["wmd_contextual"]
@@ -716,6 +747,10 @@ ERROR_TABLE = {
     "metric-enabled-twice": (_set("metrics", ["bleu", "bleu"]), 1, INVALID_CONFIG + "metric 'bleu' enabled twice"),
     "reference-only-source-based": (
         _source_based_bleu, 1, INVALID_CONFIG + "metric 'bleu' needs a same-language reference and cannot run source_based"
+    ),
+    # a run config that enables nothing to score
+    "no-features": (
+        _no_features, 1, "configuration error: no features configured: enable metrics, reg_base, or external scores"
     ),
     # dataset problems, most naming the file and the line or record
     "empty-id": (_row(id=""), 2, "data.tsv:2: segment id must be nonempty"),
@@ -765,7 +800,7 @@ def test_input_error_exits_with_its_code_and_names_where(tmp_path, capsys, case)
     err = capsys.readouterr().err
     assert err.startswith("configuration error: " if code == 1 else "data error: ")
     assert fragment in err
-    assert err.count("\n") == (1 if code == 2 else 2)  # a config error: its header line and one line per problem
+    assert err.count("\n") == 1 + fragment.count("\n")  # one line, then one per problem of an invalid config file
     assert not (tmp_path / "out").exists()
 
 

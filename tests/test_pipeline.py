@@ -9,14 +9,12 @@ import mteval.pipeline
 from mteval.corpus import Dataset, Segment
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError
-from mteval.metrics import REG_BASE_FEATURES, MetricConfig, MetricVector, Resources, score_segment
+from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources, score_segment, score_segments
 from mteval.pipeline import (
-    assemble_features,
     build_resources,
     dataset_features,
     load_external_scores,
     score_dataset,
-    score_features,
 )
 from mteval.vsm import build_similarity_matrix
 
@@ -159,9 +157,9 @@ def test_build_resources_needs_references():
         build_resources(config, dataset)
 
 
-def test_score_features_shape_and_flags(tiny_run):
+def test_score_dataset_shape_and_flags(tiny_run):
     dataset, config, resources = tiny_run
-    features, flags, placeholders = score_features(dataset, config, resources)
+    features, flags, placeholders = score_dataset(dataset, config, resources)
     assert features.feature_names == list(METRIC_SET) + list(REG_BASE_FEATURES)
     assert features.segment_ids == [f"seg{i}" for i in range(6)]
     assert np.all(np.isfinite(features.rows))
@@ -183,21 +181,21 @@ def test_each_side_text_is_wordpiece_tokenized_once(tmp_path, monkeypatch):
     monkeypatch.setattr(mteval.metrics, "wordpiece_tokenize", lambda text, wp: calls.append(text) or tokenize(text, wp))
     config = MetricConfig(mode="reference_based", metrics=METRIC_SET + ("wmd_decontextualized_tfidf",), reg_base=True)
     resources = build_resources(config, dataset, run_paths(static, ctx, vocab))
-    score_features(dataset, config, resources)
+    score_dataset(dataset, config, resources)
     assert sorted(calls) == sorted(texts)
 
 
-def test_score_features_deterministic_across_threads(tiny_run):
+def test_score_dataset_deterministic_across_threads(tiny_run):
     # Scoring runs on one thread; what could now break determinism is the
     # dataset-wide transport batch, so compare it with segment-by-segment
     # scoring, and a rerun with the first run.
     dataset, config, resources = tiny_run
-    single, flags1, _ = score_features(dataset, config, resources)
-    again, flags2, _ = score_features(dataset, config, resources)
+    single, flags1, _ = score_dataset(dataset, config, resources)
+    again, flags2, _ = score_dataset(dataset, config, resources)
     assert np.array_equal(single.rows, again.rows)
     assert single.segment_ids == again.segment_ids
     assert flags1 == flags2
-    batched = score_dataset(dataset, config, resources)
+    batched = score_segments(dataset.segments, config, resources)
     one_by_one = [score_segment(segment, config, resources) for segment in dataset.segments]
     assert [(v.segment_id, list(v.flags.items())) for v in batched] == [
         (v.segment_id, list(v.flags.items())) for v in one_by_one
@@ -286,7 +284,7 @@ def test_external_columns_join_by_segment_id(tmp_path):
     )
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
     resources = build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
-    features, _, _ = score_features(dataset, config, resources)
+    features, _, _ = score_dataset(dataset, config, resources)
     col = features.feature_names.index("comet")
     assert features.rows[:, col].tolist() == [0.1, 0.2, 0.3]
 
@@ -299,7 +297,7 @@ def test_external_column_missing_segment_is_an_error(tmp_path):
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
     resources = build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
     with pytest.raises(DataError, match="seg2"):
-        score_features(dataset, config, resources)
+        score_dataset(dataset, config, resources)
 
 
 def test_external_column_name_collision_with_native(tmp_path):
@@ -312,9 +310,8 @@ def test_external_column_name_collision_with_native(tmp_path):
         build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
 
 
-def test_assemble_features_needs_some_feature():
+def test_score_dataset_needs_some_feature():
     dataset = make_dataset(n=2)
     config = MetricConfig(mode="reference_based", metrics=(), reg_base=False)
-    vectors = [MetricVector(segment_id=s.id, scores={}) for s in dataset.segments]
     with pytest.raises(ConfigError, match="no features"):
-        assemble_features(dataset, config, Resources(), vectors)
+        score_dataset(dataset, config, Resources())
