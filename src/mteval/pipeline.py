@@ -156,9 +156,13 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
         vocab, store = resources.vocabs[space], resources.stores[space]
         if space not in candidates:
             candidates[space] = similarity_candidates(vocab, store, *similarity)
-        logger.info("building %s-order similarity matrix over %d %s terms", order, len(vocab.terms), space)
-        resources.sims[(space, order)] = build_similarity_matrix(
+        matrix = resources.sims[(space, order)] = build_similarity_matrix(
             vocab, store, order, *similarity, candidates=candidates[space]
+        )
+        logger.info(
+            "built %s-order similarity matrix over %d %s terms: "
+            "%d off-diagonal entries, %d rows cut at the stored depth",
+            order, len(vocab.terms), space, matrix.nnz_off_diagonal(), len(candidates[space].truncated),
         )
 
     if paths.get("external_scores") is not None:

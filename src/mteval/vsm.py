@@ -167,8 +167,10 @@ class SimilarityCandidates:
     ``rows[i]`` holds term i's partners whose value max(0, cosine)^exponent
     reaches ``threshold`` and is above 0, as (vocabulary indices, values)
     in decreasing value with ties in increasing vocabulary index, cut to
-    the first ``top_k``.  ``truncated`` names the rows that were cut;
+    the first ``3 * top_k``.  ``truncated`` names the rows that were cut;
     `full_row` ranks such a row again from the same product, bit for bit.
+    The products are taken for fixed blocks of ``block`` embedded terms,
+    rows ``[b * block, (b + 1) * block)``, one matrix product per block.
     """
 
     n_terms: int
@@ -177,21 +179,33 @@ class SimilarityCandidates:
     top_k: int
     embedded: np.ndarray
     normalized: np.ndarray
+    block: int
     rows: dict[int, tuple[np.ndarray, np.ndarray]]
     truncated: set[int]
+    #: the last block `full_row` took the product of, by its first row: builds
+    #: mostly rank rows again in increasing index, several from one block
+    _last_block: tuple[int, np.ndarray] = field(default=(-1, np.empty((0, 0))), repr=False, compare=False)
 
     def full_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._ranked([int(np.searchsorted(self.embedded, i))], None)[0]
+        k = int(np.searchsorted(self.embedded, i))
+        if k == len(self.embedded) or self.embedded[k] != i:
+            raise KeyError(f"term index {i} has no vector, so no ranked partners")
+        lo = k - k % self.block
+        if self._last_block[0] != lo:
+            self._last_block = (lo, self._values(lo))
+        return self._ranked([k], self._last_block[1][k - lo : k - lo + 1], None)[0]
 
-    def _ranked(self, ks: Sequence[int], limit: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The ranked partners of embedded terms ``ks``, at most ``limit`` each."""
-        values = np.empty((len(ks), len(self.embedded)))
-        for r, k in enumerate(ks):
-            # one matrix-vector product per term: a blocked matrix product would
-            # round the dot products differently and change which pairs survive
-            np.matmul(self.normalized, self.normalized[k], out=values[r])
+    def _values(self, lo: int) -> np.ndarray:
+        """max(0, cosine)^exponent of the block of embedded terms from ``lo`` against every embedded term."""
+        # one matrix product per fixed block: a row's bits depend on its block,
+        # so `full_row` takes the same block's product again
+        values = self.normalized[lo : lo + self.block] @ self.normalized.T
         np.clip(values, 0.0, 1.0, out=values)
         values **= self.exponent
+        return values
+
+    def _ranked(self, ks: Sequence[int], values: np.ndarray, limit: int | None) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The ranked partners of embedded terms ``ks``, given their rows of `_values`; at most ``limit`` each."""
         keep = (values >= self.threshold) & (values > 0.0)
         keep[np.arange(len(ks)), ks] = False
         flat, counts, starts, padded = _left_aligned(keep, values)
@@ -238,17 +252,19 @@ def similarity_candidates(
         nonzero = norms > 0
         normalized = np.zeros_like(vectors)
         normalized[nonzero] = vectors[nonzero] / norms[nonzero, None]
-    candidates = SimilarityCandidates(
-        len(vocab), threshold, exponent, top_k, np.array(embedded, dtype=np.intp), normalized, {}, set()
-    )
     block = max(1, CANDIDATE_BLOCK_CELLS // max(1, len(embedded)))
-    for start in range(0, len(embedded), block):
-        ks = range(start, min(start + block, len(embedded)))
-        for k, (partners, values) in zip(ks, candidates._ranked(ks, top_k + 1)):
+    candidates = SimilarityCandidates(
+        len(vocab), threshold, exponent, top_k, np.array(embedded, dtype=np.intp), normalized, block, {}, set()
+    )
+    # deep enough that the greedy builds rarely run past a stored row and rank it again
+    depth = 3 * top_k
+    for lo in range(0, len(embedded), block):
+        ks = range(lo, min(lo + block, len(embedded)))
+        for k, (partners, values) in zip(ks, candidates._ranked(ks, candidates._values(lo), depth + 1)):
             i = embedded[k]
-            if len(partners) > top_k:
+            if len(partners) > depth:
                 candidates.truncated.add(i)
-                partners, values = partners[:top_k], values[:top_k]
+                partners, values = partners[:depth], values[:depth]
             candidates.rows[i] = (partners, values)
     return candidates
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import mteval.vsm as vsm
 from mteval._rng import round_half_up
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.ensemble import MlpParams, mlp_gradients, mlp_loss
@@ -231,6 +232,18 @@ def loop_ablation_order(train) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+def block_product_row(normalized, k) -> np.ndarray:
+    """Row k of the product of k's fixed block of rows with every row.
+
+    The library takes the cosines one block of rows at a time, and a row's
+    bits depend on the block it was multiplied in; the block size comes
+    from the same cell budget, ``vsm.CANDIDATE_BLOCK_CELLS``.
+    """
+    block = max(1, vsm.CANDIDATE_BLOCK_CELLS // max(1, len(normalized)))
+    lo = k - k % block
+    return (normalized[lo : lo + block] @ normalized.T)[k - lo]
+
+
 def greedy_similarity_rows(vocab, store, order, threshold, exponent, top_k) -> dict[int, dict[int, float]]:
     """Off-diagonal rows of the budgeted similarity matrix, dict of dicts.
 
@@ -259,8 +272,7 @@ def greedy_similarity_rows(vocab, store, order, threshold, exponent, top_k) -> d
     for i in processing:
         if i not in position or budget[i] >= top_k:
             continue
-        sims = normalized @ normalized[position[i]]
-        values = np.clip(sims, 0.0, 1.0) ** exponent
+        values = np.clip(block_product_row(normalized, position[i]), 0.0, 1.0) ** exponent
         row_i = rows.get(i, {})
         for k in np.lexsort((embedded_arr, -values)):
             value = float(values[k])
@@ -543,9 +555,7 @@ def loop_soft_quadratic(x, y, matrix) -> float:
 
 
 def _loop_ranked(normalized, embedded, threshold, exponent, k, limit):
-    # one matrix-vector product per term: a blocked matrix product would
-    # round the dot products differently and change which pairs survive
-    values = np.clip(normalized @ normalized[k], 0.0, 1.0) ** exponent
+    values = np.clip(block_product_row(normalized, k), 0.0, 1.0) ** exponent
     keep = (values >= threshold) & (values > 0.0)
     keep[k] = False
     positions = np.flatnonzero(keep)
@@ -562,8 +572,8 @@ def loop_similarity_candidates(vocab, store, threshold, exponent, top_k):
     """Every embedded term's ranked partners, ranked one term at a time.
 
     Returns ``(rows, truncated, full_rows)``: term index -> (partners,
-    values) cut to ``top_k``, the set of rows that were cut, and the uncut
-    ranking of each of those rows.
+    values) cut to the stored depth ``3 * top_k``, the set of rows that
+    were cut, and the uncut ranking of each of those rows.
     """
     embedded = [i for i, term in enumerate(vocab.terms) if term in store]
     normalized = np.zeros((0, store.dim))
@@ -576,10 +586,10 @@ def loop_similarity_candidates(vocab, store, threshold, exponent, top_k):
     embedded_arr = np.array(embedded, dtype=np.intp)
     rows, truncated, full_rows = {}, set(), {}
     for k, i in enumerate(embedded):
-        partners, values = _loop_ranked(normalized, embedded_arr, threshold, exponent, k, top_k + 1)
-        if len(partners) > top_k:
+        partners, values = _loop_ranked(normalized, embedded_arr, threshold, exponent, k, 3 * top_k + 1)
+        if len(partners) > 3 * top_k:
             truncated.add(i)
-            partners, values = partners[:top_k], values[:top_k]
+            partners, values = partners[:3 * top_k], values[:3 * top_k]
             full_rows[i] = _loop_ranked(normalized, embedded_arr, threshold, exponent, k, None)
         rows[i] = (partners, values)
     return rows, truncated, full_rows

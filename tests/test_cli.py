@@ -207,6 +207,19 @@ def test_verbose_run_logs_the_transport_batch(tmp_path, caplog):
     assert lines == ["transport: 15 problems, largest 2 x 1, 3 lockstep rounds, 30 augmentations"]
 
 
+def test_verbose_run_logs_the_similarity_fill(tmp_path, caplog):
+    config = write_run(tmp_path, metrics=("scm", "scm_tfidf"))
+    with caplog.at_level("INFO"):
+        assert main(["score", "-v", "--config", str(config)]) == 0
+    lines = [message for message in caplog.messages if message.startswith("built ")]
+    # "dog" is at 45 degrees to "the" and to "runs" (value 0.5 each); "the" and
+    # "runs" are orthogonal, and no row has more than two partners to cut
+    assert lines == [
+        f"built {order}-order similarity matrix over 19 words terms: 2 off-diagonal entries, 0 rows cut at the stored depth"
+        for order in ("idf_descending", "vocabulary")
+    ]
+
+
 def test_ablate_writes_curve(tmp_path):
     config = write_run(tmp_path)
     assert main(["ablate", "--config", str(config)]) == 0

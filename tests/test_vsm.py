@@ -215,18 +215,35 @@ def random_similarity_instance(rng):
     return build_vocabulary(docs), EmbeddingStore(dim=dim, table=table)
 
 
+def clustered_similarity_instance(rng, n=120, dim=4, n_clusters=3):
+    """Vocabulary and store of ``n`` terms in a few tight clusters: every term has dozens of mutual partners."""
+    centroids = rng.normal(size=(n_clusters, dim))
+    table = {f"c{i}": centroids[i % n_clusters] + 0.2 * rng.normal(size=dim) for i in range(n)}
+    terms = list(table)
+    docs = [[t for t in terms if rng.random() < 0.5] for _ in range(3)] + [terms]
+    return build_vocabulary(docs), store_from(table)
+
+
 def test_similarity_matches_the_one_at_a_time_greedy_oracle(monkeypatch):
     rng = np.random.default_rng(2024)
     full_rows = []
     ranked_again = SimilarityCandidates.full_row
     monkeypatch.setattr(SimilarityCandidates, "full_row", lambda self, i: full_rows.append(i) or ranked_again(self, i))
-    for _ in range(400):
-        vocab, store = random_similarity_instance(rng)
+    # clustered instances have more than 3 * top_k mutual partners per term, so
+    # the builds run past stored rows and rank them again
+    instances = [random_similarity_instance(rng) for _ in range(400)]
+    instances += [clustered_similarity_instance(rng) for _ in range(6)]
+    for vocab, store in instances:
         threshold = float(rng.choice([0.0, 0.05, 0.1, 0.5, 1.0]))
         exponent = float(rng.choice([1.0, 2.0, 3.0]))
         top_k = int(rng.integers(1, 6))
         candidates = similarity_candidates(vocab, store, threshold, exponent, top_k)
-        assert all(len(partners) == len(values) <= top_k for partners, values in candidates.rows.values())
+        assert all(len(partners) == len(values) <= 3 * top_k for partners, values in candidates.rows.values())
+        for i in candidates.truncated:
+            # a row ranked again begins with its stored prefix, bit for bit
+            partners, values = ranked_again(candidates, i)
+            assert partners[: 3 * top_k].tobytes() == candidates.rows[i][0].tobytes(), i
+            assert values[: 3 * top_k].tobytes() == candidates.rows[i][1].tobytes(), i
         for order in SIMILARITY_ORDERS:
             want = greedy_similarity_rows(vocab, store, order, threshold, exponent, top_k)
             got = build_similarity_matrix(vocab, store, order, threshold, exponent, top_k, candidates=candidates)
@@ -271,6 +288,53 @@ def test_similarity_candidates_match_the_per_term_loop_bit_for_bit(monkeypatch):
         assert_same_rows({i: got.full_row(i) for i in truncated}, full_rows)
         truncated_rows += len(truncated)
     assert truncated_rows
+
+
+def test_blocked_candidate_values_are_the_per_term_cosines(monkeypatch):
+    """The blocked product rounds differently from one product per term, but only in the last bits."""
+    rng = np.random.default_rng(1912)
+    instances = [random_similarity_instance(rng) for _ in range(150)] + [clustered_similarity_instance(rng, n=300)]
+    compared_rows = 0
+    for vocab, store in instances:
+        n_embedded = sum(term in store for term in vocab.terms)
+        block = int(rng.choice([1, 3, 7, max(1, n_embedded)]))
+        monkeypatch.setattr(vsm_module, "CANDIDATE_BLOCK_CELLS", block * max(1, n_embedded))
+        threshold = float(rng.choice([0.0, 0.1, 0.5]))
+        exponent = float(rng.choice([1.0, 2.0, 3.0]))
+        top_k = int(rng.choice([1, 2, 5, 40]))
+        candidates = similarity_candidates(vocab, store, threshold, exponent, top_k)
+        rows = dict(candidates.rows) | {i: candidates.full_row(i) for i in candidates.truncated}
+        for k, i in enumerate(candidates.embedded.tolist()):
+            # max(0, cosine)^exponent from term k's own matrix-vector product
+            want = np.clip(candidates.normalized @ candidates.normalized[k], 0.0, 1.0) ** exponent
+            partners, values = rows[i]
+            position = np.searchsorted(candidates.embedded, partners)
+            assert np.all(np.abs(values - want[position]) <= 1e-12), i
+            if np.any(np.abs(want - threshold) <= 1e-12):
+                continue
+            # the per-term partners, in the per-term ranking up to the order of
+            # values within 1e-12 of each other: even two identical vectors can
+            # round differently in different columns of one matrix product
+            keep = (want >= threshold) & (want > 0.0) & (np.arange(len(want)) != k)
+            assert np.array_equal(np.sort(partners), candidates.embedded[keep]), i
+            assert np.all(np.diff(want[position]) <= 1e-12), i
+            compared_rows += 1
+    assert compared_rows > 1000
+
+
+@pytest.mark.parametrize(
+    "table, i",
+    [
+        pytest.param({"a": [1.0, 0.0], "c": [1.0, 0.1], "d": [0.9, 0.2]}, 1, id="between-embedded-terms"),
+        pytest.param({"a": [1.0, 0.0], "b": [1.0, 0.1]}, 2, id="past-the-last-embedded-term"),
+        pytest.param({"a": [1.0, 0.0], "b": [1.0, 0.1]}, 4, id="past-the-vocabulary"),
+    ],
+)
+def test_full_row_of_a_term_without_a_vector_is_a_key_error(table, i):
+    vocab = build_vocabulary([["a", "b", "c", "d"]])
+    candidates = similarity_candidates(vocab, store_from(table), threshold=0.1, top_k=1)
+    with pytest.raises(KeyError, match=f"term index {i} "):
+        candidates.full_row(i)
 
 
 def test_similarity_candidates_must_match_the_build():
