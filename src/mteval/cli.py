@@ -121,6 +121,8 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = load_run_config(args.config)
+    if not config.metric_config.reg_base:  # before any input is read; `evaluate` checks it too
+        raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
     split = _split(config, *_load_run(config), "train", "test")
     result = evaluate(split, seed=config.seed, mlp_options=config.mlp_options)
     out = _out_dir(args, config)

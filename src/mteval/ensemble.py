@@ -25,11 +25,13 @@ __all__ = [
     "StandardizationParams",
     "fit_linear",
     "fit_mlp",
+    "fit_mlp_batch",
     "mlp_forward",
     "mlp_gradients",
     "mlp_loss",
     "predict",
     "select_model",
+    "select_model_batch",
     "standardize_apply",
     "standardize_fit",
 ]
@@ -38,6 +40,10 @@ logger = logging.getLogger(__name__)
 
 #: Spearman differences below this are ties, resolved in favour of linear.
 SELECTION_TIE = 1e-9
+
+#: Activation cells (fits x batch rows x hidden units) of one lockstep group.
+#: It bounds the group's three activation buffers (2 MiB each).
+LOCKSTEP_CELLS = 1 << 18
 
 
 @dataclass
@@ -185,20 +191,41 @@ def mlp_loss(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(delta * delta))
 
 
-def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray, out: MlpParams | None = None) -> MlpParams:
-    """Analytic MSE gradients (ReLU subgradient 0 at the kink); with ``out``,
-    they are written into its arrays, its b2 replaced, and ``out`` returned."""
-    if out is None:
-        out = MlpParams(np.empty_like(params.w1), np.empty_like(params.b1), np.empty_like(params.w2), 0.0)
-    pre = rows @ params.w1 + params.b1
-    hidden = np.maximum(pre, 0.0)
-    delta = (hidden @ params.w2 + params.b2 - y) * (2.0 / len(y))
-    np.matmul(hidden.T, delta, out=out.w2)
-    out.b2 = float(np.add.reduce(delta))
-    d_hidden = delta[:, None] * params.w2 * (pre > 0)
-    np.matmul(rows.T, d_hidden, out=out.w1)
-    np.add.reduce(d_hidden, axis=0, out=out.b1)
-    return out
+def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> MlpParams:
+    """Analytic MSE gradients (ReLU subgradient 0 at the kink), by the pass every training step takes."""
+    (m, hidden), y = params.w1.shape, np.asarray(y, dtype=float)
+    grad = np.empty(params.w1.size + 2 * hidden + 1)
+    stacked = ([params.w1], params.b1[None], params.w2[None], np.full(1, params.b2, dtype=float))
+    _stacked_gradients([rows], stacked, y[None], _views(grad, [m], hidden), np.empty((3, 1, len(y), hidden)))
+    return _unpack(grad, m, hidden)
+
+
+def _stacked_gradients(rows, params, y, grads, work) -> None:
+    """Write into ``grads`` (laid out as `_views` says) the MSE gradients of F fits on (F, b) targets.
+
+    Each matrix product is its fit's own 2-d call on a one-fit pass's
+    operands; the stacked work (in ``work``, at least (3, F, b, hidden))
+    rounds element by element or sums along the batch axis, so each fit's
+    gradients are bit for bit its one-fit ones."""
+    (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = params, grads
+    (f, b), delta = y.shape, np.empty(y.shape)
+    pre, hidden, d_hidden = work[:, :f, :b]
+    for i, x in enumerate(rows):
+        np.matmul(x, w1[i], out=pre[i])
+    pre += b1[:, None]
+    np.maximum(pre, 0.0, out=hidden)
+    for i in range(f):
+        np.matmul(hidden[i], w2[i], out=delta[i])
+    delta += b2[:, None]
+    delta -= y
+    delta *= 2.0 / b
+    np.multiply(delta[:, :, None], w2[:, None], out=d_hidden)
+    d_hidden *= pre > 0
+    np.add.reduce(delta, axis=1, out=g_b2)
+    np.add.reduce(d_hidden, axis=1, out=g_b1)
+    for i, x in enumerate(rows):
+        np.matmul(hidden[i].T, delta[i], out=g_w2[i])
+        np.matmul(x.T, d_hidden[i], out=g_w1[i])
 
 
 def _unpack(theta: np.ndarray, m: int, hidden: int) -> MlpParams:
@@ -207,64 +234,86 @@ def _unpack(theta: np.ndarray, m: int, hidden: int) -> MlpParams:
     return MlpParams(w1=theta[:k].reshape(m, hidden), b1=theta[k : k + hidden], w2=theta[k + hidden : -1], b2=theta[-1])
 
 
+def _views(theta: np.ndarray, ms: list[int], hidden: int) -> tuple:
+    """(w1 list, b1, w2, b2) views of a vector of each fit's w1, then (F, hidden) b1 and w2, then F b2."""
+    bounds, f = np.cumsum([0, *ms]) * hidden, len(ms)
+    w1 = [theta[lo:hi].reshape(-1, hidden) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    b1, w2 = theta[bounds[-1] : -f].reshape(2, f, hidden)
+    return w1, b1, w2, theta[-f:]
+
+
 def fit_mlp(
-    features: FeatureMatrix,
-    gold: list[float],
-    seed: int,
-    standardization: StandardizationParams | None = None,
-    hidden: int = 100,
-    learning_rate: float = 1e-3,
-    batch_size: int = 32,
-    max_epochs: int = 500,
-    patience: int = 25,
-    val_fraction: float = 0.1,
+    features: FeatureMatrix, gold: list[float], seed: int, standardization: StandardizationParams | None = None, **options
 ) -> EnsembleModel:
     """Adam-trained MLP with early stopping on an internal validation slice.
 
     Deterministic for a fixed seed: initialization, the validation split,
     and every epoch's batch order all come from one seeded generator, and
-    the best-validation parameters are restored at the end.
+    the best-validation parameters are restored at the end.  The options
+    are `fit_mlp_batch`'s.
     """
-    y = np.asarray(gold, dtype=float)
-    rows = features.rows
-    n, m = rows.shape
-    if n != len(y):
-        raise ValueError("gold length does not match feature rows")
-    if n < 10:
-        raise ValueError("mlp fit needs at least 10 rows; use the linear model below that")
+    return fit_mlp_batch([(features, gold, seed, standardization)], **options)[0]
 
-    rng = np.random.default_rng(seed)
-    limit1 = np.sqrt(6.0 / (m + hidden))
-    limit2 = np.sqrt(6.0 / (hidden + 1))
-    w1 = rng.uniform(-limit1, limit1, size=(m, hidden))
-    w2 = rng.uniform(-limit2, limit2, size=hidden)
-    # Adam is elementwise, so one flat [w1, b1, w2, b2] vector takes the same steps
-    theta = np.concatenate([w1.ravel(), np.zeros(hidden), w2, [0.0]])
+
+def fit_mlp_batch(
+    jobs: list[tuple], hidden: int = 100, learning_rate: float = 1e-3, batch_size: int = 32,
+    max_epochs: int = 500, patience: int = 25, val_fraction: float = 0.1,
+) -> list[EnsembleModel]:
+    """`fit_mlp` of each (features, gold, seed, standardization) job, bit for bit, in job order.
+
+    The jobs share their row count, hence their batch boundaries, so they
+    are stepped in lockstep, in groups of at most LOCKSTEP_CELLS activation
+    cells.  Each group logs one INFO line: its fits, steps and epochs run.
+    """
+    for features, gold, _, _ in jobs:
+        if features.n != len(gold):
+            raise ValueError("gold length does not match feature rows")
+        if features.n < 10:
+            raise ValueError("mlp fit needs at least 10 rows; use the linear model below that")
+        if features.n != jobs[0][0].n:
+            raise ValueError("the fits of one batch must share their row count")
+    if not jobs:
+        return []
+    n = jobs[0][0].n
+    size = max(1, LOCKSTEP_CELLS // (min(batch_size, n) * hidden))
+    if len(jobs) > size:
+        options = (hidden, learning_rate, batch_size, max_epochs, patience, val_fraction)
+        return [model for start in range(0, len(jobs), size) for model in fit_mlp_batch(jobs[start : start + size], *options)]
 
     n_val = min(max(1, round_half_up(val_fraction * n)), n - 1)  # at least one row to fit on
-    order = rng.permutation(n)
-    val_idx, fit_idx = order[:n_val], order[n_val:]
-    rows_fit, y_fit = rows[fit_idx], y[fit_idx]
-    rows_val, y_val = rows[val_idx], y[val_idx]
+    n_fit, rngs, splits, best = n - n_val, [], [], []
+    for features, gold, seed, _ in jobs:
+        rows, y, m = features.rows, np.asarray(gold, dtype=float), features.m
+        rng = np.random.default_rng(seed)
+        limit1 = np.sqrt(6.0 / (m + hidden))
+        limit2 = np.sqrt(6.0 / (hidden + 1))
+        w1 = rng.uniform(-limit1, limit1, size=(m, hidden))
+        w2 = rng.uniform(-limit2, limit2, size=hidden)
+        order = rng.permutation(n)
+        val_idx, fit_idx = order[:n_val], order[n_val:]
+        rngs.append(rng)
+        splits.append((rows[fit_idx], y[fit_idx], rows[val_idx], y[val_idx]))
+        best.append(np.concatenate([w1.ravel(), np.zeros(hidden), w2, [0.0]]))
 
-    # every step updates these buffers in place, in the order of the
-    # textbook Adam expressions, so each element rounds exactly as there
-    live = _unpack(theta, m, hidden)
-    live.b2 = theta[-1:]  # a view, so the forward pass sees every step
+    # Adam is elementwise, so one flat vector of every fit's parameters takes
+    # each fit's own steps; each step updates these buffers in place, in the
+    # order of the textbook Adam expressions, so each element rounds exactly as there
+    f, ms = len(jobs), [features.m for features, *_ in jobs]
+    starts = [_unpack(vector, m, hidden) for vector, m in zip(best, ms)]
+    theta = np.concatenate([*(p.w1.ravel() for p in starts), np.zeros(f * hidden), *(p.w2 for p in starts), np.zeros(f)])
     grad, update, scale, moment1, moment2 = np.zeros((5, len(theta)))
-    grads = _unpack(grad, m, hidden)  # views: mlp_gradients fills grad but its last cell
+    params, grads = _views(theta, ms, hidden), _views(grad, ms, hidden)
+    work = np.empty((3, f, min(batch_size, n_fit), hidden))  # sized by the rows, not the option
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    step = 0
-
-    best = theta.copy()
-    best_val = np.inf
-    best_epoch = epochs = stale = 0
-    for epochs in range(1, max_epochs + 1):
-        batch_order = rng.permutation(len(fit_idx))
-        rows_epoch, y_epoch = rows_fit[batch_order], y_fit[batch_order]
-        for start in range(0, len(fit_idx), batch_size):
+    best_val, best_epoch, epochs, stale = [np.inf] * f, [0] * f, [0] * f, [0] * f
+    live, step = list(range(f)), 0
+    for epoch in range(1, max_epochs + 1):
+        batch_orders = [rngs[j].permutation(n_fit) for j in live]
+        rows_epoch = [splits[j][0][order] for j, order in zip(live, batch_orders)]
+        y_epoch = np.array([splits[j][1][order] for j, order in zip(live, batch_orders)])
+        for start in range(0, n_fit, batch_size):
             stop = start + batch_size
-            grad[-1] = mlp_gradients(live, rows_epoch[start:stop], y_epoch[start:stop], out=grads).b2
+            _stacked_gradients([x[start:stop] for x in rows_epoch], params, y_epoch[:, start:stop], grads, work)
             step += 1
             moment1 *= beta1
             moment1 += np.multiply(grad, 1 - beta1, out=update)
@@ -275,24 +324,32 @@ def fit_mlp(
             np.sqrt(np.divide(moment2, 1 - beta2**step, out=scale), out=scale)  # sqrt(m2_hat)
             scale += eps
             theta -= np.divide(update, scale, out=update)
-        val_mse = mlp_loss(live, rows_val, y_val)
-        if val_mse < best_val:
-            best_val = val_mse
-            best = theta.copy()
-            best_epoch = epochs
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
+        w1, b1, w2, b2 = params
+        for i, j in enumerate(live):
+            epochs[j] = epoch
+            val_mse = mlp_loss(MlpParams(w1[i], b1[i], w2[i], b2[i : i + 1]), *splits[j][2:])
+            if val_mse < best_val[j]:
+                best_val[j], best_epoch[j], stale[j] = val_mse, epoch, 0
+                best[j] = np.concatenate([w1[i].ravel(), b1[i], w2[i], b2[i : i + 1]])
+            else:
+                stale[j] += 1
+        keep = np.array([stale[j] < max(1, patience) for j in live])  # a fit that just improved runs on
+        if not keep.all():  # drop the stopped fits' cells from every vector
+            cells = np.concatenate([np.repeat(keep, np.multiply(ms, hidden)), *[np.repeat(keep, hidden)] * 2, keep])
+            theta, moment1, moment2 = theta[cells], moment1[cells], moment2[cells]
+            live, ms = [j for j, k in zip(live, keep) if k], [m for m, k in zip(ms, keep) if k]
+            if not live:
                 break
-    logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs, best_epoch, best_val)
+            grad, update, scale = np.zeros((3, len(theta)))
+            params, grads = _views(theta, ms, hidden), _views(grad, ms, hidden)
 
-    return EnsembleModel(
-        kind="mlp",
-        feature_names=list(features.feature_names),
-        standardization=standardization or StandardizationParams.identity(m),
-        mlp=_unpack(best, m, hidden),
-    )
+    logger.info("mlp: %d fits in lockstep, %d steps, epochs run %s", f, step, ",".join(map(str, epochs)))
+    models = []
+    for j, (features, _, _, standardization) in enumerate(jobs):
+        logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs[j], best_epoch[j], best_val[j])
+        standardization = standardization or StandardizationParams.identity(features.m)
+        models.append(EnsembleModel("mlp", list(features.feature_names), standardization, mlp=_unpack(best[j], features.m, hidden)))
+    return models
 
 
 def predict(model: EnsembleModel, features: FeatureMatrix) -> np.ndarray:
@@ -312,11 +369,7 @@ def predict(model: EnsembleModel, features: FeatureMatrix) -> np.ndarray:
 
 
 def select_model(
-    features: FeatureMatrix,
-    gold: list[float],
-    seed: int,
-    sources: list[str] | None = None,
-    mlp_options: dict | None = None,
+    features: FeatureMatrix, gold: list[float], seed: int, sources: list[str] | None = None, mlp_options: dict | None = None
 ) -> EnsembleModel:
     """Fit linear and MLP on 80% of the sources, keep the validation winner.
 
@@ -324,46 +377,55 @@ def select_model(
     from seed+1; the winner by validation Spearman (ties and degenerate
     validations go to linear) is refit on all rows before returning.
     """
+    return select_model_batch([features], gold, seed, sources, mlp_options)[0]
+
+
+def select_model_batch(
+    candidates: list[FeatureMatrix], gold: list[float], seed: int, sources: list[str] | None = None, mlp_options: dict | None = None
+) -> list[EnsembleModel]:
+    """`select_model` of each candidate, bit for bit, in order.
+
+    The candidates hold the same rows (column subsets of one table, say),
+    so they share the validation split, and their MLPs are fit as two
+    `fit_mlp_batch` batches: all candidates on the split, then the refits
+    of the MLP winners.  Each winner and its margin are logged at INFO.
+    """
     y = np.asarray(gold, dtype=float)
-    if features.n != len(y):
+    if any(features.n != len(y) for features in candidates):
         raise ValueError("gold length does not match feature rows")
-    if features.n < 2:
+    if len(y) < 2:
         raise ValueError("model selection needs at least 2 rows")
+    if any(features.segment_ids != candidates[0].segment_ids for features in candidates):
+        raise ValueError("candidates must share their rows")
     if sources is None:
-        sources = list(features.segment_ids)
-    if len(sources) != features.n:
+        sources = list(candidates[0].segment_ids)
+    if len(sources) != len(y):
         raise ValueError("sources must align with feature rows")
     mlp_options = dict(mlp_options or {})
 
-    kind = "linear"
+    kinds = ["linear"] * len(candidates)
     fit_sources = set(split_sources(sources, 0.8, seed + 1)[0])
     fit_idx = [i for i, s in enumerate(sources) if s in fit_sources]
     val_idx = [i for i, s in enumerate(sources) if s not in fit_sources]
     if len(fit_idx) >= 2 and len(val_idx) >= 2:
-        sub = features.take_rows(fit_idx)
-        sub_params = standardize_fit(sub)
-        sub_std = standardize_apply(sub, sub_params)
-        y_fit = y[fit_idx]
-        holdout = features.take_rows(val_idx)
-        y_val = y[val_idx]
+        jobs = [_standardized_job(features.take_rows(fit_idx), y[fit_idx], seed) for features in candidates]
+        mlps = fit_mlp_batch(jobs, **mlp_options) if len(fit_idx) >= 10 else [None] * len(candidates)
+        for i, ((sub_std, y_fit, _, sub_params), mlp_model) in enumerate(zip(jobs, mlps)):
+            holdout, y_val = candidates[i].take_rows(val_idx), y[val_idx]
+            rho_linear = spearman(predict(fit_linear(sub_std, y_fit, standardization=sub_params), holdout), y_val)
+            rho_mlp = spearman(predict(mlp_model, holdout), y_val) if mlp_model else -np.inf
+            kinds[i] = "mlp" if rho_mlp - rho_linear > SELECTION_TIE else "linear"
+            outcome = "skipped -> linear" if mlp_model is None else f"{rho_mlp:.4f} -> {kinds[i]} by {abs(rho_mlp - rho_linear):.4f}"
+            logger.info("model selection: linear %.4f vs mlp %s", rho_linear, outcome)
+    else:
+        logger.info("model selection: no source-disjoint validation split -> linear")
 
-        linear_model = fit_linear(sub_std, y_fit, standardization=sub_params)
-        rho_linear = spearman(predict(linear_model, holdout), y_val)
-        rho_mlp = -np.inf
-        if len(fit_idx) >= 10:
-            mlp_model = fit_mlp(sub_std, y_fit, seed=seed, standardization=sub_params, **mlp_options)
-            rho_mlp = spearman(predict(mlp_model, holdout), y_val)
-        if rho_mlp - rho_linear > SELECTION_TIE:
-            kind = "mlp"
-        logger.debug(
-            "model selection: linear %.4f vs mlp %s -> %s",
-            rho_linear,
-            "skipped" if rho_mlp == -np.inf else f"{rho_mlp:.4f}",
-            kind,
-        )
+    jobs = [_standardized_job(features, y, seed) for features in candidates]
+    refit = iter(fit_mlp_batch([job for job, kind in zip(jobs, kinds) if kind == "mlp"], **mlp_options))
+    return [next(refit) if kind == "mlp" else fit_linear(std, y, standardization=params) for (std, _, _, params), kind in zip(jobs, kinds)]
 
+
+def _standardized_job(features: FeatureMatrix, y: np.ndarray, seed: int) -> tuple:
+    """A `fit_mlp_batch` job on ``features`` standardized by their own mean and std."""
     params = standardize_fit(features)
-    standardized = standardize_apply(features, params)
-    if kind == "mlp":
-        return fit_mlp(standardized, y, seed=seed, standardization=params, **mlp_options)
-    return fit_linear(standardized, y, standardization=params)
+    return standardize_apply(features, params), y, seed, params

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mteval.ensemble import FeatureMatrix, predict, select_model
+from mteval.ensemble import FeatureMatrix, predict, select_model, select_model_batch
 from mteval.errors import ConfigError
 from mteval.metrics import REG_BASE_FEATURES
 from mteval.pipeline import SplitFeatures
@@ -95,23 +95,27 @@ def ablation(
     Pairwise |rho| is measured once, on the train split only; ties go to
     the lexicographically smaller name.  Step 0 records the full ensemble,
     and the curve ends once the single-feature model has been recorded.
+    Every step's model comes from one `select_model_batch`.
     """
     remaining = list(train.feature_names)
     if len(remaining) < 2:
         raise ValueError("ablation needs at least 2 features")
 
-    def fit_and_score(names: list[str]) -> float:
-        model = select_model(train.select(names), gold_train, seed=seed, sources=sources, mlp_options=mlp_options)
-        return spearman(predict(model, test.select(names)), gold_test)
-
+    # the order depends on the train table only, so every subset is known before any fit
     redundancy = {pair: abs(rho) for pair, rho in _pairwise_spearman(train).items()}
-    steps = [AblationStep(step=0, eliminated=None, remaining_count=len(remaining), test_rho=fit_and_score(remaining))]
+    steps, subsets = [AblationStep(0, None, len(remaining), 0.0)], [list(remaining)]
     for step_no in range(1, len(train.feature_names)):
         # the feature with the largest |rho| to any other remaining feature
         victim = min(remaining, key=lambda a: (-max(redundancy[(a, b)] for b in remaining if b != a), a))
         remaining.remove(victim)
-        steps.append(AblationStep(step_no, victim, len(remaining), fit_and_score(remaining)))
+        steps.append(AblationStep(step_no, victim, len(remaining), 0.0))
+        subsets.append(list(remaining))
         logger.debug("ablation step %d: dropped %s (%d left)", step_no, victim, len(remaining))
+    models = select_model_batch(
+        [train.select(names) for names in subsets], gold_train, seed=seed, sources=sources, mlp_options=mlp_options
+    )
+    for step, names, model in zip(steps, subsets, models):
+        step.test_rho = spearman(predict(model, test.select(names)), gold_test)
     return AblationCurve(steps=steps)
 
 
@@ -126,14 +130,14 @@ class EvaluationResult:
 
 def evaluate(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> EvaluationResult:
     """Fit RegEMT (all features) and Reg-base (surface features) on the train
-    side, then report test-side Spearman correlations for every feature and
-    both ensemble prediction columns, plus their pairwise matrix."""
+    side as one `select_model_batch`, then report test-side Spearman
+    correlations for every feature and both ensemble prediction columns,
+    plus their pairwise matrix."""
     base_names = list(REG_BASE_FEATURES)
     if not set(base_names) <= set(split.train.feature_names):
         raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
-    regemt = select_model(split.train, split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options)
-    reg_base = select_model(
-        split.train.select(base_names), split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options
+    regemt, reg_base = select_model_batch(
+        [split.train, split.train.select(base_names)], split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options
     )
     predictions = predict(regemt, split.test)
     base_predictions = predict(reg_base, split.test.select(base_names))

@@ -17,7 +17,7 @@ import numpy as np
 import mteval.vsm as vsm
 from mteval._rng import round_half_up
 from mteval.embeddings import ContextualRecord, EmbeddingStore
-from mteval.ensemble import MlpParams, mlp_gradients, mlp_loss
+from mteval.ensemble import MlpParams, mlp_loss
 from mteval.errors import DataError
 from mteval.stats import spearman
 
@@ -471,8 +471,25 @@ def loop_load_contextual(path):
 
 # ---------------------------------------------------------------------------
 # MLP training: Adam over the four parameter blocks one by one, frozen
-# before the blocks were packed into one vector
+# before the blocks were packed into one vector; the backward pass of one
+# fit, frozen before fits were stepped in lockstep
 # ---------------------------------------------------------------------------
+
+
+def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray, out: MlpParams | None = None) -> MlpParams:
+    """Analytic MSE gradients (ReLU subgradient 0 at the kink); with ``out``,
+    they are written into its arrays, its b2 replaced, and ``out`` returned."""
+    if out is None:
+        out = MlpParams(np.empty_like(params.w1), np.empty_like(params.b1), np.empty_like(params.w2), 0.0)
+    pre = rows @ params.w1 + params.b1
+    hidden = np.maximum(pre, 0.0)
+    delta = (hidden @ params.w2 + params.b2 - y) * (2.0 / len(y))
+    np.matmul(hidden.T, delta, out=out.w2)
+    out.b2 = float(np.add.reduce(delta))
+    d_hidden = delta[:, None] * params.w2 * (pre > 0)
+    np.matmul(rows.T, d_hidden, out=out.w1)
+    np.add.reduce(d_hidden, axis=0, out=out.b1)
+    return out
 
 
 def loop_fit_mlp(

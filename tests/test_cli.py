@@ -108,6 +108,23 @@ def test_evaluate_without_reg_base_exits_one_and_writes_nothing(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def test_evaluate_without_reg_base_refuses_before_reading_any_input(tmp_path, capsys, monkeypatch):
+    # a missing vectors file would be a data error (exit 2) had any input been read first
+    payload = json.loads((DEMO_DATA / "run_deen.json").read_text(encoding="utf-8"))
+    payload["dataset"] = str(DEMO_DATA / payload["dataset"])
+    payload["resources"] = {key: str(DEMO_DATA / value) for key, value in payload["resources"].items()}
+    payload["resources"]["static_embeddings"] = "missing.txt"
+    payload["reg_base"] = False
+    payload["output_dir"] = str(tmp_path / "out")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    monkeypatch.setattr(mteval.cli, "load_dataset", lambda *args: pytest.fail("evaluate read the dataset"))
+    assert main(["evaluate", "--config", str(config)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: evaluate reports Reg-base and needs reg_base features enabled"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_reports_zero_for_two_constant_columns(tmp_path):
     ids = [line.split("\t")[0] for line in (DEMO_DATA / "deen_external.tsv").read_text(encoding="utf-8").splitlines()[1:]]
     external = tmp_path / "constant.tsv"
@@ -229,6 +246,22 @@ def test_ablate_writes_curve(tmp_path):
     assert len(lines) == 8
     assert lines[1].startswith("0,,7,")
     assert lines[-1].split(",")[2] == "1"
+
+
+def test_ablate_runs_with_a_batch_size_beyond_memory(tmp_path):
+    # both sizes mean one batch an epoch; buffers sized by the option would not fit in memory
+    curves = []
+    for batch_size in (2**62, 10**6):
+        payload = json.loads((DEMO_DATA / "run_deen.json").read_text(encoding="utf-8"))
+        payload["dataset"] = str(DEMO_DATA / payload["dataset"])
+        payload["resources"] = {key: str(DEMO_DATA / value) for key, value in payload["resources"].items()}
+        payload["mlp"]["batch_size"] = batch_size
+        payload["output_dir"] = str(tmp_path / str(batch_size))
+        config = tmp_path / f"run-{batch_size}.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["ablate", "--config", str(config)]) == 0
+        curves.append((tmp_path / str(batch_size) / "ablation.csv").read_bytes())
+    assert curves[0] == curves[1]
 
 
 def test_ablate_rejects_fewer_than_two_features(tmp_path, capsys):

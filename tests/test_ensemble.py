@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mteval.ensemble
+from mteval._rng import round_half_up
 from mteval.ensemble import (
     EnsembleModel,
     FeatureMatrix,
@@ -9,10 +10,12 @@ from mteval.ensemble import (
     StandardizationParams,
     fit_linear,
     fit_mlp,
+    fit_mlp_batch,
     mlp_gradients,
     mlp_loss,
     predict,
     select_model,
+    select_model_batch,
     standardize_apply,
     standardize_fit,
 )
@@ -203,8 +206,8 @@ def test_fit_mlp_learns_a_noisy_linear_map():
 def test_fit_mlp_keeps_a_row_to_fit_on(monkeypatch, n, val_fraction):
     # a validation slice rounding to every row would leave the random initialisation untrained
     steps = []
-    gradients = mteval.ensemble.mlp_gradients
-    monkeypatch.setattr(mteval.ensemble, "mlp_gradients", lambda *args, **kwargs: steps.append(1) or gradients(*args, **kwargs))
+    gradients = mteval.ensemble._stacked_gradients
+    monkeypatch.setattr(mteval.ensemble, "_stacked_gradients", lambda *args, **kwargs: steps.append(1) or gradients(*args, **kwargs))
     features = random_matrix(np.random.default_rng(n), n, 2)
     fit_mlp(features, features.rows[:, 0], seed=3, hidden=4, max_epochs=2, val_fraction=val_fraction)
     assert len(steps) == 2
@@ -245,6 +248,68 @@ def test_fit_mlp_matches_the_per_block_adam_loop(caplog):
         epochs = int(line.split()[2])
         stopped["early" if epochs < max_epochs else "full"] += 1
     assert min(stopped.values()) >= 3, stopped
+
+
+def test_fit_mlp_batch_matches_the_per_block_adam_loop_for_every_fit(monkeypatch, caplog):
+    # F = 1..12 fits of mixed widths stepped in lockstep, each bit for bit its own one-at-a-time loop
+    rng = np.random.default_rng(47)
+    seen = {"partial last batch": 0, "stops differ": 0, "early beside full": 0, "groups": 0}
+    for n_fits in range(1, 13):
+        n = int(rng.integers(12, 60))
+        hidden = [1, 100, 8, 3, 37, 64][n_fits % 6]
+        max_epochs = int(rng.integers(8, 30))
+        options = dict(
+            hidden=hidden,
+            learning_rate=float(rng.choice([1e-3, 0.05, 0.2])),
+            batch_size=int(rng.integers(5, 30)),
+            max_epochs=max_epochs,
+            patience=int(rng.choice([2, 3, max_epochs])),
+        )
+        cells = 1 << 18 if n_fits % 4 else 2 * options["batch_size"] * hidden  # groups of at most two fits
+        monkeypatch.setattr(mteval.ensemble, "LOCKSTEP_CELLS", cells)
+        jobs = []
+        for _ in range(n_fits):
+            features = random_matrix(rng, n, int(rng.integers(1, 13)))
+            y = np.tanh(features.rows[:, 0]) * features.rows[:, -1] + 0.3 * rng.normal(size=n)
+            jobs.append((features, y, int(rng.integers(1000)), None))
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="mteval.ensemble"):
+            models = fit_mlp_batch(jobs, **options)
+        for (features, y, seed, _), model in zip(jobs, models):
+            want = loop_fit_mlp(features.rows, y, seed=seed, **options)
+            for name in ("w1", "b1", "w2", "b2"):
+                a, b = np.asarray(getattr(model.mlp, name)), np.asarray(getattr(want, name))
+                assert a.shape == b.shape and a.dtype == b.dtype, name
+                assert a.tobytes() == b.tobytes(), (name, n_fits, features.m, hidden)
+        epochs = [int(message.split()[2]) for message in caplog.messages if message.startswith("mlp fit:")]
+        assert len(epochs) == n_fits
+        n_fit = n - round_half_up(0.1 * n)
+        seen["partial last batch"] += n_fit % options["batch_size"] > 0
+        seen["stops differ"] += len(set(epochs)) > 1
+        seen["early beside full"] += min(epochs) < max_epochs == max(epochs)
+        seen["groups"] += cells < 1 << 18 and n_fits > 2
+    assert min(seen.values()) >= 2, seen
+    with pytest.raises(ValueError, match="share their row count"):
+        fit_mlp_batch([jobs[0], (random_matrix(rng, n + 1, 2), np.zeros(n + 1), 1, None)])
+
+
+def test_fit_mlp_batch_logs_its_fits_steps_and_epochs(caplog):
+    rng = np.random.default_rng(8)
+    jobs = []
+    for m in (1, 3, 5):
+        features = random_matrix(rng, 30, m)
+        jobs.append((features, features.rows[:, 0] + rng.normal(size=30), m, None))
+    with caplog.at_level("INFO", logger="mteval.ensemble"):
+        fit_mlp_batch(jobs, hidden=4, batch_size=10, learning_rate=0.1, max_epochs=40, patience=3)
+        fit_mlp_batch([], hidden=4)
+    (line,) = [message for message in caplog.messages if message.startswith("mlp:")]
+    # "mlp: <fits> fits in lockstep, <steps> steps, epochs run <e1>,<e2>,..."
+    words = line.split()
+    epochs = [int(e) for e in words[-1].split(",")]
+    assert int(words[1]) == 3 and len(epochs) == 3
+    # 27 rows to fit on, in batches of 10: three steps an epoch, until the last fit stops
+    assert int(words[5]) == 3 * max(epochs)
+    assert len(set(epochs)) > 1
 
 
 def test_fit_mlp_logs_where_it_stopped(caplog):
@@ -360,6 +425,34 @@ def test_select_model_source_disjoint_validation():
     b = select_model(m, y, seed=9, sources=sources)
     assert a.kind == b.kind
     assert np.array_equal(predict(a, m), predict(b, m))
+
+
+def test_select_model_batch_is_one_selection_per_candidate(caplog):
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(120, 4))
+    y = rows[:, 0] * rows[:, 1] + 0.1 * rows[:, 2]
+    full = matrix(rows)
+    candidates = [full, full.select(["f0", "f1"]), full.select(["f2", "f3"]), full.select(["f2"])]
+    sources = [f"doc{i % 30}" for i in range(120)]
+    options = {"hidden": 16, "max_epochs": 40}
+    with caplog.at_level("INFO", logger="mteval.ensemble"):
+        batch = select_model_batch(candidates, y, seed=4, sources=sources, mlp_options=options)
+    lines = [message for message in caplog.messages if message.startswith("model selection:")]
+    singles = [select_model(c, y, seed=4, sources=sources, mlp_options=options) for c in candidates]
+    kinds = [model.kind for model in batch]
+    assert "mlp" in kinds and "linear" in kinds
+    for got, want, candidate, line in zip(batch, singles, candidates, lines):
+        assert got.kind == want.kind
+        assert predict(got, candidate).tobytes() == predict(want, candidate).tobytes()
+        # "model selection: linear <rho> vs mlp <rho> -> <winner> by <margin>"
+        words = line.split()
+        rho_linear, rho_mlp, margin = float(words[3]), float(words[6]), float(words[-1])
+        assert words[-3] == got.kind
+        assert margin == pytest.approx(abs(rho_mlp - rho_linear), abs=2e-4)
+        assert (rho_mlp > rho_linear) == (got.kind == "mlp")
+    assert len(lines) == len(candidates)
+    with pytest.raises(ValueError, match="share their rows"):
+        select_model_batch([full, matrix(rows, ids=[f"t{i}" for i in range(120)])], y, seed=4)
 
 
 def test_select_model_errors():

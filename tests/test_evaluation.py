@@ -15,7 +15,7 @@ from mteval.evaluation import (
     evaluate,
 )
 from mteval.metrics import REG_BASE_FEATURES, MetricConfig, Resources
-from mteval.pipeline import dataset_features
+from mteval.pipeline import SplitFeatures, dataset_features
 from mteval.stats import spearman
 from mteval.tokenization import WordPieceVocab
 from oracles import loop_ablation_order
@@ -169,6 +169,41 @@ def test_ablation_step_zero_equals_full_ensemble_rho():
     model = select_model(train, gold_train, seed=9)
     want = spearman(predict(model, test), gold_test)
     assert curve.steps[0].test_rho == want
+
+
+def test_ablation_and_evaluate_equal_one_selection_per_subset():
+    # one select_model_batch per run is, bit for bit, one select_model call per feature subset
+    from mteval.ensemble import predict, select_model
+
+    rng = np.random.default_rng(21)
+    rows = rng.normal(size=(160, 7))
+    rows[:, 1] = rows[:, 0] + 0.3 * rng.normal(size=160)
+    gold = rows[:, 0] * rows[:, 2] + 0.5 * rows[:, 3] + 0.2 * rng.normal(size=160)
+    names = ["f0", "f1", "f2", *REG_BASE_FEATURES]
+    ids = [f"s{i}" for i in range(160)]
+    sources = [f"doc{i % 40}" for i in range(120)]
+    split = SplitFeatures(
+        matrix(rows[:120], names, ids[:120]), matrix(rows[120:], names, ids[120:]), list(gold[:120]), list(gold[120:]), sources
+    )
+    options = {"hidden": 12, "max_epochs": 60, "patience": 5}
+
+    def selected(subset):
+        model = select_model(split.train.select(subset), split.gold_train, seed=6, sources=sources, mlp_options=options)
+        return model, spearman(predict(model, split.test.select(subset)), split.gold_test)
+
+    curve = ablation(split.train, split.test, split.gold_train, split.gold_test, seed=6, sources=sources, mlp_options=options)
+    kinds = []
+    for step in curve.steps:
+        dropped = {s.eliminated for s in curve.steps[1 : step.step + 1]}
+        model, rho = selected([name for name in names if name not in dropped])
+        kinds.append(model.kind)
+        assert step.test_rho == rho, step
+    assert "mlp" in kinds and "linear" in kinds
+
+    result = evaluate(split, seed=6, mlp_options=options)
+    (regemt, regemt_rho), (reg_base, reg_base_rho) = selected(names), selected(list(REG_BASE_FEATURES))
+    assert (result.regemt_kind, result.reg_base_kind) == (regemt.kind, reg_base.kind)
+    assert (result.report.to_gold["RegEMT"], result.report.to_gold["Reg-base"]) == (regemt_rho, reg_base_rho)
 
 
 def test_ablation_is_deterministic():
