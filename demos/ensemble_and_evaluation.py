@@ -31,11 +31,11 @@ def demo_model_selection():
     sources = [f"doc{i // 10}" for i in range(300)]
 
     linear_gold = (2.0 * rows[:, 0] - rows[:, 1]).tolist()
-    model = select_model(features, linear_gold, seed=3, sources=sources)
+    (model,) = select_model([features], linear_gold, seed=3, sources=sources)
     print(f"  gold = 2*f1 - f2          -> picked {model.kind!r}")
 
     interaction_gold = (rows[:, 0] * rows[:, 1]).tolist()
-    model = select_model(features, interaction_gold, seed=3, sources=sources)
+    (model,) = select_model([features], interaction_gold, seed=3, sources=sources)
     rho = spearman(predict(model, features), interaction_gold)
     print(f"  gold = f1 * f2            -> picked {model.kind!r} (fit rho {rho:.3f};")
     print("   no linear combination of f1 and f2 can rank that law)")

@@ -25,13 +25,11 @@ __all__ = [
     "StandardizationParams",
     "fit_linear",
     "fit_mlp",
-    "fit_mlp_batch",
     "mlp_forward",
     "mlp_gradients",
     "mlp_loss",
     "predict",
     "select_model",
-    "select_model_batch",
     "standardize_apply",
     "standardize_fit",
 ]
@@ -194,10 +192,11 @@ def mlp_loss(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> float:
 def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> MlpParams:
     """Analytic MSE gradients (ReLU subgradient 0 at the kink), by the pass every training step takes."""
     (m, hidden), y = params.w1.shape, np.asarray(y, dtype=float)
-    grad = np.empty(params.w1.size + 2 * hidden + 1)
+    grads = _views(np.empty(params.w1.size + 2 * hidden + 1), [m], hidden)
     stacked = ([params.w1], params.b1[None], params.w2[None], np.full(1, params.b2, dtype=float))
-    _stacked_gradients([rows], stacked, y[None], _views(grad, [m], hidden), np.empty((3, 1, len(y), hidden)))
-    return _unpack(grad, m, hidden)
+    _stacked_gradients([rows], stacked, y[None], grads, np.empty((3, 1, len(y), hidden)))
+    (g_w1,), g_b1, g_w2, g_b2 = grads
+    return MlpParams(g_w1, g_b1[0], g_w2[0], g_b2[0])
 
 
 def _stacked_gradients(rows, params, y, grads, work) -> None:
@@ -228,14 +227,8 @@ def _stacked_gradients(rows, params, y, grads, work) -> None:
         np.matmul(x.T, d_hidden[i], out=g_w1[i])
 
 
-def _unpack(theta: np.ndarray, m: int, hidden: int) -> MlpParams:
-    """Views of a flat [w1, b1, w2, b2] vector as an MlpParams."""
-    k = m * hidden
-    return MlpParams(w1=theta[:k].reshape(m, hidden), b1=theta[k : k + hidden], w2=theta[k + hidden : -1], b2=theta[-1])
-
-
 def _views(theta: np.ndarray, ms: list[int], hidden: int) -> tuple:
-    """(w1 list, b1, w2, b2) views of a vector of each fit's w1, then (F, hidden) b1 and w2, then F b2."""
+    """(w1 list, b1, w2, b2) views of a vector of each fit's w1, then (F, hidden) b1 and w2, then F b2 (one fit: [w1, b1, w2, b2])."""
     bounds, f = np.cumsum([0, *ms]) * hidden, len(ms)
     w1 = [theta[lo:hi].reshape(-1, hidden) for lo, hi in zip(bounds[:-1], bounds[1:])]
     b1, w2 = theta[bounds[-1] : -f].reshape(2, f, hidden)
@@ -243,27 +236,16 @@ def _views(theta: np.ndarray, ms: list[int], hidden: int) -> tuple:
 
 
 def fit_mlp(
-    features: FeatureMatrix, gold: list[float], seed: int, standardization: StandardizationParams | None = None, **options
-) -> EnsembleModel:
-    """Adam-trained MLP with early stopping on an internal validation slice.
-
-    Deterministic for a fixed seed: initialization, the validation split,
-    and every epoch's batch order all come from one seeded generator, and
-    the best-validation parameters are restored at the end.  The options
-    are `fit_mlp_batch`'s.
-    """
-    return fit_mlp_batch([(features, gold, seed, standardization)], **options)[0]
-
-
-def fit_mlp_batch(
     jobs: list[tuple], hidden: int = 100, learning_rate: float = 1e-3, batch_size: int = 32,
     max_epochs: int = 500, patience: int = 25, val_fraction: float = 0.1,
 ) -> list[EnsembleModel]:
-    """`fit_mlp` of each (features, gold, seed, standardization) job, bit for bit, in job order.
+    """Adam-trained MLP of each (features, gold, seed, standardization) job, in job order.
 
-    The jobs share their row count, hence their batch boundaries, so they
-    are stepped in lockstep, in groups of at most LOCKSTEP_CELLS activation
-    cells.  Each group logs one INFO line: its fits, steps and epochs run.
+    Each fit stops early on an internal validation slice, draws its start,
+    split and batch orders from one generator of its seed, and returns its
+    best-validation parameters.  The jobs share their row count, so they
+    step in lockstep in groups of at most LOCKSTEP_CELLS activation cells,
+    each fit bit for bit its job's fit alone; each group logs one INFO line.
     """
     for features, gold, _, _ in jobs:
         if features.n != len(gold):
@@ -272,14 +254,15 @@ def fit_mlp_batch(
             raise ValueError("mlp fit needs at least 10 rows; use the linear model below that")
         if features.n != jobs[0][0].n:
             raise ValueError("the fits of one batch must share their row count")
-    if not jobs:
-        return []
-    n = jobs[0][0].n
+    n = jobs[0][0].n if jobs else 1
     size = max(1, LOCKSTEP_CELLS // (min(batch_size, n) * hidden))
-    if len(jobs) > size:
-        options = (hidden, learning_rate, batch_size, max_epochs, patience, val_fraction)
-        return [model for start in range(0, len(jobs), size) for model in fit_mlp_batch(jobs[start : start + size], *options)]
+    options = (hidden, learning_rate, batch_size, max_epochs, patience, val_fraction)
+    return [model for start in range(0, len(jobs), size) for model in _fit_lockstep(jobs[start : start + size], *options)]
 
+
+def _fit_lockstep(jobs, hidden, learning_rate, batch_size, max_epochs, patience, val_fraction) -> list[EnsembleModel]:
+    """`fit_mlp` of one lockstep group of jobs."""
+    n = jobs[0][0].n
     n_val = min(max(1, round_half_up(val_fraction * n)), n - 1)  # at least one row to fit on
     n_fit, rngs, splits, best = n - n_val, [], [], []
     for features, gold, seed, _ in jobs:
@@ -299,8 +282,8 @@ def fit_mlp_batch(
     # each fit's own steps; each step updates these buffers in place, in the
     # order of the textbook Adam expressions, so each element rounds exactly as there
     f, ms = len(jobs), [features.m for features, *_ in jobs]
-    starts = [_unpack(vector, m, hidden) for vector, m in zip(best, ms)]
-    theta = np.concatenate([*(p.w1.ravel() for p in starts), np.zeros(f * hidden), *(p.w2 for p in starts), np.zeros(f)])
+    w1s, w2s = [v[: m * hidden] for v, m in zip(best, ms)], [v[-1 - hidden : -1] for v in best]
+    theta = np.concatenate([*w1s, np.zeros(f * hidden), *w2s, np.zeros(f)])
     grad, update, scale, moment1, moment2 = np.zeros((5, len(theta)))
     params, grads = _views(theta, ms, hidden), _views(grad, ms, hidden)
     work = np.empty((3, f, min(batch_size, n_fit), hidden))  # sized by the rows, not the option
@@ -348,7 +331,8 @@ def fit_mlp_batch(
     for j, (features, _, _, standardization) in enumerate(jobs):
         logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs[j], best_epoch[j], best_val[j])
         standardization = standardization or StandardizationParams.identity(features.m)
-        models.append(EnsembleModel("mlp", list(features.feature_names), standardization, mlp=_unpack(best[j], features.m, hidden)))
+        (w1,), b1, w2, b2 = _views(best[j], [features.m], hidden)
+        models.append(EnsembleModel("mlp", list(features.feature_names), standardization, mlp=MlpParams(w1, b1[0], w2[0], b2[0])))
     return models
 
 
@@ -369,26 +353,16 @@ def predict(model: EnsembleModel, features: FeatureMatrix) -> np.ndarray:
 
 
 def select_model(
-    features: FeatureMatrix, gold: list[float], seed: int, sources: list[str] | None = None, mlp_options: dict | None = None
-) -> EnsembleModel:
-    """Fit linear and MLP on 80% of the sources, keep the validation winner.
-
-    The 80/20 split is source-disjoint, shuffled by a generator derived
-    from seed+1; the winner by validation Spearman (ties and degenerate
-    validations go to linear) is refit on all rows before returning.
-    """
-    return select_model_batch([features], gold, seed, sources, mlp_options)[0]
-
-
-def select_model_batch(
     candidates: list[FeatureMatrix], gold: list[float], seed: int, sources: list[str] | None = None, mlp_options: dict | None = None
 ) -> list[EnsembleModel]:
-    """`select_model` of each candidate, bit for bit, in order.
+    """Fit linear and MLP on 80% of the sources, keep each candidate's validation winner.
 
-    The candidates hold the same rows (column subsets of one table, say),
-    so they share the validation split, and their MLPs are fit as two
-    `fit_mlp_batch` batches: all candidates on the split, then the refits
-    of the MLP winners.  Each winner and its margin are logged at INFO.
+    The candidates share their rows (column subsets of one table, say), so
+    they share the source-disjoint 80/20 split, shuffled by a generator of
+    seed+1.  The winner by validation Spearman (ties and degenerate splits
+    go to linear) is refit on all rows.  The MLPs are two `fit_mlp` batches,
+    every candidate on the split, then the MLP winners' refits; each model
+    is bit for bit its candidate's selection alone, logged at INFO.
     """
     y = np.asarray(gold, dtype=float)
     if any(features.n != len(y) for features in candidates):
@@ -409,7 +383,7 @@ def select_model_batch(
     val_idx = [i for i, s in enumerate(sources) if s not in fit_sources]
     if len(fit_idx) >= 2 and len(val_idx) >= 2:
         jobs = [_standardized_job(features.take_rows(fit_idx), y[fit_idx], seed) for features in candidates]
-        mlps = fit_mlp_batch(jobs, **mlp_options) if len(fit_idx) >= 10 else [None] * len(candidates)
+        mlps = fit_mlp(jobs, **mlp_options) if len(fit_idx) >= 10 else [None] * len(candidates)
         for i, ((sub_std, y_fit, _, sub_params), mlp_model) in enumerate(zip(jobs, mlps)):
             holdout, y_val = candidates[i].take_rows(val_idx), y[val_idx]
             rho_linear = spearman(predict(fit_linear(sub_std, y_fit, standardization=sub_params), holdout), y_val)
@@ -421,11 +395,11 @@ def select_model_batch(
         logger.info("model selection: no source-disjoint validation split -> linear")
 
     jobs = [_standardized_job(features, y, seed) for features in candidates]
-    refit = iter(fit_mlp_batch([job for job, kind in zip(jobs, kinds) if kind == "mlp"], **mlp_options))
+    refit = iter(fit_mlp([job for job, kind in zip(jobs, kinds) if kind == "mlp"], **mlp_options))
     return [next(refit) if kind == "mlp" else fit_linear(std, y, standardization=params) for (std, _, _, params), kind in zip(jobs, kinds)]
 
 
 def _standardized_job(features: FeatureMatrix, y: np.ndarray, seed: int) -> tuple:
-    """A `fit_mlp_batch` job on ``features`` standardized by their own mean and std."""
+    """A `fit_mlp` job on ``features`` standardized by their own mean and std."""
     params = standardize_fit(features)
     return standardize_apply(features, params), y, seed, params

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mteval.ensemble import FeatureMatrix, predict, select_model, select_model_batch
+from mteval.ensemble import FeatureMatrix, predict, select_model
 from mteval.errors import ConfigError
 from mteval.metrics import REG_BASE_FEATURES
 from mteval.pipeline import SplitFeatures
@@ -95,7 +95,7 @@ def ablation(
     Pairwise |rho| is measured once, on the train split only; ties go to
     the lexicographically smaller name.  Step 0 records the full ensemble,
     and the curve ends once the single-feature model has been recorded.
-    Every step's model comes from one `select_model_batch`.
+    Every step's model comes from one `select_model` call.
     """
     remaining = list(train.feature_names)
     if len(remaining) < 2:
@@ -111,7 +111,7 @@ def ablation(
         steps.append(AblationStep(step_no, victim, len(remaining), 0.0))
         subsets.append(list(remaining))
         logger.debug("ablation step %d: dropped %s (%d left)", step_no, victim, len(remaining))
-    models = select_model_batch(
+    models = select_model(
         [train.select(names) for names in subsets], gold_train, seed=seed, sources=sources, mlp_options=mlp_options
     )
     for step, names, model in zip(steps, subsets, models):
@@ -130,13 +130,13 @@ class EvaluationResult:
 
 def evaluate(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> EvaluationResult:
     """Fit RegEMT (all features) and Reg-base (surface features) on the train
-    side as one `select_model_batch`, then report test-side Spearman
+    side in one `select_model` call, then report test-side Spearman
     correlations for every feature and both ensemble prediction columns,
     plus their pairwise matrix."""
     base_names = list(REG_BASE_FEATURES)
     if not set(base_names) <= set(split.train.feature_names):
         raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
-    regemt, reg_base = select_model_batch(
+    regemt, reg_base = select_model(
         [split.train, split.train.select(base_names)], split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options
     )
     predictions = predict(regemt, split.test)
@@ -156,7 +156,7 @@ def cross_lingual_eval(
     """RegEMT transfer: the Spearman rho on ``eval_split``'s test side of
     the ensemble fit on ``fit_split``'s train side.  Both must hold the same
     feature columns (predict refuses misaligned names)."""
-    model = select_model(
-        fit_split.train, fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
+    (model,) = select_model(
+        [fit_split.train], fit_split.gold_train, seed=seed, sources=fit_split.train_sources, mlp_options=mlp_options
     )
     return spearman(predict(model, eval_split.test), eval_split.gold_test)

@@ -48,18 +48,6 @@ class FlowSolution:
     n_sources: int
     n_sinks: int
 
-    def row_sums(self) -> np.ndarray:
-        sums = np.zeros(self.n_sources)
-        for (i, _), value in self.flows.items():
-            sums[i] += value
-        return sums
-
-    def col_sums(self) -> np.ndarray:
-        sums = np.zeros(self.n_sinks)
-        for (_, j), value in self.flows.items():
-            sums[j] += value
-        return sums
-
 
 def solve_transport(supplies, demands, costs) -> FlowSolution:
     """Minimize sum(F * costs) subject to F >= 0, F 1 = supplies, F^T 1 = demands.

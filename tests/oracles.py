@@ -75,6 +75,15 @@ def brute_force_transport(supplies, demands, costs) -> float:
     return float(totals[feasible].min())
 
 
+def marginals(solution) -> tuple[np.ndarray, np.ndarray]:
+    """(row sums, column sums) of a FlowSolution's flows: its shipped supplies and received demands."""
+    rows, cols = np.zeros(solution.n_sources), np.zeros(solution.n_sinks)
+    for (i, j), value in solution.flows.items():
+        rows[i] += value
+        cols[j] += value
+    return rows, cols
+
+
 def loop_solve_transport(supplies, demands, costs):
     """The solver as it was before batching: one problem, its own numpy calls.
 

@@ -385,7 +385,7 @@ def test_ablation_eliminates_duplicates_first(tmp_path):
     )
 
     # step 0 is the untouched full ensemble
-    model = select_model(train, gold_train, seed=7, sources=sources, mlp_options=FAST_MLP)
+    (model,) = select_model([train], gold_train, seed=7, sources=sources, mlp_options=FAST_MLP)
     full_rho = float(spearman(predict(model, test), gold_test))
     assert curve.steps[0].step == 0
     assert curve.steps[0].eliminated is None

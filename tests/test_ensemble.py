@@ -10,12 +10,10 @@ from mteval.ensemble import (
     StandardizationParams,
     fit_linear,
     fit_mlp,
-    fit_mlp_batch,
     mlp_gradients,
     mlp_loss,
     predict,
     select_model,
-    select_model_batch,
     standardize_apply,
     standardize_fit,
 )
@@ -184,10 +182,10 @@ def test_fit_mlp_is_deterministic():
     rng = np.random.default_rng(5)
     m = random_matrix(rng, 40, 3)
     y = (m.rows @ np.array([1.0, -2.0, 0.5])).tolist()
-    a = fit_mlp(m, y, seed=11, hidden=8, max_epochs=30)
-    b = fit_mlp(m, y, seed=11, hidden=8, max_epochs=30)
+    (a,) = fit_mlp([(m, y, 11, None)], hidden=8, max_epochs=30)
+    (b,) = fit_mlp([(m, y, 11, None)], hidden=8, max_epochs=30)
     assert np.array_equal(predict(a, m), predict(b, m))
-    c = fit_mlp(m, y, seed=12, hidden=8, max_epochs=30)
+    (c,) = fit_mlp([(m, y, 12, None)], hidden=8, max_epochs=30)
     assert not np.array_equal(predict(a, m), predict(c, m))
 
 
@@ -195,7 +193,7 @@ def test_fit_mlp_learns_a_noisy_linear_map():
     rng = np.random.default_rng(6)
     m = random_matrix(rng, 120, 2)
     y = m.rows @ np.array([2.0, -1.0]) + 0.05 * rng.normal(size=120)
-    model = fit_mlp(m, y, seed=7)
+    (model,) = fit_mlp([(m, y, 7, None)])
     pred = predict(model, m)
     residual = float(np.mean((pred - y) ** 2))
     assert residual < 0.2 * float(np.var(y))
@@ -209,7 +207,7 @@ def test_fit_mlp_keeps_a_row_to_fit_on(monkeypatch, n, val_fraction):
     gradients = mteval.ensemble._stacked_gradients
     monkeypatch.setattr(mteval.ensemble, "_stacked_gradients", lambda *args, **kwargs: steps.append(1) or gradients(*args, **kwargs))
     features = random_matrix(np.random.default_rng(n), n, 2)
-    fit_mlp(features, features.rows[:, 0], seed=3, hidden=4, max_epochs=2, val_fraction=val_fraction)
+    fit_mlp([(features, features.rows[:, 0], 3, None)], hidden=4, max_epochs=2, val_fraction=val_fraction)
     assert len(steps) == 2
 
 
@@ -238,10 +236,10 @@ def test_fit_mlp_matches_the_per_block_adam_loop(caplog):
         )
         caplog.clear()
         with caplog.at_level("DEBUG", logger="mteval.ensemble"):
-            got = fit_mlp(features, y, seed=seed, **options).mlp
+            (got,) = fit_mlp([(features, y, seed, None)], **options)
         want = loop_fit_mlp(features.rows, y, seed=seed, **options)
         for name in ("w1", "b1", "w2", "b2"):
-            a, b = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+            a, b = np.asarray(getattr(got.mlp, name)), np.asarray(getattr(want, name))
             assert a.shape == b.shape and a.dtype == b.dtype, name
             assert a.tobytes() == b.tobytes(), (name, n, hidden, batch_size)
         (line,) = [message for message in caplog.messages if message.startswith("mlp fit:")]
@@ -250,7 +248,7 @@ def test_fit_mlp_matches_the_per_block_adam_loop(caplog):
     assert min(stopped.values()) >= 3, stopped
 
 
-def test_fit_mlp_batch_matches_the_per_block_adam_loop_for_every_fit(monkeypatch, caplog):
+def test_fit_mlp_matches_the_per_block_adam_loop_for_every_fit_of_a_batch(monkeypatch, caplog):
     # F = 1..12 fits of mixed widths stepped in lockstep, each bit for bit its own one-at-a-time loop
     rng = np.random.default_rng(47)
     seen = {"partial last batch": 0, "stops differ": 0, "early beside full": 0, "groups": 0}
@@ -274,7 +272,7 @@ def test_fit_mlp_batch_matches_the_per_block_adam_loop_for_every_fit(monkeypatch
             jobs.append((features, y, int(rng.integers(1000)), None))
         caplog.clear()
         with caplog.at_level("DEBUG", logger="mteval.ensemble"):
-            models = fit_mlp_batch(jobs, **options)
+            models = fit_mlp(jobs, **options)
         for (features, y, seed, _), model in zip(jobs, models):
             want = loop_fit_mlp(features.rows, y, seed=seed, **options)
             for name in ("w1", "b1", "w2", "b2"):
@@ -290,18 +288,18 @@ def test_fit_mlp_batch_matches_the_per_block_adam_loop_for_every_fit(monkeypatch
         seen["groups"] += cells < 1 << 18 and n_fits > 2
     assert min(seen.values()) >= 2, seen
     with pytest.raises(ValueError, match="share their row count"):
-        fit_mlp_batch([jobs[0], (random_matrix(rng, n + 1, 2), np.zeros(n + 1), 1, None)])
+        fit_mlp([jobs[0], (random_matrix(rng, n + 1, 2), np.zeros(n + 1), 1, None)])
 
 
-def test_fit_mlp_batch_logs_its_fits_steps_and_epochs(caplog):
+def test_fit_mlp_logs_its_fits_steps_and_epochs(caplog):
     rng = np.random.default_rng(8)
     jobs = []
     for m in (1, 3, 5):
         features = random_matrix(rng, 30, m)
         jobs.append((features, features.rows[:, 0] + rng.normal(size=30), m, None))
     with caplog.at_level("INFO", logger="mteval.ensemble"):
-        fit_mlp_batch(jobs, hidden=4, batch_size=10, learning_rate=0.1, max_epochs=40, patience=3)
-        fit_mlp_batch([], hidden=4)
+        fit_mlp(jobs, hidden=4, batch_size=10, learning_rate=0.1, max_epochs=40, patience=3)
+        fit_mlp([], hidden=4)
     (line,) = [message for message in caplog.messages if message.startswith("mlp:")]
     # "mlp: <fits> fits in lockstep, <steps> steps, epochs run <e1>,<e2>,..."
     words = line.split()
@@ -312,13 +310,26 @@ def test_fit_mlp_batch_logs_its_fits_steps_and_epochs(caplog):
     assert len(set(epochs)) > 1
 
 
+def test_fit_mlp_steps_its_lockstep_groups_in_one_call(monkeypatch, caplog):
+    # a traced fit_mlp is one span however many groups it steps, so it never calls itself
+    calls, fit = [], mteval.ensemble.fit_mlp
+    monkeypatch.setattr(mteval.ensemble, "fit_mlp", lambda *args, **kwargs: calls.append(1) or fit(*args, **kwargs))
+    monkeypatch.setattr(mteval.ensemble, "LOCKSTEP_CELLS", 10 * 4)  # one fit of 10-row batches and 4 units a group
+    rng = np.random.default_rng(10)
+    jobs = [(random_matrix(rng, 20, 2), rng.normal(size=20), seed, None) for seed in range(3)]
+    with caplog.at_level("INFO", logger="mteval.ensemble"):
+        models = mteval.ensemble.fit_mlp(jobs, hidden=4, batch_size=10, max_epochs=2)
+    assert len(calls) == 1 and len(models) == 3
+    assert sum(message.startswith("mlp: 1 fits in lockstep") for message in caplog.messages) == 3
+
+
 def test_fit_mlp_logs_where_it_stopped(caplog):
     rng = np.random.default_rng(9)
     features = random_matrix(rng, 60, 3)
     y = features.rows[:, 0] + 0.5 * rng.normal(size=60)
     with caplog.at_level("DEBUG", logger="mteval.ensemble"):
-        fit_mlp(features, y, seed=3, hidden=8, learning_rate=0.05, max_epochs=200, patience=4)
-        fit_mlp(features, y, seed=3, hidden=8, max_epochs=6, patience=6)
+        fit_mlp([(features, y, 3, None)], hidden=8, learning_rate=0.05, max_epochs=200, patience=4)
+        fit_mlp([(features, y, 3, None)], hidden=8, max_epochs=6, patience=6)
     early, full = [message.split() for message in caplog.messages if message.startswith("mlp fit:")]
     # "mlp fit: <epochs> epochs run, best epoch <epoch>, validation MSE <mse>"
     epochs, best = int(early[2]), int(early[7].rstrip(","))
@@ -333,7 +344,7 @@ def test_fit_mlp_needs_ten_rows():
     rng = np.random.default_rng(7)
     m = random_matrix(rng, 9, 2)
     with pytest.raises(ValueError, match="10 rows"):
-        fit_mlp(m, list(range(9)), seed=1)
+        fit_mlp([(m, list(range(9)), 1, None)])
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +377,8 @@ def test_select_model_invariant_to_affine_feature_rescaling():
     y = (m.rows @ np.array([1.0, 2.0, -1.0])).tolist()
     shifted_rows = m.rows * np.array([10.0, 0.5, 3.0]) + np.array([100.0, -7.0, 0.0])
     shifted = matrix(shifted_rows)
-    a = select_model(m, y, seed=3)
-    b = select_model(shifted, y, seed=3)
+    (a,) = select_model([m], y, seed=3)
+    (b,) = select_model([shifted], y, seed=3)
     assert np.allclose(predict(a, m), predict(b, shifted), atol=1e-6)
 
 
@@ -382,7 +393,7 @@ def test_select_model_prefers_linear_for_linear_gold():
     rng = np.random.default_rng(11)
     m = random_matrix(rng, 80, 2)
     y = m.rows @ np.array([3.0, 1.0]) + 0.5
-    model = select_model(m, y, seed=5)
+    (model,) = select_model([m], y, seed=5)
     assert model.kind == "linear"
     assert spearman(predict(model, m), y) > 0.99
 
@@ -391,7 +402,7 @@ def test_select_model_prefers_mlp_for_interaction_gold():
     rng = np.random.default_rng(12)
     rows = rng.normal(size=(240, 2))
     y = rows[:, 0] * rows[:, 1]  # zero linear signal, clean interaction
-    model = select_model(matrix(rows), y, seed=5)
+    (model,) = select_model([matrix(rows)], y, seed=5)
     assert model.kind == "mlp"
     assert spearman(predict(model, matrix(rows)), y) > 0.5
 
@@ -400,7 +411,7 @@ def test_select_model_tie_goes_to_linear():
     # constant gold: both validation correlations degenerate to 0 -> linear
     rng = np.random.default_rng(13)
     m = random_matrix(rng, 40, 2)
-    model = select_model(m, [1.0] * 40, seed=2)
+    (model,) = select_model([m], [1.0] * 40, seed=2)
     assert model.kind == "linear"
 
 
@@ -409,7 +420,7 @@ def test_select_model_falls_back_without_a_usable_split():
     m = random_matrix(rng, 12, 2)
     y = (m.rows @ np.array([1.0, 1.0])).tolist()
     # a single source cannot be split -> linear on everything, no error
-    model = select_model(m, y, seed=1, sources=["same"] * 12)
+    (model,) = select_model([m], y, seed=1, sources=["same"] * 12)
     assert model.kind == "linear"
     assert np.allclose(predict(model, m), y, atol=1e-6)
 
@@ -421,13 +432,13 @@ def test_select_model_source_disjoint_validation():
     m = random_matrix(rng, 50, 2)
     y = rng.normal(size=50)
     sources = [f"doc{i % 5}" for i in range(50)]
-    a = select_model(m, y, seed=9, sources=sources)
-    b = select_model(m, y, seed=9, sources=sources)
+    (a,) = select_model([m], y, seed=9, sources=sources)
+    (b,) = select_model([m], y, seed=9, sources=sources)
     assert a.kind == b.kind
     assert np.array_equal(predict(a, m), predict(b, m))
 
 
-def test_select_model_batch_is_one_selection_per_candidate(caplog):
+def test_select_model_is_one_selection_per_candidate(caplog):
     rng = np.random.default_rng(17)
     rows = rng.normal(size=(120, 4))
     y = rows[:, 0] * rows[:, 1] + 0.1 * rows[:, 2]
@@ -436,9 +447,9 @@ def test_select_model_batch_is_one_selection_per_candidate(caplog):
     sources = [f"doc{i % 30}" for i in range(120)]
     options = {"hidden": 16, "max_epochs": 40}
     with caplog.at_level("INFO", logger="mteval.ensemble"):
-        batch = select_model_batch(candidates, y, seed=4, sources=sources, mlp_options=options)
+        batch = select_model(candidates, y, seed=4, sources=sources, mlp_options=options)
     lines = [message for message in caplog.messages if message.startswith("model selection:")]
-    singles = [select_model(c, y, seed=4, sources=sources, mlp_options=options) for c in candidates]
+    singles = [select_model([c], y, seed=4, sources=sources, mlp_options=options)[0] for c in candidates]
     kinds = [model.kind for model in batch]
     assert "mlp" in kinds and "linear" in kinds
     for got, want, candidate, line in zip(batch, singles, candidates, lines):
@@ -452,16 +463,16 @@ def test_select_model_batch_is_one_selection_per_candidate(caplog):
         assert (rho_mlp > rho_linear) == (got.kind == "mlp")
     assert len(lines) == len(candidates)
     with pytest.raises(ValueError, match="share their rows"):
-        select_model_batch([full, matrix(rows, ids=[f"t{i}" for i in range(120)])], y, seed=4)
+        select_model([full, matrix(rows, ids=[f"t{i}" for i in range(120)])], y, seed=4)
 
 
 def test_select_model_errors():
     rng = np.random.default_rng(16)
     m = random_matrix(rng, 10, 2)
     with pytest.raises(ValueError, match="gold length"):
-        select_model(m, [1.0] * 9, seed=0)
+        select_model([m], [1.0] * 9, seed=0)
     with pytest.raises(ValueError, match="sources"):
-        select_model(m, list(range(10)), seed=0, sources=["a"] * 9)
+        select_model([m], list(range(10)), seed=0, sources=["a"] * 9)
 
 
 def test_ensemble_model_invariants():

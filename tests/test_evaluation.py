@@ -166,13 +166,13 @@ def test_ablation_step_zero_equals_full_ensemble_rho():
     rng = np.random.default_rng(5)
     train, test, gold_train, gold_test = ablation_fixture(rng)
     curve = ablation(train, test, gold_train, gold_test, seed=9)
-    model = select_model(train, gold_train, seed=9)
+    (model,) = select_model([train], gold_train, seed=9)
     want = spearman(predict(model, test), gold_test)
     assert curve.steps[0].test_rho == want
 
 
 def test_ablation_and_evaluate_equal_one_selection_per_subset():
-    # one select_model_batch per run is, bit for bit, one select_model call per feature subset
+    # one select_model call per run is, bit for bit, one single-candidate call per feature subset
     from mteval.ensemble import predict, select_model
 
     rng = np.random.default_rng(21)
@@ -188,7 +188,7 @@ def test_ablation_and_evaluate_equal_one_selection_per_subset():
     options = {"hidden": 12, "max_epochs": 60, "patience": 5}
 
     def selected(subset):
-        model = select_model(split.train.select(subset), split.gold_train, seed=6, sources=sources, mlp_options=options)
+        (model,) = select_model([split.train.select(subset)], split.gold_train, seed=6, sources=sources, mlp_options=options)
         return model, spearman(predict(model, split.test.select(subset)), split.gold_test)
 
     curve = ablation(split.train, split.test, split.gold_train, split.gold_test, seed=6, sources=sources, mlp_options=options)
@@ -342,7 +342,7 @@ def test_cross_lingual_degenerate_transfer_equals_in_domain():
     resources = Resources(wp_vocab=WP, external={"f1": external_feature(dataset, f1)})
     split = dataset_features(dataset, config, resources, seed=6)
     got = cross_lingual_eval(split, split, seed=6)
-    model = select_model(split.train, split.gold_train, seed=6, sources=split.train_sources)
+    (model,) = select_model([split.train], split.gold_train, seed=6, sources=split.train_sources)
     want = float(spearman(predict(model, split.test), split.gold_test))
     assert got == want
 

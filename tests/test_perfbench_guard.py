@@ -3,6 +3,10 @@
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,8 @@ import mteval.pipeline
 from mteval.embeddings import EmbeddingStore, load_static
 from mteval.vsm import build_similarity_matrix, build_vocabulary
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def load_traced():
@@ -55,3 +60,20 @@ def test_load_static_length_counts_the_vector_rows(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("4 2\ncat 1 0\n\ndog 0 1\n   \ncat 0.5 0.5\nemu 1 1\n\n", encoding="utf-8")
     assert len(load_static(path, {"cat", "dog", "emu"})) == 3
+
+
+def test_a_traced_ablate_records_the_model_selection_and_its_fits(tmp_path):
+    # the CLI's ensemble steps go by the names the tracer wraps, so a traced
+    # run sees them; each lockstep fit is one span, under its selection
+    spans_path, env = tmp_path / "spans.json", dict(os.environ)
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1", XDG_CACHE_HOME=str(tmp_path / "cache"))
+    argv = [sys.executable, str(ROOT / "perfbench" / "child.py"), str(tmp_path / "stamp"), str(spans_path), "--"]
+    argv += ["ablate", "--config", str(ROOT / "demos" / "data" / "run_deen.json"), "--out", str(tmp_path / "out")]
+    run = subprocess.run(argv, env=env, capture_output=True, timeout=120)
+    assert run.returncode == 0, run.stderr.decode("utf-8", "replace")
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))
+    names = [name for name, *_ in spans]
+    assert names.count("ensemble.select_model") == 1
+    fits = [span for span in spans if span[0] == "ensemble.fit_mlp"]
+    assert len(fits) == 2  # the candidates on the selection split, then the refits of the MLP winners
+    assert all(spans[parent][0] == "ensemble.select_model" for _, _, _, parent, _ in fits)
