@@ -91,12 +91,13 @@ def main():
         print(f"  bleu(ref, {hyp!r}) = {sentence_bleu(REFERENCE.split(), hyp.split()):.4f}")
 
     print("\n6. compositionality: l1 gap between PoS self-transition profiles")
-    ref_graph = transition_graph(["DET", "NOUN", "VERB", "DET", "NOUN"])
-    hyp_graph = transition_graph(["DET", "NOUN", "NOUN", "VERB"])
-    for label, graph in (("reference", ref_graph), ("hypothesis", hyp_graph)):
+    ref_tags = ["DET", "NOUN", "VERB", "DET", "NOUN"]
+    hyp_tags = ["DET", "NOUN", "NOUN", "VERB"]
+    for label, tags in (("reference", ref_tags), ("hypothesis", hyp_tags)):
+        graph = transition_graph(tags)
         diag = ", ".join(f"{t}={graph.self_prob(t):.2f}" for t in graph.tags)
         print(f"  {label} self-transitions: {diag}")
-    print(f"  compositionality = {compositionality(ref_graph, hyp_graph):.4f}")
+    print(f"  compositionality = {compositionality(ref_tags, hyp_tags):.4f}")
 
 
 if __name__ == "__main__":

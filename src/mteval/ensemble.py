@@ -203,18 +203,20 @@ def _stacked_gradients(rows, params, y, grads, work) -> None:
     """Write into ``grads`` (laid out as `_views` says) the MSE gradients of F fits on (F, b) targets.
 
     Each matrix product is its fit's own 2-d call on a one-fit pass's
-    operands; the stacked work (in ``work``, at least (3, F, b, hidden))
+    operands, through `np.dot`, which reaches the same BLAS routine as `@`
+    with less per-call overhead (a tier-1 test pins the two to the same
+    bits); the stacked work (in ``work``, at least (3, F, b, hidden))
     rounds element by element or sums along the batch axis, so each fit's
     gradients are bit for bit its one-fit ones."""
     (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = params, grads
     (f, b), delta = y.shape, np.empty(y.shape)
     pre, hidden, d_hidden = work[:, :f, :b]
     for i, x in enumerate(rows):
-        np.matmul(x, w1[i], out=pre[i])
+        np.dot(x, w1[i], out=pre[i])
     pre += b1[:, None]
     np.maximum(pre, 0.0, out=hidden)
     for i in range(f):
-        np.matmul(hidden[i], w2[i], out=delta[i])
+        np.dot(hidden[i], w2[i], out=delta[i])
     delta += b2[:, None]
     delta -= y
     delta *= 2.0 / b
@@ -223,8 +225,8 @@ def _stacked_gradients(rows, params, y, grads, work) -> None:
     np.add.reduce(delta, axis=1, out=g_b2)
     np.add.reduce(d_hidden, axis=1, out=g_b1)
     for i, x in enumerate(rows):
-        np.matmul(hidden[i].T, delta[i], out=g_w2[i])
-        np.matmul(x.T, d_hidden[i], out=g_w1[i])
+        np.dot(hidden[i].T, delta[i], out=g_w2[i])
+        np.dot(x.T, d_hidden[i], out=g_w1[i])
 
 
 def _views(theta: np.ndarray, ms: list[int], hidden: int) -> tuple:

@@ -10,9 +10,11 @@ solves every segment's WMD transport problem in one batch.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +48,8 @@ __all__ = [
     "wmd",
     "wmd_contextual",
 ]
+
+logger = logging.getLogger(__name__)
 
 MODES = ("reference_based", "source_based")
 
@@ -207,7 +211,9 @@ class Resources:
     ``lowercase`` is the run's case folding.  `tokens` and `bag` fold each
     side text by it and memoize per folded text, so the vocabulary build, the
     metrics and the Reg-base features tokenize each distinct side once and
-    bag it once per (term space, weighting).
+    bag it once per (term space, weighting).  The same memo holds an anchor
+    side's soft norm per similarity matrix and its BLEU n-gram counts, so
+    the hypotheses that share an anchor compute them once.
     """
 
     wp_vocab: WordPieceVocab | None = None
@@ -239,21 +245,30 @@ class Resources:
         return value
 
 
-def scm(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix) -> float:
+def scm(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix, x_norm: float | None = None) -> float:
     """Soft cosine measure x^T S y / (sqrt(x^T S x) * sqrt(y^T S y)).
 
     An empty side yields the defined score 0.0 (the caller flags it); equal
-    bags short-circuit to exactly 1.0.
+    bags short-circuit to exactly 1.0.  ``x_norm`` is sqrt(x^T S x) when the
+    caller already holds it, as for an anchor side shared by several
+    hypotheses.
     """
     if x.is_zero() or y.is_zero():
         return 0.0
     if x.entries == y.entries:
         return 1.0
     num = _soft_quadratic(x, y, matrix)
-    denom = math.sqrt(_soft_quadratic(x, x, matrix)) * math.sqrt(_soft_quadratic(y, y, matrix))
+    if x_norm is None:
+        x_norm = _soft_norm(x, matrix)
+    denom = x_norm * _soft_norm(y, matrix)
     if denom <= 0.0:
         return 0.0
     return num / denom
+
+
+def _soft_norm(x: WeightedBow, matrix: SimilarityMatrix) -> float:
+    """sqrt(x^T S x), the soft length of one bag."""
+    return math.sqrt(_soft_quadratic(x, x, matrix))
 
 
 def _soft_quadratic(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix) -> float:
@@ -386,16 +401,32 @@ def transition_graph(pos_tags: list[str]) -> TransitionMatrix:
     return TransitionMatrix(tags=tuple(tags), probs=probs)
 
 
-def compositionality(x: TransitionMatrix, y: TransitionMatrix, full_matrix: bool = False) -> float:
-    """l1 distance of self-transition probabilities over the union tag set.
+def compositionality(x: Sequence[str], y: Sequence[str], full_matrix: bool = False) -> float:
+    """l1 distance of two tag sequences' self-transition probabilities over the union tag set.
 
-    ``full_matrix`` switches to the l1 distance of the complete transition
-    matrices instead of just their diagonals.
+    A tag's self-transition probability is its count of ``t -> t``
+    transitions over its count of transitions out (0 with none), the
+    diagonal of the `transition_graph` matrix.  ``full_matrix`` switches to
+    the l1 distance of the complete transition matrices.
     """
-    union = list(x.tags) + [t for t in y.tags if t not in x.tags]
-    if not full_matrix:
-        return math.fsum(abs(x.self_prob(t) - y.self_prob(t)) for t in union)
-    return float(np.abs(_embed(x, union) - _embed(y, union)).sum())
+    if full_matrix:
+        gx, gy = transition_graph(list(x)), transition_graph(list(y))
+        union = list(gx.tags) + [t for t in gy.tags if t not in gx.tags]
+        return float(np.abs(_embed(gx, union) - _embed(gy, union)).sum())
+    px, py = _self_transition_probs(x), _self_transition_probs(y)
+    # the tags neither side repeats add exact zeros, and fsum is exact in any order
+    return math.fsum(abs(px.get(t, 0.0) - py.get(t, 0.0)) for t in {**px, **py})
+
+
+def _self_transition_probs(tags: Sequence[str]) -> dict[str, float]:
+    """Each tag's nonzero self-transition probability, from integer counts (exactly the matrix's quotient)."""
+    if not tags:
+        raise ValueError("cannot build a transition graph from an empty tag list")
+    repeats = Counter(a for a, b in zip(tags, tags[1:]) if a == b)
+    if not repeats:
+        return {}
+    out = Counter(tags[:-1])
+    return {tag: count / out[tag] for tag, count in repeats.items()}
 
 
 def _embed(matrix: TransitionMatrix, union: list[str]) -> np.ndarray:
@@ -405,11 +436,16 @@ def _embed(matrix: TransitionMatrix, union: list[str]) -> np.ndarray:
     return out
 
 
-def sentence_bleu(reference_tokens: list[str], hypothesis_tokens: list[str], max_n: int = 4) -> float:
+def sentence_bleu(
+    reference_tokens: list[str], hypothesis_tokens: list[str], max_n: int = 4, reference_counts: list[Counter] | None = None
+) -> float:
     """Sentence BLEU: clipped n-gram precisions with add-one smoothing (n >= 2).
 
     Geometric mean of precisions for n = 1..max_n times the brevity penalty
     min(1, e^(1 - r/h)).  An empty hypothesis or zero unigram overlap is 0.
+    ``reference_counts`` are the reference's `_ngram_counts` up to max_n when
+    the caller already holds them, as for an anchor shared by several
+    hypotheses.
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -417,12 +453,13 @@ def sentence_bleu(reference_tokens: list[str], hypothesis_tokens: list[str], max
     if h == 0:
         return 0.0
     r = len(reference_tokens)
+    if reference_counts is None:
+        reference_counts = _ngram_counts(reference_tokens, max_n)
     log_precisions = 0.0
-    for n in range(1, max_n + 1):
+    for n, ref_counts in zip(range(1, max_n + 1), reference_counts):
         hyp_counts = Counter(_ngrams(hypothesis_tokens, n))
-        ref_counts = Counter(_ngrams(reference_tokens, n))
         total = max(h - n + 1, 0)
-        clipped = sum((hyp_counts & ref_counts).values())  # & keeps the smaller count
+        clipped = sum([min(count, ref_counts[gram]) for gram, count in hyp_counts.items() if gram in ref_counts])
         if n == 1:
             if clipped == 0:
                 return 0.0
@@ -432,6 +469,11 @@ def sentence_bleu(reference_tokens: list[str], hypothesis_tokens: list[str], max
         log_precisions += math.log(precision)
     brevity = min(1.0, math.exp(1.0 - r / h))
     return brevity * math.exp(log_precisions / max_n)
+
+
+def _ngram_counts(tokens: list[str], max_n: int = 4) -> list[Counter]:
+    """The n-gram counts of a token list for n = 1..max_n."""
+    return [Counter(_ngrams(tokens, n)) for n in range(1, max_n + 1)]
 
 
 def _ngrams(tokens: list[str], n: int):
@@ -493,13 +535,17 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
     checks it for a run).  The WMD metrics collect each segment's transport
     problem left after pre-matching; a solve_transport_batch call solves the
     pending ones whenever they reach CHUNK_CELLS cells, and at the end.
+    State of an anchor side that several segments share (its soft norms, its
+    n-gram counts) is computed once per ``resources``.  Logs one INFO line
+    with the segments, their distinct anchor sides and the flags per metric.
     """
-    vectors = []
+    vectors, anchors = [], set()
     pending, cells = [], 0  # (scores of one segment, metric, transport problem); their cost cells
     for count, segment in enumerate(segments, start=1):
         scores: dict[str, float] = {}
         flags: dict[str, str] = {}
         anchor_text = _anchor_text(segment, config)
+        anchors.add(anchor_text)
         for name in config.metrics:
             try:
                 value, flag = _compute_metric(name, segment, anchor_text, config, resources)
@@ -518,6 +564,11 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
             for (scores, name, _), solution in zip(pending, solve_transport_batch([p for _, _, p in pending])):
                 scores[name] = solution.cost
             pending, cells = [], 0
+    flagged = ", ".join(f"{name} {sum(name in v.flags for v in vectors)}" for name in config.metrics)
+    logger.info(
+        "scoring: %d segments, %d distinct %s sides, flagged segments: %s",
+        len(segments), len(anchors), config.anchor_side, flagged or "no metrics",
+    )
     return vectors
 
 
@@ -532,23 +583,14 @@ def _compute_metric(
     """One metric's score and flag; a WMD score is its unsolved transport problem."""
     info = METRICS[name]
     if info.family == "bleu":
-        return (
-            sentence_bleu(
-                resources.tokens("words", anchor_text),
-                resources.tokens("words", segment.hypothesis),
-            ),
-            None,
-        )
+        reference = resources.tokens("words", anchor_text)
+        counts = resources._memoized(("ngrams", anchor_text), lambda: _ngram_counts(reference))
+        return sentence_bleu(reference, resources.tokens("words", segment.hypothesis), reference_counts=counts), None
     if info.family == "compositionality":
         anchor_tags = getattr(segment, f"pos_{config.anchor_side}")
         if anchor_tags is None or segment.pos_hypothesis is None:
             raise UnscorableSegment("missing PoS tags")
-        value = compositionality(
-            transition_graph(list(anchor_tags)),
-            transition_graph(list(segment.pos_hypothesis)),
-            full_matrix=config.compositionality_full_matrix,
-        )
-        return value, None
+        return compositionality(anchor_tags, segment.pos_hypothesis, full_matrix=config.compositionality_full_matrix), None
     if info.space == "contextual":
         groups = resources.contextual_groups or {}
         rx = groups.get((segment.id, config.anchor_side), [])
@@ -561,5 +603,7 @@ def _compute_metric(
     if info.family == "scm":
         if x.is_zero() or y.is_zero():
             return 0.0, EMPTY_BOW_FLAG
-        return scm(x, y, resources.sims[info.similarity_key]), None
+        matrix = resources.sims[info.similarity_key]
+        x_norm = resources._memoized(("soft_norm", *info.similarity_key, anchor_text), lambda: _soft_norm(x, matrix))
+        return scm(x, y, matrix, x_norm), None
     return _transport_problem(*_wmd_sides(x, y, resources.stores[info.space], resources.vocabs[info.space])), None

@@ -19,6 +19,7 @@ from mteval._rng import round_half_up
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.ensemble import MlpParams, mlp_loss
 from mteval.errors import DataError
+from mteval.metrics import transition_graph
 from mteval.stats import spearman
 
 # ---------------------------------------------------------------------------
@@ -309,6 +310,28 @@ def dense_scm_oracle(x: np.ndarray, y: np.ndarray, similarity: np.ndarray) -> fl
     num = x @ similarity @ y
     denom = np.sqrt(x @ similarity @ x) * np.sqrt(y @ similarity @ y)
     return float(num / denom)
+
+
+# ---------------------------------------------------------------------------
+# compositionality: over two row-normalized transition matrices, frozen
+# before the diagonal variant read self-transitions from tag counts
+# ---------------------------------------------------------------------------
+
+
+def graph_compositionality(x_tags, y_tags, full_matrix: bool = False) -> float:
+    """l1 distance of self-transition probabilities (or of whole matrices) over the union tag set."""
+    x, y = transition_graph(list(x_tags)), transition_graph(list(y_tags))
+    union = list(x.tags) + [t for t in y.tags if t not in x.tags]
+    if not full_matrix:
+        return math.fsum(abs(x.self_prob(t) - y.self_prob(t)) for t in union)
+    return float(np.abs(_embed_transitions(x, union) - _embed_transitions(y, union)).sum())
+
+
+def _embed_transitions(matrix, union: list[str]) -> np.ndarray:
+    out = np.zeros((len(union), len(union)))
+    positions = [union.index(t) for t in matrix.tags]
+    out[np.ix_(positions, positions)] = matrix.probs
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,32 @@ def test_mlp_gradients_match_finite_differences():
         checked += 1
 
 
+def assert_dot_matches_matmul(a, b, out):
+    want = a @ b
+    np.dot(a, b, out=out)
+    assert out.tobytes() == want.tobytes(), (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("hidden", [8, 100])
+def test_np_dot_and_matmul_give_the_same_bits_on_every_lockstep_product(hidden):
+    # the lockstep step forms its four products with np.dot (less per-call overhead);
+    # a numpy or BLAS build that routes np.dot and @ differently must fail here
+    rng = np.random.default_rng(hidden)
+    ms, n = list(range(1, 13)), 45
+    theta, grad = rng.normal(size=(2, sum(ms) * hidden + 2 * len(ms) * hidden + len(ms)))
+    (w1, _, w2, _), (g_w1, _, g_w2, _) = mteval.ensemble._views(theta, ms, hidden), mteval.ensemble._views(grad, ms, hidden)
+    for b in (32, 13, 1):  # full batches, a partial last one, a single row
+        pre, hidden_out, d_hidden = np.empty((3, len(ms), 32, hidden))[:, :, :b]
+        delta = np.empty((len(ms), b))
+        for i, m in enumerate(ms):
+            x = rng.normal(size=(n, m))[rng.permutation(n)][5 : 5 + b]  # a row slice of the epoch's gathered rows
+            d_hidden[i] = rng.normal(size=(b, hidden)) * (rng.random((b, hidden)) < 0.5)  # ReLU's zeros
+            assert_dot_matches_matmul(x, w1[i], pre[i])  # 2-d x 2-d
+            assert_dot_matches_matmul(np.maximum(pre[i], 0.0, out=hidden_out[i]), w2[i], delta[i])  # matrix x vector
+            assert_dot_matches_matmul(hidden_out[i].T, delta[i], g_w2[i])  # transposed view x vector, into a _views slice
+            assert_dot_matches_matmul(x.T, d_hidden[i], g_w1[i])  # transposed view x matrix, into a _views slice
+
+
 def test_fit_mlp_is_deterministic():
     rng = np.random.default_rng(5)
     m = random_matrix(rng, 40, 3)

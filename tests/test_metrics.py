@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from mteval.vsm import (
     build_vocabulary,
 )
 
-from oracles import brute_force_transport, dense_scm_oracle, loop_soft_quadratic
+from oracles import brute_force_transport, dense_scm_oracle, graph_compositionality, loop_soft_quadratic
 
 
 def store_from(table):
@@ -434,36 +435,67 @@ def test_transition_matrix_row_sum_check_is_np_isclose():
 
 
 def test_compositionality_identity_and_single_diagonal():
-    x = transition_graph(["N", "N"])
+    x = ["N", "N"]
     assert compositionality(x, x) == 0.0
-    y = transition_graph(["N", "V"])
+    y = ["N", "V"]
     assert compositionality(x, y) == 1.0
 
 
 def test_compositionality_hand_summed_diagonals():
     # x: N->N->V->N  diag: N 1/2 (of N's two transitions), V 0
     # y: N->V->V     diag: N 0, V 1/2... (V row: V->V once of one) = 1.0
-    x = transition_graph(["N", "N", "V", "N"])
-    y = transition_graph(["N", "V", "V"])
+    x = ["N", "N", "V", "N"]
+    y = ["N", "V", "V"]
     want = abs(0.5 - 0.0) + abs(0.0 - 1.0)
     assert abs(compositionality(x, y) - want) < 1e-12
     assert compositionality(x, y) == compositionality(y, x)
 
 
 def test_compositionality_union_covers_disjoint_tags():
-    x = transition_graph(["A", "A"])
-    y = transition_graph(["B", "B"])
+    x = ["A", "A"]
+    y = ["B", "B"]
     assert compositionality(x, y) == 2.0
 
 
 def test_compositionality_full_matrix_variant():
-    x = transition_graph(["N", "V", "N"])
-    y = transition_graph(["N", "N", "V"])
+    x = ["N", "V", "N"]
+    y = ["N", "N", "V"]
     # diagonals: x has none, y has N->N 0.5 -> diagonal l1 = 0.5
     assert abs(compositionality(x, y) - 0.5) < 1e-12
     # full matrices differ on N->V and N->N (and nothing else involving V row)
-    full = np.abs(x.probs - np.array([[0.5, 0.5], [0.0, 0.0]])).sum()
+    full = np.abs(transition_graph(x).probs - np.array([[0.5, 0.5], [0.0, 0.0]])).sum()
     assert abs(compositionality(x, y, full_matrix=True) - full) < 1e-12
+
+
+
+def tag_pairs():
+    """Random tag sequences, one tag, one repeated tag, and disjoint tag sets."""
+    tags = st.sampled_from(["DET", "NOUN", "VERB", "ADJ", "ADP"])
+    random = st.lists(tags, min_size=1, max_size=30)
+    single = tags.map(lambda t: [t])
+    repeated = st.tuples(tags, st.integers(2, 12)).map(lambda pair: [pair[0]] * pair[1])
+    sides = st.one_of(random, single, repeated)
+    disjoint = st.tuples(
+        st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=12),
+        st.lists(st.sampled_from(["X", "Y", "Z"]), min_size=1, max_size=12),
+    )
+    return st.one_of(st.tuples(sides, sides), disjoint)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tag_pairs(), st.booleans())
+def test_compositionality_from_tag_counts_matches_the_graph_oracle_bit_for_bit(pair, full_matrix):
+    x, y = pair
+    got = compositionality(x, y, full_matrix=full_matrix)
+    assert got.hex() == graph_compositionality(x, y, full_matrix).hex()
+    assert compositionality(tuple(x), tuple(y), full_matrix=full_matrix).hex() == got.hex()  # Segment holds tuples
+
+
+def test_compositionality_rejects_an_empty_side():
+    for full_matrix in (False, True):
+        for x, y in (([], ["N"]), (["N"], [])):
+            with pytest.raises(ValueError, match="empty tag list"):
+                compositionality(x, y, full_matrix=full_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +750,8 @@ def test_score_segment_source_based_anchor():
     assert vector.scores["wmd_contextual"] > 0.0
     # source tags NOUN,NOUN vs hypothesis DET,NOUN,VERB; the source's
     # self-transition scores 1.0 where the reference tags would score 0.0
-    x = transition_graph(["NOUN", "NOUN"])
-    y = transition_graph(["DET", "NOUN", "VERB"])
+    x = ["NOUN", "NOUN"]
+    y = ["DET", "NOUN", "VERB"]
     assert vector.scores["compositionality"] == compositionality(x, y) == 1.0
 
 
@@ -743,6 +775,88 @@ def test_score_segments_solves_pending_problems_every_chunk_cells(monkeypatch):
     assert len([count for count in calls if count]) > 1 and sum(calls) == 2 * len(segments)  # each problem solved once
     assert [vector.scores for vector in got] == [vector.scores for vector in want]
     assert all(value > 0.0 for vector in got for value in vector.scores.values())
+
+
+def shared_anchor_fixture():
+    """Three sources with four hypotheses each, as in MQM data: every system translates the same source."""
+    rng = np.random.default_rng(5)
+    references = ["the dog runs fast", "a cat sleeps here now", "the cat runs now now"]
+    words = sorted({word for reference in references for word in reference.split()})
+    static = store_from({word: rng.normal(size=4) for word in words})
+    segments = []
+
+    def tags(text):
+        return tuple(rng.choice(["DET", "NOUN", "VERB"], size=len(text.split())).tolist())
+
+    for i, reference in enumerate(references):
+        variants = [reference, "the the dog now", "zzz qqq", " ".join(reversed(reference.split()))]
+        for j, hypothesis in enumerate(variants):
+            segments.append(
+                make_segment(
+                    id=f"s{i}.{j}", source=f"quelle {i}", reference=reference, hypothesis=hypothesis,
+                    pos_reference=tags(reference), pos_hypothesis=None if (i, j) == (1, 3) else tags(hypothesis),
+                )
+            )
+    vocab = build_vocabulary([s.reference.split() for s in segments] + [s.source.split() for s in segments])
+    sims = {("words", order): build_similarity_matrix(vocab, static, order=order) for order in ("vocabulary", "idf_descending")}
+
+    def fresh():
+        return Resources(vocabs={"words": vocab}, stores={"words": static}, sims=sims)
+
+    config = MetricConfig(mode="reference_based", metrics=("scm", "scm_tfidf", "bleu", "compositionality"))
+    return segments, config, fresh
+
+
+def test_score_segments_computes_each_anchor_state_once(monkeypatch):
+    segments, config, fresh = shared_anchor_fixture()
+    resources = fresh()
+    self_products, ngram_calls = Counter(), Counter()
+    soft_quadratic, ngram_counts = metrics_module._soft_quadratic, metrics_module._ngram_counts
+
+    def counted_quadratic(x, y, matrix):
+        if x is y:
+            self_products[(id(matrix), id(x))] += 1
+        return soft_quadratic(x, y, matrix)
+
+    def counted_ngrams(tokens, *args):
+        ngram_calls[tuple(tokens)] += 1
+        return ngram_counts(tokens, *args)
+
+    monkeypatch.setattr(metrics_module, "_soft_quadratic", counted_quadratic)
+    monkeypatch.setattr(metrics_module, "_ngram_counts", counted_ngrams)
+    vectors = score_segments(segments, config, resources)
+    references = sorted({s.reference for s in segments})
+    assert len(segments) == 4 * len(references)
+    for name in ("scm", "scm_tfidf"):
+        info = METRICS[name]
+        matrix = resources.sims[info.similarity_key]
+        for reference in references:
+            anchor = resources.bag("words", info.weighting, reference)
+            assert self_products[(id(matrix), id(anchor))] == 1, (name, reference)
+    assert ngram_calls == Counter({tuple(reference.split()): 1 for reference in references})
+    assert sum(1 for v in vectors if "scm" in v.flags) == 3 and "compositionality" in vectors[7].flags
+
+    monkeypatch.undo()
+    for segment, vector in zip(segments, vectors):
+        alone = score_segment(segment, config, fresh())
+        assert {k: v.hex() for k, v in vector.scores.items()} == {k: v.hex() for k, v in alone.scores.items()}
+        assert vector.flags == alone.flags
+        x, y = (resources.bag("words", "nnx", text) for text in (segment.reference, segment.hypothesis))
+        if "scm" not in vector.flags:  # the public one-pair calls, without the shared anchor state
+            assert vector.scores["scm"].hex() == scm(x, y, resources.sims[("words", "vocabulary")]).hex()
+        assert vector.scores["bleu"].hex() == sentence_bleu(segment.reference.split(), segment.hypothesis.split()).hex()
+        if segment.pos_hypothesis is not None:
+            want = graph_compositionality(segment.pos_reference, segment.pos_hypothesis)
+            assert vector.scores["compositionality"].hex() == want.hex()
+
+
+def test_score_segments_logs_its_segments_anchors_and_flags(caplog):
+    segments, config, fresh = shared_anchor_fixture()
+    with caplog.at_level("INFO", logger="mteval.metrics"):
+        score_segments(segments, config, fresh())
+    assert caplog.messages == [
+        "scoring: 12 segments, 3 distinct reference sides, flagged segments: scm 3, scm_tfidf 3, bleu 0, compositionality 1"
+    ]
 
 
 def test_score_segments_rejects_a_segment_without_its_anchor():
