@@ -9,13 +9,14 @@ mover's distance.
 Run:  python3 demos/metrics_tour.py
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from mteval.embeddings import load_static
 from mteval.flow import solve_transport
-from mteval.metrics import compositionality, scm, sentence_bleu, transition_graph, wmd
+from mteval.metrics import compositionality, scm, sentence_bleu, wmd
 from mteval.vsm import bow_nfx, bow_nnx, build_similarity_matrix, build_vocabulary
 
 DATA = Path(__file__).parent / "data"
@@ -94,8 +95,9 @@ def main():
     ref_tags = ["DET", "NOUN", "VERB", "DET", "NOUN"]
     hyp_tags = ["DET", "NOUN", "NOUN", "VERB"]
     for label, tags in (("reference", ref_tags), ("hypothesis", hyp_tags)):
-        graph = transition_graph(tags)
-        diag = ", ".join(f"{t}={graph.self_prob(t):.2f}" for t in graph.tags)
+        # count of t -> t over t's transitions out; a tag with none out has no repeat either
+        repeats, out = Counter(a for a, b in zip(tags, tags[1:]) if a == b), Counter(tags[:-1])
+        diag = ", ".join(f"{t}={repeats[t] / max(out[t], 1):.2f}" for t in dict.fromkeys(tags))
         print(f"  {label} self-transitions: {diag}")
     print(f"  compositionality = {compositionality(ref_tags, hyp_tags):.4f}")
 

@@ -52,8 +52,8 @@ class FlowSolution:
 def solve_transport(supplies, demands, costs) -> FlowSolution:
     """Minimize sum(F * costs) subject to F >= 0, F 1 = supplies, F^T 1 = demands.
 
-    Supplies and demands must be nonnegative and balanced to within 1e-9
-    of their scale; costs must be finite and nonnegative.  The optimum is
+    Supplies and demands must be nonnegative, finite and balanced to within
+    1e-9 of their scale; costs must be finite and nonnegative.  The optimum is
     exact up to float rounding (well inside 1e-9 for unit-scale masses).
     """
     return solve_transport_batch([(supplies, demands, costs)])[0]
@@ -102,6 +102,8 @@ def _checked(supplies, demands, costs):
         raise ValueError("costs must be finite and nonnegative")
     total_a = float(a.sum())
     total_b = float(b.sum())
+    if not np.isfinite([total_a, total_b]).all():
+        raise ValueError("supplies and demands must be finite")
     scale = max(total_a, total_b, 1.0)
     if abs(total_a - total_b) > 1e-9 * scale:
         raise ValueError(f"unbalanced instance: supplies sum to {total_a}, demands to {total_b}")

@@ -35,7 +35,6 @@ __all__ = [
     "MetricVector",
     "REG_BASE_FEATURES",
     "Resources",
-    "TransitionMatrix",
     "UnscorableSegment",
     "compositionality",
     "compute_placeholders",
@@ -44,7 +43,6 @@ __all__ = [
     "score_segment",
     "score_segments",
     "sentence_bleu",
-    "transition_graph",
     "wmd",
     "wmd_contextual",
 ]
@@ -153,34 +151,6 @@ class MetricConfig:
     @property
     def anchor_side(self) -> str:
         return "reference" if self.mode == "reference_based" else "source"
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Row-normalized directed PoS-transition probabilities of one text."""
-
-    tags: tuple[str, ...]
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        k = len(self.tags)
-        if self.probs.shape != (k, k):
-            raise ValueError(f"probs shape {self.probs.shape} does not match {k} tags")
-        if np.any(self.probs < 0) or np.any(self.probs > 1 + 1e-12):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        row_sums = self.probs.sum(axis=1)
-        # np.isclose(row_sums, 1.0) spelled out: its defaults, without its overhead
-        bad = ~((np.abs(row_sums - 1.0) <= 1e-8 + 1e-5) | (row_sums == 0.0))
-        if np.any(bad):
-            raise ValueError("each row must sum to 1 (or be all-zero)")
-
-    def self_prob(self, tag: str) -> float:
-        """Self-transition probability of ``tag``; 0 for tags not in this text."""
-        try:
-            i = self.tags.index(tag)
-        except ValueError:
-            return 0.0
-        return float(self.probs[i, i])
 
 
 @dataclass
@@ -383,57 +353,36 @@ def _contextual_sides(records_x, records_y, weighting, vocab):
     return np.asarray(wx), np.asarray(wy), ex, ey
 
 
-def transition_graph(pos_tags: list[str]) -> TransitionMatrix:
-    """Count directed adjacent-tag transitions, then row-normalize."""
-    if not pos_tags:
-        raise ValueError("cannot build a transition graph from an empty tag list")
-    tags: list[str] = []
-    index: dict[str, int] = {}
-    for tag in pos_tags:
-        if tag not in index:
-            index[tag] = len(tags)
-            tags.append(tag)
-    counts = np.zeros((len(tags), len(tags)))
-    for a, b in zip(pos_tags, pos_tags[1:]):
-        counts[index[a], index[b]] += 1.0
-    sums = counts.sum(axis=1, keepdims=True)
-    probs = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
-    return TransitionMatrix(tags=tuple(tags), probs=probs)
-
-
 def compositionality(x: Sequence[str], y: Sequence[str], full_matrix: bool = False) -> float:
     """l1 distance of two tag sequences' self-transition probabilities over the union tag set.
 
-    A tag's self-transition probability is its count of ``t -> t``
-    transitions over its count of transitions out (0 with none), the
-    diagonal of the `transition_graph` matrix.  ``full_matrix`` switches to
-    the l1 distance of the complete transition matrices.
+    A tag's self-transition probability is its count of ``t -> t`` transitions
+    over its count of transitions out (0 with none).  ``full_matrix`` switches
+    to the l1 distance of the complete transition matrices.
     """
+    px, py = _transition_probs(x), _transition_probs(y)
     if full_matrix:
-        gx, gy = transition_graph(list(x)), transition_graph(list(y))
-        union = list(gx.tags) + [t for t in gy.tags if t not in gx.tags]
-        return float(np.abs(_embed(gx, union) - _embed(gy, union)).sum())
-    px, py = _self_transition_probs(x), _self_transition_probs(y)
+        # first-appearance order, x then y: numpy's pairwise sum rounds by position
+        index = {tag: i for i, tag in enumerate(dict.fromkeys([*x, *y]))}
+        dense = np.zeros((2, len(index), len(index)))
+        for side, probs in enumerate((px, py)):
+            for (a, b), p in probs.items():
+                dense[side, index[a], index[b]] = p
+        return float(np.abs(dense[0] - dense[1]).sum())
     # the tags neither side repeats add exact zeros, and fsum is exact in any order
-    return math.fsum(abs(px.get(t, 0.0) - py.get(t, 0.0)) for t in {**px, **py})
+    repeated = {a for a, b in [*px, *py] if a == b}
+    return math.fsum(abs(px.get((t, t), 0.0) - py.get((t, t), 0.0)) for t in repeated)
 
 
-def _self_transition_probs(tags: Sequence[str]) -> dict[str, float]:
-    """Each tag's nonzero self-transition probability, from integer counts (exactly the matrix's quotient)."""
+def _transition_probs(tags: Sequence[str]) -> dict[tuple[str, str], float]:
+    """count(a -> b) / count(transitions out of a) for each observed adjacent pair (a, b).
+
+    An int / int quotient rounds exactly as numpy's division of the same counts as floats.
+    """
     if not tags:
-        raise ValueError("cannot build a transition graph from an empty tag list")
-    repeats = Counter(a for a, b in zip(tags, tags[1:]) if a == b)
-    if not repeats:
-        return {}
+        raise ValueError("cannot count transitions in an empty tag list")
     out = Counter(tags[:-1])
-    return {tag: count / out[tag] for tag, count in repeats.items()}
-
-
-def _embed(matrix: TransitionMatrix, union: list[str]) -> np.ndarray:
-    out = np.zeros((len(union), len(union)))
-    positions = [union.index(t) for t in matrix.tags]
-    out[np.ix_(positions, positions)] = matrix.probs
-    return out
+    return {(a, b): n / out[a] for (a, b), n in Counter(zip(tags, tags[1:])).items()}
 
 
 def sentence_bleu(
@@ -455,6 +404,8 @@ def sentence_bleu(
     r = len(reference_tokens)
     if reference_counts is None:
         reference_counts = _ngram_counts(reference_tokens, max_n)
+    elif len(reference_counts) != max_n:
+        raise ValueError(f"reference_counts holds {len(reference_counts)} orders, max_n is {max_n}")
     log_precisions = 0.0
     for n, ref_counts in zip(range(1, max_n + 1), reference_counts):
         hyp_counts = Counter(_ngrams(hypothesis_tokens, n))

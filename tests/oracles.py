@@ -19,7 +19,6 @@ from mteval._rng import round_half_up
 from mteval.embeddings import ContextualRecord, EmbeddingStore
 from mteval.ensemble import MlpParams, mlp_loss
 from mteval.errors import DataError
-from mteval.metrics import transition_graph
 from mteval.stats import spearman
 
 # ---------------------------------------------------------------------------
@@ -318,19 +317,43 @@ def dense_scm_oracle(x: np.ndarray, y: np.ndarray, similarity: np.ndarray) -> fl
 # ---------------------------------------------------------------------------
 
 
+def transition_graph(pos_tags: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """(tags in order of first appearance, row-normalized counts of directed adjacent-tag transitions)."""
+    if not pos_tags:
+        raise ValueError("cannot build a transition graph from an empty tag list")
+    tags: list[str] = []
+    index: dict[str, int] = {}
+    for tag in pos_tags:
+        if tag not in index:
+            index[tag] = len(tags)
+            tags.append(tag)
+    counts = np.zeros((len(tags), len(tags)))
+    for a, b in zip(pos_tags, pos_tags[1:]):
+        counts[index[a], index[b]] += 1.0
+    sums = counts.sum(axis=1, keepdims=True)
+    probs = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+    return tuple(tags), probs
+
+
 def graph_compositionality(x_tags, y_tags, full_matrix: bool = False) -> float:
     """l1 distance of self-transition probabilities (or of whole matrices) over the union tag set."""
     x, y = transition_graph(list(x_tags)), transition_graph(list(y_tags))
-    union = list(x.tags) + [t for t in y.tags if t not in x.tags]
+    union = list(x[0]) + [t for t in y[0] if t not in x[0]]
     if not full_matrix:
-        return math.fsum(abs(x.self_prob(t) - y.self_prob(t)) for t in union)
+        return math.fsum(abs(_self_prob(x, t) - _self_prob(y, t)) for t in union)
     return float(np.abs(_embed_transitions(x, union) - _embed_transitions(y, union)).sum())
 
 
-def _embed_transitions(matrix, union: list[str]) -> np.ndarray:
+def _self_prob(graph, tag: str) -> float:
+    tags, probs = graph
+    return float(probs[tags.index(tag), tags.index(tag)]) if tag in tags else 0.0
+
+
+def _embed_transitions(graph, union: list[str]) -> np.ndarray:
+    tags, probs = graph
     out = np.zeros((len(union), len(union)))
-    positions = [union.index(t) for t in matrix.tags]
-    out[np.ix_(positions, positions)] = matrix.probs
+    positions = [union.index(t) for t in tags]
+    out[np.ix_(positions, positions)] = probs
     return out
 
 

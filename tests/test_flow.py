@@ -130,6 +130,10 @@ def test_input_validation():
         solve_transport([1.0], [1.0], [[np.inf]])
     with pytest.raises(ValueError, match="at least one"):
         solve_transport([], [], np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="supplies and demands must be finite"):
+        solve_transport([np.nan], [1.0], [[1.0]])
+    with pytest.raises(ValueError, match="supplies and demands must be finite"):
+        solve_transport([np.inf], [np.inf], [[1.0]])
 
 
 def degenerate_instance(rng, max_dim):
