@@ -13,6 +13,7 @@ import numpy as np
 
 from mteval.ensemble import FeatureMatrix
 from mteval.evaluation import ablation
+from mteval.pipeline import SplitFeatures
 from mteval.stats import spearman
 
 rng = np.random.default_rng(7)
@@ -47,16 +48,9 @@ def main():
                 print(f"  |rho|({a}, {b}) = {rho:.3f}")
     print("  ('strong' and its rescaling tie at 1.0, so one of them goes first)\n")
 
-    curve = ablation(
-        train,
-        test,
-        gold[:N_TRAIN].tolist(),
-        gold[N_TRAIN:].tolist(),
-        seed=7,
-        sources=sources,
-    )
+    curve = ablation(SplitFeatures(train, test, gold[:N_TRAIN].tolist(), gold[N_TRAIN:].tolist(), sources), seed=7)
     print("step  eliminated        remaining  test_rho")
-    for step in curve.steps:
+    for step in curve:
         print(f"{step.step:>4}  {step.eliminated or '-':<16}  {step.remaining_count:>9}  {step.test_rho:+.4f}")
     print("\nthe duplicate falls first and costs nothing; performance only")
     print("drops once a feature carrying unique signal is removed")

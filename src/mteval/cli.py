@@ -23,7 +23,7 @@ from mteval import __version__
 from mteval.config import RunConfig, load_run_config
 from mteval.corpus import load_dataset
 from mteval.errors import ConfigError, DataError
-from mteval.evaluation import AblationCurve, ablation, cross_lingual_eval, evaluate
+from mteval.evaluation import AblationStep, ablation, cross_lingual_eval, evaluate
 from mteval.pipeline import SplitFeatures, build_resources, dataset_features, feature_names, score_dataset
 
 logger = logging.getLogger(__name__)
@@ -98,12 +98,12 @@ def _write_flags(path: Path, flags: dict[str, dict[str, str]]) -> None:
     _write_table(path, ["segment_id", "metric", "flag"], rows)
 
 
-def _write_ablation(path: Path, curve: AblationCurve) -> None:
+def _write_ablation(path: Path, steps: list[AblationStep]) -> None:
     """ablation.csv, through csv.writer: an external column name may hold a comma."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["step", "eliminated", "remaining", "test_rho"])
-        for step in curve.steps:
+        for step in steps:
             writer.writerow([step.step, step.eliminated or "", step.remaining_count, f"{step.test_rho:.6f}"])
 
 
@@ -144,18 +144,9 @@ def cmd_ablate(args) -> int:
     n_features = len(feature_names(config.metric_config, resources))
     if n_features < 2:
         raise ConfigError(f"ablate needs at least 2 features (metrics, reg_base, external scores), got {n_features}")
-    split = _split(config, dataset, resources, "train", "test")
-    curve = ablation(
-        split.train,
-        split.test,
-        split.gold_train,
-        split.gold_test,
-        seed=config.seed,
-        sources=split.train_sources,
-        mlp_options=config.mlp_options,
-    )
+    steps = ablation(_split(config, dataset, resources, "train", "test"), seed=config.seed, mlp_options=config.mlp_options)
     out = _out_dir(args, config)
-    _write_ablation(out / "ablation.csv", curve)
+    _write_ablation(out / "ablation.csv", steps)
     logger.info("wrote %s", out / "ablation.csv")
     return 0
 

@@ -43,9 +43,6 @@ class EmbeddingStore:
     def __getitem__(self, token: str) -> np.ndarray:
         return self.table[token]
 
-    def get(self, token: str):
-        return self.table.get(token)
-
     def __len__(self) -> int:
         return len(self.table)
 

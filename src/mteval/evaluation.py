@@ -23,7 +23,6 @@ from mteval.pipeline import SplitFeatures
 from mteval.stats import spearman
 
 __all__ = [
-    "AblationCurve",
     "AblationStep",
     "CorrelationReport",
     "EvaluationResult",
@@ -75,21 +74,7 @@ class AblationStep:
     test_rho: float
 
 
-@dataclass
-class AblationCurve:
-    steps: list[AblationStep]
-
-
-def ablation(
-    train: FeatureMatrix,
-    test: FeatureMatrix,
-    gold_train: list[float],
-    gold_test: list[float],
-    *,
-    seed: int,
-    sources: list[str] | None = None,
-    mlp_options: dict | None = None,
-) -> AblationCurve:
+def ablation(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> list[AblationStep]:
     """Iteratively drop the feature most correlated with any other and refit.
 
     Pairwise |rho| is measured once, on the train split only; ties go to
@@ -97,6 +82,7 @@ def ablation(
     and the curve ends once the single-feature model has been recorded.
     Every step's model comes from one `select_model` call.
     """
+    train = split.train
     remaining = list(train.feature_names)
     if len(remaining) < 2:
         raise ValueError("ablation needs at least 2 features")
@@ -112,11 +98,11 @@ def ablation(
         subsets.append(list(remaining))
         logger.debug("ablation step %d: dropped %s (%d left)", step_no, victim, len(remaining))
     models = select_model(
-        [train.select(names) for names in subsets], gold_train, seed=seed, sources=sources, mlp_options=mlp_options
+        [train.select(names) for names in subsets], split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options
     )
     for step, names, model in zip(steps, subsets, models):
-        step.test_rho = spearman(predict(model, test.select(names)), gold_test)
-    return AblationCurve(steps=steps)
+        step.test_rho = spearman(predict(model, split.test.select(names)), split.gold_test)
+    return steps
 
 
 @dataclass

@@ -119,37 +119,6 @@ class SimilarityMatrix:
     def nnz_off_diagonal(self) -> int:
         return sum(len(row) for row in self.rows.values()) // 2
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.eye(self.dim)
-        for i, row in self.rows.items():
-            for j, value in row.items():
-                dense[i, j] = value
-        return dense
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "SimilarityMatrix":
-        """Wrap a symmetric array with unit diagonal and entries in [0, 1]."""
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-        if not np.allclose(np.diag(dense), 1.0):
-            raise ValueError("similarity matrix diagonal must be 1")
-        if not np.array_equal(dense, dense.T):
-            raise ValueError("similarity matrix must be symmetric")
-        if dense.min() < 0.0 or dense.max() > 1.0 + 1e-12:
-            raise ValueError("similarity entries must lie in [0, 1]")
-        matrix = cls(dim=dense.shape[0])
-        n = dense.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if dense[i, j] != 0.0:
-                    matrix._insert(i, j, float(dense[i, j]))
-        return matrix
-
-    def _insert(self, i: int, j: int, value: float) -> None:
-        self.rows.setdefault(i, {})[j] = value
-        self.rows.setdefault(j, {})[i] = value
-
 
 def term_processing_order(vocab: Vocabulary, order: str) -> list[int]:
     if order == "vocabulary":

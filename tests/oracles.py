@@ -311,6 +311,26 @@ def dense_scm_oracle(x: np.ndarray, y: np.ndarray, similarity: np.ndarray) -> fl
     return float(num / denom)
 
 
+def dense_similarity(matrix: vsm.SimilarityMatrix) -> np.ndarray:
+    """The dense array of a sparse similarity matrix, unit diagonal included."""
+    dense = np.eye(matrix.dim)
+    for i, row in matrix.rows.items():
+        for j, value in row.items():
+            dense[i, j] = value
+    return dense
+
+
+def sparse_similarity(dense: np.ndarray) -> vsm.SimilarityMatrix:
+    """A similarity matrix holding the nonzero off-diagonal cells of a symmetric array, row by row."""
+    assert np.array_equal(dense, dense.T)
+    matrix = vsm.SimilarityMatrix(dim=len(dense))
+    for i, j in zip(*np.nonzero(np.triu(dense, 1))):
+        i, j, value = int(i), int(j), float(dense[i, j])
+        matrix.rows.setdefault(i, {})[j] = value
+        matrix.rows.setdefault(j, {})[i] = value
+    return matrix
+
+
 # ---------------------------------------------------------------------------
 # compositionality: over two row-normalized transition matrices, frozen
 # before the diagonal variant read self-transitions from tag counts

@@ -20,16 +20,17 @@ from mteval.cli import _write_ablation
 from mteval.evaluation import ablation, cross_lingual_eval, evaluate
 from mteval.flow import solve_transport
 from mteval.metrics import METRICS, MetricConfig, Resources, scm, score_segment
-from mteval.pipeline import dataset_features
+from mteval.pipeline import SplitFeatures, dataset_features
 from mteval.stats import spearman
 from mteval.tokenization import WordPieceVocab
-from mteval.vsm import SimilarityMatrix, WeightedBow, build_similarity_matrix, build_vocabulary
+from mteval.vsm import WeightedBow, build_similarity_matrix, build_vocabulary
 
 from oracles import (
     brute_force_transport,
     dense_scm_oracle,
     finite_difference_gradients,
     naive_decontextualize,
+    sparse_similarity,
     spearman_oracle,
 )
 
@@ -97,7 +98,7 @@ def test_scm_sparse_path_matches_dense_arithmetic():
         raw = rng.uniform(0.0, 1.0, size=(dim, dim))
         dense = (raw + raw.T) / 2.0
         np.fill_diagonal(dense, 1.0)
-        matrix = SimilarityMatrix.from_dense(dense)
+        matrix = sparse_similarity(dense)
         x = random_bow(dim)
         y = random_bow(dim)
         xv = np.zeros(dim)
@@ -380,22 +381,20 @@ def test_ablation_eliminates_duplicates_first(tmp_path):
     gold_train, gold_test = gold[:1600].tolist(), gold[1600:].tolist()
     sources = [f"doc{i // 20}" for i in range(1600)]
 
-    curve = ablation(
-        train, test, gold_train, gold_test, seed=7, sources=sources, mlp_options=FAST_MLP
-    )
+    curve = ablation(SplitFeatures(train, test, gold_train, gold_test, sources), seed=7, mlp_options=FAST_MLP)
 
     # step 0 is the untouched full ensemble
     (model,) = select_model([train], gold_train, seed=7, sources=sources, mlp_options=FAST_MLP)
     full_rho = float(spearman(predict(model, test), gold_test))
-    assert curve.steps[0].step == 0
-    assert curve.steps[0].eliminated is None
-    assert curve.steps[0].remaining_count == len(names)
-    assert curve.steps[0].test_rho == full_rho
+    assert curve[0].step == 0
+    assert curve[0].eliminated is None
+    assert curve[0].remaining_count == len(names)
+    assert curve[0].test_rho == full_rho
 
     # exactly one elimination per step, down to a single survivor
-    assert [s.step for s in curve.steps] == list(range(len(names)))
-    assert [s.remaining_count for s in curve.steps] == list(range(len(names), 0, -1))
-    victims = [s.eliminated for s in curve.steps[1:]]
+    assert [s.step for s in curve] == list(range(len(names)))
+    assert [s.remaining_count for s in curve] == list(range(len(names), 0, -1))
+    victims = [s.eliminated for s in curve[1:]]
     assert len(set(victims)) == len(names) - 1
 
     # duplicated columns go before anything that is not strongly paired
@@ -410,11 +409,9 @@ def test_ablation_eliminates_duplicates_first(tmp_path):
         assert dropped_at < first_weak, pair
 
     # deterministic: a rerun reproduces the curve bit for bit
-    rerun = ablation(
-        train, test, gold_train, gold_test, seed=7, sources=sources, mlp_options=FAST_MLP
-    )
-    assert [(s.step, s.eliminated, s.remaining_count, s.test_rho) for s in rerun.steps] == [
-        (s.step, s.eliminated, s.remaining_count, s.test_rho) for s in curve.steps
+    rerun = ablation(SplitFeatures(train, test, gold_train, gold_test, sources), seed=7, mlp_options=FAST_MLP)
+    assert [(s.step, s.eliminated, s.remaining_count, s.test_rho) for s in rerun] == [
+        (s.step, s.eliminated, s.remaining_count, s.test_rho) for s in curve
     ]
 
     # and the emitted CSV carries the same curve

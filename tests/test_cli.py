@@ -8,7 +8,9 @@ import pytest
 import mteval.cli
 from mteval.cli import build_parser, main
 from mteval.config import load_run_config
+from mteval.corpus import load_dataset
 from mteval.errors import ConfigError
+from mteval.metrics import compositionality
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 HEADER = "id\tsrc_lang\ttgt_lang\tsource\treference\thypothesis\tjudgements\tpos_source\tpos_reference\tpos_hypothesis"
@@ -77,6 +79,31 @@ def test_score_honours_out_override(tmp_path):
     assert main(["score", "--config", str(config), "--out", str(target)]) == 0
     assert (target / "scores.tsv").is_file()
     assert not (tmp_path / "out").exists()
+
+
+def test_score_compositionality_full_matrix_changes_that_column_only(tmp_path):
+    payload = json.loads((DEMO_DATA / "run_deen.json").read_text(encoding="utf-8"))
+    payload["dataset"] = str(DEMO_DATA / payload["dataset"])
+    payload["resources"] = {key: str(DEMO_DATA / value) for key, value in payload["resources"].items()}
+    tables = {}
+    for full_matrix in (False, True):
+        config = tmp_path / f"run_{full_matrix}.json"
+        config.write_text(json.dumps(payload | {"compositionality_full_matrix": full_matrix}), encoding="utf-8")
+        out = tmp_path / f"out_{full_matrix}"
+        assert main(["score", "--config", str(config), "--out", str(out)]) == 0
+        scores = [line.split("\t") for line in (out / "scores.tsv").read_text(encoding="utf-8").splitlines()]
+        tables[full_matrix] = scores, (out / "flags.tsv").read_bytes()
+    (diagonal, diagonal_flags), (full, full_flags) = tables[False], tables[True]
+    assert full_flags == diagonal_flags
+    assert len(full) == len(diagonal) and full[0] == diagonal[0]
+    column = full[0].index("compositionality")
+    for a, b in zip(diagonal[1:], full[1:]):
+        assert a[:column] + a[column + 1 :] == b[:column] + b[column + 1 :]
+    assert any(a[column] != b[column] for a, b in zip(diagonal[1:], full[1:]))
+    segments = {segment.id: segment for segment in load_dataset(DEMO_DATA / "deen.tsv").segments}
+    for row in full[1:]:
+        segment = segments[row[0]]
+        assert row[column] == f"{compositionality(segment.pos_reference, segment.pos_hypothesis, full_matrix=True):.6f}"
 
 
 def test_evaluate_reports_ensembles(tmp_path, capsys):

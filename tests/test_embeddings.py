@@ -35,7 +35,6 @@ def test_load_static_word_vector_format(tmp_path):
     assert store["cat"].tolist() == [1.0, 0.0, 0.5]
     assert "cat" in store
     assert "fish" not in store
-    assert store.get("fish") is None
 
 
 def test_load_static_header_errors(tmp_path):

@@ -92,34 +92,35 @@ def ablation_fixture(rng, n=60):
     return train, test, list(gold[: n // 2]), list(gold[n // 2 :])
 
 
+def whole_split(train, test, gold_train, gold_test):
+    """The split `ablation` takes, one source per train segment as `select_model` assumes without sources."""
+    return SplitFeatures(train, test, gold_train, gold_test, list(train.segment_ids))
+
+
 def test_ablation_two_features_curve_shape():
     rng = np.random.default_rng(2)
     train, test, gold_train, gold_test = ablation_fixture(rng)
     curve = ablation(
-        train.select(["f_signal", "f_noise"]),
-        test.select(["f_signal", "f_noise"]),
-        gold_train,
-        gold_test,
-        seed=1,
+        whole_split(train.select(["f_signal", "f_noise"]), test.select(["f_signal", "f_noise"]), gold_train, gold_test), seed=1
     )
-    assert [s.step for s in curve.steps] == [0, 1]
-    assert curve.steps[0].eliminated is None
-    assert curve.steps[0].remaining_count == 2
-    assert curve.steps[1].remaining_count == 1
-    for a, b in zip(curve.steps, curve.steps[1:]):
+    assert [s.step for s in curve] == [0, 1]
+    assert curve[0].eliminated is None
+    assert curve[0].remaining_count == 2
+    assert curve[1].remaining_count == 1
+    for a, b in zip(curve, curve[1:]):
         assert b.remaining_count == a.remaining_count - 1
 
 
 def test_ablation_drops_duplicate_before_noise():
     rng = np.random.default_rng(3)
     train, test, gold_train, gold_test = ablation_fixture(rng)
-    curve = ablation(train, test, gold_train, gold_test, seed=1)
+    curve = ablation(whole_split(train, test, gold_train, gold_test), seed=1)
     # the rho=1 duplicate pair dominates; lexicographic tie-break picks f_copy
-    assert curve.steps[1].eliminated == "f_copy"
-    assert curve.steps[2].eliminated == "f_noise"
-    assert [s.remaining_count for s in curve.steps] == [3, 2, 1]
+    assert curve[1].eliminated == "f_copy"
+    assert curve[2].eliminated == "f_noise"
+    assert [s.remaining_count for s in curve] == [3, 2, 1]
     # the single survivor is the signal, so the last rho stays high
-    assert curve.steps[-1].test_rho > 0.8
+    assert curve[-1].test_rho > 0.8
 
 
 def test_ablation_order_matches_pairwise_table():
@@ -156,8 +157,8 @@ def test_ablation_order_matches_pairwise_table():
         expected.append(victim)
         remaining.remove(victim)
 
-    curve = ablation(train, test, gold, gold, seed=7)
-    assert [s.eliminated for s in curve.steps[1:]] == expected
+    curve = ablation(whole_split(train, test, gold, gold), seed=7)
+    assert [s.eliminated for s in curve[1:]] == expected
 
 
 def test_ablation_step_zero_equals_full_ensemble_rho():
@@ -165,10 +166,10 @@ def test_ablation_step_zero_equals_full_ensemble_rho():
 
     rng = np.random.default_rng(5)
     train, test, gold_train, gold_test = ablation_fixture(rng)
-    curve = ablation(train, test, gold_train, gold_test, seed=9)
+    curve = ablation(whole_split(train, test, gold_train, gold_test), seed=9)
     (model,) = select_model([train], gold_train, seed=9)
     want = spearman(predict(model, test), gold_test)
-    assert curve.steps[0].test_rho == want
+    assert curve[0].test_rho == want
 
 
 def test_ablation_and_evaluate_equal_one_selection_per_subset():
@@ -191,10 +192,10 @@ def test_ablation_and_evaluate_equal_one_selection_per_subset():
         (model,) = select_model([split.train.select(subset)], split.gold_train, seed=6, sources=sources, mlp_options=options)
         return model, spearman(predict(model, split.test.select(subset)), split.gold_test)
 
-    curve = ablation(split.train, split.test, split.gold_train, split.gold_test, seed=6, sources=sources, mlp_options=options)
+    curve = ablation(split, seed=6, mlp_options=options)
     kinds = []
-    for step in curve.steps:
-        dropped = {s.eliminated for s in curve.steps[1 : step.step + 1]}
+    for step in curve:
+        dropped = {s.eliminated for s in curve[1 : step.step + 1]}
         model, rho = selected([name for name in names if name not in dropped])
         kinds.append(model.kind)
         assert step.test_rho == rho, step
@@ -209,10 +210,10 @@ def test_ablation_and_evaluate_equal_one_selection_per_subset():
 def test_ablation_is_deterministic():
     rng = np.random.default_rng(6)
     train, test, gold_train, gold_test = ablation_fixture(rng)
-    a = ablation(train, test, gold_train, gold_test, seed=3)
-    b = ablation(train, test, gold_train, gold_test, seed=3)
-    assert [(s.step, s.eliminated, s.remaining_count, s.test_rho) for s in a.steps] == [
-        (s.step, s.eliminated, s.remaining_count, s.test_rho) for s in b.steps
+    a = ablation(whole_split(train, test, gold_train, gold_test), seed=3)
+    b = ablation(whole_split(train, test, gold_train, gold_test), seed=3)
+    assert [(s.step, s.eliminated, s.remaining_count, s.test_rho) for s in a] == [
+        (s.step, s.eliminated, s.remaining_count, s.test_rho) for s in b
     ]
 
 
@@ -220,19 +221,19 @@ def test_ablation_needs_two_features():
     rng = np.random.default_rng(7)
     train, test, gold_train, gold_test = ablation_fixture(rng)
     with pytest.raises(ValueError):
-        ablation(train.select(["f_signal"]), test.select(["f_signal"]), gold_train, gold_test, seed=1)
+        ablation(whole_split(train.select(["f_signal"]), test.select(["f_signal"]), gold_train, gold_test), seed=1)
 
 
 def test_ablation_csv_format(tmp_path):
     rng = np.random.default_rng(8)
     train, test, gold_train, gold_test = ablation_fixture(rng)
-    curve = ablation(train, test, gold_train, gold_test, seed=2)
+    curve = ablation(whole_split(train, test, gold_train, gold_test), seed=2)
     path = tmp_path / "ablation.csv"
     _write_ablation(path, curve)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,eliminated,remaining,test_rho"
     assert lines[1].startswith("0,,3,")
-    assert len(lines) == 1 + len(curve.steps)
+    assert len(lines) == 1 + len(curve)
 
 
 @settings(max_examples=80, deadline=None)
@@ -255,8 +256,8 @@ def test_ablation_order_matches_the_per_step_loop(data):
     names = data.draw(st.permutations([f"f{j}" for j in range(k)]))
     train = matrix(np.array(columns, dtype=float).T, names=list(names))
     gold = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-    curve = ablation(train, train, gold, gold, seed=1)
-    assert [s.eliminated for s in curve.steps[1:]] == loop_ablation_order(train)
+    curve = ablation(whole_split(train, train, gold, gold), seed=1)
+    assert [s.eliminated for s in curve[1:]] == loop_ablation_order(train)
 
 
 @pytest.mark.parametrize("k", [3, 7])
@@ -267,7 +268,7 @@ def test_ablation_measures_each_train_pair_once(monkeypatch, k):
     rng = np.random.default_rng(k)
     train = matrix(rng.normal(size=(8, k)))
     gold = rng.normal(size=8).tolist()
-    ablation(train, train, gold, gold, seed=1)
+    ablation(whole_split(train, train, gold, gold), seed=1)
     # each pair once, plus the test rho of each of the k fits
     assert len(calls) == k * (k - 1) // 2 + k
 

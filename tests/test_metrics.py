@@ -38,7 +38,15 @@ from mteval.vsm import (
     build_vocabulary,
 )
 
-from oracles import brute_force_transport, dense_scm_oracle, graph_compositionality, loop_soft_quadratic, transition_graph
+from oracles import (
+    brute_force_transport,
+    dense_scm_oracle,
+    dense_similarity,
+    graph_compositionality,
+    loop_soft_quadratic,
+    sparse_similarity,
+    transition_graph,
+)
 
 
 def store_from(table):
@@ -100,7 +108,7 @@ def test_scm_matches_dense_oracle():
             xv[i] = w
         for i, w in y.entries.items():
             yv[i] = w
-        want = dense_scm_oracle(xv, yv, matrix.to_dense())
+        want = dense_scm_oracle(xv, yv, dense_similarity(matrix))
         assert abs(scm(x, y, matrix) - want) < 1e-12
 
 
@@ -120,12 +128,13 @@ def test_soft_quadratic_matches_the_per_term_loop_bit_for_bit():
     rng = np.random.default_rng(303)
     for _ in range(300):
         dim = int(rng.integers(1, 30))
-        matrix = SimilarityMatrix(dim=dim)
+        dense = np.eye(dim)
         density = float(rng.choice([0.0, 0.1, 0.5, 1.0]))  # rows from none to every other term
         for i in range(dim):
             for j in range(i + 1, dim):
                 if rng.random() < density:
-                    matrix._insert(i, j, float(rng.uniform(1e-3, 1.0)))
+                    dense[i, j] = dense[j, i] = float(rng.uniform(1e-3, 1.0))
+        matrix = sparse_similarity(dense)
         for i in range(dim):
             if rng.random() < 0.1:
                 matrix.rows[i] = {}  # an empty row
@@ -259,7 +268,7 @@ def test_embedding_scaling_scales_wmd_and_fixes_scm():
     assert abs(wmd(x, y, scaled, vocab) - 7.0 * base) < 1e-9
     s_base = build_similarity_matrix(vocab, store, threshold=0.05)
     s_scaled = build_similarity_matrix(vocab, scaled, threshold=0.05)
-    assert np.allclose(s_base.to_dense(), s_scaled.to_dense(), atol=1e-12, rtol=0)
+    assert np.allclose(dense_similarity(s_base), dense_similarity(s_scaled), atol=1e-12, rtol=0)
     assert abs(scm(x, y, s_base) - scm(x, y, s_scaled)) < 1e-12
 
 

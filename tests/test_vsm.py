@@ -7,7 +7,6 @@ from mteval.embeddings import EmbeddingStore
 from mteval.vsm import (
     SIMILARITY_ORDERS,
     SimilarityCandidates,
-    SimilarityMatrix,
     Vocabulary,
     WeightedBow,
     bow_nfx,
@@ -20,7 +19,7 @@ from mteval.vsm import (
 
 import mteval.vsm as vsm_module
 
-from oracles import greedy_similarity_rows, loop_similarity_candidates
+from oracles import dense_similarity, greedy_similarity_rows, loop_similarity_candidates
 
 
 def store_from(table):
@@ -112,7 +111,7 @@ def test_similarity_negative_cosines_leave_identity():
     vocab = build_vocabulary([["x", "y"]])
     store = store_from({"x": [1.0, 0.0], "y": [-1.0, 0.0]})
     matrix = build_similarity_matrix(vocab, store)
-    assert matrix.to_dense().tolist() == np.eye(2).tolist()
+    assert dense_similarity(matrix).tolist() == np.eye(2).tolist()
 
 
 def test_similarity_threshold_above_one_gives_identity():
@@ -132,7 +131,7 @@ def test_similarity_symmetry_range_and_budget():
         store = store_from({f"t{i}": rng.normal(size=3) for i in range(n)})
         order = ("vocabulary", "idf_descending")[trial % 2]
         matrix = build_similarity_matrix(vocab, store, order=order, threshold=0.05, top_k=top_k)
-        dense = matrix.to_dense()
+        dense = dense_similarity(matrix)
         assert np.array_equal(dense, dense.T)
         assert dense.min() >= 0.0 and dense.max() <= 1.0
         assert np.all(np.diag(dense) == 1.0)
@@ -147,7 +146,7 @@ def test_similarity_quadratic_form_positive():
         n = int(rng.integers(2, 10))
         vocab = build_vocabulary([[f"t{i}" for i in range(n)]])
         store = store_from({f"t{i}": rng.normal(size=3) for i in range(n)})
-        dense = build_similarity_matrix(vocab, store, threshold=0.05, top_k=2).to_dense()
+        dense = dense_similarity(build_similarity_matrix(vocab, store, threshold=0.05, top_k=2))
         x = np.abs(rng.normal(size=n))
         assert x @ dense @ x > 0
 
@@ -345,22 +344,4 @@ def test_similarity_candidates_must_match_the_build():
         build_similarity_matrix(vocab, store, threshold=0.1, exponent=2.0, top_k=4, candidates=candidates)
     with pytest.raises(ValueError, match="top_k"):
         similarity_candidates(vocab, store, top_k=0)
-
-
-def test_from_dense_to_dense_roundtrip():
-    dense = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 1.0]])
-    matrix = SimilarityMatrix.from_dense(dense)
-    assert np.array_equal(matrix.to_dense(), dense)
-    assert matrix.nnz_off_diagonal() == 2
-
-
-def test_from_dense_validation():
-    with pytest.raises(ValueError):
-        SimilarityMatrix.from_dense(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        SimilarityMatrix.from_dense(np.array([[0.5]]))
-    with pytest.raises(ValueError):
-        SimilarityMatrix.from_dense(np.array([[1.0, 0.2], [0.3, 1.0]]))
-    with pytest.raises(ValueError):
-        SimilarityMatrix.from_dense(np.array([[1.0, -0.2], [-0.2, 1.0]]))
 
