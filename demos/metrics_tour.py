@@ -84,8 +84,8 @@ def main():
     )
     plan = solve_transport(supplies, demands, costs)
     print(f"  the plan behind it (cost {plan.cost:.4f}):")
-    for (i, j), mass in sorted(plan.flows.items()):
-        print(f"    move {mass:.3f} of {ref_tokens[i]!r} -> {hyp_tokens[j]!r} at distance {costs[i, j]:.3f}")
+    for i, j in np.argwhere(plan.plan > 0):
+        print(f"    move {plan.plan[i, j]:.3f} of {ref_tokens[i]!r} -> {hyp_tokens[j]!r} at distance {costs[i, j]:.3f}")
 
     print("\n5. sentence BLEU: clipped n-gram precisions, smoothed above n=1")
     for hyp in (REFERENCE, "the dog sleeps", "the the the"):

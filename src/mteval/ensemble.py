@@ -100,10 +100,6 @@ class StandardizationParams:
         if np.any(self.std <= 0):
             raise ValueError("std must be strictly positive")
 
-    @classmethod
-    def identity(cls, m: int) -> StandardizationParams:
-        return cls(np.zeros(m), np.ones(m))
-
 
 @dataclass
 class MlpParams:
@@ -152,28 +148,25 @@ def standardize_apply(features: FeatureMatrix, params: StandardizationParams) ->
     return FeatureMatrix(rows, list(features.feature_names), list(features.segment_ids))
 
 
-def fit_linear(
-    features: FeatureMatrix,
-    gold: list[float],
-    standardization: StandardizationParams | None = None,
-) -> EnsembleModel:
+def fit_linear(features: FeatureMatrix, gold: list[float]) -> EnsembleModel:
     """Least squares min ||Xw + b - y||^2 by normal equations damped by 1e-8 I.
 
-    ``features`` should already be standardized; pass the params used so
-    predict can reapply them (identity is assumed otherwise).
+    X is ``features`` standardized by their own mean and std; the model
+    keeps those, so predict takes raw features.
     """
     y = np.asarray(gold, dtype=float)
     if features.n != len(y):
         raise ValueError("gold length does not match feature rows")
     if features.n < 2:
         raise ValueError("linear fit needs at least 2 rows")
-    design = np.hstack([features.rows, np.ones((features.n, 1))])
+    standardization = standardize_fit(features)
+    design = np.hstack([standardize_apply(features, standardization).rows, np.ones((features.n, 1))])
     gram = design.T @ design + 1e-8 * np.eye(features.m + 1)
     solution = np.linalg.solve(gram, design.T @ y)
     return EnsembleModel(
         kind="linear",
         feature_names=list(features.feature_names),
-        standardization=standardization or StandardizationParams.identity(features.m),
+        standardization=standardization,
         weights=solution[:-1],
         intercept=float(solution[-1]),
     )
@@ -238,37 +231,38 @@ def _views(theta: np.ndarray, ms: list[int], hidden: int) -> tuple:
 
 
 def fit_mlp(
-    jobs: list[tuple], hidden: int = 100, learning_rate: float = 1e-3, batch_size: int = 32,
-    max_epochs: int = 500, patience: int = 25, val_fraction: float = 0.1,
+    candidates: list[FeatureMatrix], gold: list[float], seed: int, hidden: int = 100, learning_rate: float = 1e-3,
+    batch_size: int = 32, max_epochs: int = 500, patience: int = 25, val_fraction: float = 0.1,
 ) -> list[EnsembleModel]:
-    """Adam-trained MLP of each (features, gold, seed, standardization) job, in job order.
+    """Adam-trained MLP of each candidate against ``gold``, in candidate order.
 
-    Each fit stops early on an internal validation slice, draws its start,
-    split and batch orders from one generator of its seed, and returns its
-    best-validation parameters.  The jobs share their row count, so they
-    step in lockstep in groups of at most LOCKSTEP_CELLS activation cells,
-    each fit bit for bit its job's fit alone; each group logs one INFO line.
+    Each fit standardizes its candidate by its own mean and std (the model
+    keeps them, so predict takes raw features), stops early on an internal
+    validation slice, draws its start, split and batch orders from its own
+    generator of ``seed``, and returns its best-validation parameters.  The
+    fits step in lockstep in groups of at most LOCKSTEP_CELLS activation
+    cells, each bit for bit its candidate's fit alone; each group logs one
+    INFO line.
     """
-    for features, gold, _, _ in jobs:
-        if features.n != len(gold):
+    y = np.asarray(gold, dtype=float)
+    for features in candidates:
+        if features.n != len(y):
             raise ValueError("gold length does not match feature rows")
         if features.n < 10:
             raise ValueError("mlp fit needs at least 10 rows; use the linear model below that")
-        if features.n != jobs[0][0].n:
-            raise ValueError("the fits of one batch must share their row count")
-    n = jobs[0][0].n if jobs else 1
-    size = max(1, LOCKSTEP_CELLS // (min(batch_size, n) * hidden))
-    options = (hidden, learning_rate, batch_size, max_epochs, patience, val_fraction)
-    return [model for start in range(0, len(jobs), size) for model in _fit_lockstep(jobs[start : start + size], *options)]
+    size = max(1, LOCKSTEP_CELLS // (min(batch_size, max(1, len(y))) * hidden))
+    options = (y, seed, hidden, learning_rate, batch_size, max_epochs, patience, val_fraction)
+    return [model for start in range(0, len(candidates), size) for model in _fit_lockstep(candidates[start : start + size], *options)]
 
 
-def _fit_lockstep(jobs, hidden, learning_rate, batch_size, max_epochs, patience, val_fraction) -> list[EnsembleModel]:
-    """`fit_mlp` of one lockstep group of jobs."""
-    n = jobs[0][0].n
+def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_epochs, patience, val_fraction) -> list[EnsembleModel]:
+    """`fit_mlp` of one lockstep group of candidates."""
+    n = len(y)
     n_val = min(max(1, round_half_up(val_fraction * n)), n - 1)  # at least one row to fit on
-    n_fit, rngs, splits, best = n - n_val, [], [], []
-    for features, gold, seed, _ in jobs:
-        rows, y, m = features.rows, np.asarray(gold, dtype=float), features.m
+    n_fit, standardizations, rngs, splits, best = n - n_val, [], [], [], []
+    for features in candidates:
+        standardizations.append(standardize_fit(features))
+        rows, m = standardize_apply(features, standardizations[-1]).rows, features.m
         rng = np.random.default_rng(seed)
         limit1 = np.sqrt(6.0 / (m + hidden))
         limit2 = np.sqrt(6.0 / (hidden + 1))
@@ -283,7 +277,7 @@ def _fit_lockstep(jobs, hidden, learning_rate, batch_size, max_epochs, patience,
     # Adam is elementwise, so one flat vector of every fit's parameters takes
     # each fit's own steps; each step updates these buffers in place, in the
     # order of the textbook Adam expressions, so each element rounds exactly as there
-    f, ms = len(jobs), [features.m for features, *_ in jobs]
+    f, ms = len(candidates), [features.m for features in candidates]
     w1s, w2s = [v[: m * hidden] for v, m in zip(best, ms)], [v[-1 - hidden : -1] for v in best]
     theta = np.concatenate([*w1s, np.zeros(f * hidden), *w2s, np.zeros(f)])
     grad, update, scale, moment1, moment2 = np.zeros((5, len(theta)))
@@ -330,11 +324,10 @@ def _fit_lockstep(jobs, hidden, learning_rate, batch_size, max_epochs, patience,
 
     logger.info("mlp: %d fits in lockstep, %d steps, epochs run %s", f, step, ",".join(map(str, epochs)))
     models = []
-    for j, (features, _, _, standardization) in enumerate(jobs):
+    for j, features in enumerate(candidates):
         logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs[j], best_epoch[j], best_val[j])
-        standardization = standardization or StandardizationParams.identity(features.m)
         (w1,), b1, w2, b2 = _views(best[j], [features.m], hidden)
-        models.append(EnsembleModel("mlp", list(features.feature_names), standardization, mlp=MlpParams(w1, b1[0], w2[0], b2[0])))
+        models.append(EnsembleModel("mlp", list(features.feature_names), standardizations[j], mlp=MlpParams(w1, b1[0], w2[0], b2[0])))
     return models
 
 
@@ -384,11 +377,11 @@ def select_model(
     fit_idx = [i for i, s in enumerate(sources) if s in fit_sources]
     val_idx = [i for i, s in enumerate(sources) if s not in fit_sources]
     if len(fit_idx) >= 2 and len(val_idx) >= 2:
-        jobs = [_standardized_job(features.take_rows(fit_idx), y[fit_idx], seed) for features in candidates]
-        mlps = fit_mlp(jobs, **mlp_options) if len(fit_idx) >= 10 else [None] * len(candidates)
-        for i, ((sub_std, y_fit, _, sub_params), mlp_model) in enumerate(zip(jobs, mlps)):
-            holdout, y_val = candidates[i].take_rows(val_idx), y[val_idx]
-            rho_linear = spearman(predict(fit_linear(sub_std, y_fit, standardization=sub_params), holdout), y_val)
+        subsets, y_fit, y_val = [features.take_rows(fit_idx) for features in candidates], y[fit_idx], y[val_idx]
+        mlps = fit_mlp(subsets, y_fit, seed, **mlp_options) if len(fit_idx) >= 10 else [None] * len(candidates)
+        for i, (subset, mlp_model) in enumerate(zip(subsets, mlps)):
+            holdout = candidates[i].take_rows(val_idx)
+            rho_linear = spearman(predict(fit_linear(subset, y_fit), holdout), y_val)
             rho_mlp = spearman(predict(mlp_model, holdout), y_val) if mlp_model else -np.inf
             kinds[i] = "mlp" if rho_mlp - rho_linear > SELECTION_TIE else "linear"
             outcome = "skipped -> linear" if mlp_model is None else f"{rho_mlp:.4f} -> {kinds[i]} by {abs(rho_mlp - rho_linear):.4f}"
@@ -396,12 +389,5 @@ def select_model(
     else:
         logger.info("model selection: no source-disjoint validation split -> linear")
 
-    jobs = [_standardized_job(features, y, seed) for features in candidates]
-    refit = iter(fit_mlp([job for job, kind in zip(jobs, kinds) if kind == "mlp"], **mlp_options))
-    return [next(refit) if kind == "mlp" else fit_linear(std, y, standardization=params) for (std, _, _, params), kind in zip(jobs, kinds)]
-
-
-def _standardized_job(features: FeatureMatrix, y: np.ndarray, seed: int) -> tuple:
-    """A `fit_mlp` job on ``features`` standardized by their own mean and std."""
-    params = standardize_fit(features)
-    return standardize_apply(features, params), y, seed, params
+    refit = iter(fit_mlp([features for features, kind in zip(candidates, kinds) if kind == "mlp"], y, seed, **mlp_options))
+    return [next(refit) if kind == "mlp" else fit_linear(features, y) for features, kind in zip(candidates, kinds)]

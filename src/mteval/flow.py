@@ -36,14 +36,14 @@ _CONVERGENCE = "transportation solver failed to converge; please report this ins
 
 @dataclass
 class FlowSolution:
-    """Optimal flows of a transportation instance.
+    """Optimal plan of a transportation instance.
 
-    ``flows`` maps (supply index, demand index) to the shipped mass; row
-    sums reproduce the supplies and column sums the demands (up to float
-    dust), and ``cost`` is the cumulative shipped-mass-times-cost optimum.
+    ``plan`` is the nonnegative n x m array of shipped masses; row sums
+    reproduce the supplies and column sums the demands (up to float dust),
+    and ``cost`` is the cumulative shipped-mass-times-cost optimum.
     """
 
-    flows: dict[tuple[int, int], float]
+    plan: np.ndarray
     cost: float
     n_sources: int
     n_sinks: int
@@ -183,8 +183,7 @@ def _solve_chunk(chunk):
         if np.any(np.abs(f.sum(axis=1) - a) > 1e-9 * scale) or np.any(np.abs(f.sum(axis=0) - b) > 1e-9 * scale):
             raise RuntimeError("transportation solver left unmet supply or demand beyond tolerance")
         f[f < 0] = 0.0
-        shipped_cells = {(int(i), int(j)): float(f[i, j]) for i, j in np.argwhere(f > 0)}
-        solutions.append(FlowSolution(flows=shipped_cells, cost=float((f * c).sum()), n_sources=len(a), n_sinks=len(b)))
+        solutions.append(FlowSolution(plan=f, cost=float((f * c).sum()), n_sources=len(a), n_sinks=len(b)))
     return solutions, rounds, int(shipped.sum())
 
 

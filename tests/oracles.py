@@ -75,10 +75,15 @@ def brute_force_transport(supplies, demands, costs) -> float:
     return float(totals[feasible].min())
 
 
+def plan_flows(plan: np.ndarray) -> dict[tuple[int, int], float]:
+    """The shipped cells of a transport plan as {(supply index, demand index): mass}, in row-major order."""
+    return {(int(i), int(j)): float(plan[i, j]) for i, j in np.argwhere(plan > 0)}
+
+
 def marginals(solution) -> tuple[np.ndarray, np.ndarray]:
-    """(row sums, column sums) of a FlowSolution's flows: its shipped supplies and received demands."""
+    """(row sums, column sums) of a FlowSolution's shipped cells: its shipped supplies and received demands."""
     rows, cols = np.zeros(solution.n_sources), np.zeros(solution.n_sinks)
-    for (i, j), value in solution.flows.items():
+    for (i, j), value in plan_flows(solution.plan).items():
         rows[i] += value
         cols[j] += value
     return rows, cols

@@ -33,6 +33,11 @@ def random_matrix(rng, n, m):
     return matrix(rng.normal(size=(n, m)))
 
 
+def standardized(features):
+    """The rows a fit on ``features`` trains on: standardized by their own mean and std."""
+    return standardize_apply(features, standardize_fit(features)).rows
+
+
 # ---------------------------------------------------------------------------
 # feature matrix plumbing
 # ---------------------------------------------------------------------------
@@ -110,9 +115,10 @@ def test_standardize_errors():
 
 
 def test_fit_linear_two_point_line():
+    # standardized, the points sit at -1 and 1, so the line is 0.5 x + 0.5
     model = fit_linear(matrix([[0.0], [1.0]]), [0.0, 1.0])
-    assert abs(model.weights[0] - 1.0) < 1e-6
-    assert abs(model.intercept) < 1e-6
+    assert abs(model.weights[0] - 0.5) < 1e-6
+    assert abs(model.intercept - 0.5) < 1e-6
 
 
 def test_fit_linear_recovers_exact_coefficients():
@@ -121,8 +127,9 @@ def test_fit_linear_recovers_exact_coefficients():
     w_true = np.array([2.0, -1.0, 0.5])
     y = m.rows @ w_true + 4.0
     model = fit_linear(m, y)
-    assert np.allclose(model.weights, w_true, atol=1e-6)
-    assert abs(model.intercept - 4.0) < 1e-6
+    raw_weights = model.weights / model.standardization.std  # back from standardized to raw feature units
+    assert np.allclose(raw_weights, w_true, atol=1e-6)
+    assert abs(model.intercept - raw_weights @ model.standardization.mean - 4.0) < 1e-6
     assert np.allclose(predict(model, m), y, atol=1e-6)
 
 
@@ -131,7 +138,7 @@ def test_fit_linear_matches_lstsq_oracle():
     m = random_matrix(rng, 50, 5)
     y = rng.normal(size=50)
     model = fit_linear(m, y)
-    design = np.hstack([m.rows, np.ones((50, 1))])
+    design = np.hstack([standardize_apply(m, standardize_fit(m)).rows, np.ones((50, 1))])
     oracle, *_ = np.linalg.lstsq(design, y, rcond=None)
     assert np.allclose(model.weights, oracle[:-1], atol=1e-6)
     assert abs(model.intercept - oracle[-1]) < 1e-6
@@ -208,10 +215,10 @@ def test_fit_mlp_is_deterministic():
     rng = np.random.default_rng(5)
     m = random_matrix(rng, 40, 3)
     y = (m.rows @ np.array([1.0, -2.0, 0.5])).tolist()
-    (a,) = fit_mlp([(m, y, 11, None)], hidden=8, max_epochs=30)
-    (b,) = fit_mlp([(m, y, 11, None)], hidden=8, max_epochs=30)
+    (a,) = fit_mlp([m], y, 11, hidden=8, max_epochs=30)
+    (b,) = fit_mlp([m], y, 11, hidden=8, max_epochs=30)
     assert np.array_equal(predict(a, m), predict(b, m))
-    (c,) = fit_mlp([(m, y, 12, None)], hidden=8, max_epochs=30)
+    (c,) = fit_mlp([m], y, 12, hidden=8, max_epochs=30)
     assert not np.array_equal(predict(a, m), predict(c, m))
 
 
@@ -219,7 +226,7 @@ def test_fit_mlp_learns_a_noisy_linear_map():
     rng = np.random.default_rng(6)
     m = random_matrix(rng, 120, 2)
     y = m.rows @ np.array([2.0, -1.0]) + 0.05 * rng.normal(size=120)
-    (model,) = fit_mlp([(m, y, 7, None)])
+    (model,) = fit_mlp([m], y, 7)
     pred = predict(model, m)
     residual = float(np.mean((pred - y) ** 2))
     assert residual < 0.2 * float(np.var(y))
@@ -233,7 +240,7 @@ def test_fit_mlp_keeps_a_row_to_fit_on(monkeypatch, n, val_fraction):
     gradients = mteval.ensemble._stacked_gradients
     monkeypatch.setattr(mteval.ensemble, "_stacked_gradients", lambda *args, **kwargs: steps.append(1) or gradients(*args, **kwargs))
     features = random_matrix(np.random.default_rng(n), n, 2)
-    fit_mlp([(features, features.rows[:, 0], 3, None)], hidden=4, max_epochs=2, val_fraction=val_fraction)
+    fit_mlp([features], features.rows[:, 0], 3, hidden=4, max_epochs=2, val_fraction=val_fraction)
     assert len(steps) == 2
 
 
@@ -262,8 +269,8 @@ def test_fit_mlp_matches_the_per_block_adam_loop(caplog):
         )
         caplog.clear()
         with caplog.at_level("DEBUG", logger="mteval.ensemble"):
-            (got,) = fit_mlp([(features, y, seed, None)], **options)
-        want = loop_fit_mlp(features.rows, y, seed=seed, **options)
+            (got,) = fit_mlp([features], y, seed, **options)
+        want = loop_fit_mlp(standardized(features), y, seed=seed, **options)
         for name in ("w1", "b1", "w2", "b2"):
             a, b = np.asarray(getattr(got.mlp, name)), np.asarray(getattr(want, name))
             assert a.shape == b.shape and a.dtype == b.dtype, name
@@ -291,16 +298,17 @@ def test_fit_mlp_matches_the_per_block_adam_loop_for_every_fit_of_a_batch(monkey
         )
         cells = 1 << 18 if n_fits % 4 else 2 * options["batch_size"] * hidden  # groups of at most two fits
         monkeypatch.setattr(mteval.ensemble, "LOCKSTEP_CELLS", cells)
-        jobs = []
-        for _ in range(n_fits):
-            features = random_matrix(rng, n, int(rng.integers(1, 13)))
-            y = np.tanh(features.rows[:, 0]) * features.rows[:, -1] + 0.3 * rng.normal(size=n)
-            jobs.append((features, y, int(rng.integers(1000)), None))
+        # the candidates are column subsets of one table, against its gold, as model selection fits them
+        table = random_matrix(rng, n, 12)
+        y = np.tanh(table.rows[:, 0]) * table.rows[:, -1] + 0.3 * rng.normal(size=n)
+        columns = [rng.permutation(12)[: rng.integers(1, 13)] for _ in range(n_fits)]
+        candidates = [table.select([table.feature_names[j] for j in picked]) for picked in columns]
+        seed = int(rng.integers(1000))
         caplog.clear()
         with caplog.at_level("DEBUG", logger="mteval.ensemble"):
-            models = fit_mlp(jobs, **options)
-        for (features, y, seed, _), model in zip(jobs, models):
-            want = loop_fit_mlp(features.rows, y, seed=seed, **options)
+            models = fit_mlp(candidates, y, seed, **options)
+        for features, model in zip(candidates, models):
+            want = loop_fit_mlp(standardized(features), y, seed=seed, **options)
             for name in ("w1", "b1", "w2", "b2"):
                 a, b = np.asarray(getattr(model.mlp, name)), np.asarray(getattr(want, name))
                 assert a.shape == b.shape and a.dtype == b.dtype, name
@@ -313,19 +321,18 @@ def test_fit_mlp_matches_the_per_block_adam_loop_for_every_fit_of_a_batch(monkey
         seen["early beside full"] += min(epochs) < max_epochs == max(epochs)
         seen["groups"] += cells < 1 << 18 and n_fits > 2
     assert min(seen.values()) >= 2, seen
-    with pytest.raises(ValueError, match="share their row count"):
-        fit_mlp([jobs[0], (random_matrix(rng, n + 1, 2), np.zeros(n + 1), 1, None)])
+    with pytest.raises(ValueError, match="gold length"):
+        fit_mlp([candidates[0], random_matrix(rng, n + 1, 2)], y, 1)
 
 
 def test_fit_mlp_logs_its_fits_steps_and_epochs(caplog):
     rng = np.random.default_rng(8)
-    jobs = []
-    for m in (1, 3, 5):
-        features = random_matrix(rng, 30, m)
-        jobs.append((features, features.rows[:, 0] + rng.normal(size=30), m, None))
+    table = random_matrix(rng, 30, 5)
+    y = table.rows[:, 0] + rng.normal(size=30)
+    candidates = [table.select(table.feature_names[:m]) for m in (1, 3, 5)]
     with caplog.at_level("INFO", logger="mteval.ensemble"):
-        fit_mlp(jobs, hidden=4, batch_size=10, learning_rate=0.1, max_epochs=40, patience=3)
-        fit_mlp([], hidden=4)
+        fit_mlp(candidates, y, 1, hidden=4, batch_size=10, learning_rate=0.1, max_epochs=40, patience=3)
+        assert fit_mlp([], [], 0, hidden=4) == []
     (line,) = [message for message in caplog.messages if message.startswith("mlp:")]
     # "mlp: <fits> fits in lockstep, <steps> steps, epochs run <e1>,<e2>,..."
     words = line.split()
@@ -342,9 +349,9 @@ def test_fit_mlp_steps_its_lockstep_groups_in_one_call(monkeypatch, caplog):
     monkeypatch.setattr(mteval.ensemble, "fit_mlp", lambda *args, **kwargs: calls.append(1) or fit(*args, **kwargs))
     monkeypatch.setattr(mteval.ensemble, "LOCKSTEP_CELLS", 10 * 4)  # one fit of 10-row batches and 4 units a group
     rng = np.random.default_rng(10)
-    jobs = [(random_matrix(rng, 20, 2), rng.normal(size=20), seed, None) for seed in range(3)]
+    candidates = [random_matrix(rng, 20, 2) for _ in range(3)]
     with caplog.at_level("INFO", logger="mteval.ensemble"):
-        models = mteval.ensemble.fit_mlp(jobs, hidden=4, batch_size=10, max_epochs=2)
+        models = mteval.ensemble.fit_mlp(candidates, rng.normal(size=20), 0, hidden=4, batch_size=10, max_epochs=2)
     assert len(calls) == 1 and len(models) == 3
     assert sum(message.startswith("mlp: 1 fits in lockstep") for message in caplog.messages) == 3
 
@@ -354,8 +361,8 @@ def test_fit_mlp_logs_where_it_stopped(caplog):
     features = random_matrix(rng, 60, 3)
     y = features.rows[:, 0] + 0.5 * rng.normal(size=60)
     with caplog.at_level("DEBUG", logger="mteval.ensemble"):
-        fit_mlp([(features, y, 3, None)], hidden=8, learning_rate=0.05, max_epochs=200, patience=4)
-        fit_mlp([(features, y, 3, None)], hidden=8, max_epochs=6, patience=6)
+        fit_mlp([features], y, 3, hidden=8, learning_rate=0.05, max_epochs=200, patience=4)
+        fit_mlp([features], y, 3, hidden=8, max_epochs=6, patience=6)
     early, full = [message.split() for message in caplog.messages if message.startswith("mlp fit:")]
     # "mlp fit: <epochs> epochs run, best epoch <epoch>, validation MSE <mse>"
     epochs, best = int(early[2]), int(early[7].rstrip(","))
@@ -370,7 +377,7 @@ def test_fit_mlp_needs_ten_rows():
     rng = np.random.default_rng(7)
     m = random_matrix(rng, 9, 2)
     with pytest.raises(ValueError, match="10 rows"):
-        fit_mlp([(m, list(range(9)), 1, None)])
+        fit_mlp([m], list(range(9)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +398,10 @@ def test_predict_applies_stored_standardization():
     rng = np.random.default_rng(9)
     m = random_matrix(rng, 30, 2)
     y = m.rows @ np.array([1.5, -0.5]) + 2.0
+    model = fit_linear(m, y)
     params = standardize_fit(m)
-    model = fit_linear(standardize_apply(m, params), y, standardization=params)
+    assert model.standardization.mean.tobytes() == params.mean.tobytes()
+    assert model.standardization.std.tobytes() == params.std.tobytes()
     # predict takes RAW features and standardizes internally
     assert np.allclose(predict(model, m), y, atol=1e-6)
 
@@ -403,9 +412,14 @@ def test_select_model_invariant_to_affine_feature_rescaling():
     y = (m.rows @ np.array([1.0, 2.0, -1.0])).tolist()
     shifted_rows = m.rows * np.array([10.0, 0.5, 3.0]) + np.array([100.0, -7.0, 0.0])
     shifted = matrix(shifted_rows)
-    (a,) = select_model([m], y, seed=3)
-    (b,) = select_model([shifted], y, seed=3)
-    assert np.allclose(predict(a, m), predict(b, shifted), atol=1e-6)
+    # each fit standardizes its own input, so model selection and both fits see the same rows
+    fits = {
+        "select_model": lambda features: select_model([features], y, seed=3)[0],
+        "fit_linear": lambda features: fit_linear(features, y),
+        "fit_mlp": lambda features: fit_mlp([features], y, 3)[0],
+    }
+    for name, fit in fits.items():
+        assert np.allclose(predict(fit(m), m), predict(fit(shifted), shifted), atol=1e-6), name
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +517,8 @@ def test_select_model_errors():
 
 def test_ensemble_model_invariants():
     with pytest.raises(ValueError, match="kind"):
-        EnsembleModel(kind="forest", feature_names=[], standardization=StandardizationParams.identity(0))
+        EnsembleModel(kind="forest", feature_names=[], standardization=StandardizationParams(np.zeros(0), np.ones(0)))
     with pytest.raises(ValueError, match="weights"):
-        EnsembleModel(kind="linear", feature_names=[], standardization=StandardizationParams.identity(0))
+        EnsembleModel(kind="linear", feature_names=[], standardization=StandardizationParams(np.zeros(0), np.ones(0)))
     with pytest.raises(ValueError, match="parameter block"):
-        EnsembleModel(kind="mlp", feature_names=[], standardization=StandardizationParams.identity(0))
+        EnsembleModel(kind="mlp", feature_names=[], standardization=StandardizationParams(np.zeros(0), np.ones(0)))

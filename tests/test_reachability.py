@@ -40,7 +40,6 @@ ALLOWLIST = {
         "runs only when a row cut at its stored 3 x top_k depth runs out, which no demo or smoke corpus reaches; "
         "test_vsm.py's oracle test forces it"
     ),
-    "ensemble.StandardizationParams.identity": "the standardization=None default of fit_linear and fit_mlp",
 }
 
 

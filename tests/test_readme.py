@@ -1,12 +1,16 @@
 """The README's code runs against the current API, and its tables restate the code's."""
 
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import re
 import sys
 from math import inf
 from pathlib import Path
 
+import mteval
 from mteval.config import _RANGES
 from mteval.metrics import METRICS
 from mteval.pipeline import _SPACE_PATHS
@@ -65,3 +69,43 @@ def test_readme_run_config_ranges_match_the_validated_ranges():
     rows += [f"| {', '.join(names)} | {text} |" for text, names in keys.items() if names]
     rows += ["| `split.seed` | integers ≥ 0 |", "| `output_dir` | a nonempty path string |"]  # checked outside the table
     assert readme_table(rows[0]) == rows
+
+
+def signature_form(function) -> list[str]:
+    """The parameter names of ``function`` as a call form writes them, a bare `*` before the keyword-only ones."""
+    form = []
+    for parameter in inspect.signature(function).parameters.values():
+        if parameter.kind is parameter.KEYWORD_ONLY and "*" not in form:
+            form.append("*")
+        form.append(parameter.name)
+    return form
+
+
+def test_readme_call_forms_match_the_signatures():
+    # every backticked `[module.]name(args)` naming a function of src/mteval, a form that wraps a line included
+    functions = {}
+    for info in pkgutil.iter_modules(mteval.__path__):
+        module = importlib.import_module(f"mteval.{info.name}")
+        functions.update(
+            (name, (info.name, value))
+            for name, value in vars(module).items()
+            if inspect.isfunction(value) and value.__module__ == module.__name__
+        )
+    checked = set()
+    for match in re.finditer(r"`(?:(\w+)\.)?(\w+)\(([^`()]*)\)`", README):
+        module, name, args = match.groups()
+        if name not in functions:
+            continue
+        defined_in, function = functions[name]
+        assert module in (None, defined_in), f"{match.group(0)}: {name} is defined in mteval.{defined_in}"
+        written = [arg.split("=")[0].strip() for arg in args.split(",")] if args.strip() else []
+        signature, form = inspect.signature(function), signature_form(function)
+        if written[-1:] == ["**options"]:  # stands for the remaining parameters, each with a default
+            written = written[:-1]
+            form, rest = form[: len(written)], form[len(written) :]
+            no_default = [p for p in rest if p != "*" and signature.parameters[p].default is inspect.Parameter.empty]
+            assert no_default == [], f"{match.group(0)}: {name}{signature} has no default for {no_default}"
+        assert written == form, f"{match.group(0)}: {name}{signature}"
+        checked.add(name)
+    expected = ["score_dataset", "reg_base_features", "average_judgements", "evaluate", "ablation", "cross_lingual_eval"]
+    assert checked >= {*expected, "select_model", "fit_mlp", "fit_linear"}, checked
