@@ -14,7 +14,6 @@ correlation left undefined by two constant inputs is reported as 0.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import sys
 from pathlib import Path
@@ -100,6 +99,7 @@ def _write_flags(path: Path, flags: dict[str, dict[str, str]]) -> None:
 
 def _write_ablation(path: Path, steps: list[AblationStep]) -> None:
     """ablation.csv, through csv.writer: an external column name may hold a comma."""
+    import csv  # only here: the other subcommands skip its import
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["step", "eliminated", "remaining", "test_rho"])

@@ -11,7 +11,6 @@ lets the embedding metrics run without on-the-fly inference.
 from __future__ import annotations
 
 import functools
-import hashlib
 import io
 import itertools
 import logging
@@ -185,6 +184,7 @@ def _cached_parse(path: Path, read_rows, item_rule):
     spoils the entry.  Any cache failure falls back to the parse.  One INFO
     line per load tells which.
     """
+    import hashlib  # only here: runs that read no contextual file skip its import
     entry = digest = None
     try:
         directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "mteval"

@@ -62,23 +62,27 @@ def solve_transport(supplies, demands, costs) -> FlowSolution:
 def solve_transport_batch(problems) -> list[FlowSolution]:
     """Solve each (supplies, demands, costs) problem as `solve_transport` does.
 
-    Solutions come in input order.  Problems are solved in size order, in
-    chunks of at most CHUNK_CELLS padded cells; one INFO line reports the
-    batch's size, its largest problem, and the lockstep rounds and
-    augmentations it took.
+    Solutions come in input order.  Tall and square problems (n >= m) are
+    solved apart from wide ones (n < m), so a chunk never pads one to the
+    other's shape; each group goes in size order, in chunks of at most
+    CHUNK_CELLS padded cells.  One INFO line reports the batch's size, its
+    largest problem, and the lockstep rounds and augmentations it took.
     """
     checked = [_checked(*problem) for problem in problems]
     if not checked:
         return []
     order = sorted(range(len(checked)), key=lambda p: checked[p][2].size)
-    n, m = np.max([c.shape for _, _, c, _ in checked], axis=0)
-    size = max(1, CHUNK_CELLS // int(n * m))
-    solutions, rounds, augmentations = {}, 0, 0
-    for start in range(0, len(order), size):
-        chunk = order[start : start + size]
-        solved, chunk_rounds, chunk_augmentations = _solve_chunk([checked[p] for p in chunk])
-        solutions.update(zip(chunk, solved))
-        rounds, augmentations = rounds + chunk_rounds, augmentations + chunk_augmentations
+    groups, solutions, rounds, augmentations = {}, {}, 0, 0
+    for p in order:  # tall and square problems, and wide ones
+        groups.setdefault(checked[p][2].shape[0] < checked[p][2].shape[1], []).append(p)
+    for group in groups.values():
+        n, m = np.max([checked[p][2].shape for p in group], axis=0)
+        size = max(1, CHUNK_CELLS // int(n * m))
+        for start in range(0, len(group), size):
+            chunk = group[start : start + size]
+            solved, chunk_rounds, chunk_augmentations = _solve_chunk([checked[p] for p in chunk])
+            solutions.update(zip(chunk, solved))
+            rounds, augmentations = rounds + chunk_rounds, augmentations + chunk_augmentations
     logger.info(
         "transport: %d problems, largest %d x %d, %d lockstep rounds, %d augmentations",
         len(checked), *checked[order[-1]][2].shape, rounds, augmentations,
@@ -87,7 +91,7 @@ def solve_transport_batch(problems) -> list[FlowSolution]:
 
 
 def _checked(supplies, demands, costs):
-    """Validated (supplies, demands, costs, scale) of one problem."""
+    """Validated (supplies, demands, costs, scale, largest cost) of one problem."""
     a = np.asarray(supplies, dtype=float)
     b = np.asarray(demands, dtype=float)
     costs = np.asarray(costs, dtype=float)
@@ -96,18 +100,19 @@ def _checked(supplies, demands, costs):
         raise ValueError(f"cost matrix shape {costs.shape} does not match {n} supplies x {m} demands")
     if n == 0 or m == 0:
         raise ValueError("transportation instance needs at least one supply and one demand")
-    if np.any(a < 0) or np.any(b < 0):
+    if a.min() < 0 or b.min() < 0:  # a NaN passes here and fails the sums below
         raise ValueError("supplies and demands must be nonnegative")
-    if not np.all(np.isfinite(costs)) or np.any(costs < 0):
+    largest = float(costs.max())
+    if not (costs.min() >= 0 and largest < np.inf):  # false for a NaN too
         raise ValueError("costs must be finite and nonnegative")
     total_a = float(a.sum())
     total_b = float(b.sum())
-    if not np.isfinite([total_a, total_b]).all():
+    if not (total_a < np.inf and total_b < np.inf):  # both sums are >= 0 or NaN here
         raise ValueError("supplies and demands must be finite")
     scale = max(total_a, total_b, 1.0)
     if abs(total_a - total_b) > 1e-9 * scale:
         raise ValueError(f"unbalanced instance: supplies sum to {total_a}, demands to {total_b}")
-    return a, b, costs, scale
+    return a, b, costs, scale, largest
 
 
 def _solve_chunk(chunk):
@@ -117,20 +122,22 @@ def _solve_chunk(chunk):
     problem leaves the live set once no unmet demand is reachable or its
     path's bottleneck is dust; the padding shrinks to the problems left.
     """
-    sizes = np.array([c.shape for _, _, c, _ in chunk])
+    sizes = np.array([c.shape for _, _, c, _, _ in chunk])
     n, m = sizes.max(axis=0)
     costs = np.full((len(chunk), n, m), np.inf)
     supply_left, demand_left = np.zeros((len(chunk), n)), np.zeros((len(chunk), m))
-    for p, (a, b, c, _) in enumerate(chunk):
+    for p, (a, b, c, _, _) in enumerate(chunk):
         costs[p, : len(a), : len(b)], supply_left[p, : len(a)], demand_left[p, : len(b)] = c, a, b
+    supplies, demands = supply_left.copy(), demand_left.copy()
+    scales = np.array([scale for _, _, _, scale, _ in chunk])
     # Residuals below tol are float dust from saturation arithmetic, not mass.
-    tol = 1e-14 * np.array([scale for *_, scale in chunk])
+    tol = 1e-14 * scales
     # Relax only on improvements beyond eps: float rounding in (d + c) - c
     # would otherwise close zero-length predecessor cycles.
-    eps = np.array([1e-12 * float(c.max()) for _, _, c, _ in chunk])
+    eps = 1e-12 * np.array([largest for *_, largest in chunk])
     budget = 2 * sizes.sum(axis=1) + 2 * sizes.prod(axis=1) + 16
     flow = np.zeros_like(costs)
-    flows: list = [None] * len(chunk)
+    plans = np.zeros_like(costs)  # each problem's flow as it leaves the live set
     live = np.arange(len(chunk))
     shipped = np.zeros(len(chunk), dtype=np.int64)
     rounds = 0
@@ -170,19 +177,20 @@ def _solve_chunk(chunk):
         if (shipped >= budget).any():
             raise RuntimeError(_CONVERGENCE)
         if not ship.all():
-            for k in np.flatnonzero(~ship):
-                flows[live[k]] = flow[k].copy()
+            plans[live[~ship], :n, :m] = flow[~ship]
             live, tol, eps = live[ship], tol[ship], eps[ship]
             n, m = sizes[live].max(axis=0, initial=0)
             costs, flow = costs[ship, :n, :m], flow[ship, :n, :m]
             supply_left, demand_left = supply_left[ship, :n], demand_left[ship, :m]
 
+    # padded cells ship nothing, so the marginals of the padded plans are the problems' own
+    slack = 1e-9 * scales[:, None]
+    if (np.abs(plans.sum(axis=2) - supplies) > slack).any() or (np.abs(plans.sum(axis=1) - demands) > slack).any():
+        raise RuntimeError("transportation solver left unmet supply or demand beyond tolerance")
+    plans[plans < 0] = 0.0
     solutions = []
-    for (a, b, c, scale), f in zip(chunk, flows):
+    for (a, b, c, _, _), f in zip(chunk, plans):
         f = f[: len(a), : len(b)].copy()
-        if np.any(np.abs(f.sum(axis=1) - a) > 1e-9 * scale) or np.any(np.abs(f.sum(axis=0) - b) > 1e-9 * scale):
-            raise RuntimeError("transportation solver left unmet supply or demand beyond tolerance")
-        f[f < 0] = 0.0
         solutions.append(FlowSolution(plan=f, cost=float((f * c).sum()), n_sources=len(a), n_sinks=len(b)))
     return solutions, rounds, int(shipped.sum())
 

@@ -263,57 +263,58 @@ def wmd(x: WeightedBow, y: WeightedBow, store: EmbeddingStore, vocab: Vocabulary
     without an embedding; pairwise Euclidean distances between term vectors
     are the transport costs.
     """
-    return _transport_cost(*_wmd_sides(x, y, store, vocab))
+    (tx, ex), (ty, ey) = _embedded(x, store, vocab), _embedded(y, store, vocab)
+    return _transport_cost(_weights(x, tx, "first"), _weights(y, ty, "second"), ex, ey)
 
 
-def _wmd_sides(x: WeightedBow, y: WeightedBow, store: EmbeddingStore, vocab: Vocabulary):
-    ix, wx = _embedded_terms(x, store, vocab)
-    iy, wy = _embedded_terms(y, store, vocab)
-    if not ix:
-        raise UnscorableSegment("first side has no embedded terms with positive weight")
-    if not iy:
-        raise UnscorableSegment("second side has no embedded terms with positive weight")
-    ex = np.stack([store[vocab.terms[i]] for i in ix])
-    ey = np.stack([store[vocab.terms[i]] for i in iy])
-    return np.asarray(wx), np.asarray(wy), ex, ey
+def _embedded(bow: WeightedBow, store: EmbeddingStore, vocab: Vocabulary):
+    """A bag's terms that have a vector, in index order, and their stacked vectors (nfx keeps nnx's terms)."""
+    terms = [i for i in sorted(bow.entries) if vocab.terms[i] in store]
+    return terms, np.stack([store[vocab.terms[i]] for i in terms]) if terms else None
 
 
-def _embedded_terms(bow: WeightedBow, store: EmbeddingStore, vocab: Vocabulary):
-    indices = []
-    weights = []
-    for i in sorted(bow.entries):
-        w = bow.entries[i]
-        if w > 0 and vocab.terms[i] in store:
-            indices.append(i)
-            weights.append(w)
-    return indices, weights
+def _weights(bow: WeightedBow, terms: list[int], side: str) -> np.ndarray:
+    """The bag's weights of ``terms``, zeros included; a side without a positive one is unscorable."""
+    weights = np.array([bow.entries[i] for i in terms])
+    if not (weights > 0).any():
+        raise UnscorableSegment(f"{side} side has no embedded terms with positive weight")
+    return weights
 
 
 def _transport_cost(wx: np.ndarray, wy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> float:
-    problem = _transport_problem(wx, wy, ex, ey)
+    problem = _transport_problem(wx, wy, _costs(ex, ey))
     return problem if isinstance(problem, float) else solve_transport(*problem).cost
 
 
-def _transport_problem(wx: np.ndarray, wy: np.ndarray, ex: np.ndarray, ey: np.ndarray) -> float | tuple:
-    """The (supplies, demands, costs) left to solve, or the cost 0.0 when all mass is pre-matched."""
+def _costs(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of two vector stacks; each cell is its own sum over d."""
     if ex.shape[1] != ey.shape[1]:
         raise DataError(f"embedding dimensions differ between sides: {ex.shape[1]} vs {ey.shape[1]}")
-    a = wx / wx.sum()
-    b = wy / wy.sum()
     diff = ex[:, None, :] - ey[None, :, :]
-    costs = np.sqrt((diff * diff).sum(axis=2))
+    return np.sqrt((diff * diff).sum(axis=2))
+
+
+def _transport_problem(wx: np.ndarray, wy: np.ndarray, costs: np.ndarray) -> float | tuple:
+    """The (supplies, demands, costs) left to solve, or the cost 0.0 when all mass is pre-matched.
+
+    ``wx`` and ``wy`` weight the rows and columns of ``costs``; those not
+    positive ship nothing in the pre-match and drop out with the matched ones.
+    """
+    a = np.where(wx > 0, wx / wx[wx > 0].sum(), 0.0).tolist()  # summed as the positive weights alone: the same bits
+    b = np.where(wy > 0, wy / wy[wy > 0].sum(), 0.0).tolist()
     # A zero Euclidean cost means identical vectors.  The cost is a metric,
     # so some optimal plan keeps all the mass the two sides share there
     # (Pele & Werman 2009); only the remainder needs the solver.  This
     # does not hold for the general costs solve_transport accepts.
-    for i, j in np.argwhere(costs == 0.0):
+    for i, j in np.argwhere(costs == 0.0).tolist():
         shared = min(a[i], b[j])
         a[i] -= shared
         b[j] -= shared
+    a, b = np.array(a), np.array(b)
     rows, cols = a > 1e-14, b > 1e-14  # unit masses: what is left below is subtraction dust
     if not rows.any() or not cols.any():
         return 0.0
-    return a[rows], b[cols], costs[np.ix_(rows, cols)]
+    return a[rows], b[cols], costs.compress(rows, 0).compress(cols, 1)
 
 
 def wmd_contextual(
@@ -331,6 +332,7 @@ def wmd_contextual(
 
 
 def _contextual_sides(records_x, records_y, weighting, vocab):
+    """The weights of two sides' occurrences (zeros included) and their vector stacks."""
     if weighting not in ("nnx", "nfx"):
         raise ValueError(f"unknown weighting {weighting!r}")
     if weighting == "nfx" and vocab is None:
@@ -339,18 +341,11 @@ def _contextual_sides(records_x, records_y, weighting, vocab):
         raise UnscorableSegment("first side has no contextual vectors")
     if not records_y:
         raise UnscorableSegment("second side has no contextual vectors")
-
-    def parts(records):  # nnx is nfx with weight 1 for every occurrence
-        weighted = [(r, 1.0 if weighting == "nnx" else vocab.idf(r.token)) for r in records]
-        return [r for r, w in weighted if w > 0], [w for _, w in weighted if w > 0]
-
-    kx, wx = parts(records_x)
-    ky, wy = parts(records_y)
-    if not kx or not ky:
+    weights = ([1.0 if weighting == "nnx" else vocab.idf(r.token) for r in records] for records in (records_x, records_y))
+    wx, wy = map(np.array, weights)  # nnx is nfx with weight 1 for every occurrence
+    if not (wx > 0).any() or not (wy > 0).any():
         raise UnscorableSegment("all occurrence weights are zero under nfx")
-    ex = np.stack([r.vector for r in kx])
-    ey = np.stack([r.vector for r in ky])
-    return np.asarray(wx), np.asarray(wy), ex, ey
+    return wx, wy, np.stack([r.vector for r in records_x]), np.stack([r.vector for r in records_y])
 
 
 def compositionality(x: Sequence[str], y: Sequence[str], full_matrix: bool = False) -> float:
@@ -385,29 +380,25 @@ def _transition_probs(tags: Sequence[str]) -> dict[tuple[str, str], float]:
     return {(a, b): n / out[a] for (a, b), n in Counter(zip(tags, tags[1:])).items()}
 
 
-def sentence_bleu(
-    reference_tokens: list[str], hypothesis_tokens: list[str], max_n: int = 4, reference_counts: list[Counter] | None = None
-) -> float:
-    """Sentence BLEU: clipped n-gram precisions with add-one smoothing (n >= 2).
+def sentence_bleu(reference_tokens: list[str], hypothesis_tokens: list[str], reference_counts: list[Counter] | None = None) -> float:
+    """Sentence BLEU-4: clipped n-gram precisions with add-one smoothing (n >= 2).
 
-    Geometric mean of precisions for n = 1..max_n times the brevity penalty
+    Geometric mean of precisions for n = 1..4 times the brevity penalty
     min(1, e^(1 - r/h)).  An empty hypothesis or zero unigram overlap is 0.
-    ``reference_counts`` are the reference's `_ngram_counts` up to max_n when
-    the caller already holds them, as for an anchor shared by several
+    ``reference_counts`` are the reference's `_ngram_counts` when the
+    caller already holds them, as for an anchor shared by several
     hypotheses.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     h = len(hypothesis_tokens)
     if h == 0:
         return 0.0
     r = len(reference_tokens)
     if reference_counts is None:
-        reference_counts = _ngram_counts(reference_tokens, max_n)
-    elif len(reference_counts) != max_n:
-        raise ValueError(f"reference_counts holds {len(reference_counts)} orders, max_n is {max_n}")
+        reference_counts = _ngram_counts(reference_tokens)
+    elif len(reference_counts) != 4:
+        raise ValueError(f"reference_counts holds {len(reference_counts)} orders, BLEU-4 reads 4")
     log_precisions = 0.0
-    for n, ref_counts in zip(range(1, max_n + 1), reference_counts):
+    for n, ref_counts in enumerate(reference_counts, start=1):
         hyp_counts = Counter(_ngrams(hypothesis_tokens, n))
         total = max(h - n + 1, 0)
         clipped = sum([min(count, ref_counts[gram]) for gram, count in hyp_counts.items() if gram in ref_counts])
@@ -419,12 +410,12 @@ def sentence_bleu(
             precision = (clipped + 1) / (total + 1)
         log_precisions += math.log(precision)
     brevity = min(1.0, math.exp(1.0 - r / h))
-    return brevity * math.exp(log_precisions / max_n)
+    return brevity * math.exp(log_precisions / 4)
 
 
-def _ngram_counts(tokens: list[str], max_n: int = 4) -> list[Counter]:
-    """The n-gram counts of a token list for n = 1..max_n."""
-    return [Counter(_ngrams(tokens, n)) for n in range(1, max_n + 1)]
+def _ngram_counts(tokens: list[str]) -> list[Counter]:
+    """The n-gram counts of a token list for n = 1..4, as `sentence_bleu` reads them."""
+    return [Counter(_ngrams(tokens, n)) for n in range(1, 5)]
 
 
 def _ngrams(tokens: list[str], n: int):
@@ -469,12 +460,7 @@ def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -
     placeholders: dict[str, float] = {}
     for name in metric_names:
         observed = [v.scores[name] for v in vectors if not math.isnan(v.scores[name])]
-        if not observed:
-            placeholders[name] = 0.0
-        elif METRICS[name].higher_is_better:
-            placeholders[name] = min(observed)
-        else:
-            placeholders[name] = max(observed)
+        placeholders[name] = (min if METRICS[name].higher_is_better else max)(observed, default=0.0)
     return placeholders
 
 
@@ -493,13 +479,12 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
     vectors, anchors = [], set()
     pending, cells = [], 0  # (scores of one segment, metric, transport problem); their cost cells
     for count, segment in enumerate(segments, start=1):
-        scores: dict[str, float] = {}
-        flags: dict[str, str] = {}
+        scores, flags, shared = {}, {}, {}
         anchor_text = _anchor_text(segment, config)
         anchors.add(anchor_text)
         for name in config.metrics:
             try:
-                value, flag = _compute_metric(name, segment, anchor_text, config, resources)
+                value, flag = _compute_metric(name, segment, anchor_text, config, resources, shared)
                 if flag is not None:
                     flags[name] = flag
             except UnscorableSegment as exc:
@@ -529,9 +514,12 @@ def score_segment(segment: Segment, config: MetricConfig, resources: Resources) 
 
 
 def _compute_metric(
-    name: str, segment: Segment, anchor_text: str, config: MetricConfig, resources: Resources
+    name: str, segment: Segment, anchor_text: str, config: MetricConfig, resources: Resources, shared: dict
 ) -> tuple[float | tuple, str | None]:
-    """One metric's score and flag; a WMD score is its unsolved transport problem."""
+    """One metric's score and flag; a WMD score is its unsolved transport problem.
+
+    ``shared`` is the segment's memo of what its WMD metrics share.
+    """
     info = METRICS[name]
     if info.family == "bleu":
         reference = resources.tokens("words", anchor_text)
@@ -544,17 +532,24 @@ def _compute_metric(
         return compositionality(anchor_tags, segment.pos_hypothesis, full_matrix=config.compositionality_full_matrix), None
     if info.space == "contextual":
         groups = resources.contextual_groups or {}
-        rx = groups.get((segment.id, config.anchor_side), [])
-        ry = groups.get((segment.id, "hypothesis"), [])
-        return _transport_problem(*_contextual_sides(rx, ry, info.weighting, resources.vocabs.get(info.space))), None
-
-    # remaining metrics are bag-of-words over static (words) or decontextualized (pieces) vectors
-    x = resources.bag(info.space, info.weighting, anchor_text)
-    y = resources.bag(info.space, info.weighting, segment.hypothesis)
-    if info.family == "scm":
-        if x.is_zero() or y.is_zero():
-            return 0.0, EMPTY_BOW_FLAG
-        matrix = resources.sims[info.similarity_key]
-        x_norm = resources._memoized(("soft_norm", *info.similarity_key, anchor_text), lambda: _soft_norm(x, matrix))
-        return scm(x, y, matrix, x_norm), None
-    return _transport_problem(*_wmd_sides(x, y, resources.stores[info.space], resources.vocabs[info.space])), None
+        rx, ry = (groups.get((segment.id, side), []) for side in (config.anchor_side, "hypothesis"))
+        wx, wy, ex, ey = _contextual_sides(rx, ry, info.weighting, resources.vocabs.get(info.space))
+    else:  # bags of words over static (words) or decontextualized (pieces) vectors
+        x = resources.bag(info.space, info.weighting, anchor_text)
+        y = resources.bag(info.space, info.weighting, segment.hypothesis)
+        if info.family == "scm":
+            if x.is_zero() or y.is_zero():
+                return 0.0, EMPTY_BOW_FLAG
+            matrix = resources.sims[info.similarity_key]
+            x_norm = resources._memoized(("soft_norm", *info.similarity_key, anchor_text), lambda: _soft_norm(x, matrix))
+            return scm(x, y, matrix, x_norm), None
+        # an anchor side's embedded terms are kept once per run, the hypothesis side's once per segment
+        store, vocab = resources.stores[info.space], resources.vocabs[info.space]
+        tx, ex = resources._memoized(("embedded", info.space, anchor_text), lambda: _embedded(x, store, vocab))
+        ty, ey = shared[info.space, "hypothesis"] = shared.get((info.space, "hypothesis")) or _embedded(y, store, vocab)
+        wx, wy = _weights(x, tx, "first"), _weights(y, ty, "second")
+    # Both weightings of a term space share the segment's cost matrix: nfx
+    # drops only zero-idf terms, so its problem takes a sub-block of the same bits.
+    if info.space not in shared:
+        shared[info.space] = _costs(ex, ey)
+    return _transport_problem(wx, wy, shared[info.space]), None

@@ -140,12 +140,8 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
         records = load_contextual(paths["contextual_records"])
         if not records:
             raise DataError(f"{paths['contextual_records']}: no records")
-        resources.contextual_groups = group_records(records)
-        group_docs = [
-            [record.token for record in resources.contextual_groups[key]]
-            for key in sorted(resources.contextual_groups)
-        ]
-        resources.vocabs["contextual"] = build_vocabulary(group_docs)
+        groups = resources.contextual_groups = group_records(records)
+        resources.vocabs["contextual"] = build_vocabulary([[record.token for record in groups[key]] for key in sorted(groups)])
         if any(METRICS[name].space == "pieces" for name in config.metrics):
             resources.stores["pieces"] = decontextualize(records)
             resources.vocabs["pieces"] = _side_vocabulary(dataset, resources, "pieces")
@@ -176,12 +172,8 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
 
 def _side_vocabulary(dataset: Dataset, resources: Resources, space: str) -> Vocabulary:
     """The term space's vocabulary over one document per segment side, the df unit for every vocabulary."""
-    documents = []
-    for segment in dataset.segments:
-        for text in (segment.source, segment.reference, segment.hypothesis):
-            if text is not None:
-                documents.append(resources.tokens(space, text))
-    return build_vocabulary(documents)
+    sides = (text for segment in dataset.segments for text in (segment.source, segment.reference, segment.hypothesis))
+    return build_vocabulary([resources.tokens(space, text) for text in sides if text is not None])
 
 
 def feature_names(config: MetricConfig, resources: Resources) -> list[str]:

@@ -31,6 +31,7 @@ class WordPieceVocab:
         if UNK_TOKEN not in self.entries:
             raise DataError(f"unknown-token {UNK_TOKEN!r} missing from the vocabulary")
         object.__setattr__(self, "_lookup", frozenset(self.entries))
+        object.__setattr__(self, "_splits", {})  # each word's pieces, which `wordpiece_tokenize` memoizes
 
     def __contains__(self, piece: str) -> bool:
         return piece in self._lookup
@@ -64,8 +65,12 @@ def wordpiece_tokenize(text: str, vocab: WordPieceVocab) -> list[str]:
     becomes the single unknown token.
     """
     pieces: list[str] = []
+    splits = vocab._splits  # tuples: no caller can change a memoized split
     for token in whitespace_tokenize(text):
-        pieces.extend(_split_token(token, vocab))
+        split = splits.get(token)
+        if split is None:
+            split = splits[token] = tuple(_split_token(token, vocab))
+        pieces.extend(split)
     return pieces
 
 

@@ -274,6 +274,29 @@ def test_batch_spanning_several_chunks_is_bit_equal(monkeypatch):
     assert len(chunks) >= 2 and sum(chunks) == len(batch)
 
 
+def test_chunks_hold_one_orientation_within_the_cell_budget(monkeypatch):
+    chunks = []
+    solve_chunk = mteval.flow._solve_chunk
+    monkeypatch.setattr(mteval.flow, "_solve_chunk", lambda chunk: chunks.append([p[2].shape for p in chunk]) or solve_chunk(chunk))
+    monkeypatch.setattr(mteval.flow, "CHUNK_CELLS", 120)
+    rng = np.random.default_rng(28)
+    # tall and square problems (padded to 6 x 4: 5 a chunk) beside wide ones (3 x 6: 6 a chunk), with
+    # 1 x m and n x 1 among them; padded to one 6 x 6 shape, 3 of either would fit a chunk
+    shapes = [(6, 3), (4, 4), (5, 1), (1, 1), (2, 2), (3, 2), (1, 5), (2, 6), (3, 4), (1, 2)] * 2
+    batch = []
+    for n, m in rng.permutation(shapes):
+        a, b = rng.uniform(0.1, 1.0, size=n), rng.uniform(0.1, 1.0, size=m)
+        costs = rng.choice([0.0, 1.0, 2.5], size=(n, m))  # tied costs, or continuous ones
+        batch.append((a, b * a.sum() / b.sum(), costs + rng.uniform(0.0, 1.0, size=(n, m)) * (rng.random() < 0.5)))
+    assert_matches_frozen_solver(batch, solve_transport_batch(batch))
+    assert sorted(shape for chunk in chunks for shape in chunk) == sorted(c.shape for _, _, c in batch)
+    tall = [all(n >= m for n, m in chunk) for chunk in chunks]
+    assert all(flag or all(n < m for n, m in chunk) for flag, chunk in zip(tall, chunks))
+    assert 2 <= sum(tall) and 2 <= len(tall) - sum(tall)
+    for chunk in chunks:
+        assert len(chunk) == 1 or len(chunk) * max(n for n, _ in chunk) * max(m for _, m in chunk) <= 120
+
+
 def test_empty_batch():
     assert solve_transport_batch([]) == []
 

@@ -283,6 +283,18 @@ def test_wmd_unscorable_when_all_oov():
         wmd(y, x, store, vocab)
 
 
+def test_wmd_drops_terms_of_zero_or_nan_weight_bit_for_bit():
+    # the dropped term's vector is on the other side too, so it would take part in the pre-match
+    rng = np.random.default_rng(28)
+    vocab, store = wmd_fixture(rng)
+    y = WeightedBow(entries={0: 1.0, 3: 2.0, 5: 1.0})
+    x = WeightedBow(entries={1: 1.0, 3: 1.0, 4: 2.0})
+    for dropped in (0.0, float("nan")):
+        padded = WeightedBow(entries={**x.entries, 0: dropped, 5: dropped})
+        assert wmd(padded, y, store, vocab).hex() == wmd(x, y, store, vocab).hex()
+        assert wmd(y, padded, store, vocab).hex() == wmd(y, x, store, vocab).hex()
+
+
 def euclidean_costs(ex, ey):
     return np.sqrt(((ex[:, None, :] - ey[None, :, :]) ** 2).sum(axis=2))
 
@@ -508,12 +520,10 @@ def test_bleu_clipping_limits_hypothesis_repetition():
     assert abs(got - want) < 1e-12
 
 
-def test_bleu_rejects_bad_max_n():
-    with pytest.raises(ValueError):
-        sentence_bleu(["a"], ["a"], max_n=0)
+def test_bleu_rejects_reference_counts_of_the_wrong_depth():
     ref, hyp = "the cat sat on the mat".split(), "the cat sat on a mat".split()
-    with pytest.raises(ValueError, match="max_n is 4"):
-        sentence_bleu(ref, hyp, reference_counts=metrics_module._ngram_counts(ref, 2))
+    with pytest.raises(ValueError, match="reference_counts holds 2 orders, BLEU-4 reads 4"):
+        sentence_bleu(ref, hyp, reference_counts=metrics_module._ngram_counts(ref)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +833,58 @@ def test_score_segments_computes_each_anchor_state_once(monkeypatch):
         if segment.pos_hypothesis is not None:
             want = graph_compositionality(segment.pos_reference, segment.pos_hypothesis)
             assert vector.scores["compositionality"].hex() == want.hex()
+
+
+def test_both_wmd_weightings_share_one_cost_matrix_per_segment_and_space(monkeypatch):
+    # "the" is in every document, so nfx drops it (idf 0) from every side it is on
+    rng = np.random.default_rng(28)
+    references = ["the dog runs fast", "the cat sleeps", "the zzz dog dog"]
+    hypotheses = ["the dog runs fast", "the", "the fast cats run", "the qqq runs", "dog the cat cat runs"]
+    segments = [
+        make_segment(id=f"s{i}.{j}", reference=reference, hypothesis=hypothesis)
+        for i, reference in enumerate(references) for j, hypothesis in enumerate(hypotheses)
+    ]
+    wp = WordPieceVocab(entries=("[UNK]", "the", "dog", "runs", "fast", "cat", "##s", "sleeps", "run"))
+    words = ("the", "dog", "runs", "fast", "cat", "cats", "sleeps", "run")  # no vector for zzz and qqq
+    pieces = ("the", "dog", "runs", "fast", "cat", "##s", "sleeps", "run", "[UNK]")
+    resources = Resources(wp_vocab=wp, stores={
+        "words": store_from({word: rng.normal(size=5) for word in words}),
+        "pieces": store_from({piece: rng.normal(size=5) for piece in pieces}),
+    })
+    for space in ("words", "pieces"):
+        resources.vocabs[space] = build_vocabulary([resources.tokens(space, s.reference) for s in segments] + [resources.tokens(space, h) for h in hypotheses])
+        assert resources.vocabs[space].idf("the") == 0.0
+    config = MetricConfig(mode="reference_based", metrics=("wmd", "wmd_tfidf", "wmd_decontextualized", "wmd_decontextualized_tfidf"))
+    builds = []
+    costs = metrics_module._costs
+    monkeypatch.setattr(metrics_module, "_costs", lambda ex, ey: builds.append((len(ex), len(ey))) or costs(ex, ey))
+    vectors = score_segments(segments, config, resources)
+    monkeypatch.undo()
+    # every segment is scorable under nnx in both spaces: one build each
+    assert len(builds) == 2 * len(segments)
+
+    checked = Counter()
+    for segment, vector in zip(segments, vectors):
+        for name in config.metrics:
+            info = METRICS[name]
+            store, vocab = resources.stores[info.space], resources.vocabs[info.space]
+            make_bow = bow_nfx if info.weighting == "nfx" else bow_nnx
+            x, y = (make_bow(resources.tokens(info.space, text), vocab) for text in (segment.reference, segment.hypothesis))
+            try:
+                want = wmd(x, y, store, vocab)
+            except UnscorableSegment as exc:
+                assert math.isnan(vector.scores[name]) and vector.flags[name] == str(exc)
+                checked["unscorable", info.weighting] += 1
+                continue
+            assert vector.scores[name].hex() == want.hex(), (segment.id, name)
+            # the sides' own stacks of positive-weight terms, as each weighting built them alone
+            ix, iy = ([i for i in sorted(bow.entries) if bow.entries[i] > 0 and vocab.terms[i] in store] for bow in (x, y))
+            alone = _transport_cost(*(np.array([bow.entries[i] for i in terms]) for bow, terms in ((x, ix), (y, iy))), *(np.stack([store[vocab.terms[i]] for i in terms]) for terms in (ix, iy)))
+            assert want.hex() == alone.hex()
+            checked["dropped" if len(ix) < len(x.entries) or len(iy) < len(y.entries) else "kept", info.weighting] += 1
+    # nfx scored sub-blocks and flagged the hypothesis "the"; nnx scored everything
+    assert checked["unscorable", "nfx"] == 2 * len(references) and not checked["unscorable", "nnx"]
+    assert checked["dropped", "nfx"] > 0 and checked["dropped", "nnx"] > 0
 
 
 def test_score_segments_logs_its_segments_anchors_and_flags(caplog):

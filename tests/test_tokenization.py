@@ -9,6 +9,7 @@ from mteval.tokenization import (
     whitespace_tokenize,
     wordpiece_tokenize,
 )
+from mteval.tokenization import _split_token
 
 VOCAB = WordPieceVocab(entries=("[UNK]", "un", "##aff", "##able", "aff", "able", "a", "##a", "##b", "b"))
 
@@ -82,6 +83,21 @@ def test_wordpiece_roundtrip_property():
 def test_wordpiece_deterministic():
     text = "unaffable able b xyz"
     assert wordpiece_tokenize(text, VOCAB) == wordpiece_tokenize(text, VOCAB)
+
+
+def test_wordpiece_memo_gives_the_uncached_split():
+    vocab = WordPieceVocab(entries=VOCAB.entries)  # an empty memo
+    rng = np.random.default_rng(28)
+    words = ["".join(rng.choice(list("abunfelxz"), size=int(rng.integers(1, 9)))) for _ in range(400)]
+    words += ["a" * MAX_WORDPIECE_INPUT_CHARS, "a" * (MAX_WORDPIECE_INPUT_CHARS + 1), "unaffable"]
+    want = [piece for word in words for piece in _split_token(word, vocab)]
+    first = wordpiece_tokenize(" ".join(words), vocab)  # fills the memo, a word's repeats included
+    assert set(vocab._splits) == set(words) and all(vocab._splits[word] == tuple(_split_token(word, vocab)) for word in words)
+    first.clear()  # a caller's list is its own
+    assert wordpiece_tokenize(" ".join(words), vocab) == want
+    assert "[UNK]" in want and 0 < sum(piece.startswith("##") for piece in want)
+    assert len(set(words)) < len(words) and wordpiece_tokenize(words[-3], vocab) == ["a"] + ["##a"] * (MAX_WORDPIECE_INPUT_CHARS - 1)
+    assert wordpiece_tokenize(words[-2], vocab) == ["[UNK]"]
 
 
 def test_vocab_validation():
