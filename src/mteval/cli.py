@@ -128,7 +128,7 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args, config)
     report, names = result.report, result.report.names
     _write_table(out / "correlations.tsv", ["metric", "spearman_to_gold"], ([a, report.to_gold[a]] for a in names))
-    _write_table(out / "correlation_matrix.tsv", ["metric", *names], ([a, *(report.rho(a, b) for b in names)] for a in names))
+    _write_table(out / "correlation_matrix.tsv", ["metric", *names], ([a, *(report.matrix[a, b] for b in names)] for a in names))
     _write_flags(out / "flags.tsv", split.flags)
     print(
         f"test segments: {split.test.n} (train {split.train.n})\n"

@@ -22,7 +22,6 @@ __all__ = [
     "EnsembleModel",
     "FeatureMatrix",
     "MlpParams",
-    "StandardizationParams",
     "fit_linear",
     "fit_mlp",
     "mlp_forward",
@@ -30,8 +29,7 @@ __all__ = [
     "mlp_loss",
     "predict",
     "select_model",
-    "standardize_apply",
-    "standardize_fit",
+    "standardize",
 ]
 
 logger = logging.getLogger(__name__)
@@ -88,20 +86,6 @@ class FeatureMatrix:
 
 
 @dataclass
-class StandardizationParams:
-    mean: np.ndarray
-    std: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.std = np.asarray(self.std, dtype=float)
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise ValueError("mean and std must be 1-d arrays of equal length")
-        if np.any(self.std <= 0):
-            raise ValueError("std must be strictly positive")
-
-
-@dataclass
 class MlpParams:
     """Weights of the one-hidden-layer perceptron (ReLU hidden, linear out)."""
 
@@ -115,7 +99,8 @@ class MlpParams:
 class EnsembleModel:
     kind: str  # "linear" | "mlp"
     feature_names: list[str]
-    standardization: StandardizationParams
+    mean: np.ndarray  # per column, with std, of the raw rows the model was fit on
+    std: np.ndarray
     weights: np.ndarray | None = None  # linear
     intercept: float | None = None  # linear
     mlp: MlpParams | None = None
@@ -129,23 +114,15 @@ class EnsembleModel:
             raise ValueError("mlp model needs its parameter block")
 
 
-def standardize_fit(features: FeatureMatrix) -> StandardizationParams:
-    """Per-feature mean and population std; constant columns get std 1."""
-    if features.n < 2:
+def standardize(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows - mean) / std per column, with that mean and population std; a constant column keeps std 1."""
+    if len(rows) < 2:
         raise ValueError("standardization needs at least 2 rows")
-    rows = features.rows
     constant = np.all(rows == rows[0], axis=0)
     mean = np.where(constant, rows[0], rows.mean(axis=0))
     std = np.where(constant, 1.0, rows.std(axis=0))
     std = np.where(std > 0, std, 1.0)
-    return StandardizationParams(mean=mean, std=std)
-
-
-def standardize_apply(features: FeatureMatrix, params: StandardizationParams) -> FeatureMatrix:
-    if features.m != len(params.mean):
-        raise ValueError(f"matrix has {features.m} features, params cover {len(params.mean)}")
-    rows = (features.rows - params.mean) / params.std
-    return FeatureMatrix(rows, list(features.feature_names), list(features.segment_ids))
+    return (rows - mean) / std, mean, std
 
 
 def fit_linear(features: FeatureMatrix, gold: list[float]) -> EnsembleModel:
@@ -159,14 +136,15 @@ def fit_linear(features: FeatureMatrix, gold: list[float]) -> EnsembleModel:
         raise ValueError("gold length does not match feature rows")
     if features.n < 2:
         raise ValueError("linear fit needs at least 2 rows")
-    standardization = standardize_fit(features)
-    design = np.hstack([standardize_apply(features, standardization).rows, np.ones((features.n, 1))])
+    standardized, mean, std = standardize(features.rows)
+    design = np.hstack([standardized, np.ones((features.n, 1))])
     gram = design.T @ design + 1e-8 * np.eye(features.m + 1)
     solution = np.linalg.solve(gram, design.T @ y)
     return EnsembleModel(
         kind="linear",
         feature_names=list(features.feature_names),
-        standardization=standardization,
+        mean=mean,
+        std=std,
         weights=solution[:-1],
         intercept=float(solution[-1]),
     )
@@ -261,8 +239,9 @@ def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_ep
     n_val = min(max(1, round_half_up(val_fraction * n)), n - 1)  # at least one row to fit on
     n_fit, standardizations, rngs, splits, best = n - n_val, [], [], [], []
     for features in candidates:
-        standardizations.append(standardize_fit(features))
-        rows, m = standardize_apply(features, standardizations[-1]).rows, features.m
+        rows, mean, std = standardize(features.rows)
+        standardizations.append((mean, std))
+        m = features.m
         rng = np.random.default_rng(seed)
         limit1 = np.sqrt(6.0 / (m + hidden))
         limit2 = np.sqrt(6.0 / (hidden + 1))
@@ -327,12 +306,12 @@ def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_ep
     for j, features in enumerate(candidates):
         logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs[j], best_epoch[j], best_val[j])
         (w1,), b1, w2, b2 = _views(best[j], [features.m], hidden)
-        models.append(EnsembleModel("mlp", list(features.feature_names), standardizations[j], mlp=MlpParams(w1, b1[0], w2[0], b2[0])))
+        models.append(EnsembleModel("mlp", list(features.feature_names), *standardizations[j], mlp=MlpParams(w1, b1[0], w2[0], b2[0])))
     return models
 
 
 def predict(model: EnsembleModel, features: FeatureMatrix) -> np.ndarray:
-    """Standardize with the model's stored params, then run the forward pass.
+    """Standardize by the model's stored mean and std, then run the forward pass.
 
     Feature names must match the fitted list exactly, order included, so a
     cross-lingual caller cannot silently feed misaligned columns.
@@ -341,7 +320,7 @@ def predict(model: EnsembleModel, features: FeatureMatrix) -> np.ndarray:
         raise ValueError(
             f"feature names {features.feature_names} do not match the model's {model.feature_names}"
         )
-    rows = standardize_apply(features, model.standardization).rows
+    rows = (features.rows - model.mean) / model.std
     if model.kind == "linear":
         return rows @ model.weights + model.intercept
     return mlp_forward(model.mlp, rows)

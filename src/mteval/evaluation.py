@@ -43,9 +43,6 @@ class CorrelationReport:
     matrix: dict[tuple[str, str], float]
     to_gold: dict[str, float]
 
-    def rho(self, a: str, b: str) -> float:
-        return self.matrix[(a, b)]
-
 
 def correlation_report(features: FeatureMatrix, gold: list[float]) -> CorrelationReport:
     """All pairwise feature correlations and each feature's rho to gold."""

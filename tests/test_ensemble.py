@@ -7,15 +7,14 @@ from mteval.ensemble import (
     EnsembleModel,
     FeatureMatrix,
     MlpParams,
-    StandardizationParams,
     fit_linear,
     fit_mlp,
+    mlp_forward,
     mlp_gradients,
     mlp_loss,
     predict,
     select_model,
-    standardize_apply,
-    standardize_fit,
+    standardize,
 )
 from mteval.stats import spearman
 
@@ -35,7 +34,7 @@ def random_matrix(rng, n, m):
 
 def standardized(features):
     """The rows a fit on ``features`` trains on: standardized by their own mean and std."""
-    return standardize_apply(features, standardize_fit(features)).rows
+    return standardize(features.rows)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -74,39 +73,31 @@ def test_feature_matrix_select_and_take_rows():
 def test_standardize_centers_and_scales():
     rng = np.random.default_rng(0)
     m = random_matrix(rng, 50, 4)
-    params = standardize_fit(m)
-    out = standardize_apply(m, params)
-    assert np.allclose(out.rows.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(out.rows.std(axis=0), 1.0, atol=1e-12)
+    out, mean, std = standardize(m.rows)
+    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(out.std(axis=0), 1.0, atol=1e-12)
     # population std, not the n-1 sample flavour
-    assert np.allclose(params.std, m.rows.std(axis=0), atol=0)
+    assert np.allclose(std, m.rows.std(axis=0), atol=0)
 
 
 def test_standardize_constant_column_gets_unit_std():
     m = matrix([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    params = standardize_fit(m)
-    assert params.std[1] == 1.0
-    out = standardize_apply(m, params)
-    assert out.rows[:, 1].tolist() == [0.0, 0.0, 0.0]
+    out, mean, std = standardize(m.rows)
+    assert std[1] == 1.0
+    assert out[:, 1].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_standardize_roundtrip():
     rng = np.random.default_rng(1)
     m = random_matrix(rng, 20, 3)
-    params = standardize_fit(m)
-    out = standardize_apply(m, params)
-    back = out.rows * params.std + params.mean
+    out, mean, std = standardize(m.rows)
+    back = out * std + mean
     assert np.allclose(back, m.rows, atol=1e-12, rtol=0)
 
 
 def test_standardize_errors():
     with pytest.raises(ValueError, match="2 rows"):
-        standardize_fit(matrix([[1.0, 2.0]]))
-    params = StandardizationParams(np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError, match="features"):
-        standardize_apply(matrix(np.zeros((2, 2))), params)
-    with pytest.raises(ValueError, match="positive"):
-        StandardizationParams(np.zeros(2), np.array([1.0, 0.0]))
+        standardize(matrix([[1.0, 2.0]]).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +118,9 @@ def test_fit_linear_recovers_exact_coefficients():
     w_true = np.array([2.0, -1.0, 0.5])
     y = m.rows @ w_true + 4.0
     model = fit_linear(m, y)
-    raw_weights = model.weights / model.standardization.std  # back from standardized to raw feature units
+    raw_weights = model.weights / model.std  # back from standardized to raw feature units
     assert np.allclose(raw_weights, w_true, atol=1e-6)
-    assert abs(model.intercept - raw_weights @ model.standardization.mean - 4.0) < 1e-6
+    assert abs(model.intercept - raw_weights @ model.mean - 4.0) < 1e-6
     assert np.allclose(predict(model, m), y, atol=1e-6)
 
 
@@ -138,7 +129,7 @@ def test_fit_linear_matches_lstsq_oracle():
     m = random_matrix(rng, 50, 5)
     y = rng.normal(size=50)
     model = fit_linear(m, y)
-    design = np.hstack([standardize_apply(m, standardize_fit(m)).rows, np.ones((50, 1))])
+    design = np.hstack([standardize(m.rows)[0], np.ones((50, 1))])
     oracle, *_ = np.linalg.lstsq(design, y, rcond=None)
     assert np.allclose(model.weights, oracle[:-1], atol=1e-6)
     assert abs(model.intercept - oracle[-1]) < 1e-6
@@ -398,12 +389,14 @@ def test_predict_applies_stored_standardization():
     rng = np.random.default_rng(9)
     m = random_matrix(rng, 30, 2)
     y = m.rows @ np.array([1.5, -0.5]) + 2.0
-    model = fit_linear(m, y)
-    params = standardize_fit(m)
-    assert model.standardization.mean.tobytes() == params.mean.tobytes()
-    assert model.standardization.std.tobytes() == params.std.tobytes()
-    # predict takes RAW features and standardizes internally
+    model, mlp_model = fit_linear(m, y), fit_mlp([m], y, seed=4)[0]
+    _, mean, std = standardize(m.rows)
+    for fitted in (model, mlp_model):
+        assert fitted.mean.tobytes() == mean.tobytes()
+        assert fitted.std.tobytes() == std.tobytes()
+    # predict takes RAW features and standardizes internally, on both branches
     assert np.allclose(predict(model, m), y, atol=1e-6)
+    assert predict(mlp_model, m).tobytes() == mlp_forward(mlp_model.mlp, (m.rows - mlp_model.mean) / mlp_model.std).tobytes()
 
 
 def test_select_model_invariant_to_affine_feature_rescaling():
@@ -517,8 +510,8 @@ def test_select_model_errors():
 
 def test_ensemble_model_invariants():
     with pytest.raises(ValueError, match="kind"):
-        EnsembleModel(kind="forest", feature_names=[], standardization=StandardizationParams(np.zeros(0), np.ones(0)))
+        EnsembleModel(kind="forest", feature_names=[], mean=np.zeros(0), std=np.ones(0))
     with pytest.raises(ValueError, match="weights"):
-        EnsembleModel(kind="linear", feature_names=[], standardization=StandardizationParams(np.zeros(0), np.ones(0)))
+        EnsembleModel(kind="linear", feature_names=[], mean=np.zeros(0), std=np.ones(0))
     with pytest.raises(ValueError, match="parameter block"):
-        EnsembleModel(kind="mlp", feature_names=[], standardization=StandardizationParams(np.zeros(0), np.ones(0)))
+        EnsembleModel(kind="mlp", feature_names=[], mean=np.zeros(0), std=np.ones(0))

@@ -39,11 +39,11 @@ def test_correlation_report_matches_elementwise_spearman():
     gold = rng.normal(size=30)
     report = correlation_report(m, list(gold))
     for i, x in enumerate("abc"):
-        assert report.rho(x, x) == 1.0
+        assert report.matrix[x, x] == 1.0
         assert abs(report.to_gold[x] - spearman(m.rows[:, i], gold)) < 1e-15
         for j, y in enumerate("abc"):
-            assert report.rho(x, y) == report.rho(y, x)
-            assert abs(report.rho(x, y) - spearman(m.rows[:, i], m.rows[:, j])) < 1e-15
+            assert report.matrix[x, y] == report.matrix[y, x]
+            assert abs(report.matrix[x, y] - spearman(m.rows[:, i], m.rows[:, j])) < 1e-15
 
 
 def test_correlation_report_duplicate_column_and_gold_feature():
@@ -51,7 +51,7 @@ def test_correlation_report_duplicate_column_and_gold_feature():
     col = rng.normal(size=20)
     m = matrix(np.column_stack([col, col, rng.normal(size=20)]), names=["a", "a_copy", "b"])
     report = correlation_report(m, list(col))
-    assert report.rho("a", "a_copy") == 1.0
+    assert report.matrix["a", "a_copy"] == 1.0
     assert report.to_gold["a"] == 1.0
 
 
@@ -61,7 +61,7 @@ def test_correlation_report_tsv_outputs(tmp_path):
     matrix_path = tmp_path / "matrix.tsv"
     gold_path = tmp_path / "gold.tsv"
     names = report.names
-    _write_table(matrix_path, ["metric", *names], ([a, *(report.rho(a, b) for b in names)] for a in names))
+    _write_table(matrix_path, ["metric", *names], ([a, *(report.matrix[a, b] for b in names)] for a in names))
     _write_table(gold_path, ["metric", "spearman_to_gold"], ([a, report.to_gold[a]] for a in names))
     lines = matrix_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "metric\tx\ty"

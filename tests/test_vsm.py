@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -319,6 +320,29 @@ def test_blocked_candidate_values_are_the_per_term_cosines(monkeypatch):
             assert np.all(np.diff(want[position]) <= 1e-12), i
             compared_rows += 1
     assert compared_rows > 1000
+
+
+def test_full_row_takes_one_block_product_per_run_of_calls_into_that_block(monkeypatch):
+    """The builds rank truncated rows again mostly in increasing index, several from
+    one block, so `full_row` keeps the product of the last block it took."""
+    vocab, store = clustered_similarity_instance(np.random.default_rng(29), n=400)
+    monkeypatch.setattr(vsm_module, "CANDIDATE_BLOCK_CELLS", 40 * 400)  # blocks of 40 of the 400 terms
+    candidates = similarity_candidates(vocab, store, 0.0, 1.0, 1)
+    assert len(candidates.embedded) == 400 and candidates.block == 40
+    products, blocks = [], []
+    values, full_row = SimilarityCandidates._values, SimilarityCandidates.full_row
+    monkeypatch.setattr(SimilarityCandidates, "_values", lambda self, lo: products.append(lo) or values(self, lo))
+
+    def spied_full_row(self, i):
+        blocks.append(int(np.searchsorted(self.embedded, i)) // self.block * self.block)
+        return full_row(self, i)
+
+    monkeypatch.setattr(SimilarityCandidates, "full_row", spied_full_row)
+    for order in SIMILARITY_ORDERS:
+        build_similarity_matrix(vocab, store, order, 0.0, 1.0, 1, candidates=candidates)
+    runs = [lo for lo, _ in itertools.groupby(blocks)]
+    assert products == runs
+    assert len(set(blocks)) > 1 and len(runs) < len(blocks), (len(runs), len(blocks))
 
 
 @pytest.mark.parametrize(
