@@ -163,24 +163,25 @@ def mlp_loss(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> float:
 def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> MlpParams:
     """Analytic MSE gradients (ReLU subgradient 0 at the kink), by the pass every training step takes."""
     (m, hidden), y = params.w1.shape, np.asarray(y, dtype=float)
-    grads = _views(np.empty(params.w1.size + 2 * hidden + 1), [m], hidden)
+    g_w1, g_b1, g_w2, g_b2 = np.empty((m, hidden)), np.empty((1, hidden)), np.empty((1, hidden)), np.empty(1)
     stacked = ([params.w1], params.b1[None], params.w2[None], np.full(1, params.b2, dtype=float))
-    _stacked_gradients([rows], stacked, y[None], grads, np.empty((3, 1, len(y), hidden)))
-    (g_w1,), g_b1, g_w2, g_b2 = grads
+    _stacked_gradients([rows], stacked, y[None], ([g_w1], g_b1, g_w2, g_b2), np.empty((3, 1, len(y) + len(y) % 2, hidden)))
     return MlpParams(g_w1, g_b1[0], g_w2[0], g_b2[0])
 
 
 def _stacked_gradients(rows, params, y, grads, work) -> None:
     """Write into ``grads`` (laid out as `_views` says) the MSE gradients of F fits on (F, b) targets.
 
-    Each matrix product is its fit's own 2-d call on a one-fit pass's
-    operands, through `np.dot`, which reaches the same BLAS routine as `@`
-    with less per-call overhead (a tier-1 test pins the two to the same
-    bits); the stacked work (in ``work``, at least (3, F, b, hidden))
+    Each matrix product is its fit's own 2-d call through `np.dot`, which
+    reaches the same BLAS routine as `@` with less per-call overhead (a
+    tier-1 test pins the two to the same bits), on operands that start
+    16-byte aligned, as a one-fit pass's fresh arrays do (some OpenBLAS
+    kernels round a vector at an 8-byte offset differently); so ``work``
+    is at least (3, F, b, hidden) with an even batch axis.  The stacked work
     rounds element by element or sums along the batch axis, so each fit's
     gradients are bit for bit its one-fit ones."""
     (w1, b1, w2, b2), (g_w1, g_b1, g_w2, g_b2) = params, grads
-    (f, b), delta = y.shape, np.empty(y.shape)
+    (f, b), delta = y.shape, np.empty((len(y), y.shape[1] + y.shape[1] % 2))[:, : y.shape[1]]
     pre, hidden, d_hidden = work[:, :f, :b]
     for i, x in enumerate(rows):
         np.dot(x, w1[i], out=pre[i])
@@ -200,11 +201,19 @@ def _stacked_gradients(rows, params, y, grads, work) -> None:
         np.dot(x.T, d_hidden[i], out=g_w1[i])
 
 
+def _layout(ms: list[int], hidden: int) -> list[int]:
+    """Cells of each block of a vector packing F fits: their w1 blocks, F b1 rows, F w2 rows, F b2.
+
+    Each w1 block and b1 and w2 row gets an even count, so it starts 16-byte aligned, as a fresh array does."""
+    row = hidden + hidden % 2
+    return [m * hidden + m * hidden % 2 for m in ms] + [row] * 2 * len(ms) + [1] * len(ms)
+
+
 def _views(theta: np.ndarray, ms: list[int], hidden: int) -> tuple:
-    """(w1 list, b1, w2, b2) views of a vector of each fit's w1, then (F, hidden) b1 and w2, then F b2 (one fit: [w1, b1, w2, b2])."""
-    bounds, f = np.cumsum([0, *ms]) * hidden, len(ms)
-    w1 = [theta[lo:hi].reshape(-1, hidden) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    b1, w2 = theta[bounds[-1] : -f].reshape(2, f, hidden)
+    """(w1 list, b1, w2, b2) views of a vector packed as `_layout` lays it out, b1 and w2 as (F, hidden)."""
+    starts, f = np.cumsum([0, *_layout(ms, hidden)]), len(ms)
+    w1 = [theta[start : start + m * hidden].reshape(m, hidden) for start, m in zip(starts, ms)]
+    b1, w2 = theta[starts[f] : -f].reshape(2, f, -1)[:, :, :hidden]
     return w1, b1, w2, theta[-f:]
 
 
@@ -235,33 +244,28 @@ def fit_mlp(
 
 def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_epochs, patience, val_fraction) -> list[EnsembleModel]:
     """`fit_mlp` of one lockstep group of candidates."""
-    n = len(y)
+    n, f, ms = len(y), len(candidates), [features.m for features in candidates]
     n_val = min(max(1, round_half_up(val_fraction * n)), n - 1)  # at least one row to fit on
-    n_fit, standardizations, rngs, splits, best = n - n_val, [], [], [], []
-    for features in candidates:
+    n_fit, models, rngs, splits = n - n_val, [], [], []
+    # Adam is elementwise, so one flat vector of every fit's parameters takes
+    # each fit's own steps; each step updates these buffers in place, in the
+    # order of the textbook Adam expressions, so each element rounds exactly as there
+    theta = np.zeros(sum(_layout(ms, hidden)))
+    grad, update, scale, moment1, moment2 = np.zeros((5, len(theta)))
+    params, grads = _views(theta, ms, hidden), _views(grad, ms, hidden)
+    for i, (features, m) in enumerate(zip(candidates, ms)):
         rows, mean, std = standardize(features.rows)
-        standardizations.append((mean, std))
-        m = features.m
-        rng = np.random.default_rng(seed)
-        limit1 = np.sqrt(6.0 / (m + hidden))
-        limit2 = np.sqrt(6.0 / (hidden + 1))
-        w1 = rng.uniform(-limit1, limit1, size=(m, hidden))
-        w2 = rng.uniform(-limit2, limit2, size=hidden)
+        rng, limit1, limit2 = np.random.default_rng(seed), np.sqrt(6.0 / (m + hidden)), np.sqrt(6.0 / (hidden + 1))
+        params[0][i][...] = rng.uniform(-limit1, limit1, size=(m, hidden))
+        params[2][i] = rng.uniform(-limit2, limit2, size=hidden)
         order = rng.permutation(n)
         val_idx, fit_idx = order[:n_val], order[n_val:]
         rngs.append(rng)
         splits.append((rows[fit_idx], y[fit_idx], rows[val_idx], y[val_idx]))
-        best.append(np.concatenate([w1.ravel(), np.zeros(hidden), w2, [0.0]]))
+        models.append(EnsembleModel("mlp", list(features.feature_names), mean, std, mlp=MlpParams(*(v[i].copy() for v in params))))
 
-    # Adam is elementwise, so one flat vector of every fit's parameters takes
-    # each fit's own steps; each step updates these buffers in place, in the
-    # order of the textbook Adam expressions, so each element rounds exactly as there
-    f, ms = len(candidates), [features.m for features in candidates]
-    w1s, w2s = [v[: m * hidden] for v, m in zip(best, ms)], [v[-1 - hidden : -1] for v in best]
-    theta = np.concatenate([*w1s, np.zeros(f * hidden), *w2s, np.zeros(f)])
-    grad, update, scale, moment1, moment2 = np.zeros((5, len(theta)))
-    params, grads = _views(theta, ms, hidden), _views(grad, ms, hidden)
-    work = np.empty((3, f, min(batch_size, n_fit), hidden))  # sized by the rows, not the option
+    rows_per_batch = min(batch_size, n_fit)  # sizes the buffers by the rows, not the option
+    work = np.empty((3, f, rows_per_batch + rows_per_batch % 2, hidden))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     best_val, best_epoch, epochs, stale = [np.inf] * f, [0] * f, [0] * f, [0] * f
     live, step = list(range(f)), 0
@@ -282,18 +286,17 @@ def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_ep
             np.sqrt(np.divide(moment2, 1 - beta2**step, out=scale), out=scale)  # sqrt(m2_hat)
             scale += eps
             theta -= np.divide(update, scale, out=update)
-        w1, b1, w2, b2 = params
         for i, j in enumerate(live):
             epochs[j] = epoch
-            val_mse = mlp_loss(MlpParams(w1[i], b1[i], w2[i], b2[i : i + 1]), *splits[j][2:])
+            val_mse = mlp_loss(MlpParams(*(v[i] for v in params)), *splits[j][2:])
             if val_mse < best_val[j]:
                 best_val[j], best_epoch[j], stale[j] = val_mse, epoch, 0
-                best[j] = np.concatenate([w1[i].ravel(), b1[i], w2[i], b2[i : i + 1]])
+                models[j].mlp = MlpParams(*(v[i].copy() for v in params))  # copies: theta steps on
             else:
                 stale[j] += 1
         keep = np.array([stale[j] < max(1, patience) for j in live])  # a fit that just improved runs on
         if not keep.all():  # drop the stopped fits' cells from every vector
-            cells = np.concatenate([np.repeat(keep, np.multiply(ms, hidden)), *[np.repeat(keep, hidden)] * 2, keep])
+            cells = np.repeat(np.tile(keep, 4), _layout(ms, hidden))
             theta, moment1, moment2 = theta[cells], moment1[cells], moment2[cells]
             live, ms = [j for j, k in zip(live, keep) if k], [m for m, k in zip(ms, keep) if k]
             if not live:
@@ -302,11 +305,8 @@ def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_ep
             params, grads = _views(theta, ms, hidden), _views(grad, ms, hidden)
 
     logger.info("mlp: %d fits in lockstep, %d steps, epochs run %s", f, step, ",".join(map(str, epochs)))
-    models = []
-    for j, features in enumerate(candidates):
+    for j in range(f):
         logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs[j], best_epoch[j], best_val[j])
-        (w1,), b1, w2, b2 = _views(best[j], [features.m], hidden)
-        models.append(EnsembleModel("mlp", list(features.feature_names), *standardizations[j], mlp=MlpParams(w1, b1[0], w2[0], b2[0])))
     return models
 
 

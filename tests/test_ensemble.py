@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,7 @@ from mteval.ensemble import (
 from mteval.stats import spearman
 
 from oracles import finite_difference_gradients, loop_fit_mlp
+from test_perfbench_digests import require_openblas
 
 
 def matrix(rows, names=None, ids=None):
@@ -188,7 +194,7 @@ def test_np_dot_and_matmul_give_the_same_bits_on_every_lockstep_product(hidden):
     # a numpy or BLAS build that routes np.dot and @ differently must fail here
     rng = np.random.default_rng(hidden)
     ms, n = list(range(1, 13)), 45
-    theta, grad = rng.normal(size=(2, sum(ms) * hidden + 2 * len(ms) * hidden + len(ms)))
+    theta, grad = rng.normal(size=(2, sum(mteval.ensemble._layout(ms, hidden))))
     (w1, _, w2, _), (g_w1, _, g_w2, _) = mteval.ensemble._views(theta, ms, hidden), mteval.ensemble._views(grad, ms, hidden)
     for b in (32, 13, 1):  # full batches, a partial last one, a single row
         pre, hidden_out, d_hidden = np.empty((3, len(ms), 32, hidden))[:, :, :b]
@@ -314,6 +320,44 @@ def test_fit_mlp_matches_the_per_block_adam_loop_for_every_fit_of_a_batch(monkey
     assert min(seen.values()) >= 2, seen
     with pytest.raises(ValueError, match="gold length"):
         fit_mlp([candidates[0], random_matrix(rng, n + 1, 2)], y, 1)
+
+
+def test_fit_mlp_matches_the_per_block_adam_loop_at_odd_widths_and_predicts_as_fresh_arrays(caplog):
+    # odd hidden widths, odd feature counts and odd batch rows would put packed blocks and rows at odd
+    # elements (8-byte offsets) if the layout did not pad them; a fresh array starts 16-byte aligned
+    rng = np.random.default_rng(53)
+    table = random_matrix(rng, 50, 9)
+    y = np.tanh(table.rows[:, 0]) * table.rows[:, -1] + 0.3 * rng.normal(size=50)
+    candidates = [table.select(table.feature_names[:m]) for m in (1, 3, 5, 9, 4)]
+    for hidden, batch_size in ((1, 7), (3, 7), (37, 8)):  # 45 rows to fit on: last batches of 3, 3 and 5 rows
+        options = dict(hidden=hidden, learning_rate=0.05, batch_size=batch_size, max_epochs=30, patience=2)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="mteval.ensemble"):
+            models = fit_mlp(candidates, y, 5, **options)
+        for features, model in zip(candidates, models):
+            want = loop_fit_mlp(standardized(features), y, seed=5, **options)
+            for name in ("w1", "b1", "w2", "b2"):
+                a, b = np.asarray(getattr(model.mlp, name)), np.asarray(getattr(want, name))
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, features.m, hidden)
+            fresh = MlpParams(model.mlp.w1.copy(), model.mlp.b1.copy(), model.mlp.w2.copy(), float(model.mlp.b2))
+            rows = (features.rows - model.mean) / model.std
+            assert predict(model, features).tobytes() == mlp_forward(fresh, rows).tobytes(), (features.m, hidden)
+        epochs = {int(message.split()[2]) for message in caplog.messages if message.startswith("mlp fit:")}
+        assert len(epochs) > 1  # some fits stop while others step on, so the stop mask drops padded blocks
+
+
+def test_lockstep_fits_match_their_one_fit_loop_under_the_prescott_kernel():
+    # Prescott's gemv rounds a vector operand at an 8-byte offset differently, the default kernel does not;
+    # the two one-fit comparisons rerun in a child process, since OpenBLAS reads its kernel at load
+    require_openblas()
+    tests = (
+        test_fit_mlp_matches_the_per_block_adam_loop_for_every_fit_of_a_batch,
+        test_fit_mlp_matches_the_per_block_adam_loop_at_odd_widths_and_predicts_as_fresh_arrays,
+    )
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *[f"{__file__}::{test.__name__}" for test in tests]]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott"}
+    run = subprocess.run(argv, cwd=Path(__file__).parent.parent, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0 and f"{len(tests)} passed" in run.stdout, run.stdout[-6000:] + run.stderr[-2000:]
 
 
 def test_fit_mlp_logs_its_fits_steps_and_epochs(caplog):
