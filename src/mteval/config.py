@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from math import inf
 from pathlib import Path
 
@@ -68,16 +67,16 @@ _RANGES = {
 }
 
 
-@dataclass
 class RunConfig:
-    dataset_path: Path
-    seed: int
-    metric_config: MetricConfig
-    dataset_format: str | None = None
-    resources: dict[str, Path] = field(default_factory=dict)  # resource key -> resolved path
-    split_ratio: float = 0.8
-    mlp_options: dict = field(default_factory=dict)
-    output_dir: Path | None = None
+    def __init__(
+        self, dataset_path: Path, seed: int, metric_config: MetricConfig, dataset_format: str | None = None,
+        resources: dict[str, Path] | None = None, split_ratio: float = 0.8, mlp_options: dict | None = None,
+        output_dir: Path | None = None,
+    ):
+        self.dataset_path, self.seed, self.metric_config = dataset_path, seed, metric_config
+        self.dataset_format, self.split_ratio, self.output_dir = dataset_format, split_ratio, output_dir
+        self.resources = {} if resources is None else resources  # resource key -> resolved path
+        self.mlp_options = {} if mlp_options is None else mlp_options
 
 
 @utf8_loader

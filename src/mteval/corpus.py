@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from mteval._rng import Xorshift64Star, round_half_up
-from mteval.errors import DataError, tsv_rows, utf8_loader
+from mteval.errors import DataError, Frozen, tsv_rows, utf8_loader
 
 _TSV_COLUMNS = [
     "id",
@@ -38,22 +37,15 @@ _TSV_COLUMNS = [
 ]
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(Frozen):
     """One evaluation unit: a hypothesis with the texts it is judged against."""
 
-    id: str
-    src_lang: str
-    tgt_lang: str
-    source: str
-    reference: str | None
-    hypothesis: str
-    judgements: tuple[float, ...] = ()
-    pos_source: tuple[str, ...] | None = None
-    pos_reference: tuple[str, ...] | None = None
-    pos_hypothesis: tuple[str, ...] | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self, id: str, src_lang: str, tgt_lang: str, source: str, reference: str | None, hypothesis: str,
+        judgements: tuple[float, ...] = (), pos_source: tuple[str, ...] | None = None,
+        pos_reference: tuple[str, ...] | None = None, pos_hypothesis: tuple[str, ...] | None = None,
+    ):
+        self._set(locals())
         if not self.id:
             raise DataError("segment id must be nonempty")
         if any(char in self.id for char in "\t\n\r"):  # it would break the rows of every output table
@@ -86,14 +78,11 @@ class _IndexedError(DataError):
         self.index = index
 
 
-@dataclass
 class Dataset:
     """Segments sharing one language pair, ids unique."""
 
-    segments: list[Segment]
-    name: str = ""
-
-    def __post_init__(self):
+    def __init__(self, segments: list[Segment], name: str = ""):
+        self.segments, self.name = segments, name
         seen: set[str] = set()
         for index, seg in enumerate(self.segments):
             if seg.id in seen:
@@ -103,6 +92,9 @@ class Dataset:
         for index, pair in enumerate(pairs):
             if pair != pairs[0]:
                 raise _IndexedError(index, f"dataset {self.name!r} mixes language pairs: {sorted(set(pairs))}")
+
+    def __eq__(self, other):
+        return (self.segments, self.name) == (other.segments, other.name) if other.__class__ is Dataset else NotImplemented
 
     def __len__(self) -> int:
         return len(self.segments)

@@ -15,13 +15,12 @@ import io
 import itertools
 import logging
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Iterable, Sequence
 
 import numpy as np
 
-from mteval.errors import DataError, tsv_rows, utf8_loader
+from mteval.errors import DataError, Frozen, tsv_rows, utf8_loader
 
 logger = logging.getLogger(__name__)
 
@@ -29,12 +28,11 @@ SIDES = ("source", "reference", "hypothesis")
 _CONTEXTUAL_COLUMNS = ["segment_id", "side", "token_index", "token", "vector"]
 
 
-@dataclass
 class EmbeddingStore:
     """token -> vector table with a single declared dimension."""
 
-    dim: int
-    table: dict[str, np.ndarray]
+    def __init__(self, dim: int, table: dict[str, np.ndarray]):
+        self.dim, self.table = dim, table
 
     def __contains__(self, token: str) -> bool:
         return token in self.table
@@ -46,17 +44,11 @@ class EmbeddingStore:
         return len(self.table)
 
 
-@dataclass(frozen=True)
-class ContextualRecord:
+class ContextualRecord(Frozen):
     """One (token, context) occurrence vector for a segment side."""
 
-    segment_id: str
-    side: str
-    token_index: int
-    token: str
-    vector: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, segment_id: str, side: str, token_index: int, token: str, vector: np.ndarray):
+        self._set(locals())
         if self.side not in SIDES:
             raise DataError(f"bad side {self.side!r}; expected one of {SIDES}")
         if self.token_index < 0:

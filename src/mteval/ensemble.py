@@ -10,7 +10,6 @@ restricted to the four surface length features.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,16 +41,11 @@ SELECTION_TIE = 1e-9
 LOCKSTEP_CELLS = 1 << 18
 
 
-@dataclass
 class FeatureMatrix:
     """n segments x m features, with names and ids pinned to the rows."""
 
-    rows: np.ndarray
-    feature_names: list[str]
-    segment_ids: list[str]
-
-    def __post_init__(self) -> None:
-        self.rows = np.asarray(self.rows, dtype=float)
+    def __init__(self, rows: np.ndarray, feature_names: list[str], segment_ids: list[str]):
+        self.rows, self.feature_names, self.segment_ids = np.asarray(rows, dtype=float), feature_names, segment_ids
         if self.rows.ndim != 2:
             raise ValueError("rows must be a 2-d array")
         n, m = self.rows.shape
@@ -85,27 +79,22 @@ class FeatureMatrix:
         )
 
 
-@dataclass
 class MlpParams:
-    """Weights of the one-hidden-layer perceptron (ReLU hidden, linear out)."""
+    """Weights of the one-hidden-layer perceptron (ReLU hidden, linear out): w1 is (m, hidden), b1 and w2 (hidden,)."""
 
-    w1: np.ndarray  # (m, hidden)
-    b1: np.ndarray  # (hidden,)
-    w2: np.ndarray  # (hidden,)
-    b2: float
+    def __init__(self, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray, b2: float):
+        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
 
 
-@dataclass
 class EnsembleModel:
-    kind: str  # "linear" | "mlp"
-    feature_names: list[str]
-    mean: np.ndarray  # per column, with std, of the raw rows the model was fit on
-    std: np.ndarray
-    weights: np.ndarray | None = None  # linear
-    intercept: float | None = None  # linear
-    mlp: MlpParams | None = None
+    """A "linear" (weights, intercept) or "mlp" model on columns standardized by the mean and std of its fit rows."""
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, kind: str, feature_names: list[str], mean: np.ndarray, std: np.ndarray,
+        weights: np.ndarray | None = None, intercept: float | None = None, mlp: MlpParams | None = None,
+    ):
+        self.kind, self.feature_names, self.mean, self.std = kind, feature_names, mean, std
+        self.weights, self.intercept, self.mlp = weights, intercept, mlp
         if self.kind not in ("linear", "mlp"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "linear" and (self.weights is None or self.intercept is None):

@@ -3,6 +3,7 @@
 The split matters to the command line, which exits 1 on ConfigError and 2
 on DataError.  Both subclass ValueError so library callers can catch one
 type.  Every loader wears `utf8_loader`; every TSV loader reads through `tsv_rows`.
+Every immutable record derives from `Frozen`.
 """
 
 import functools
@@ -15,6 +16,38 @@ class ConfigError(ValueError):
 
 class DataError(ValueError):
     """Malformed input file contents (bad row, dimension mismatch, ...)."""
+
+
+class Frozen:
+    """A record whose fields, its `__init__`'s parameters, are set once by ``self._set(locals())``.
+
+    Assigning or deleting any attribute afterwards raises AttributeError.
+    Records of one class are equal, and hash, by their fields' values only,
+    so a memo kept beside the fields does not count.
+    """
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _set(self, values: dict) -> None:
+        self.__dict__.update({name: values[name] for name in self._fields})
+
+    def _values(self) -> tuple:
+        values = self.__dict__
+        return tuple(values[name] for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def utf8_loader(load):

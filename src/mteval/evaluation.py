@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +34,11 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass
 class CorrelationReport:
     """Pairwise Spearman matrix of features plus each one's rho to gold."""
 
-    names: list[str]
-    matrix: dict[tuple[str, str], float]
-    to_gold: dict[str, float]
+    def __init__(self, names: list[str], matrix: dict[tuple[str, str], float], to_gold: dict[str, float]):
+        self.names, self.matrix, self.to_gold = names, matrix, to_gold
 
 
 def correlation_report(features: FeatureMatrix, gold: list[float]) -> CorrelationReport:
@@ -63,12 +60,10 @@ def _pairwise_spearman(features: FeatureMatrix) -> dict[tuple[str, str], float]:
     return matrix
 
 
-@dataclass
 class AblationStep:
-    step: int
-    eliminated: str | None  # None on the step-0 full-ensemble record
-    remaining_count: int
-    test_rho: float
+    def __init__(self, step: int, eliminated: str | None, remaining_count: int, test_rho: float):
+        # ``eliminated`` is None on the step-0 full-ensemble record
+        self.step, self.eliminated, self.remaining_count, self.test_rho = step, eliminated, remaining_count, test_rho
 
 
 def ablation(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> list[AblationStep]:
@@ -102,13 +97,11 @@ def ablation(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None
     return steps
 
 
-@dataclass
 class EvaluationResult:
     """Test-split correlations of every feature and both ensembles."""
 
-    report: CorrelationReport
-    regemt_kind: str
-    reg_base_kind: str
+    def __init__(self, report: CorrelationReport, regemt_kind: str, reg_base_kind: str):
+        self.report, self.regemt_kind, self.reg_base_kind = report, regemt_kind, reg_base_kind
 
 
 def evaluate(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> EvaluationResult:

@@ -21,7 +21,6 @@ solving its problem alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,6 @@ CHUNK_CELLS = 1 << 18
 _CONVERGENCE = "transportation solver failed to converge; please report this instance"
 
 
-@dataclass
 class FlowSolution:
     """Optimal plan of a transportation instance.
 
@@ -43,10 +41,8 @@ class FlowSolution:
     and ``cost`` is the cumulative shipped-mass-times-cost optimum.
     """
 
-    plan: np.ndarray
-    cost: float
-    n_sources: int
-    n_sinks: int
+    def __init__(self, plan: np.ndarray, cost: float, n_sources: int, n_sinks: int):
+        self.plan, self.cost, self.n_sources, self.n_sinks = plan, cost, n_sources, n_sinks
 
 
 def solve_transport(supplies, demands, costs) -> FlowSolution:

@@ -13,14 +13,13 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from mteval.corpus import Segment
 from mteval.embeddings import ContextualRecord, EmbeddingStore
-from mteval.errors import ConfigError, DataError
+from mteval.errors import ConfigError, DataError, Frozen
 from mteval.flow import CHUNK_CELLS, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
 from mteval.vsm import (
@@ -71,13 +70,16 @@ class UnscorableSegment(DataError):
     """
 
 
-@dataclass(frozen=True)
-class MetricInfo:
-    """Static facts about one registered metric; the rest follows from them."""
+class MetricInfo(Frozen):
+    """Static facts about one registered metric; the rest follows from them.
 
-    family: str  # scm, wmd, bleu or compositionality
-    space: str = "none"  # words (static), pieces (decontextualized), contextual or none
-    weighting: str = "nnx"  # nnx (raw tf) or nfx (tf-idf)
+    ``family`` is scm, wmd, bleu or compositionality; ``space`` words (static),
+    pieces (decontextualized), contextual or none; ``weighting`` nnx (raw tf)
+    or nfx (tf-idf).
+    """
+
+    def __init__(self, family: str, space: str = "none", weighting: str = "nnx"):
+        self._set(locals())
 
     @property
     def higher_is_better(self) -> bool:
@@ -113,8 +115,7 @@ METRICS: dict[str, MetricInfo] = {
 }
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(Frozen):
     """Which metrics to compute and how.
 
     source_based mode admits only metrics that stay meaningful across
@@ -124,16 +125,12 @@ class MetricConfig:
     and are rejected there.
     """
 
-    mode: str
-    metrics: tuple[str, ...]
-    reg_base: bool = True
-    lowercase: bool = False
-    compositionality_full_matrix: bool = False
-    similarity_threshold: float = DEFAULT_THRESHOLD
-    similarity_exponent: float = DEFAULT_EXPONENT
-    similarity_top_k: int = DEFAULT_TOP_K
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, mode: str, metrics: tuple[str, ...], reg_base: bool = True, lowercase: bool = False,
+        compositionality_full_matrix: bool = False, similarity_threshold: float = DEFAULT_THRESHOLD,
+        similarity_exponent: float = DEFAULT_EXPONENT, similarity_top_k: int = DEFAULT_TOP_K,
+    ):
+        self._set(locals())
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         seen = set()
@@ -153,7 +150,6 @@ class MetricConfig:
         return "reference" if self.mode == "reference_based" else "source"
 
 
-@dataclass
 class MetricVector:
     """All configured metric scores of one segment.
 
@@ -162,12 +158,10 @@ class MetricVector:
     placeholder value.
     """
 
-    segment_id: str
-    scores: dict[str, float]
-    flags: dict[str, str] = field(default_factory=dict)
+    def __init__(self, segment_id: str, scores: dict[str, float], flags: dict[str, str] | None = None):
+        self.segment_id, self.scores, self.flags = segment_id, scores, {} if flags is None else flags
 
 
-@dataclass
 class Resources:
     """Loaded artifacts the configured metrics draw on.
 
@@ -186,14 +180,19 @@ class Resources:
     the hypotheses that share an anchor compute them once.
     """
 
-    wp_vocab: WordPieceVocab | None = None
-    contextual_groups: dict[tuple[str, str], list[ContextualRecord]] | None = None
-    vocabs: dict[str, Vocabulary] = field(default_factory=dict)
-    stores: dict[str, EmbeddingStore] = field(default_factory=dict)
-    sims: dict[tuple[str, str], SimilarityMatrix] = field(default_factory=dict)
-    external: dict[str, dict[str, float]] = field(default_factory=dict)
-    lowercase: bool = False
-    _memo: dict[tuple[str, ...], object] = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self, wp_vocab: WordPieceVocab | None = None,
+        contextual_groups: dict[tuple[str, str], list[ContextualRecord]] | None = None,
+        vocabs: dict[str, Vocabulary] | None = None, stores: dict[str, EmbeddingStore] | None = None,
+        sims: dict[tuple[str, str], SimilarityMatrix] | None = None, external: dict[str, dict[str, float]] | None = None,
+        lowercase: bool = False,
+    ):
+        self.wp_vocab, self.contextual_groups, self.lowercase = wp_vocab, contextual_groups, lowercase
+        self.vocabs = {} if vocabs is None else vocabs
+        self.stores = {} if stores is None else stores
+        self.sims = {} if sims is None else sims
+        self.external = {} if external is None else external
+        self._memo: dict[tuple[str, ...], object] = {}
 
     def tokens(self, space: str, text: str) -> list[str]:
         """Whitespace ("words") or WordPiece ("pieces") tokens of one side text."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from mteval.corpus import Dataset, dataset_gold, split_by_source
@@ -219,17 +218,17 @@ def score_dataset(
     return FeatureMatrix(rows, names, [s.id for s in dataset.segments]), flags, placeholders
 
 
-@dataclass
 class SplitFeatures:
     """Feature matrices and gold scores of one dataset, split by source."""
 
-    train: FeatureMatrix
-    test: FeatureMatrix
-    gold_train: list[float]
-    gold_test: list[float]
-    train_sources: list[str]
-    flags: dict[str, dict[str, str]] = field(default_factory=dict)
-    placeholders: dict[str, float] = field(default_factory=dict)
+    def __init__(
+        self, train: FeatureMatrix, test: FeatureMatrix, gold_train: list[float], gold_test: list[float],
+        train_sources: list[str], flags: dict[str, dict[str, str]] | None = None, placeholders: dict[str, float] | None = None,
+    ):
+        self.train, self.test, self.train_sources = train, test, train_sources
+        self.gold_train, self.gold_test = gold_train, gold_test
+        self.flags = {} if flags is None else flags
+        self.placeholders = {} if placeholders is None else placeholders
 
 
 def dataset_features(

@@ -8,10 +8,9 @@ features.  The WordPiece vocabulary file holds one subword per line
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
-from mteval.errors import DataError, utf8_loader
+from mteval.errors import DataError, Frozen, utf8_loader
 
 # Whitespace tokens longer than this are mapped straight to the unknown
 # token instead of being decomposed character by character.
@@ -21,11 +20,9 @@ MAX_WORDPIECE_INPUT_CHARS = 100
 UNK_TOKEN = "[UNK]"
 
 
-@dataclass(frozen=True)
-class WordPieceVocab:
-    entries: tuple[str, ...]
-
-    def __post_init__(self):
+class WordPieceVocab(Frozen):
+    def __init__(self, entries: tuple[str, ...]):
+        self._set(locals())
         if not self.entries:
             raise DataError("WordPiece vocabulary is empty")
         if UNK_TOKEN not in self.entries:

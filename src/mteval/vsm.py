@@ -13,7 +13,6 @@ decreasing inverse document frequency for the nfx ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -33,14 +32,11 @@ DEFAULT_TOP_K = 100
 CANDIDATE_BLOCK_CELLS = 2**18
 
 
-@dataclass
 class Vocabulary:
     """Terms in first-occurrence order with document frequencies."""
 
-    terms: list[str]
-    index: dict[str, int]
-    df: dict[str, int]
-    n_docs: int
+    def __init__(self, terms: list[str], index: dict[str, int], df: dict[str, int], n_docs: int):
+        self.terms, self.index, self.df, self.n_docs = terms, index, df, n_docs
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -53,13 +49,11 @@ class Vocabulary:
         return math.log(self.n_docs / max(df, 1))
 
 
-@dataclass
 class WeightedBow:
     """Sparse nonnegative term-index -> weight map over one vocabulary."""
 
-    entries: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, entries: dict[int, float] | None = None):
+        self.entries = {} if entries is None else entries
         for index, weight in self.entries.items():
             if weight < 0:
                 raise ValueError(f"negative weight {weight} at term index {index}")
@@ -104,12 +98,11 @@ def bow_nfx(tokens: Iterable[str], vocab: Vocabulary) -> WeightedBow:
     return WeightedBow(entries={idx: tf * vocab.idf(vocab.terms[idx]) for idx, tf in counts.items()})
 
 
-@dataclass
 class SimilarityMatrix:
     """Sparse symmetric term-similarity matrix, diagonal implicitly 1."""
 
-    dim: int
-    rows: dict[int, dict[int, float]] = field(default_factory=dict)
+    def __init__(self, dim: int, rows: dict[int, dict[int, float]] | None = None):
+        self.dim, self.rows = dim, {} if rows is None else rows
 
     def entry(self, i: int, j: int) -> float:
         if i == j:
@@ -129,7 +122,6 @@ def term_processing_order(vocab: Vocabulary, order: str) -> list[int]:
     raise ValueError(f"unknown similarity order {order!r}; expected one of {SIMILARITY_ORDERS}")
 
 
-@dataclass
 class SimilarityCandidates:
     """Each embedded term's best partners: the part of the build both orders share.
 
@@ -142,18 +134,16 @@ class SimilarityCandidates:
     rows ``[b * block, (b + 1) * block)``, one matrix product per block.
     """
 
-    n_terms: int
-    threshold: float
-    exponent: float
-    top_k: int
-    embedded: np.ndarray
-    normalized: np.ndarray
-    block: int
-    rows: dict[int, tuple[np.ndarray, np.ndarray]]
-    truncated: set[int]
-    #: the last block `full_row` took the product of, by its first row: builds
-    #: mostly rank rows again in increasing index, several from one block
-    _last_block: tuple[int, np.ndarray] = field(default=(-1, np.empty((0, 0))), repr=False, compare=False)
+    def __init__(
+        self, n_terms: int, threshold: float, exponent: float, top_k: int, embedded: np.ndarray, normalized: np.ndarray,
+        block: int, rows: dict[int, tuple[np.ndarray, np.ndarray]], truncated: set[int],
+        _last_block: tuple[int, np.ndarray] = (-1, np.empty((0, 0))),
+    ):
+        self.n_terms, self.threshold, self.exponent, self.top_k = n_terms, threshold, exponent, top_k
+        self.embedded, self.normalized, self.block, self.rows, self.truncated = embedded, normalized, block, rows, truncated
+        #: the last block `full_row` took the product of, by its first row: builds
+        #: mostly rank rows again in increasing index, several from one block
+        self._last_block = _last_block
 
     def full_row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         k = int(np.searchsorted(self.embedded, i))

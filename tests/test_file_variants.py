@@ -1,7 +1,6 @@
 """Every text input loads the same with a UTF-8 byte-order mark or CRLF line ends,
 and every TSV input the same with blank or whitespace-only lines."""
 
-import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -11,7 +10,7 @@ import pytest
 from mteval.cli import main
 from mteval.config import load_run_config
 from mteval.corpus import load_dataset
-from mteval.embeddings import load_contextual, load_static
+from mteval.embeddings import ContextualRecord, load_contextual, load_static
 from mteval.pipeline import load_external_scores
 from mteval.tokenization import load_wordpiece_vocab
 
@@ -47,7 +46,7 @@ def store_fields(store):
 
 
 def record_fields(records):
-    return [dataclasses.replace(record, vector=tuple(record.vector)) for record in records]
+    return [ContextualRecord(r.segment_id, r.side, r.token_index, r.token, tuple(r.vector)) for r in records]
 
 
 def config_fields(config):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,7 +150,8 @@ def test_build_resources_needs_pos_tags():
 
 def test_build_resources_needs_references():
     dataset = make_dataset()
-    dataset.segments[2] = replace(dataset.segments[2], reference=None)
+    seg = dataset.segments[2]
+    dataset.segments[2] = Segment(seg.id, seg.src_lang, seg.tgt_lang, seg.source, None, seg.hypothesis, seg.judgements)
     config = MetricConfig(mode="reference_based", metrics=("bleu",), reg_base=False)
     with pytest.raises(ConfigError, match="no reference"):
         build_resources(config, dataset)

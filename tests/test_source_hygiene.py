@@ -5,6 +5,13 @@ Every imported name is used in its module, and every name a module's
 path: its defining module.  Only the command line opens a file for
 writing: the library reads inputs and returns values, and the CLI writes
 every output table.
+
+Importing mteval generates no code: no module imports `dataclasses` or a
+namedtuple factory, or calls `exec` or `eval`.  Each ``@dataclass``
+writes the source of its methods and runs `exec` on it at import; the 22
+records that were dataclasses cost 13-20 ms of every run's start-up on a
+2-vCPU machine, and a short run is mostly start-up; as plain classes the
+same records cost well under 1 ms.
 """
 
 import ast
@@ -54,6 +61,55 @@ def writing_opens(tree: ast.Module) -> list[str]:
                 if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
                     lines.append(node.lineno)
     return [f"line {line}" for line in sorted(lines)]
+
+
+def generated_code(tree: ast.Module) -> list[str]:
+    """Imports of `dataclasses` or of a namedtuple factory, and calls of `exec` or `eval`, by line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, f"import {alias.name}") for alias in node.names if alias.name == "dataclasses"]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            if node.module == "dataclasses" or {"namedtuple", "NamedTuple"} & set(names):
+                found.append((node.lineno, f"from {node.module} import {', '.join(names)}"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("namedtuple", "NamedTuple"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("exec", "eval"):
+            found.append((node.lineno, f"{node.func.id}()"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_importing_generates_no_code(path):
+    assert generated_code(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_the_code_generation_check_sees_every_form():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "import collections, typing\n"
+        "from dataclasses import dataclass, field\n"
+        "from collections import namedtuple\n"
+        "from typing import NamedTuple, Sequence\n"
+        "Point = collections.namedtuple('Point', 'x y')\n"
+        "class Pair(typing.NamedTuple):\n"
+        "    a: int\n"
+        "exec(source)\n"
+        "value = eval(text)\n"
+        "model.eval()\n"
+        "from typing import Iterable\n"
+    )
+    assert generated_code(tree) == [
+        "line 1: import dataclasses",
+        "line 3: from dataclasses import dataclass, field",
+        "line 4: from collections import namedtuple",
+        "line 5: from typing import NamedTuple, Sequence",
+        "line 6: namedtuple",
+        "line 7: NamedTuple",
+        "line 9: exec()",
+        "line 10: eval()",
+    ]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
