@@ -14,6 +14,8 @@ correlation left undefined by two constant inputs is reported as 0.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import logging
 import sys
 from pathlib import Path
@@ -173,6 +175,7 @@ def cmd_crosslingual(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    atexit.register(gc.freeze)  # at exit only: the interpreter's last collections then skip the whole heap
     args = build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

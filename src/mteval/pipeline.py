@@ -162,6 +162,9 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
 
     if paths.get("external_scores") is not None:
         resources.external = load_external_scores(paths["external_scores"])
+        column, scored = next(iter(resources.external.items()))  # every row fills every column
+        if missing := [segment.id for segment in dataset.segments if segment.id not in scored]:
+            raise DataError(f"{paths['external_scores']}: external column {column!r} has no score for segment {missing[0]!r}")
         native = set(config.metrics) | set(REG_BASE_FEATURES)
         clash = native & set(resources.external)
         if clash:
@@ -206,13 +209,7 @@ def score_dataset(
         row = [placeholders[name] if math.isnan(scores[name]) else scores[name] for name in config.metrics]
         if config.reg_base:
             row.extend(reg_base_features(segment, resources, config))
-        for name in resources.external:
-            try:
-                row.append(resources.external[name][segment.id])
-            except KeyError:
-                raise DataError(
-                    f"external column {name!r} has no score for segment {segment.id!r}"
-                ) from None
+        row.extend(resources.external[name][segment.id] for name in resources.external)
         rows.append(row)
     flags = {v.segment_id: v.flags for v in vectors if v.flags}
     return FeatureMatrix(rows, names, [s.id for s in dataset.segments]), flags, placeholders

@@ -1,11 +1,16 @@
+import gc
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import mteval.cli
+import mteval.pipeline
 from mteval.cli import build_parser, main
 from mteval.config import load_run_config
 from mteval.corpus import load_dataset
@@ -540,6 +545,32 @@ def test_demo_outputs_are_pinned(tmp_path):
     assert got == DEMO_SHA256
 
 
+#: A CLI process whose atexit probe, registered before `main`'s own handler, runs after it
+FREEZE_PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("freeze count at exit:", gc.get_freeze_count()))
+from mteval.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_cli_process_freezes_the_collector_at_exit_and_writes_the_pinned_tables(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(DEMO_DATA.parent.parent / "src")}
+    argv = [sys.executable, "-c", FREEZE_PROBE, "score", "--config", str(DEMO_DATA / "run_deen.json"), "--out", str(tmp_path)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    count = int(run.stdout.removeprefix("freeze count at exit:").strip())
+    assert count > 0
+    for table in ("scores.tsv", "flags.tsv"):
+        assert hashlib.sha256((tmp_path / table).read_bytes()).hexdigest() == DEMO_SHA256[f"deen/score/{table}"]
+
+
+def test_an_in_process_main_call_leaves_the_collector_unfrozen(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["score", "--config", str(DEMO_DATA / "run_deen.json"), "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
 def test_lowercase_scores_a_title_cased_copy_like_the_original(tmp_path):
     config = demo_copy(tmp_path, "deen")
     lines = (tmp_path / "data" / "deen.tsv").read_text(encoding="utf-8").splitlines()
@@ -595,6 +626,20 @@ def test_crosslingual_rejects_different_feature_columns(tmp_path, capsys, change
     assert err[0].startswith("configuration error: fit and eval configs must yield the same feature columns")
     assert "'comet'" in err[0]
     assert not (out / "crosslingual.tsv").exists()
+
+
+def test_external_scores_missing_a_segment_are_reported_with_the_file_before_scoring(tmp_path, capsys, monkeypatch):
+    config = demo_copy(tmp_path, "deen")
+    external = tmp_path / "data" / "deen_external.tsv"
+    lines = external.read_text(encoding="utf-8").splitlines(keepends=True)
+    external.write_text("".join(line for line in lines if not line.startswith("deen02b\t")), encoding="utf-8")
+    scored = []
+    monkeypatch.setattr(mteval.pipeline, "score_segments", lambda *args: scored.append(args))
+    assert main(["score", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"data error: {external}: external column 'chrf' has no score for segment 'deen02b'"
+    ]
+    assert scored == []
 
 
 @pytest.mark.parametrize(

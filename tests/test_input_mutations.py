@@ -5,12 +5,13 @@ and runs `score` or `evaluate` through `cli.main`.  The edits are what
 hand-made files go wrong with: a line or field dropped, repeated or cut
 short; a cell replaced by ``nan``, ``inf``, ``1e400`` or nothing; a
 byte-order mark; a carriage return.  Whatever the edit, the run must exit
-0, 1 or 2 and print no traceback, and a configuration or data error must
-be reported on one line.  `RECORD_CHECKS` adds one directed edit for each
-check a record runs on its fields as it is built (a segment's id, texts,
-judgements and tags; a dataset's ids and language pair; the WordPiece
-vocabulary's unknown token; the metric config's metric list), and each
-must end the run in its own one-line message.
+0, 1 or 2 and print no traceback, a configuration or data error must be
+reported on one line, and a data error must name the edited file.
+`RECORD_CHECKS` adds one directed edit for each check a record runs on
+its fields as it is built (a segment's id, texts, judgements and tags; a
+dataset's ids and language pair; the WordPiece vocabulary's unknown
+token; the metric config's metric list), and each must end the run in
+its own one-line message.
 """
 
 import contextlib
@@ -72,8 +73,8 @@ def run(data: Path, command: str) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def run_case(case: int, root: Path) -> tuple[str, int, str]:
-    """(what was edited, exit code, stderr) of one seeded case."""
+def run_case(case: int, root: Path) -> tuple[str, str, int, str]:
+    """(the edited file, what was edited, exit code, stderr) of one seeded case."""
     rng = random.Random(case)
     data = root / f"case{case}"
     shutil.copytree(DEMO_DATA, data)
@@ -85,7 +86,7 @@ def run_case(case: int, root: Path) -> tuple[str, int, str]:
         edits.append(description)
     (data / name).write_text(text, encoding="utf-8", newline="")
     command = rng.choice(("score", "evaluate"))
-    return f"case {case}: {command}, {name}: {'; '.join(edits)}", *run(data, command)
+    return name, f"case {case}: {command}, {name}: {'; '.join(edits)}", *run(data, command)
 
 
 def problems(code: int, stderr: str) -> list[str]:
@@ -115,10 +116,13 @@ def problems(code: int, stderr: str) -> list[str]:
 def test_seeded_edits_of_the_demo_inputs_exit_cleanly_with_one_line(tmp_path):
     codes, failures = [], []
     for case in range(CASES):
-        what, code, stderr = run_case(case, tmp_path)
+        name, what, code, stderr = run_case(case, tmp_path)
         codes.append(code)
-        if problems(code, stderr):
-            failures.append(f"{what}: {', '.join(problems(code, stderr))}\n{stderr}")
+        found = problems(code, stderr)
+        if code == 2 and name not in stderr:
+            found.append("a data error that does not name the edited file")
+        if found:
+            failures.append(f"{what}: {', '.join(found)}\n{stderr}")
     assert failures == []
     # the edits reach both kinds of error and leave some runs working
     assert {0, 1, 2} <= set(codes)

@@ -295,9 +295,8 @@ def test_external_column_missing_segment_is_an_error(tmp_path):
     ext = tmp_path / "ext.tsv"
     ext.write_text("segment_id\tcomet\nseg0\t0.1\nseg1\t0.2\n", encoding="utf-8")
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
-    resources = build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
-    with pytest.raises(DataError, match="seg2"):
-        score_dataset(dataset, config, resources)
+    with pytest.raises(DataError, match="ext.tsv: external column 'comet' has no score for segment 'seg2'"):
+        build_resources(config, dataset, {"wordpiece_vocab": vocab, "external_scores": ext})
 
 
 def test_external_column_name_collision_with_native(tmp_path):
