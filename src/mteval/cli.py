@@ -175,6 +175,7 @@ def cmd_crosslingual(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    atexit.unregister(gc.freeze)  # registered once per process, however often main runs
     atexit.register(gc.freeze)  # at exit only: the interpreter's last collections then skip the whole heap
     args = build_parser().parse_args(argv)
     logging.basicConfig(

@@ -16,11 +16,11 @@ import itertools
 import logging
 import os
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Container
 
 import numpy as np
 
-from mteval.errors import DataError, Frozen, tsv_rows, utf8_loader
+from mteval.errors import DataError, tsv_rows, utf8_loader
 
 logger = logging.getLogger(__name__)
 
@@ -44,17 +44,55 @@ class EmbeddingStore:
         return len(self.table)
 
 
-class ContextualRecord(Frozen):
-    """One (token, context) occurrence vector for a segment side."""
+class ContextualTable:
+    """Contextual occurrence vectors as one table, one array per column, checked once as arrays.
 
-    def __init__(self, segment_id: str, side: str, token_index: int, token: str, vector: np.ndarray):
-        self._set(locals())
-        if self.side not in SIDES:
-            raise DataError(f"bad side {self.side!r}; expected one of {SIDES}")
-        if self.token_index < 0:
-            raise DataError(f"negative token_index {self.token_index}")
-        if not np.all(np.isfinite(self.vector)):
-            raise DataError(f"non-finite vector for {self.segment_id!r}/{self.side}[{self.token_index}]")
+    Row i is one token occurrence: ``vectors[i]`` of the (n, dim) float64
+    matrix, and entry i of the object arrays ``segment_id``, ``side`` and
+    ``token`` and the int64 arrays ``token_index`` and ``lineno`` (its line
+    in the file).  The first row in file order that repeats an earlier
+    (segment_id, side, token_index), or has a side not in `SIDES` or a
+    negative token_index, is a DataError that starts with its line number.
+    A (segment_id, side) group is a row range of one stable sort by
+    (segment_id, side, token_index).
+    """
+
+    def __init__(self, vectors: np.ndarray, segment_id, side, token_index, token, lineno):
+        self.vectors, self.token_index = vectors, np.asarray(token_index, dtype=np.int64)
+        self.segment_id, self.side, self.token = (np.asarray(column, dtype=object) for column in (segment_id, side, token))
+        self.lineno = np.asarray(lineno, dtype=np.int64)
+        order = np.lexsort((self.token_index, self.side, self.segment_id))
+        segment_id, side, token_index = (column[order] for column in (self.segment_id, self.side, self.token_index))
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = (segment_id[1:] != segment_id[:-1]) | (side[1:] != side[:-1])
+        repeat = np.zeros(len(order), dtype=bool)  # an earlier row of the same triple sorts first
+        repeat[order[1:]] = ~starts[1:] & (token_index[1:] == token_index[:-1])
+        bad_side = ~np.isin(self.side, SIDES)
+        bad = repeat | bad_side | (self.token_index < 0)
+        if bad.any():
+            row = int(bad.argmax())
+            key = (self.segment_id[row], self.side[row], int(self.token_index[row]))
+            if repeat[row]:
+                problem = f"duplicate (segment_id, side, token_index) {key}"
+            elif bad_side[row]:
+                problem = f"bad side {key[1]!r}; expected one of {SIDES}"
+            else:
+                problem = f"negative token_index {key[2]}"
+            raise DataError(f"{self.lineno[row]}: {problem}")
+        starts = np.flatnonzero(starts)
+        self._groups = dict(zip(zip(segment_id[starts].tolist(), side[starts].tolist()), np.split(order, starts[1:])))
+
+    def __len__(self) -> int:
+        return len(self.vectors)
+
+    def side_of(self, segment_id: str, side: str) -> tuple[list[str], np.ndarray]:
+        """One side's tokens and vectors in token_index order, a take of its rows; none for a side without rows."""
+        rows = self._groups.get((segment_id, side), np.arange(0))
+        return self.token[rows].tolist(), self.vectors.take(rows, axis=0)
+
+    def documents(self) -> list[list[str]]:
+        """Each (segment_id, side) group's tokens in token_index order, the groups in sorted order."""
+        return [self.token[rows].tolist() for rows in self._groups.values()]
 
 
 @utf8_loader
@@ -164,16 +202,16 @@ class _Hashed(io.FileIO):
         return size
 
 
-def _cached_parse(path: Path, read_rows, item_rule):
+def _cached_parse(path: Path, read_rows, items_rule):
     """`_parse_vectors` of a contextual file through an on-disk cache of parses without fault.
 
     An entry in ``$XDG_CACHE_HOME/mteval`` (default ``~/.cache/mteval``) is
     keyed by the sha256 of numpy's version, this module's and
     `mteval.errors`'s source (the row rule and layout) and the bytes parsed.
     A hit stands for every check of every row but those of the shapes,
-    finiteness and ``item_rule``, which it repeats: that rule turns each
-    item into the loader's form, and an item it rejects with a ValueError
-    spoils the entry.  Any cache failure falls back to the parse.  One INFO
+    finiteness and ``items_rule``, which it repeats: that rule turns the
+    items into the loader's form, and items it rejects with a ValueError
+    spoil the entry.  Any cache failure falls back to the parse.  One INFO
     line per load tells which.
     """
     import hashlib  # only here: runs that read no contextual file skip its import
@@ -188,7 +226,7 @@ def _cached_parse(path: Path, read_rows, item_rule):
                 key.update(block)
         entry = directory / f"contextual-{key.hexdigest()}.npz"
         linenos, items, values = _read_entry(entry)
-        parsed = linenos, [item_rule(item) for item in items], values, None
+        parsed = linenos, items_rule(items), values, None
         logger.info("%s: vector cache hit, %s", path, entry)
         return parsed
     except Exception as exc:  # no entry, or a spoiled one: parse the file
@@ -202,7 +240,7 @@ def _cached_parse(path: Path, read_rows, item_rule):
     except Exception as exc:  # an unwritable cache is no reason to fail the load
         status = f"not written: {exc}"
     logger.info("%s: vector cache miss%s, %s %s", path, spoiled, entry, status)
-    return linenos, [item_rule(item) for item in items], values, fault
+    return linenos[: len(values)], items_rule(items[: len(values)]), values, fault  # the rows before a fault
 
 
 def _write_entry(entry: Path, linenos, items, values) -> None:
@@ -239,12 +277,13 @@ def _loadtxt(texts) -> np.ndarray:
 
 
 @utf8_loader
-def load_contextual(path: str | Path) -> list[ContextualRecord]:
-    """Load contextual occurrence vectors from TSV.
+def load_contextual(path: str | Path) -> ContextualTable:
+    """Load contextual occurrence vectors from TSV as one table.
 
     Columns (header row required): segment_id, side, token_index, token,
     vector -- the vector under the rule of `_parse_vectors`, like a static
-    one.  The triple (segment_id, side, token_index) must be unique; all
+    one.  The side is one of `SIDES`, the token_index a nonnegative 64-bit
+    integer, and the triple (segment_id, side, token_index) unique; all
     vectors share the first one's dimension, as rows of one matrix.  A
     malformed file is reported at its first bad line.
     """
@@ -260,6 +299,8 @@ def load_contextual(path: str | Path) -> list[ContextualRecord]:
                 token_index = int(raw_index)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed token_index {raw_index!r}") from None
+            if not -(2**63) <= token_index < 2**63:
+                raise DataError(f"{path}:{lineno}: token_index {token_index} is out of the 64-bit range")
             text = text.rstrip(" ")
             if not text:
                 raise DataError(f"{path}:{lineno}: empty vector")
@@ -269,47 +310,30 @@ def load_contextual(path: str | Path) -> list[ContextualRecord]:
                 raise DataError(f"{path}:{lineno}: vector has {size} components, expected {dim}")
             yield lineno, f"{segment_id}\t{side}\t{token_index}\t{token}", text  # tab-split fields hold no tab
 
-    def item_rule(item: str) -> tuple[str, str, int, str]:
-        segment_id, side, index_text, token = item.split("\t")
-        return segment_id, side, int(index_text), token
+    def split_items(items: list[str]) -> tuple:
+        """The segment_id, side, token_index and token columns of the items."""
+        fields = np.array([item.split("\t") for item in items] or np.empty((0, 4)), dtype=object)
+        segment_id, side, token_index, token = fields.T  # a ValueError unless each item has four fields
+        return segment_id, side, token_index.astype(np.int64), token
 
-    linenos, items, values, fault = _cached_parse(path, read_rows, item_rule)
-    records: list[ContextualRecord] = []
-    seen: set[tuple[str, str, int]] = set()
-    for lineno, (segment_id, side, token_index, token), vector in zip(linenos, items, values):
-        key = (segment_id, side, token_index)
-        if key in seen:
-            raise DataError(f"{path}:{lineno}: duplicate (segment_id, side, token_index) {key}")
-        seen.add(key)
-        try:
-            records.append(ContextualRecord(segment_id, side, token_index, token, vector))
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
+    linenos, columns, values, fault = _cached_parse(path, read_rows, split_items)
+    try:
+        table = ContextualTable(values, *columns, linenos)
+    except DataError as exc:  # a row the table's checks reject, before any fault of the parse
+        raise DataError(f"{path}:{exc}") from None
     if fault is not None:
         raise fault
-    return records
+    return table
 
 
-def decontextualize(records: Sequence[ContextualRecord]) -> EmbeddingStore:
+def decontextualize(table: ContextualTable) -> EmbeddingStore:
     """Average all occurrence vectors of each token string into one vector."""
-    if not records:
-        raise DataError("cannot decontextualize an empty record list")
-    dim = len(records[0].vector)
-    occurrences: dict[str, list[np.ndarray]] = {}
-    for record in records:
-        if len(record.vector) != dim:
-            raise DataError(f"mixed vector dimensions: {len(record.vector)} vs {dim}")
-        occurrences.setdefault(record.token, []).append(record.vector)
-    # each sum runs left to right in record order, into a new array
-    table = {token: functools.reduce(np.add, vectors) / len(vectors) for token, vectors in occurrences.items()}
-    return EmbeddingStore(dim=dim, table=table)
-
-
-def group_records(records: Iterable[ContextualRecord]) -> dict[tuple[str, str], list[ContextualRecord]]:
-    """Index records by (segment_id, side), each group sorted by token_index."""
-    groups: dict[tuple[str, str], list[ContextualRecord]] = {}
-    for record in records:
-        groups.setdefault((record.segment_id, record.side), []).append(record)
-    for group in groups.values():
-        group.sort(key=lambda r: r.token_index)
-    return groups
+    if not len(table):
+        raise DataError("cannot decontextualize an empty table")
+    occurrences: dict[str, list[int]] = {}
+    for row, token in enumerate(table.token.tolist()):
+        occurrences.setdefault(token, []).append(row)
+    vectors = table.vectors
+    # each sum runs left to right in file order over row views, into a new array
+    store = {token: functools.reduce(np.add, map(vectors.__getitem__, rows)) / len(rows) for token, rows in occurrences.items()}
+    return EmbeddingStore(dim=vectors.shape[1], table=store)

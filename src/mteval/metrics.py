@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from mteval.corpus import Segment
-from mteval.embeddings import ContextualRecord, EmbeddingStore
+from mteval.embeddings import ContextualTable, EmbeddingStore
 from mteval.errors import ConfigError, DataError, Frozen
 from mteval.flow import CHUNK_CELLS, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
@@ -168,7 +168,7 @@ class Resources:
     ``vocabs``, ``stores`` and ``sims`` are keyed by term space: "words"
     (whitespace tokens + static vectors), "pieces" (WordPiece tokens +
     decontextualized vectors) and, for ``vocabs`` only, "contextual"
-    (document frequencies of token strings over the contextual record file,
+    (document frequencies of token strings over the ``contextual`` table,
     one document per (segment, side) group).  ``sims`` adds the processing
     order, "vocabulary" or "idf_descending", to its key.
 
@@ -182,12 +182,12 @@ class Resources:
 
     def __init__(
         self, wp_vocab: WordPieceVocab | None = None,
-        contextual_groups: dict[tuple[str, str], list[ContextualRecord]] | None = None,
+        contextual: ContextualTable | None = None,
         vocabs: dict[str, Vocabulary] | None = None, stores: dict[str, EmbeddingStore] | None = None,
         sims: dict[tuple[str, str], SimilarityMatrix] | None = None, external: dict[str, dict[str, float]] | None = None,
         lowercase: bool = False,
     ):
-        self.wp_vocab, self.contextual_groups, self.lowercase = wp_vocab, contextual_groups, lowercase
+        self.wp_vocab, self.contextual, self.lowercase = wp_vocab, contextual, lowercase
         self.vocabs = {} if vocabs is None else vocabs
         self.stores = {} if stores is None else stores
         self.sims = {} if sims is None else sims
@@ -290,7 +290,7 @@ def _costs(ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
     if ex.shape[1] != ey.shape[1]:
         raise DataError(f"embedding dimensions differ between sides: {ex.shape[1]} vs {ey.shape[1]}")
     diff = ex[:, None, :] - ey[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
+    return np.sqrt(np.square(diff, out=diff).sum(axis=2))
 
 
 def _transport_problem(wx: np.ndarray, wy: np.ndarray, costs: np.ndarray) -> float | tuple:
@@ -316,35 +316,32 @@ def _transport_problem(wx: np.ndarray, wy: np.ndarray, costs: np.ndarray) -> flo
     return a[rows], b[cols], costs.compress(rows, 0).compress(cols, 1)
 
 
-def wmd_contextual(
-    records_x: list[ContextualRecord],
-    records_y: list[ContextualRecord],
-    weighting: str = "nnx",
-    vocab: Vocabulary | None = None,
-) -> float:
+def wmd_contextual(x: tuple, y: tuple, weighting: str = "nnx", vocab: Vocabulary | None = None) -> float:
     """WMD with every token occurrence as its own flow node.
 
-    nnx weights each occurrence 1; nfx weights it by the idf of its token
-    string (``vocab`` required, built from the contextual record file).
+    ``x`` and ``y`` are sides, (tokens, vectors) as `ContextualTable.side_of`
+    gives them: one vector row per token occurrence.  nnx weights each
+    occurrence 1; nfx weights it by the idf of its token string (``vocab``
+    required, built from the contextual table).
     """
-    return _transport_cost(*_contextual_sides(records_x, records_y, weighting, vocab))
+    return _transport_cost(*_contextual_sides(x, y, weighting, vocab))
 
 
-def _contextual_sides(records_x, records_y, weighting, vocab):
+def _contextual_sides(x, y, weighting, vocab):
     """The weights of two sides' occurrences (zeros included) and their vector stacks."""
     if weighting not in ("nnx", "nfx"):
         raise ValueError(f"unknown weighting {weighting!r}")
     if weighting == "nfx" and vocab is None:
         raise ValueError("nfx weighting needs a vocabulary for idf")
-    if not records_x:
+    if not len(x[0]):
         raise UnscorableSegment("first side has no contextual vectors")
-    if not records_y:
+    if not len(y[0]):
         raise UnscorableSegment("second side has no contextual vectors")
-    weights = ([1.0 if weighting == "nnx" else vocab.idf(r.token) for r in records] for records in (records_x, records_y))
+    weights = ([1.0 if weighting == "nnx" else vocab.idf(token) for token in tokens] for tokens, _ in (x, y))
     wx, wy = map(np.array, weights)  # nnx is nfx with weight 1 for every occurrence
     if not (wx > 0).any() or not (wy > 0).any():
         raise UnscorableSegment("all occurrence weights are zero under nfx")
-    return wx, wy, np.stack([r.vector for r in records_x]), np.stack([r.vector for r in records_y])
+    return wx, wy, x[1], y[1]
 
 
 def compositionality(x: Sequence[str], y: Sequence[str], full_matrix: bool = False) -> float:
@@ -530,9 +527,8 @@ def _compute_metric(
             raise UnscorableSegment("missing PoS tags")
         return compositionality(anchor_tags, segment.pos_hypothesis, full_matrix=config.compositionality_full_matrix), None
     if info.space == "contextual":
-        groups = resources.contextual_groups or {}
-        rx, ry = (groups.get((segment.id, side), []) for side in (config.anchor_side, "hypothesis"))
-        wx, wy, ex, ey = _contextual_sides(rx, ry, info.weighting, resources.vocabs.get(info.space))
+        x, y = (resources.contextual.side_of(segment.id, side) for side in (config.anchor_side, "hypothesis"))
+        wx, wy, ex, ey = _contextual_sides(x, y, info.weighting, resources.vocabs.get(info.space))
     else:  # bags of words over static (words) or decontextualized (pieces) vectors
         x = resources.bag(info.space, info.weighting, anchor_text)
         y = resources.bag(info.space, info.weighting, segment.hypothesis)

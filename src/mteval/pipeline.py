@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 from mteval.corpus import Dataset, dataset_gold, split_by_source
-from mteval.embeddings import decontextualize, group_records, load_contextual, load_static
+from mteval.embeddings import decontextualize, load_contextual, load_static
 from mteval.ensemble import FeatureMatrix
 from mteval.errors import ConfigError, DataError, tsv_rows, utf8_loader
 from mteval.metrics import (
@@ -136,13 +136,12 @@ def build_resources(config: MetricConfig, dataset: Dataset, paths: dict[str, str
         words = resources.vocabs["words"] = _side_vocabulary(dataset, resources, "words")
         resources.stores["words"] = load_static(paths["static_embeddings"], words.index)
     if "contextual_records" in needed:
-        records = load_contextual(paths["contextual_records"])
-        if not records:
+        table = resources.contextual = load_contextual(paths["contextual_records"])
+        if not len(table):
             raise DataError(f"{paths['contextual_records']}: no records")
-        groups = resources.contextual_groups = group_records(records)
-        resources.vocabs["contextual"] = build_vocabulary([[record.token for record in groups[key]] for key in sorted(groups)])
+        resources.vocabs["contextual"] = build_vocabulary(table.documents())
         if any(METRICS[name].space == "pieces" for name in config.metrics):
-            resources.stores["pieces"] = decontextualize(records)
+            resources.stores["pieces"] = decontextualize(table)
             resources.vocabs["pieces"] = _side_vocabulary(dataset, resources, "pieces")
 
     similarity = (config.similarity_threshold, config.similarity_exponent, config.similarity_top_k)

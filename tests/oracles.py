@@ -16,7 +16,7 @@ import numpy as np
 
 import mteval.vsm as vsm
 from mteval._rng import round_half_up
-from mteval.embeddings import ContextualRecord, EmbeddingStore
+from mteval.embeddings import ContextualTable, EmbeddingStore
 from mteval.ensemble import MlpParams, mlp_loss
 from mteval.errors import DataError
 from mteval.stats import spearman
@@ -387,29 +387,30 @@ def _embed_transitions(graph, union: list[str]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def naive_decontextualize(records) -> dict[str, np.ndarray]:
+def naive_decontextualize(rows) -> dict[str, np.ndarray]:
+    """Per-token means of rows (segment_id, side, token_index, token, vector)."""
     buckets: dict[str, list[np.ndarray]] = {}
-    for record in records:
-        buckets.setdefault(record.token, []).append(np.asarray(record.vector, dtype=float))
+    for _, _, _, token, vector in rows:
+        buckets.setdefault(token, []).append(np.asarray(vector, dtype=float))
     return {token: np.mean(np.stack(vectors), axis=0) for token, vectors in buckets.items()}
 
 
-def loop_decontextualize(records):
-    """Running sum per token, one record at a time, then one division per token."""
-    if not records:
+def loop_decontextualize(rows):
+    """Running sum per token, one row (segment_id, side, token_index, token, vector) at a time, then one division per token."""
+    if not rows:
         raise DataError("cannot decontextualize an empty record list")
-    dim = len(records[0].vector)
+    dim = len(rows[0][4])
     sums: dict[str, np.ndarray] = {}
     counts: dict[str, int] = {}
-    for record in records:
-        if len(record.vector) != dim:
-            raise DataError(f"mixed vector dimensions: {len(record.vector)} vs {dim}")
-        if record.token in sums:
-            sums[record.token] = sums[record.token] + record.vector
-            counts[record.token] += 1
+    for _, _, _, token, vector in rows:
+        if len(vector) != dim:
+            raise DataError(f"mixed vector dimensions: {len(vector)} vs {dim}")
+        if token in sums:
+            sums[token] = sums[token] + vector
+            counts[token] += 1
         else:
-            sums[record.token] = record.vector.astype(float)
-            counts[record.token] = 1
+            sums[token] = vector.astype(float)
+            counts[token] = 1
     table = {token: sums[token] / counts[token] for token in sums}
     return EmbeddingStore(dim=dim, table=table)
 
@@ -509,11 +510,14 @@ def loop_load_static(path, keep, logger):
 def loop_load_contextual(path):
     """Split each vector on any whitespace and convert it value by value with float().
 
-    Returns the list of ContextualRecords; each record's vector is its own array.
+    Returns the rows (segment_id, side, token_index, token, vector); each
+    vector is its own array.  Each row then passes the checks the record
+    class of that time made: its side, its token_index and its vector.
     """
     path = Path(path)
     expected = ["segment_id", "side", "token_index", "token", "vector"]
-    records: list[ContextualRecord] = []
+    sides = ("source", "reference", "hypothesis")
+    records: list[tuple] = []
     seen: set[tuple[str, str, int]] = set()
     dim = None
     with open(path, encoding="utf-8-sig") as handle:
@@ -540,13 +544,26 @@ def loop_load_contextual(path):
             if key in seen:
                 raise DataError(f"{path}:{lineno}: duplicate (segment_id, side, token_index) {key}")
             seen.add(key)
-            try:
-                records.append(
-                    ContextualRecord(segment_id=segment_id, side=side, token_index=token_index, token=token, vector=vector)
-                )
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if side not in sides:
+                raise DataError(f"{path}:{lineno}: bad side {side!r}; expected one of {sides}")
+            if token_index < 0:
+                raise DataError(f"{path}:{lineno}: negative token_index {token_index}")
+            if not np.all(np.isfinite(vector)):
+                raise DataError(f"{path}:{lineno}: non-finite vector for {segment_id!r}/{side}[{token_index}]")
+            records.append((segment_id, side, token_index, token, vector))
     return records
+
+
+def contextual_table(rows) -> ContextualTable:
+    """The table of rows (segment_id, side, token_index, token, vector), as lines 2, 3, ... of a file."""
+    segment_id, side, token_index, token, vectors = zip(*rows)
+    return ContextualTable(np.array(vectors, dtype=float), segment_id, side, token_index, token, range(2, len(rows) + 2))
+
+
+def table_rows(table: ContextualTable) -> list[tuple]:
+    """The rows (segment_id, side, token_index, token, vector) of a table, in file order."""
+    columns = (table.segment_id, table.side, table.token_index, table.token)
+    return list(zip(*(column.tolist() for column in columns), table.vectors))
 
 
 # ---------------------------------------------------------------------------

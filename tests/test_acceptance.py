@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from mteval.corpus import Dataset, Segment, split_by_source
-from mteval.embeddings import ContextualRecord, EmbeddingStore, decontextualize, group_records
+from mteval.embeddings import EmbeddingStore, decontextualize
 from mteval.ensemble import FeatureMatrix, MlpParams, mlp_gradients, mlp_loss, predict, select_model
 from mteval.cli import _write_ablation
 from mteval.evaluation import ablation, cross_lingual_eval, evaluate
@@ -27,6 +27,7 @@ from mteval.vsm import WeightedBow, build_similarity_matrix, build_vocabulary
 
 from oracles import (
     brute_force_transport,
+    contextual_table,
     dense_scm_oracle,
     finite_difference_gradients,
     naive_decontextualize,
@@ -173,18 +174,13 @@ def test_decontextualized_vectors_equal_naive_means():
     sides = ("source", "reference", "hypothesis")
     for _ in range(300):
         dim = int(rng.integers(1, 7))
-        records = [
-            ContextualRecord(
-                segment_id=f"s{rng.integers(3)}",
-                side=str(rng.choice(sides)),
-                token_index=int(rng.integers(0, 10)),
-                token=f"t{rng.integers(6)}",
-                vector=rng.normal(size=dim),
-            )
-            for _ in range(int(rng.integers(1, 40)))
+        # each row its own token_index: the table rejects a repeated (segment_id, side, token_index)
+        rows = [
+            (f"s{rng.integers(3)}", str(rng.choice(sides)), i, f"t{rng.integers(6)}", rng.normal(size=dim))
+            for i in range(int(rng.integers(1, 40)))
         ]
-        store = decontextualize(records)
-        want = naive_decontextualize(records)
+        store = decontextualize(contextual_table(rows))
+        want = naive_decontextualize(rows)
         assert set(store.table) == set(want)
         for token, vec in want.items():
             assert np.max(np.abs(store.table[token] - vec)) <= 1e-12
@@ -251,28 +247,24 @@ def identity_fixture():
     )
     side_docs = [["der", "hund"], ["the", "dog", "runs"], ["the", "dog", "runs"]]
     vocabs = {"words": build_vocabulary(side_docs), "pieces": build_vocabulary(side_docs)}  # every word is a single piece
-    records = []
+    rows = []
     for side, tokens in (
         ("source", ["der", "hund"]),
         ("reference", ["the", "dog", "runs"]),
         ("hypothesis", ["the", "dog", "runs"]),
     ):
         for i, token in enumerate(tokens):
-            records.append(
-                ContextualRecord(
-                    segment_id="s1", side=side, token_index=i, token=token, vector=static[token] + 0.25
-                )
-            )
-    groups = group_records(records)
-    vocabs["contextual"] = build_vocabulary([[r.token for r in groups[key]] for key in sorted(groups)])
-    stores = {"words": static, "pieces": decontextualize(records)}
+            rows.append(("s1", side, i, token, static[token] + 0.25))
+    table = contextual_table(rows)
+    vocabs["contextual"] = build_vocabulary(table.documents())
+    stores = {"words": static, "pieces": decontextualize(table)}
     sims = {}
     for space in stores:
         for order in ("vocabulary", "idf_descending"):
             sims[(space, order)] = build_similarity_matrix(vocabs[space], stores[space], order=order)
     resources = Resources(
         wp_vocab=WordPieceVocab(entries=("[UNK]", "the", "dog", "runs", "der", "hund")),
-        contextual_groups=groups,
+        contextual=table,
         vocabs=vocabs,
         stores=stores,
         sims=sims,

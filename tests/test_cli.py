@@ -571,6 +571,27 @@ def test_an_in_process_main_call_leaves_the_collector_unfrozen(tmp_path):
     assert gc.get_freeze_count() == before
 
 
+#: A process that calls `main` once per output directory, with a `gc.freeze` that says when it runs
+REPEAT_PROBE = """
+import gc, sys
+freeze = gc.freeze
+gc.freeze = lambda: (print("freeze"), freeze())
+from mteval.cli import main
+for out in sys.argv[2:]:
+    assert main(["score", "--config", sys.argv[1], "--out", out]) == 0
+"""
+
+
+def test_repeated_in_process_main_calls_freeze_the_collector_once_at_exit(tmp_path):
+    # atexit._ncallbacks() counts the slots of unregistered handlers too, so count the runs
+    env = {**os.environ, "PYTHONPATH": str(DEMO_DATA.parent.parent / "src")}
+    outs = [str(tmp_path / str(run)) for run in range(3)]
+    argv = [sys.executable, "-c", REPEAT_PROBE, str(DEMO_DATA / "run_deen.json"), *outs]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["freeze"]
+
+
 def test_lowercase_scores_a_title_cased_copy_like_the_original(tmp_path):
     config = demo_copy(tmp_path, "deen")
     lines = (tmp_path / "data" / "deen.tsv").read_text(encoding="utf-8").splitlines()

@@ -9,16 +9,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mteval import embeddings
-from mteval.embeddings import (
-    ContextualRecord,
-    decontextualize,
-    group_records,
-    load_contextual,
-    load_static,
-)
+from mteval.embeddings import ContextualTable, decontextualize, load_contextual, load_static
 from mteval.errors import DataError
 
-from oracles import loop_decontextualize, loop_load_contextual, loop_load_static, naive_decontextualize
+from oracles import (
+    contextual_table,
+    loop_decontextualize,
+    loop_load_contextual,
+    loop_load_static,
+    naive_decontextualize,
+    table_rows,
+)
 
 
 def write_static(tmp_path, text):
@@ -308,13 +309,13 @@ def random_contextual_file(rng) -> tuple[str, set[str]]:
 
 
 def contextual_outcome(load):
-    """Every field of every record, or where and what kind the first fault is.
+    """Every field of every row ``load`` returns, or where and what kind the first fault is.
 
     The two loaders word a bad number, a bad token_index and a non-finite
     vector differently; the line and the kind of fault must agree.
     """
     try:
-        return [(r.segment_id, r.side, r.token_index, r.token, r.vector.dtype.str, r.vector.shape, r.vector.tobytes()) for r in load()]
+        return [(*fields, vector.dtype.str, vector.shape, vector.tobytes()) for *fields, vector in load()]
     except DataError as exc:
         location, _, message = str(exc).partition(": ")
         if message.startswith(("malformed", "non-numeric")):
@@ -333,7 +334,7 @@ def test_load_contextual_matches_the_row_by_row_loader(tmp_path):
         path.write_bytes(text.encode("utf-8"))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = contextual_outcome(lambda: load_contextual(path))
+            got = contextual_outcome(lambda: table_rows(load_contextual(path)))
         assert got == contextual_outcome(lambda: loop_load_contextual(path)), text
         for kind in kinds:
             seen[kind] += 1
@@ -342,26 +343,49 @@ def test_load_contextual_matches_the_row_by_row_loader(tmp_path):
     assert min(seen.values()) >= 10, seen
 
 
-def record(seg, side, idx, token, vec):
-    return ContextualRecord(segment_id=seg, side=side, token_index=idx, token=token, vector=np.array(vec, dtype=float))
+def row(seg, side, idx, token, vec):
+    return seg, side, idx, token, np.array(vec, dtype=float)
 
 
-def test_contextual_record_validation():
-    with pytest.raises(DataError, match="bad side"):
-        record("s1", "translation", 0, "a", [1.0])
-    with pytest.raises(DataError, match="negative"):
-        record("s1", "source", -1, "a", [1.0])
-    with pytest.raises(DataError, match="non-finite"):
-        record("s1", "source", 0, "a", [np.nan])
+# one faulty row each, after a clean one; the faulty row is line 3
+RECORD_FAULTS = {
+    "side": ("s1\ttranslation\t1\ta\t1.0", "bad side 'translation'; expected one of ('source', 'reference', 'hypothesis')"),
+    "negative": ("s1\tsource\t-1\ta\t1.0", "negative token_index -1"),
+    "duplicate": ("s1\tsource\t0\tb\t2.0", "duplicate (segment_id, side, token_index) ('s1', 'source', 0)"),
+    "non-finite": ("s1\tsource\t1\ta\tnan", "non-finite vector component"),
+    "range": ("s1\tsource\t9223372036854775808\ta\t1.0", "token_index 9223372036854775808 is out of the 64-bit range"),
+}
+
+
+def test_contextual_record_validation(tmp_path):
+    path = tmp_path / "ctx.tsv"
+    for line, message in RECORD_FAULTS.values():
+        path.write_text(CONTEXTUAL_HEADER + f"s1\tsource\t0\ta\t1.0\n{line}\ns1\tsource\t-2\tb\t1.0\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_contextual(path)
+        assert str(caught.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("fault", ["side", "negative", "duplicate"])
+def test_the_table_checks_run_on_a_cache_hit(tmp_path, cache_home, caplog, fault):
+    # the row parses cleanly, so its first load writes an entry and its second load is a hit
+    path = tmp_path / "ctx.tsv"
+    path.write_text(CONTEXTUAL_HEADER + f"s1\tsource\t0\ta\t1.0\n{RECORD_FAULTS[fault][0]}\n", encoding="utf-8")
+    miss = cached_load(load_contextual, path, caplog)
+    (entry,) = (cache_home / "mteval").glob("*.npz")
+    hit = cached_load(load_contextual, path, caplog)
+    assert miss[0] == hit[0] == f"{path}:3: {RECORD_FAULTS[fault][1]}"
+    assert miss[2] == f"{path}: vector cache miss, {entry} written"
+    assert hit[2] == f"{path}: vector cache hit, {entry}"
 
 
 def test_decontextualize_averages_per_token():
-    records = [
-        record("s1", "source", 0, "cat", [1.0, 0.0]),
-        record("s1", "hypothesis", 0, "cat", [3.0, 2.0]),
-        record("s2", "source", 0, "dog", [0.0, 4.0]),
-    ]
-    store = decontextualize(records)
+    table = contextual_table([
+        row("s1", "source", 0, "cat", [1.0, 0.0]),
+        row("s1", "hypothesis", 0, "cat", [3.0, 2.0]),
+        row("s2", "source", 0, "dog", [0.0, 4.0]),
+    ])
+    store = decontextualize(table)
     assert store.dim == 2
     assert store["cat"].tolist() == [2.0, 1.0]
     assert store["dog"].tolist() == [0.0, 4.0]
@@ -371,16 +395,16 @@ def test_decontextualize_matches_naive_oracle():
     rng = np.random.default_rng(99)
     tokens = ["a", "b", "c", "d"]
     for _ in range(50):
-        records = []
+        rows = []
         idx = {side: 0 for side in ("source", "reference", "hypothesis")}
         for _ in range(int(rng.integers(1, 30))):
             side = ("source", "reference", "hypothesis")[int(rng.integers(0, 3))]
-            records.append(
-                record(f"s{int(rng.integers(0, 4))}", side, idx[side], tokens[int(rng.integers(0, 4))], rng.normal(size=3))
+            rows.append(
+                row(f"s{int(rng.integers(0, 4))}", side, idx[side], tokens[int(rng.integers(0, 4))], rng.normal(size=3))
             )
             idx[side] += 1
-        store = decontextualize(records)
-        expected = naive_decontextualize(records)
+        store = decontextualize(contextual_table(rows))
+        expected = naive_decontextualize(rows)
         assert set(store.table) == set(expected)
         for token in expected:
             assert np.allclose(store[token], expected[token], atol=1e-12, rtol=0)
@@ -392,19 +416,18 @@ def test_decontextualize_matches_the_running_sum_bit_for_bit():
         n = int(rng.integers(1, 40))
         values = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-5, 5, size=(n, 1))
         values[rng.random(size=values.shape) < 0.1] = -0.0
-        # rows of one matrix, as load_contextual makes them
-        records = [ContextualRecord("s1", "source", i, "abc"[int(rng.integers(0, 3))], values[i]) for i in range(n)]
-        got, want = decontextualize(records), loop_decontextualize(records)
+        # one matrix, as load_contextual keeps it
+        tokens = ["abc"[int(rng.integers(0, 3))] for _ in range(n)]
+        table = ContextualTable(values, ["s1"] * n, ["source"] * n, range(n), tokens, range(2, n + 2))
+        assert table.vectors is values
+        got, want = decontextualize(table), loop_decontextualize(table_rows(table))
         assert got.dim == want.dim
         assert {t: v.tobytes() for t, v in got.table.items()} == {t: v.tobytes() for t, v in want.table.items()}
 
 
-def test_decontextualize_rejects_empty_and_mixed_dims():
-    with pytest.raises(DataError):
-        decontextualize([])
-    records = [record("s1", "source", 0, "a", [1.0]), record("s1", "source", 1, "b", [1.0, 2.0])]
-    with pytest.raises(DataError, match="mixed"):
-        decontextualize(records)
+def test_decontextualize_rejects_an_empty_table():
+    with pytest.raises(DataError, match="empty table"):
+        decontextualize(ContextualTable(np.empty((0, 2)), [], [], [], [], []))
 
 
 CONTEXTUAL_HEADER = "segment_id\tside\ttoken_index\ttoken\tvector\n"
@@ -418,10 +441,10 @@ def test_load_contextual_roundtrip(tmp_path):
         "s1\thypothesis\t0\tcat\t3.0 4.0\n",
         encoding="utf-8",
     )
-    records = load_contextual(path)
-    assert len(records) == 2
-    assert records[0].segment_id == "s1"
-    assert records[0].vector.tolist() == [1.0, 2.0]
+    table = load_contextual(path)
+    assert len(table) == 2
+    assert table.segment_id[0] == "s1"
+    assert table.vectors[0].tolist() == [1.0, 2.0]
 
 
 def test_load_contextual_errors(tmp_path):
@@ -451,10 +474,11 @@ def test_load_contextual_errors(tmp_path):
 def test_load_contextual_records_share_one_matrix(tmp_path):
     path = tmp_path / "ctx.tsv"
     path.write_text(CONTEXTUAL_HEADER + "s1\tsource\t0\tcat\t1.0 2.0\ns1\tsource\t1\tdog\t3.0 4.0 \n", encoding="utf-8")
-    records = load_contextual(path)
-    assert records[1].vector.tolist() == [3.0, 4.0]
-    assert records[0].vector.base is not None
-    assert records[0].vector.base is records[1].vector.base
+    table = load_contextual(path)
+    assert table.vectors.dtype == np.float64 and table.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    tokens, vectors = table.side_of("s1", "source")
+    assert tokens == ["cat", "dog"] and vectors.tolist() == table.vectors.tolist()
+    assert not np.shares_memory(vectors, table.vectors)  # a take of the side's rows
 
 
 def test_load_contextual_rejects_an_empty_vector(tmp_path):
@@ -480,16 +504,19 @@ def test_both_loaders_reject_a_vector_outside_the_shared_rule(tmp_path, vector):
         load_contextual(contextual)
 
 
-def test_group_records_sorted_by_token_index():
-    records = [
-        record("s1", "source", 2, "c", [1.0]),
-        record("s1", "source", 0, "a", [1.0]),
-        record("s1", "hypothesis", 0, "x", [1.0]),
-        record("s1", "source", 1, "b", [1.0]),
-    ]
-    groups = group_records(records)
-    assert set(groups) == {("s1", "source"), ("s1", "hypothesis")}
-    assert [r.token for r in groups[("s1", "source")]] == ["a", "b", "c"]
+def test_a_side_is_its_rows_in_token_index_order():
+    table = contextual_table([
+        row("s1", "source", 2, "c", [2.0]),
+        row("s1", "source", 0, "a", [0.0]),
+        row("s1", "hypothesis", 0, "x", [9.0]),
+        row("s0", "source", 0, "y", [8.0]),
+        row("s1", "source", 1, "b", [1.0]),
+    ])
+    tokens, vectors = table.side_of("s1", "source")
+    assert tokens == ["a", "b", "c"] and vectors.tolist() == [[0.0], [1.0], [2.0]]
+    tokens, vectors = table.side_of("s1", "reference")
+    assert tokens == [] and vectors.shape == (0, 1)
+    assert table.documents() == [["y"], ["x"], ["a", "b", "c"]]  # sorted by (segment_id, side)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +549,7 @@ def cached_load(load, path, caplog):
         except DataError as exc:
             loaded = str(exc)
     if not isinstance(loaded, str):
-        loaded = [(r.segment_id, r.side, r.token_index, r.token, r.vector.dtype.str, r.vector.tobytes()) for r in loaded]
+        loaded = [(*fields, vector.dtype.str, vector.tobytes()) for *fields, vector in table_rows(loaded)]
     warned = [record.getMessage() for record in caplog.records if record.levelno >= logging.WARNING]
     cache_lines = [message for message in caplog.messages if "vector cache" in message]
     assert len(cache_lines) <= 1, cache_lines

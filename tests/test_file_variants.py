@@ -10,9 +10,11 @@ import pytest
 from mteval.cli import main
 from mteval.config import load_run_config
 from mteval.corpus import load_dataset
-from mteval.embeddings import ContextualRecord, load_contextual, load_static
+from mteval.embeddings import load_contextual, load_static
 from mteval.pipeline import load_external_scores
 from mteval.tokenization import load_wordpiece_vocab
+
+from oracles import table_rows
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -45,8 +47,8 @@ def store_fields(store):
     return store.dim, {token: vector.tolist() for token, vector in store.table.items()}
 
 
-def record_fields(records):
-    return [ContextualRecord(r.segment_id, r.side, r.token_index, r.token, tuple(r.vector)) for r in records]
+def record_fields(table):
+    return [(*fields, tuple(vector)) for *fields, vector in table_rows(table)]
 
 
 def config_fields(config):

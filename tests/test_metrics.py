@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mteval.corpus import Segment
-from mteval.embeddings import ContextualRecord, EmbeddingStore, decontextualize, group_records
+from mteval.embeddings import EmbeddingStore, decontextualize
 from mteval.errors import ConfigError, DataError
 from mteval.metrics import (
     EMPTY_BOW_FLAG,
@@ -40,6 +40,7 @@ from mteval.vsm import (
 
 from oracles import (
     brute_force_transport,
+    contextual_table,
     dense_scm_oracle,
     dense_similarity,
     graph_compositionality,
@@ -334,8 +335,8 @@ def test_identical_sides_score_exactly_zero_without_the_solver(monkeypatch):
     vectors[3] = vectors[1]  # two terms sharing one vector
     weights = rng.uniform(0.1, 1.0, size=4)
     assert _transport_cost(weights, weights.copy(), vectors, vectors.copy()) == 0.0
-    records = [ctx("s", "reference", i, f"w{i}", v) for i, v in enumerate(vectors)]
-    assert wmd_contextual(records, list(records)) == 0.0
+    tokens = [f"w{i}" for i in range(4)]
+    assert wmd_contextual((tokens, vectors), (list(tokens), vectors.copy())) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +344,17 @@ def test_identical_sides_score_exactly_zero_without_the_solver(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def ctx(seg, side, idx, token, vec):
-    return ContextualRecord(segment_id=seg, side=side, token_index=idx, token=token, vector=np.array(vec, dtype=float))
+def side(tokens, vectors):
+    """A side as `ContextualTable.side_of` gives it: its tokens and one vector row per token."""
+    return list(tokens), np.array(vectors, dtype=float).reshape(len(tokens), -1)
 
 
 def test_wmd_contextual_identity_and_single_pair():
-    rx = [ctx("s", "reference", 0, "a", [1.0, 2.0]), ctx("s", "reference", 1, "b", [0.0, 1.0])]
-    ry = [ctx("s", "hypothesis", 0, "a", [1.0, 2.0]), ctx("s", "hypothesis", 1, "b", [0.0, 1.0])]
+    rx = side(["a", "b"], [[1.0, 2.0], [0.0, 1.0]])
+    ry = side(["a", "b"], [[1.0, 2.0], [0.0, 1.0]])
     assert wmd_contextual(rx, ry) == 0.0
-    one_x = [ctx("s", "reference", 0, "a", [0.0, 0.0])]
-    one_y = [ctx("s", "hypothesis", 0, "b", [3.0, 4.0])]
+    one_x = side(["a"], [[0.0, 0.0]])
+    one_y = side(["b"], [[3.0, 4.0]])
     assert abs(wmd_contextual(one_x, one_y) - 5.0) < 1e-12
 
 
@@ -360,11 +362,11 @@ def test_wmd_contextual_matches_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         nx, ny = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        rx = [ctx("s", "reference", i, f"w{i}", rng.normal(size=3)) for i in range(nx)]
-        ry = [ctx("s", "hypothesis", j, f"v{j}", rng.normal(size=3)) for j in range(ny)]
+        rx = side([f"w{i}" for i in range(nx)], rng.normal(size=(nx, 3)))
+        ry = side([f"v{j}" for j in range(ny)], rng.normal(size=(ny, 3)))
         a = np.full(nx, 1.0 / nx)
         b = np.full(ny, 1.0 / ny)
-        costs = np.array([[np.linalg.norm(r.vector - s.vector) for s in ry] for r in rx])
+        costs = np.array([[np.linalg.norm(r - s) for s in ry[1]] for r in rx[1]])
         want = brute_force_transport(a, b, costs)
         assert abs(wmd_contextual(rx, ry) - want) < 1e-9
 
@@ -373,21 +375,21 @@ def test_wmd_contextual_nfx_weighting():
     # vocab over three (segment, side) documents; "the" is everywhere -> idf 0
     docs = [["the", "cat"], ["the", "dog"], ["the"]]
     vocab = build_vocabulary(docs)
-    rx = [ctx("s", "reference", 0, "the", [0.0]), ctx("s", "reference", 1, "cat", [1.0])]
-    ry = [ctx("s", "hypothesis", 0, "the", [10.0]), ctx("s", "hypothesis", 1, "dog", [2.0])]
+    rx = side(["the", "cat"], [0.0, 1.0])
+    ry = side(["the", "dog"], [10.0, 2.0])
     # zero-idf "the" occurrences drop out on both sides: distance |1 - 2| = 1
     assert abs(wmd_contextual(rx, ry, weighting="nfx", vocab=vocab) - 1.0) < 1e-12
-    only_the = [ctx("s", "reference", 0, "the", [0.0])]
+    only_the = side(["the"], [0.0])
     with pytest.raises(UnscorableSegment):
         wmd_contextual(only_the, ry, weighting="nfx", vocab=vocab)
 
 
 def test_wmd_contextual_argument_validation():
-    rx = [ctx("s", "reference", 0, "a", [1.0])]
+    rx = side(["a"], [1.0])
     with pytest.raises(UnscorableSegment):
-        wmd_contextual([], rx)
+        wmd_contextual(([], np.empty((0, 1))), rx)
     with pytest.raises(UnscorableSegment):
-        wmd_contextual(rx, [])
+        wmd_contextual(rx, ([], np.empty((0, 1))))
     with pytest.raises(ValueError):
         wmd_contextual(rx, rx, weighting="binary")
     with pytest.raises(ValueError):
@@ -677,20 +679,20 @@ def identity_fixture():
     )
     side_docs = [["der", "hund"], ["the", "dog", "runs"], ["the", "dog", "runs"]]
     vocabs = {"words": build_vocabulary(side_docs), "pieces": build_vocabulary(side_docs)}  # every word is a single piece in WP
-    records = []
+    rows = []
     for side, tokens in (("source", ["der", "hund"]), ("reference", ["the", "dog", "runs"]), ("hypothesis", ["the", "dog", "runs"])):
         for i, token in enumerate(tokens):
-            records.append(ctx("s1", side, i, token, static[token] + 0.25))
-    groups = group_records(records)
-    vocabs["contextual"] = build_vocabulary([[r.token for r in groups[key]] for key in sorted(groups)])
-    stores = {"words": static, "pieces": decontextualize(records)}
+            rows.append(("s1", side, i, token, static[token] + 0.25))
+    table = contextual_table(rows)
+    vocabs["contextual"] = build_vocabulary(table.documents())
+    stores = {"words": static, "pieces": decontextualize(table)}
     sims = {}
     for space in stores:
         for order in ("vocabulary", "idf_descending"):
             sims[(space, order)] = build_similarity_matrix(vocabs[space], stores[space], order=order)
     resources = Resources(
         wp_vocab=WP,
-        contextual_groups=groups,
+        contextual=table,
         vocabs=vocabs,
         stores=stores,
         sims=sims,

@@ -13,7 +13,7 @@ import numpy as np
 
 import mteval.cli
 import mteval.pipeline
-from mteval.embeddings import EmbeddingStore, load_static
+from mteval.embeddings import EmbeddingStore, load_contextual, load_static
 from mteval.vsm import build_similarity_matrix, build_vocabulary
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,6 +60,15 @@ def test_load_static_length_counts_the_vector_rows(tmp_path):
     path = tmp_path / "vectors.txt"
     path.write_text("4 2\ncat 1 0\n\ndog 0 1\n   \ncat 0.5 0.5\nemu 1 1\n\n", encoding="utf-8")
     assert len(load_static(path, {"cat", "dog", "emu"})) == 3
+
+
+def test_load_contextual_length_counts_the_data_rows(tmp_path):
+    # the tracer reports len(load_contextual(...)) as embeddings.load_contextual.records:
+    # one per data row of the file, so blank lines add nothing
+    path = tmp_path / "ctx.tsv"
+    rows = ["s1\tsource\t0\tcat\t1 0", "s1\tsource\t1\tcat\t0 1", "", "s2\thypothesis\t0\tdog\t1 1", "  "]
+    path.write_text("segment_id\tside\ttoken_index\ttoken\tvector\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert len(load_contextual(path)) == 3
 
 
 def test_a_traced_ablate_records_the_model_selection_and_its_fits(tmp_path):

@@ -95,7 +95,7 @@ def test_build_resources_populates_what_the_config_needs(tiny_run):
     assert resources.stores["words"].dim == 2
     assert resources.wp_vocab is not None
     assert set(resources.stores) == {"words", "pieces"}
-    assert resources.contextual_groups and set(resources.vocabs) == {"words", "pieces", "contextual"}
+    assert len(resources.contextual) and set(resources.vocabs) == {"words", "pieces", "contextual"}
     # one document per segment side: 6 segments x (source, reference, hypothesis)
     assert resources.vocabs["words"].n_docs == 18
     assert resources.vocabs["pieces"].n_docs == 18

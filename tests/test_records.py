@@ -18,7 +18,7 @@ import pytest
 
 from mteval.config import RunConfig
 from mteval.corpus import Segment
-from mteval.embeddings import ContextualRecord
+from mteval.embeddings import ContextualTable
 from mteval.ensemble import FeatureMatrix, MlpParams
 from mteval.evaluation import CorrelationReport
 from mteval.metrics import MetricConfig, MetricInfo, MetricVector, Resources
@@ -37,9 +37,6 @@ SIGNATURES = {
     "corpus.Dataset": [("segments", REQUIRED), ("name", "''")],
     "tokenization.WordPieceVocab": [("entries", REQUIRED)],
     "embeddings.EmbeddingStore": [("dim", REQUIRED), ("table", REQUIRED)],
-    "embeddings.ContextualRecord": [
-        ("segment_id", REQUIRED), ("side", REQUIRED), ("token_index", REQUIRED), ("token", REQUIRED), ("vector", REQUIRED),
-    ],
     "vsm.Vocabulary": [("terms", REQUIRED), ("index", REQUIRED), ("df", REQUIRED), ("n_docs", REQUIRED)],
     "vsm.WeightedBow": [("entries", FACTORY)],
     "vsm.SimilarityMatrix": [("dim", REQUIRED), ("rows", FACTORY)],
@@ -57,7 +54,7 @@ SIGNATURES = {
     ],
     "metrics.MetricVector": [("segment_id", REQUIRED), ("scores", REQUIRED), ("flags", FACTORY)],
     "metrics.Resources": [
-        ("wp_vocab", "None"), ("contextual_groups", "None"), ("vocabs", FACTORY), ("stores", FACTORY), ("sims", FACTORY),
+        ("wp_vocab", "None"), ("contextual", "None"), ("vocabs", FACTORY), ("stores", FACTORY), ("sims", FACTORY),
         ("external", FACTORY), ("lowercase", "False"),
     ],
     "ensemble.FeatureMatrix": [("rows", REQUIRED), ("feature_names", REQUIRED), ("segment_ids", REQUIRED)],
@@ -116,7 +113,6 @@ def arguments():
         "corpus.Dataset": {"segments": [segment], "name": "d"},
         "tokenization.WordPieceVocab": {"entries": ("[UNK]", "dog")},
         "embeddings.EmbeddingStore": {"dim": 2, "table": {"dog": np.zeros(2)}},
-        "embeddings.ContextualRecord": {"segment_id": "s1", "side": "source", "token_index": 3, "token": "dog", "vector": np.ones(2)},
         "vsm.Vocabulary": {"terms": ["dog"], "index": {"dog": 0}, "df": {"dog": 1}, "n_docs": 1},
         "vsm.WeightedBow": {"entries": {0: 1.0}},
         "vsm.SimilarityMatrix": {"dim": 1, "rows": {0: {}}},
@@ -132,8 +128,8 @@ def arguments():
         },
         "metrics.MetricVector": {"segment_id": "s1", "scores": {"bleu": 0.5}, "flags": {"bleu": "empty"}},
         "metrics.Resources": {
-            "wp_vocab": WordPieceVocab(("[UNK]",)), "contextual_groups": {}, "vocabs": {}, "stores": {}, "sims": {},
-            "external": {}, "lowercase": True,
+            "wp_vocab": WordPieceVocab(("[UNK]",)), "contextual": ContextualTable(np.empty((0, 2)), [], [], [], [], []),
+            "vocabs": {}, "stores": {}, "sims": {}, "external": {}, "lowercase": True,
         },
         "ensemble.FeatureMatrix": features,
         "ensemble.MlpParams": mlp,
@@ -156,11 +152,11 @@ def arguments():
     }
 
 
-FROZEN = ["corpus.Segment", "tokenization.WordPieceVocab", "embeddings.ContextualRecord", "metrics.MetricInfo", "metrics.MetricConfig"]
+FROZEN = ["corpus.Segment", "tokenization.WordPieceVocab", "metrics.MetricInfo", "metrics.MetricConfig"]
 
 
 def test_the_table_covers_every_record():
-    assert len(SIGNATURES) == 22
+    assert len(SIGNATURES) == 21
     assert {name: list(values) for name, values in arguments().items()} == {
         name: [param for param, _ in params] for name, params in SIGNATURES.items()
     }
