@@ -28,22 +28,6 @@ SIDES = ("source", "reference", "hypothesis")
 _CONTEXTUAL_COLUMNS = ["segment_id", "side", "token_index", "token", "vector"]
 
 
-class EmbeddingStore:
-    """token -> vector table with a single declared dimension."""
-
-    def __init__(self, dim: int, table: dict[str, np.ndarray]):
-        self.dim, self.table = dim, table
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.table
-
-    def __getitem__(self, token: str) -> np.ndarray:
-        return self.table[token]
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-
 class ContextualTable:
     """Contextual occurrence vectors as one table, one array per column, checked once as arrays.
 
@@ -96,8 +80,8 @@ class ContextualTable:
 
 
 @utf8_loader
-def load_static(path: str | Path, keep: Container[str]) -> EmbeddingStore:
-    """Load the vectors of the tokens in ``keep`` from a word-vector text file.
+def load_static(path: str | Path, keep: Container[str]) -> dict[str, np.ndarray]:
+    """Load the vectors of the tokens in ``keep`` from a word-vector text file, as a token -> vector dict.
 
     Every row must carry one token and exactly ``dim`` fields, but only the
     rows of kept tokens are parsed, under the vector rule of `_parse_vectors`.
@@ -139,7 +123,7 @@ def load_static(path: str | Path, keep: Container[str]) -> EmbeddingStore:
         raise fault
     if len(distinct) != count:
         logger.warning("%s: header declares %d tokens but %d were read", path, count, len(distinct))
-    return EmbeddingStore(dim=dim, table=table)
+    return table
 
 
 def _parse_vectors(path: Path, read_rows, digest=None):
@@ -326,14 +310,12 @@ def load_contextual(path: str | Path) -> ContextualTable:
     return table
 
 
-def decontextualize(table: ContextualTable) -> EmbeddingStore:
-    """Average all occurrence vectors of each token string into one vector."""
+def decontextualize(table: ContextualTable) -> dict[str, np.ndarray]:
+    """Average all occurrence vectors of each token string into one vector, as a token -> mean dict."""
     if not len(table):
         raise DataError("cannot decontextualize an empty table")
     occurrences: dict[str, list[int]] = {}
     for row, token in enumerate(table.token.tolist()):
         occurrences.setdefault(token, []).append(row)
-    vectors = table.vectors
-    # each sum runs left to right in file order over row views, into a new array
-    store = {token: functools.reduce(np.add, map(vectors.__getitem__, rows)) / len(rows) for token, rows in occurrences.items()}
-    return EmbeddingStore(dim=vectors.shape[1], table=store)
+    view = table.vectors.__getitem__  # each sum runs left to right in file order over row views, into a new array
+    return {token: functools.reduce(np.add, map(view, rows)) / len(rows) for token, rows in occurrences.items()}

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from mteval.corpus import Segment
-from mteval.embeddings import ContextualTable, EmbeddingStore
+from mteval.embeddings import ContextualTable
 from mteval.errors import ConfigError, DataError, Frozen
 from mteval.flow import CHUNK_CELLS, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
@@ -183,7 +183,7 @@ class Resources:
     def __init__(
         self, wp_vocab: WordPieceVocab | None = None,
         contextual: ContextualTable | None = None,
-        vocabs: dict[str, Vocabulary] | None = None, stores: dict[str, EmbeddingStore] | None = None,
+        vocabs: dict[str, Vocabulary] | None = None, stores: dict[str, dict[str, np.ndarray]] | None = None,
         sims: dict[tuple[str, str], SimilarityMatrix] | None = None, external: dict[str, dict[str, float]] | None = None,
         lowercase: bool = False,
     ):
@@ -255,7 +255,7 @@ def _soft_quadratic(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix) ->
     return math.fsum(terms)
 
 
-def wmd(x: WeightedBow, y: WeightedBow, store: EmbeddingStore, vocab: Vocabulary) -> float:
+def wmd(x: WeightedBow, y: WeightedBow, store: dict[str, np.ndarray], vocab: Vocabulary) -> float:
     """Word mover's distance: exact optimum of the transportation problem.
 
     Both sides are l1-normalized after dropping zero-weight terms and terms
@@ -266,7 +266,7 @@ def wmd(x: WeightedBow, y: WeightedBow, store: EmbeddingStore, vocab: Vocabulary
     return _transport_cost(_weights(x, tx, "first"), _weights(y, ty, "second"), ex, ey)
 
 
-def _embedded(bow: WeightedBow, store: EmbeddingStore, vocab: Vocabulary):
+def _embedded(bow: WeightedBow, store: dict[str, np.ndarray], vocab: Vocabulary):
     """A bag's terms that have a vector, in index order, and their stacked vectors (nfx keeps nnx's terms)."""
     terms = [i for i in sorted(bow.entries) if vocab.terms[i] in store]
     return terms, np.stack([store[vocab.terms[i]] for i in terms]) if terms else None

@@ -72,8 +72,10 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
         names = header[1:]
         if not names:
             raise DataError(f"{path}: no feature columns")
-        if len(set(names)) != len(names):
-            raise DataError(f"{path}: duplicate feature columns")
+        if not all(name.strip() for name in names):
+            raise DataError(f"{path}: a feature column has an empty or blank name")
+        if len(set(header)) != len(header):
+            raise DataError(f"{path}: duplicate feature columns, or one named 'segment_id'")
         for name in names:
             if name in RESERVED_FEATURE_NAMES:
                 raise ConfigError(f"{path}: column name {name!r} is reserved for the ensembles")

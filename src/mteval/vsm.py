@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from mteval.embeddings import EmbeddingStore
-
 SIMILARITY_ORDERS = ("vocabulary", "idf_descending")
 
 # Defaults follow the published defaults of the sparse term-similarity
@@ -195,7 +193,7 @@ def _left_aligned(keep: np.ndarray, values: np.ndarray):
 
 def similarity_candidates(
     vocab: Vocabulary,
-    store: EmbeddingStore,
+    store: dict[str, np.ndarray],
     threshold: float = DEFAULT_THRESHOLD,
     exponent: float = DEFAULT_EXPONENT,
     top_k: int = DEFAULT_TOP_K,
@@ -204,13 +202,11 @@ def similarity_candidates(
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     embedded = [i for i, term in enumerate(vocab.terms) if term in store]
-    normalized = np.zeros((0, store.dim))
-    if embedded:
-        vectors = np.stack([store[vocab.terms[i]] for i in embedded]).astype(float)
-        norms = np.linalg.norm(vectors, axis=1)
-        nonzero = norms > 0
-        normalized = np.zeros_like(vectors)
-        normalized[nonzero] = vectors[nonzero] / norms[nonzero, None]
+    vectors = np.stack([store[vocab.terms[i]] for i in embedded]).astype(float) if embedded else np.zeros((0, 0))
+    norms = np.linalg.norm(vectors, axis=1)
+    nonzero = norms > 0
+    normalized = np.zeros_like(vectors)
+    normalized[nonzero] = vectors[nonzero] / norms[nonzero, None]
     block = max(1, CANDIDATE_BLOCK_CELLS // max(1, len(embedded)))
     candidates = SimilarityCandidates(
         len(vocab), threshold, exponent, top_k, np.array(embedded, dtype=np.intp), normalized, block, {}, set()
@@ -230,7 +226,7 @@ def similarity_candidates(
 
 def build_similarity_matrix(
     vocab: Vocabulary,
-    store: EmbeddingStore,
+    store: dict[str, np.ndarray],
     order: str = "vocabulary",
     threshold: float = DEFAULT_THRESHOLD,
     exponent: float = DEFAULT_EXPONENT,

@@ -16,7 +16,7 @@ import numpy as np
 
 import mteval.vsm as vsm
 from mteval._rng import round_half_up
-from mteval.embeddings import ContextualTable, EmbeddingStore
+from mteval.embeddings import ContextualTable
 from mteval.ensemble import MlpParams, mlp_loss
 from mteval.errors import DataError
 from mteval.stats import spearman
@@ -411,8 +411,7 @@ def loop_decontextualize(rows):
         else:
             sums[token] = vector.astype(float)
             counts[token] = 1
-    table = {token: sums[token] / counts[token] for token in sums}
-    return EmbeddingStore(dim=dim, table=table)
+    return {token: sums[token] / counts[token] for token in sums}
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +689,7 @@ def loop_similarity_candidates(vocab, store, threshold, exponent, top_k):
     were cut, and the uncut ranking of each of those rows.
     """
     embedded = [i for i, term in enumerate(vocab.terms) if term in store]
-    normalized = np.zeros((0, store.dim))
+    normalized = np.zeros((0, 0))
     if embedded:
         vectors = np.stack([store[vocab.terms[i]] for i in embedded]).astype(float)
         norms = np.linalg.norm(vectors, axis=1)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from mteval.corpus import Dataset, Segment, split_by_source
-from mteval.embeddings import EmbeddingStore, decontextualize
+from mteval.embeddings import decontextualize
 from mteval.ensemble import FeatureMatrix, MlpParams, mlp_gradients, mlp_loss, predict, select_model
 from mteval.cli import _write_ablation
 from mteval.evaluation import ablation, cross_lingual_eval, evaluate
@@ -181,9 +181,9 @@ def test_decontextualized_vectors_equal_naive_means():
         ]
         store = decontextualize(contextual_table(rows))
         want = naive_decontextualize(rows)
-        assert set(store.table) == set(want)
+        assert set(store) == set(want)
         for token, vec in want.items():
-            assert np.max(np.abs(store.table[token] - vec)) <= 1e-12
+            assert np.max(np.abs(store[token] - vec)) <= 1e-12
 
 
 @verdict("source splits disjoint with round-half-up sizes (1000 datasets)")
@@ -235,16 +235,13 @@ def identity_fixture():
         pos_hypothesis=("DET", "NOUN", "VERB"),
     )
     config = MetricConfig(mode="reference_based", metrics=tuple(METRICS))
-    static = EmbeddingStore(
-        dim=3,
-        table={
-            "the": np.array([1.0, 0.0, 0.0]),
-            "dog": np.array([0.0, 1.0, 0.0]),
-            "runs": np.array([0.0, 0.0, 1.0]),
-            "der": np.array([0.5, 0.5, 0.0]),
-            "hund": np.array([0.0, 0.5, 0.5]),
-        },
-    )
+    static = {
+        "the": np.array([1.0, 0.0, 0.0]),
+        "dog": np.array([0.0, 1.0, 0.0]),
+        "runs": np.array([0.0, 0.0, 1.0]),
+        "der": np.array([0.5, 0.5, 0.0]),
+        "hund": np.array([0.0, 0.5, 0.5]),
+    }
     side_docs = [["der", "hund"], ["the", "dog", "runs"], ["the", "dog", "runs"]]
     vocabs = {"words": build_vocabulary(side_docs), "pieces": build_vocabulary(side_docs)}  # every word is a single piece
     rows = []

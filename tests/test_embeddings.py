@@ -31,7 +31,7 @@ def write_static(tmp_path, text):
 def test_load_static_word_vector_format(tmp_path):
     path = write_static(tmp_path, "2 3\ncat 1.0 0.0 0.5\ndog 0.0 2.0 -1.0\n")
     store = load_static(path, {"cat", "dog", "fish"})
-    assert store.dim == 3
+    assert {vector.shape for vector in store.values()} == {(3,)}
     assert len(store) == 2
     assert store["cat"].tolist() == [1.0, 0.0, 0.5]
     assert "cat" in store
@@ -92,7 +92,6 @@ def test_load_static_header_only_file_is_an_empty_store(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         store = load_static(path, set())
-    assert store.dim == 3
     assert len(store) == 0
 
 
@@ -136,7 +135,7 @@ def test_load_static_parses_only_the_kept_rows(tmp_path, caplog):
     path = write_static(tmp_path, "4 2\ncat 1.0 0.0\ndog nan oops\nemu 1.0 inf\ncat 0.5 0.5\n")
     with caplog.at_level("WARNING"):
         store = load_static(path, {"cat", "fish"})
-    assert {token: vector.tolist() for token, vector in store.table.items()} == {"cat": [0.5, 0.5]}
+    assert {token: vector.tolist() for token, vector in store.items()} == {"cat": [0.5, 0.5]}
     # the header counts the distinct tokens of every row, kept or not
     assert caplog.messages == [f"{path}:5: duplicate token 'cat', keeping the later vector", f"{path}: header declares 4 tokens but 3 were read"]
 
@@ -219,7 +218,7 @@ def test_load_static_matches_the_row_by_row_loader(tmp_path, caplog):
         for keep in (some, set(SWEEP_TOKENS)):
             with caplog.at_level("WARNING"), warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = load_outcome(lambda: load_static(path, keep).table, caplog)
+                got = load_outcome(lambda: load_static(path, keep), caplog)
                 want = load_outcome(lambda: loop_load_static(path, keep, ORACLE_LOG)[1], caplog)
             assert got == want, (text, keep)
             outcomes.append(want[0])
@@ -251,7 +250,7 @@ def test_load_static_round_trips_repr_written_vectors(tmp_path, case):
     path = tmp_path / "vectors.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     store = load_static(path, {token for token, _ in rows})
-    assert list(store.table) == [token for token, _ in rows]
+    assert list(store) == [token for token, _ in rows]
     for token, vector in rows:
         assert store[token].tobytes() == np.array(vector, dtype=np.float64).tobytes()
 
@@ -386,7 +385,7 @@ def test_decontextualize_averages_per_token():
         row("s2", "source", 0, "dog", [0.0, 4.0]),
     ])
     store = decontextualize(table)
-    assert store.dim == 2
+    assert {vector.shape for vector in store.values()} == {(2,)}
     assert store["cat"].tolist() == [2.0, 1.0]
     assert store["dog"].tolist() == [0.0, 4.0]
 
@@ -405,7 +404,7 @@ def test_decontextualize_matches_naive_oracle():
             idx[side] += 1
         store = decontextualize(contextual_table(rows))
         expected = naive_decontextualize(rows)
-        assert set(store.table) == set(expected)
+        assert set(store) == set(expected)
         for token in expected:
             assert np.allclose(store[token], expected[token], atol=1e-12, rtol=0)
 
@@ -421,8 +420,8 @@ def test_decontextualize_matches_the_running_sum_bit_for_bit():
         table = ContextualTable(values, ["s1"] * n, ["source"] * n, range(n), tokens, range(2, n + 2))
         assert table.vectors is values
         got, want = decontextualize(table), loop_decontextualize(table_rows(table))
-        assert got.dim == want.dim
-        assert {t: v.tobytes() for t, v in got.table.items()} == {t: v.tobytes() for t, v in want.table.items()}
+        assert {v.shape for v in got.values()} == {v.shape for v in want.values()} == {(3,)}
+        assert {t: v.tobytes() for t, v in got.items()} == {t: v.tobytes() for t, v in want.items()}
 
 
 def test_decontextualize_rejects_an_empty_table():

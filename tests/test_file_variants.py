@@ -44,7 +44,7 @@ def load_demo_vectors(path):
 
 
 def store_fields(store):
-    return store.dim, {token: vector.tolist() for token, vector in store.table.items()}
+    return {token: vector.tolist() for token, vector in store.items()}
 
 
 def record_fields(table):

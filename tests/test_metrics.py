@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mteval.corpus import Segment
-from mteval.embeddings import EmbeddingStore, decontextualize
+from mteval.embeddings import decontextualize
 from mteval.errors import ConfigError, DataError
 from mteval.metrics import (
     EMPTY_BOW_FLAG,
@@ -51,8 +51,7 @@ from oracles import (
 
 
 def store_from(table):
-    dim = len(next(iter(table.values())))
-    return EmbeddingStore(dim=dim, table={k: np.array(v, dtype=float) for k, v in table.items()})
+    return {k: np.array(v, dtype=float) for k, v in table.items()}
 
 
 def random_bow(rng, dim, density=0.6):
@@ -262,7 +261,7 @@ def test_wmd_weight_scale_invariance():
 def test_embedding_scaling_scales_wmd_and_fixes_scm():
     rng = np.random.default_rng(6)
     vocab, store = wmd_fixture(rng)
-    scaled = EmbeddingStore(dim=store.dim, table={t: 7.0 * v for t, v in store.table.items()})
+    scaled = {t: 7.0 * v for t, v in store.items()}
     x = random_bow(rng, len(vocab))
     y = random_bow(rng, len(vocab))
     base = wmd(x, y, store, vocab)

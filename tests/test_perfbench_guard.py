@@ -13,7 +13,7 @@ import numpy as np
 
 import mteval.cli
 import mteval.pipeline
-from mteval.embeddings import EmbeddingStore, load_contextual, load_static
+from mteval.embeddings import decontextualize, load_contextual, load_static
 from mteval.vsm import build_similarity_matrix, build_vocabulary
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -46,7 +46,7 @@ def test_similarity_build_keeps_what_the_tracer_reads():
     # the tracer binds each call's arguments to read its store and order,
     # and records the result's nnz_off_diagonal()
     vocab = build_vocabulary([["x", "y"]])
-    store = EmbeddingStore(dim=2, table={"x": np.array([1.0, 0.0]), "y": np.array([1.0, 0.2])})
+    store = {"x": np.array([1.0, 0.0]), "y": np.array([1.0, 0.2])}
     bound = inspect.signature(build_similarity_matrix).bind(vocab, store)
     bound.apply_defaults()
     assert bound.arguments["store"] is store
@@ -69,6 +69,16 @@ def test_load_contextual_length_counts_the_data_rows(tmp_path):
     rows = ["s1\tsource\t0\tcat\t1 0", "s1\tsource\t1\tcat\t0 1", "", "s2\thypothesis\t0\tdog\t1 1", "  "]
     path.write_text("segment_id\tside\ttoken_index\ttoken\tvector\n" + "\n".join(rows) + "\n", encoding="utf-8")
     assert len(load_contextual(path)) == 3
+
+
+def test_decontextualize_length_counts_the_distinct_tokens(tmp_path):
+    # the tracer reports len(decontextualize(...)) as embeddings.decontextualize.records:
+    # one per distinct token of the table, however often it occurs
+    path = tmp_path / "ctx.tsv"
+    rows = ["s1\tsource\t0\tcat\t1 0", "s1\tsource\t1\tcat\t0 1", "s1\thypothesis\t0\tdog\t1 1", "s2\tsource\t0\tcat\t2 2"]
+    path.write_text("segment_id\tside\ttoken_index\ttoken\tvector\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    table = load_contextual(path)
+    assert len(decontextualize(table)) == len(set(table.token.tolist())) == 2
 
 
 def test_a_traced_ablate_records_the_model_selection_and_its_fits(tmp_path):

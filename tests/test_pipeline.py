@@ -92,7 +92,7 @@ def tiny_run(tmp_path):
 
 def test_build_resources_populates_what_the_config_needs(tiny_run):
     dataset, config, resources = tiny_run
-    assert resources.stores["words"].dim == 2
+    assert {vector.shape for vector in resources.stores["words"].values()} == {(2,)}
     assert resources.wp_vocab is not None
     assert set(resources.stores) == {"words", "pieces"}
     assert len(resources.contextual) and set(resources.vocabs) == {"words", "pieces", "contextual"}
@@ -264,6 +264,13 @@ def test_load_external_scores_errors(tmp_path):
     path.write_text("segment_id\ta\ta\nseg0\t1\t2\n", encoding="utf-8")
     with pytest.raises(DataError, match="duplicate feature"):
         load_external_scores(path)
+    path.write_text("segment_id\ta\tsegment_id\nseg0\t1\t2\n", encoding="utf-8")
+    with pytest.raises(DataError, match="ext.tsv: duplicate feature columns, or one named 'segment_id'"):
+        load_external_scores(path)
+    for header in ("segment_id\t\ta", "segment_id\t \ta"):
+        path.write_text(f"{header}\nseg0\t1\t2\n", encoding="utf-8")
+        with pytest.raises(DataError, match="ext.tsv: a feature column has an empty or blank name"):
+            load_external_scores(path)
     path.write_text("segment_id\tRegEMT\nseg0\t1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="reserved"):
         load_external_scores(path)

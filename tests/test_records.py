@@ -36,7 +36,6 @@ SIGNATURES = {
     ],
     "corpus.Dataset": [("segments", REQUIRED), ("name", "''")],
     "tokenization.WordPieceVocab": [("entries", REQUIRED)],
-    "embeddings.EmbeddingStore": [("dim", REQUIRED), ("table", REQUIRED)],
     "vsm.Vocabulary": [("terms", REQUIRED), ("index", REQUIRED), ("df", REQUIRED), ("n_docs", REQUIRED)],
     "vsm.WeightedBow": [("entries", FACTORY)],
     "vsm.SimilarityMatrix": [("dim", REQUIRED), ("rows", FACTORY)],
@@ -112,7 +111,6 @@ def arguments():
         "corpus.Segment": dict(zip([name for name, _ in SIGNATURES["corpus.Segment"]], vars(segment).values())),
         "corpus.Dataset": {"segments": [segment], "name": "d"},
         "tokenization.WordPieceVocab": {"entries": ("[UNK]", "dog")},
-        "embeddings.EmbeddingStore": {"dim": 2, "table": {"dog": np.zeros(2)}},
         "vsm.Vocabulary": {"terms": ["dog"], "index": {"dog": 0}, "df": {"dog": 1}, "n_docs": 1},
         "vsm.WeightedBow": {"entries": {0: 1.0}},
         "vsm.SimilarityMatrix": {"dim": 1, "rows": {0: {}}},
@@ -156,7 +154,7 @@ FROZEN = ["corpus.Segment", "tokenization.WordPieceVocab", "metrics.MetricInfo",
 
 
 def test_the_table_covers_every_record():
-    assert len(SIGNATURES) == 21
+    assert len(SIGNATURES) == 20
     assert {name: list(values) for name, values in arguments().items()} == {
         name: [param for param, _ in params] for name, params in SIGNATURES.items()
     }

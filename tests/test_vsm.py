@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from mteval.embeddings import EmbeddingStore
 from mteval.vsm import (
     SIMILARITY_ORDERS,
     SimilarityCandidates,
@@ -24,8 +23,7 @@ from oracles import dense_similarity, greedy_similarity_rows, loop_similarity_ca
 
 
 def store_from(table):
-    dim = len(next(iter(table.values())))
-    return EmbeddingStore(dim=dim, table={k: np.array(v, dtype=float) for k, v in table.items()})
+    return {k: np.array(v, dtype=float) for k, v in table.items()}
 
 
 def test_build_vocabulary_counts_document_frequency():
@@ -212,7 +210,7 @@ def random_similarity_instance(rng):
             # a few decimals only, so distinct terms tie on their values too
             noisy = centroids[rng.integers(len(centroids))] + 0.3 * rng.normal(size=dim)
             table[term] = np.round(noisy, int(rng.integers(0, 3)))
-    return build_vocabulary(docs), EmbeddingStore(dim=dim, table=table)
+    return build_vocabulary(docs), table
 
 
 def clustered_similarity_instance(rng, n=120, dim=4, n_clusters=3):
@@ -351,13 +349,19 @@ def test_full_row_takes_one_block_product_per_run_of_calls_into_that_block(monke
         pytest.param({"a": [1.0, 0.0], "c": [1.0, 0.1], "d": [0.9, 0.2]}, 1, id="between-embedded-terms"),
         pytest.param({"a": [1.0, 0.0], "b": [1.0, 0.1]}, 2, id="past-the-last-embedded-term"),
         pytest.param({"a": [1.0, 0.0], "b": [1.0, 0.1]}, 4, id="past-the-vocabulary"),
+        pytest.param({}, 0, id="no-vectors"),
     ],
 )
 def test_full_row_of_a_term_without_a_vector_is_a_key_error(table, i):
     vocab = build_vocabulary([["a", "b", "c", "d"]])
-    candidates = similarity_candidates(vocab, store_from(table), threshold=0.1, top_k=1)
+    store = store_from(table)
+    candidates = similarity_candidates(vocab, store, threshold=0.1, top_k=1)
     with pytest.raises(KeyError, match=f"term index {i} "):
         candidates.full_row(i)
+    if not store:  # nothing to rank: no row, and builds in both orders keep only the diagonal
+        assert candidates.rows == {} and candidates.truncated == set()
+        for order in SIMILARITY_ORDERS:
+            assert build_similarity_matrix(vocab, store, order, 0.1, top_k=1, candidates=candidates).nnz_off_diagonal() == 0
 
 
 def test_similarity_candidates_must_match_the_build():
