@@ -35,7 +35,7 @@ CORPUS = [
 
 
 def show_bow(label, bow, vocab):
-    cells = ", ".join(f"{vocab.terms[i]}={w:.3f}" for i, w in sorted(bow.entries.items()))
+    cells = ", ".join(f"{vocab.terms[i]}={w:.3f}" for i, w in sorted(bow.items()))
     print(f"  {label}: {{{cells}}}")
 
 

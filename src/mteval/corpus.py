@@ -189,10 +189,20 @@ def _load_json(path: Path) -> list[tuple[str, Segment]]:
         for column in _TSV_COLUMNS:
             value = record.get(column)
             if isinstance(value, list):  # judgements as in the TSV column, tags space-separated
-                value = ",".join(map(repr, value)) if column == "judgements" else " ".join(map(str, value))
+                value = ",".join(_json_judgement(e, where) for e in value) if column == "judgements" else " ".join(map(str, value))
             fields[column] = "" if value is None else str(value)
         segments.append(_located_segment(fields, where))
     return segments
+
+
+def _json_judgement(element, where: str) -> str:
+    """A JSON judgement as the TSV column's text: a number (not a boolean), or a string holding exactly one number."""
+    text = repr(element) if type(element) in (int, float) else element if isinstance(element, str) else None
+    try:
+        float(text)
+    except (TypeError, ValueError):
+        raise DataError(f"{where}: bad judgement {json.dumps(element, ensure_ascii=False)}") from None
+    return text
 
 
 def average_judgements(segment: Segment) -> float:

@@ -23,7 +23,7 @@ from mteval.errors import ConfigError, DataError, Frozen
 from mteval.flow import CHUNK_CELLS, solve_transport, solve_transport_batch
 from mteval.tokenization import WordPieceVocab, whitespace_tokenize, wordpiece_tokenize
 from mteval.vsm import (
-    DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K, SimilarityMatrix, Vocabulary, WeightedBow, bow_nfx, bow_nnx
+    DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K, SimilarityMatrix, Vocabulary, bow_nfx, bow_nnx
 )
 
 __all__ = [
@@ -201,8 +201,8 @@ class Resources:
             return self._memoized((space, text), lambda: whitespace_tokenize(text))
         return self._memoized((space, text), lambda: wordpiece_tokenize(text, self.wp_vocab))
 
-    def bag(self, space: str, weighting: str, text: str) -> WeightedBow:
-        """nnx or nfx bag of one side text over the term space's vocabulary."""
+    def bag(self, space: str, weighting: str, text: str) -> dict[int, float]:
+        """nnx or nfx bag (term index -> weight) of one side text over the term space's vocabulary."""
         text = text.lower() if self.lowercase else text
         make_bow = bow_nfx if weighting == "nfx" else bow_nnx
         return self._memoized((space, weighting, text), lambda: make_bow(self.tokens(space, text), self.vocabs[space]))
@@ -214,17 +214,24 @@ class Resources:
         return value
 
 
-def scm(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix, x_norm: float | None = None) -> float:
-    """Soft cosine measure x^T S y / (sqrt(x^T S x) * sqrt(y^T S y)).
+def _check_weights(*bags: dict[int, float]) -> None:
+    """Raise ValueError at the first negative weight of ``bags``."""
+    for index, weight in ((i, w) for bag in bags for i, w in bag.items() if w < 0):
+        raise ValueError(f"negative weight {weight} at term index {index}")
 
-    An empty side yields the defined score 0.0 (the caller flags it); equal
-    bags short-circuit to exactly 1.0.  ``x_norm`` is sqrt(x^T S x) when the
-    caller already holds it, as for an anchor side shared by several
-    hypotheses.
+
+def scm(x: dict[int, float], y: dict[int, float], matrix: SimilarityMatrix, x_norm: float | None = None) -> float:
+    """Soft cosine measure x^T S y / (sqrt(x^T S x) * sqrt(y^T S y)) of two bags.
+
+    A negative weight is a ValueError.  An empty side yields the defined
+    score 0.0 (the caller flags it); equal bags short-circuit to exactly
+    1.0.  ``x_norm`` is sqrt(x^T S x) when the caller already holds it, as
+    for an anchor side shared by several hypotheses.
     """
-    if x.is_zero() or y.is_zero():
+    _check_weights(x, y)
+    if not any(x.values()) or not any(y.values()):
         return 0.0
-    if x.entries == y.entries:
+    if x == y:
         return 1.0
     num = _soft_quadratic(x, y, matrix)
     if x_norm is None:
@@ -235,46 +242,46 @@ def scm(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix, x_norm: float 
     return num / denom
 
 
-def _soft_norm(x: WeightedBow, matrix: SimilarityMatrix) -> float:
+def _soft_norm(x: dict[int, float], matrix: SimilarityMatrix) -> float:
     """sqrt(x^T S x), the soft length of one bag."""
     return math.sqrt(_soft_quadratic(x, x, matrix))
 
 
-def _soft_quadratic(x: WeightedBow, y: WeightedBow, matrix: SimilarityMatrix) -> float:
+def _soft_quadratic(x: dict[int, float], y: dict[int, float], matrix: SimilarityMatrix) -> float:
     """x^T S y over the sparse entries (implicit unit diagonal included)."""
     terms = []
-    ys = y.entries
-    for i, wx in x.entries.items():
-        wy = ys.get(i)
+    for i, wx in x.items():
+        wy = y.get(i)
         if wy is not None:
             terms.append(wx * wy)
         row = matrix.rows.get(i)
         if row:
             # the key views intersect from the shorter side; fsum is exact in any order
-            terms += [wx * row[j] * ys[j] for j in row.keys() & ys.keys()]
+            terms += [wx * row[j] * y[j] for j in row.keys() & y.keys()]
     return math.fsum(terms)
 
 
-def wmd(x: WeightedBow, y: WeightedBow, store: dict[str, np.ndarray], vocab: Vocabulary) -> float:
-    """Word mover's distance: exact optimum of the transportation problem.
+def wmd(x: dict[int, float], y: dict[int, float], store: dict[str, np.ndarray], vocab: Vocabulary) -> float:
+    """Word mover's distance of two bags: exact optimum of the transportation problem.
 
-    Both sides are l1-normalized after dropping zero-weight terms and terms
-    without an embedding; pairwise Euclidean distances between term vectors
-    are the transport costs.
+    A negative weight is a ValueError.  Both sides are l1-normalized after
+    dropping zero-weight terms and terms without an embedding; pairwise
+    Euclidean distances between term vectors are the transport costs.
     """
+    _check_weights(x, y)
     (tx, ex), (ty, ey) = _embedded(x, store, vocab), _embedded(y, store, vocab)
     return _transport_cost(_weights(x, tx, "first"), _weights(y, ty, "second"), ex, ey)
 
 
-def _embedded(bow: WeightedBow, store: dict[str, np.ndarray], vocab: Vocabulary):
+def _embedded(bow: dict[int, float], store: dict[str, np.ndarray], vocab: Vocabulary):
     """A bag's terms that have a vector, in index order, and their stacked vectors (nfx keeps nnx's terms)."""
-    terms = [i for i in sorted(bow.entries) if vocab.terms[i] in store]
+    terms = [i for i in sorted(bow) if vocab.terms[i] in store]
     return terms, np.stack([store[vocab.terms[i]] for i in terms]) if terms else None
 
 
-def _weights(bow: WeightedBow, terms: list[int], side: str) -> np.ndarray:
+def _weights(bow: dict[int, float], terms: list[int], side: str) -> np.ndarray:
     """The bag's weights of ``terms``, zeros included; a side without a positive one is unscorable."""
-    weights = np.array([bow.entries[i] for i in terms])
+    weights = np.array([bow[i] for i in terms])
     if not (weights > 0).any():
         raise UnscorableSegment(f"{side} side has no embedded terms with positive weight")
     return weights
@@ -533,7 +540,7 @@ def _compute_metric(
         x = resources.bag(info.space, info.weighting, anchor_text)
         y = resources.bag(info.space, info.weighting, segment.hypothesis)
         if info.family == "scm":
-            if x.is_zero() or y.is_zero():
+            if not any(x.values()) or not any(y.values()):
                 return 0.0, EMPTY_BOW_FLAG
             matrix = resources.sims[info.similarity_key]
             x_norm = resources._memoized(("soft_norm", *info.similarity_key, anchor_text), lambda: _soft_norm(x, matrix))

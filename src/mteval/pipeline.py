@@ -77,6 +77,8 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
         if len(set(header)) != len(header):
             raise DataError(f"{path}: duplicate feature columns, or one named 'segment_id'")
         for name in names:
+            if name != name.strip():
+                raise DataError(f"{path}: column name {name!r} has leading or trailing whitespace")
             if name in RESERVED_FEATURE_NAMES:
                 raise ConfigError(f"{path}: column name {name!r} is reserved for the ensembles")
         scores: dict[str, dict[str, float]] = {name: {} for name in names}

@@ -47,19 +47,6 @@ class Vocabulary:
         return math.log(self.n_docs / max(df, 1))
 
 
-class WeightedBow:
-    """Sparse nonnegative term-index -> weight map over one vocabulary."""
-
-    def __init__(self, entries: dict[int, float] | None = None):
-        self.entries = {} if entries is None else entries
-        for index, weight in self.entries.items():
-            if weight < 0:
-                raise ValueError(f"negative weight {weight} at term index {index}")
-
-    def is_zero(self) -> bool:
-        return not any(weight > 0 for weight in self.entries.values())
-
-
 def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
     """Collect terms in first-occurrence order and count document frequencies."""
     terms: list[str] = []
@@ -78,22 +65,21 @@ def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
     return Vocabulary(terms=terms, index=index, df=df, n_docs=len(documents))
 
 
-def bow_nnx(tokens: Iterable[str], vocab: Vocabulary) -> WeightedBow:
-    """Raw term-frequency weights; tokens outside the vocabulary are dropped."""
+def bow_nnx(tokens: Iterable[str], vocab: Vocabulary) -> dict[int, float]:
+    """Raw term-frequency bag (term index -> weight); tokens outside the vocabulary are dropped."""
     entries: dict[int, float] = {}
     for token in tokens:
         idx = vocab.index.get(token)
         if idx is not None:
             entries[idx] = entries.get(idx, 0.0) + 1.0
-    return WeightedBow(entries=entries)
+    return entries
 
 
-def bow_nfx(tokens: Iterable[str], vocab: Vocabulary) -> WeightedBow:
-    """tf x idf weights with idf = ln(n_docs / df); df 0 is treated as 1."""
+def bow_nfx(tokens: Iterable[str], vocab: Vocabulary) -> dict[int, float]:
+    """tf x idf bag with idf = ln(n_docs / df); df 0 is treated as 1."""
     if vocab.n_docs < 1:
         raise ValueError("nfx weighting needs a vocabulary with n_docs >= 1")
-    counts = bow_nnx(tokens, vocab).entries
-    return WeightedBow(entries={idx: tf * vocab.idf(vocab.terms[idx]) for idx, tf in counts.items()})
+    return {idx: tf * vocab.idf(vocab.terms[idx]) for idx, tf in bow_nnx(tokens, vocab).items()}
 
 
 class SimilarityMatrix:

@@ -654,14 +654,14 @@ def loop_fit_mlp(
 def loop_soft_quadratic(x, y, matrix) -> float:
     """x^T S y over the sparse entries (implicit unit diagonal included)."""
     terms = []
-    for i, wx in x.entries.items():
-        wy = y.entries.get(i)
+    for i, wx in x.items():
+        wy = y.get(i)
         if wy is not None:
             terms.append(wx * wy)
         row = matrix.rows.get(i)
         if row:
             for j, s in row.items():
-                wy = y.entries.get(j)
+                wy = y.get(j)
                 if wy is not None:
                     terms.append(wx * s * wy)
     return math.fsum(terms)

@@ -23,7 +23,7 @@ from mteval.metrics import METRICS, MetricConfig, Resources, scm, score_segment
 from mteval.pipeline import SplitFeatures, dataset_features
 from mteval.stats import spearman
 from mteval.tokenization import WordPieceVocab
-from mteval.vsm import WeightedBow, build_similarity_matrix, build_vocabulary
+from mteval.vsm import build_similarity_matrix, build_vocabulary
 
 from oracles import (
     brute_force_transport,
@@ -108,7 +108,7 @@ def test_scm_sparse_path_matches_dense_arithmetic():
             xv[i] = w
         for i, w in y.items():
             yv[i] = w
-        got = scm(WeightedBow(entries=x), WeightedBow(entries=y), matrix)
+        got = scm(x, y, matrix)
         want = dense_scm_oracle(xv, yv, dense)
         assert abs(got - want) <= 1e-12, (x, y)
 

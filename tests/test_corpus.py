@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,18 @@ def test_load_json(tmp_path):
     ds = load_dataset(path)
     assert ds.segments[0].judgements == (1.0, 2.0)
     assert ds.segments[0].pos_source is None
+
+
+def test_load_json_judgement_lists_read_as_the_tsv_column(tmp_path):
+    path = tmp_path / "data.json"
+    record = {"id": "x1", "src_lang": "cs", "tgt_lang": "en", "source": "zdroj", "hypothesis": "hyp"}
+    path.write_text(json.dumps([{**record, "judgements": ["70", 80.5]}]), encoding="utf-8")
+    assert load_dataset(path).segments[0].judgements == (70.0, 80.5)
+    # each element is one number or a string holding one; anything else is quoted as JSON wrote it
+    for element, quoted in (("70,80", '"70,80"'), (True, "true"), ("x", '"x"'), ([1], "[1]")):
+        path.write_text(json.dumps([{**record, "judgements": [70, element]}]), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}:record 0: bad judgement {quoted}") + "$"):
+            load_dataset(path)
 
 
 def test_pos_tags_must_match_token_count():

@@ -31,7 +31,6 @@ from mteval.metrics import MetricVector, _soft_quadratic, _transport_cost
 from mteval.tokenization import WordPieceVocab
 from mteval.vsm import (
     SimilarityMatrix,
-    WeightedBow,
     bow_nfx,
     bow_nnx,
     build_similarity_matrix,
@@ -59,7 +58,7 @@ def random_bow(rng, dim, density=0.6):
     for i in range(dim):
         if rng.random() < density:
             entries[i] = float(rng.integers(1, 5))
-    return WeightedBow(entries=entries)
+    return entries
 
 
 def random_similarity(rng, dim):
@@ -76,21 +75,44 @@ def random_similarity(rng, dim):
 def test_scm_self_similarity_is_exactly_one():
     rng = np.random.default_rng(0)
     matrix = random_similarity(rng, 5)
-    x = WeightedBow(entries={0: 2.0, 3: 1.0})
+    x = {0: 2.0, 3: 1.0}
     assert scm(x, x, matrix) == 1.0
 
 
 def test_scm_identity_matrix_disjoint_supports():
     matrix = SimilarityMatrix(dim=4)
-    x = WeightedBow(entries={0: 1.0, 1: 2.0})
-    y = WeightedBow(entries={2: 1.0, 3: 2.0})
+    x = {0: 1.0, 1: 2.0}
+    y = {2: 1.0, 3: 2.0}
     assert scm(x, y, matrix) == 0.0
 
 
 def test_scm_empty_side_scores_zero():
     matrix = SimilarityMatrix(dim=2)
-    assert scm(WeightedBow(entries={}), WeightedBow(entries={0: 1.0}), matrix) == 0.0
-    assert scm(WeightedBow(entries={0: 1.0}), WeightedBow(entries={0: 0.0}), matrix) == 0.0
+    assert scm({}, {0: 1.0}, matrix) == 0.0
+    assert scm({0: 1.0}, {0: 0.0}, matrix) == 0.0
+
+
+def test_scm_and_wmd_reject_a_negative_weight_on_either_side():
+    vocab = build_vocabulary([["a", "b"]])
+    store = store_from({"a": [0.0, 1.0], "b": [1.0, 0.0]})
+    matrix = SimilarityMatrix(dim=2)
+    good, bad = {0: 1.0}, {0: 2.0, 1: -0.5}
+    for x, y in ((bad, good), (good, bad)):
+        with pytest.raises(ValueError, match=r"^negative weight -0\.5 at term index 1$"):
+            scm(x, y, matrix)
+        with pytest.raises(ValueError, match=r"^negative weight -0\.5 at term index 1$"):
+            wmd(x, y, store, vocab)
+    # the first negative entry is named, x before y, ahead of the empty-side score,
+    # the unscorable side and the term index outside the vocabulary
+    first = {0: -1.0, 1: -2.0}
+    with pytest.raises(ValueError, match="at term index 0$"):
+        scm({}, first, matrix)
+    with pytest.raises(ValueError, match="-2.0 at term index 1$"):
+        scm({1: -2.0}, first, matrix)
+    with pytest.raises(ValueError, match="at term index 0$"):
+        wmd({7: 1.0}, first, store, vocab)
+    with pytest.raises(ValueError, match="at term index 0$"):
+        wmd(first, {}, store, vocab)
 
 
 def test_scm_matches_dense_oracle():
@@ -100,13 +122,13 @@ def test_scm_matches_dense_oracle():
         matrix = random_similarity(rng, dim)
         x = random_bow(rng, dim)
         y = random_bow(rng, dim)
-        if x.is_zero() or y.is_zero():
+        if not any(x.values()) or not any(y.values()):
             continue
         xv = np.zeros(dim)
         yv = np.zeros(dim)
-        for i, w in x.entries.items():
+        for i, w in x.items():
             xv[i] = w
-        for i, w in y.entries.items():
+        for i, w in y.items():
             yv[i] = w
         want = dense_scm_oracle(xv, yv, dense_similarity(matrix))
         assert abs(scm(x, y, matrix) - want) < 1e-12
@@ -139,10 +161,10 @@ def test_soft_quadratic_matches_the_per_term_loop_bit_for_bit():
             if rng.random() < 0.1:
                 matrix.rows[i] = {}  # an empty row
         x, y = (
-            WeightedBow({i: float(rng.uniform(0.1, 7.0)) for i in range(dim) if rng.random() < share})
+            {i: float(rng.uniform(0.1, 7.0)) for i in range(dim) if rng.random() < share}
             for share in rng.choice([0.05, 0.3, 1.0], size=2)  # bags shorter and longer than the rows
         )
-        for a, b in ((x, y), (y, x), (x, x), (x, WeightedBow(dict(x.entries)))):
+        for a, b in ((x, y), (y, x), (x, x), (x, dict(x))):
             assert _soft_quadratic(a, b, matrix).hex() == loop_soft_quadratic(a, b, matrix).hex()
 
 
@@ -157,7 +179,7 @@ def psd_scm_instances(draw):
     # no threshold and no budget: every entry is max(0, cosine)^exponent of a Gram matrix
     matrix = build_similarity_matrix(vocab, store_from(table), threshold=0.0, exponent=exponent, top_k=dim)
     weight = st.floats(0.01, 100.0)
-    bag = st.dictionaries(st.integers(0, dim - 1), weight, min_size=1).map(WeightedBow)
+    bag = st.dictionaries(st.integers(0, dim - 1), weight, min_size=1)
     return matrix, draw(bag), draw(bag)
 
 
@@ -165,7 +187,7 @@ def psd_scm_instances(draw):
 @given(psd_scm_instances())
 def test_scm_properties(instance):
     matrix, x, y = instance
-    assert scm(x, WeightedBow(dict(x.entries)), matrix) == 1.0
+    assert scm(x, dict(x), matrix) == 1.0
     got = scm(x, y, matrix)
     # Cauchy-Schwarz bounds the score by 1; only the last rounding step may pass it
     assert 0.0 <= got <= 1.0 + 1e-12
@@ -184,10 +206,10 @@ def wmd_fixture(rng, n_terms=6, dim=3):
 
 
 def expected_wmd(x, y, store, vocab):
-    ix = sorted(i for i, w in x.entries.items() if w > 0 and vocab.terms[i] in store)
-    iy = sorted(i for i, w in y.entries.items() if w > 0 and vocab.terms[i] in store)
-    a = np.array([x.entries[i] for i in ix])
-    b = np.array([y.entries[i] for i in iy])
+    ix = sorted(i for i, w in x.items() if w > 0 and vocab.terms[i] in store)
+    iy = sorted(i for i, w in y.items() if w > 0 and vocab.terms[i] in store)
+    a = np.array([x[i] for i in ix])
+    b = np.array([y[i] for i in iy])
     a, b = a / a.sum(), b / b.sum()
     costs = np.array([[np.linalg.norm(store[vocab.terms[i]] - store[vocab.terms[j]]) for j in iy] for i in ix])
     return brute_force_transport(a, b, costs)
@@ -196,15 +218,15 @@ def expected_wmd(x, y, store, vocab):
 def test_wmd_identity_is_exactly_zero():
     rng = np.random.default_rng(1)
     vocab, store = wmd_fixture(rng)
-    x = WeightedBow(entries={0: 2.0, 2: 1.0, 4: 3.0})
+    x = {0: 2.0, 2: 1.0, 4: 3.0}
     assert wmd(x, x, store, vocab) == 0.0
 
 
 def test_wmd_single_tokens_is_embedding_distance():
     vocab = build_vocabulary([["a", "b"]])
     store = store_from({"a": [0.0, 0.0], "b": [3.0, 4.0]})
-    x = WeightedBow(entries={0: 5.0})
-    y = WeightedBow(entries={1: 0.5})
+    x = {0: 5.0}
+    y = {1: 0.5}
     assert abs(wmd(x, y, store, vocab) - 5.0) < 1e-12
 
 
@@ -216,9 +238,9 @@ def test_wmd_matches_brute_force_oracle():
         vocab, store = wmd_fixture(rng, n_terms=int(rng.integers(3, 8)))
         x = random_bow(rng, len(vocab), density=0.4)
         y = random_bow(rng, len(vocab), density=0.4)
-        if x.is_zero() or y.is_zero():
+        if not any(x.values()) or not any(y.values()):
             continue
-        if len(x.entries) > 4 or len(y.entries) > 4:
+        if len(x) > 4 or len(y) > 4:
             continue
         want = expected_wmd(x, y, store, vocab)
         assert abs(wmd(x, y, store, vocab) - want) < 1e-9
@@ -231,7 +253,7 @@ def test_wmd_is_symmetric():
         vocab, store = wmd_fixture(rng)
         x = random_bow(rng, len(vocab))
         y = random_bow(rng, len(vocab))
-        if x.is_zero() or y.is_zero():
+        if not any(x.values()) or not any(y.values()):
             continue
         assert abs(wmd(x, y, store, vocab) - wmd(y, x, store, vocab)) < 1e-12
 
@@ -241,7 +263,7 @@ def test_wmd_triangle_consistency():
     for _ in range(50):
         vocab, store = wmd_fixture(rng)
         bows = [random_bow(rng, len(vocab)) for _ in range(3)]
-        if any(b.is_zero() for b in bows):
+        if not all(any(b.values()) for b in bows):
             continue
         x, y, z = bows
         d = lambda a, b: wmd(a, b, store, vocab)
@@ -252,9 +274,9 @@ def test_wmd_weight_scale_invariance():
     # scores depend on the l1-normalized weights only
     rng = np.random.default_rng(5)
     vocab, store = wmd_fixture(rng)
-    x = WeightedBow(entries={0: 1.0, 1: 2.0})
-    y = WeightedBow(entries={2: 3.0, 3: 1.0})
-    x10 = WeightedBow(entries={i: 10.0 * w for i, w in x.entries.items()})
+    x = {0: 1.0, 1: 2.0}
+    y = {2: 3.0, 3: 1.0}
+    x10 = {i: 10.0 * w for i, w in x.items()}
     assert abs(wmd(x, y, store, vocab) - wmd(x10, y, store, vocab)) < 1e-12
 
 
@@ -275,8 +297,8 @@ def test_embedding_scaling_scales_wmd_and_fixes_scm():
 def test_wmd_unscorable_when_all_oov():
     vocab = build_vocabulary([["a", "b"]])
     store = store_from({"a": [1.0]})
-    x = WeightedBow(entries={1: 1.0})  # "b" has no vector
-    y = WeightedBow(entries={0: 1.0})
+    x = {1: 1.0}  # "b" has no vector
+    y = {0: 1.0}
     with pytest.raises(UnscorableSegment):
         wmd(x, y, store, vocab)
     with pytest.raises(UnscorableSegment):
@@ -287,10 +309,10 @@ def test_wmd_drops_terms_of_zero_or_nan_weight_bit_for_bit():
     # the dropped term's vector is on the other side too, so it would take part in the pre-match
     rng = np.random.default_rng(28)
     vocab, store = wmd_fixture(rng)
-    y = WeightedBow(entries={0: 1.0, 3: 2.0, 5: 1.0})
-    x = WeightedBow(entries={1: 1.0, 3: 1.0, 4: 2.0})
+    y = {0: 1.0, 3: 2.0, 5: 1.0}
+    x = {1: 1.0, 3: 1.0, 4: 2.0}
     for dropped in (0.0, float("nan")):
-        padded = WeightedBow(entries={**x.entries, 0: dropped, 5: dropped})
+        padded = {**x, 0: dropped, 5: dropped}
         assert wmd(padded, y, store, vocab).hex() == wmd(x, y, store, vocab).hex()
         assert wmd(y, padded, store, vocab).hex() == wmd(y, x, store, vocab).hex()
 
@@ -328,7 +350,7 @@ def test_identical_sides_score_exactly_zero_without_the_solver(monkeypatch):
     monkeypatch.setattr(metrics_module, "solve_transport", refuse)
     rng = np.random.default_rng(13)
     vocab, store = wmd_fixture(rng)
-    x = WeightedBow(entries={0: 2.0, 2: 1.0, 4: 3.0})
+    x = {0: 2.0, 2: 1.0, 4: 3.0}
     assert wmd(x, x, store, vocab) == 0.0
     vectors = rng.normal(size=(4, 3))
     vectors[3] = vectors[1]  # two terms sharing one vector
@@ -879,10 +901,10 @@ def test_both_wmd_weightings_share_one_cost_matrix_per_segment_and_space(monkeyp
                 continue
             assert vector.scores[name].hex() == want.hex(), (segment.id, name)
             # the sides' own stacks of positive-weight terms, as each weighting built them alone
-            ix, iy = ([i for i in sorted(bow.entries) if bow.entries[i] > 0 and vocab.terms[i] in store] for bow in (x, y))
-            alone = _transport_cost(*(np.array([bow.entries[i] for i in terms]) for bow, terms in ((x, ix), (y, iy))), *(np.stack([store[vocab.terms[i]] for i in terms]) for terms in (ix, iy)))
+            ix, iy = ([i for i in sorted(bow) if bow[i] > 0 and vocab.terms[i] in store] for bow in (x, y))
+            alone = _transport_cost(*(np.array([bow[i] for i in terms]) for bow, terms in ((x, ix), (y, iy))), *(np.stack([store[vocab.terms[i]] for i in terms]) for terms in (ix, iy)))
             assert want.hex() == alone.hex()
-            checked["dropped" if len(ix) < len(x.entries) or len(iy) < len(y.entries) else "kept", info.weighting] += 1
+            checked["dropped" if len(ix) < len(x) or len(iy) < len(y) else "kept", info.weighting] += 1
     # nfx scored sub-blocks and flagged the hypothesis "the"; nnx scored everything
     assert checked["unscorable", "nfx"] == 2 * len(references) and not checked["unscorable", "nnx"]
     assert checked["dropped", "nfx"] > 0 and checked["dropped", "nnx"] > 0

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -270,6 +271,12 @@ def test_load_external_scores_errors(tmp_path):
     for header in ("segment_id\t\ta", "segment_id\t \ta"):
         path.write_text(f"{header}\nseg0\t1\t2\n", encoding="utf-8")
         with pytest.raises(DataError, match="ext.tsv: a feature column has an empty or blank name"):
+            load_external_scores(path)
+    # a name with leading or trailing whitespace would pass the reserved-name and native-metric checks,
+    # or print like another column
+    for header, name in (("segment_id\ta\tRegEMT ", "'RegEMT '"), ("segment_id\ta\t bleu", "' bleu'"), ("segment_id\ta\ta ", "'a '")):
+        path.write_text(f"{header}\nseg0\t1\t2\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: column name {name} has leading or trailing whitespace$"):
             load_external_scores(path)
     path.write_text("segment_id\tRegEMT\nseg0\t1\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="reserved"):

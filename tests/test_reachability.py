@@ -1,13 +1,13 @@
 """Every function the library defines is one something runs.
 
 Under a profiler, in this process, the test runs every subcommand on the
-demo configs, `score` on a JSON copy of the de-en dataset, `evaluate` on
-the benchmark's smoke contextual corpus, and the five demo scripts.  Each
-function or method defined at module or class level in src/mteval must
-then have been called, unless it is a dunder, a decorator (it runs at
-import), a name the benchmark's tracer wraps, or on `ALLOWLIST` with its
-reason.  Code that nothing runs leaves the library, for the tests to keep
-as an oracle if they need it.
+demo configs, `score` on a JSON copy of the de-en dataset (its judgements
+as lists), `evaluate` on the benchmark's smoke contextual corpus, and the
+five demo scripts.  Each function or method defined at module or class
+level in src/mteval must then have been called, unless it is a dunder, a
+decorator (it runs at import), a name the benchmark's tracer wraps, or on
+`ALLOWLIST` with its reason.  Code that nothing runs leaves the library,
+for the tests to keep as an oracle if they need it.
 """
 
 import ast
@@ -95,6 +95,8 @@ def json_copy_config(tmp_path: Path) -> Path:
     """run_deen.json over a JSON copy of deen.tsv, every other input read from demos/data."""
     with open(DEMOS / "data" / "deen.tsv", encoding="utf-8", newline="") as handle:
         records = list(csv.DictReader(handle, delimiter="\t", quoting=csv.QUOTE_NONE))
+    for record in records:  # a list of number strings, which the JSON loader reads as the TSV column
+        record["judgements"] = record["judgements"].split(",")
     (tmp_path / "deen.json").write_text(json.dumps(records), encoding="utf-8")
     config = json.loads((DEMOS / "data" / "run_deen.json").read_text(encoding="utf-8"))
     config["dataset"] = str(tmp_path / "deen.json")

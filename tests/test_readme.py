@@ -108,5 +108,5 @@ def test_readme_call_forms_match_the_signatures():
         assert written == form, f"{match.group(0)}: {name}{signature}"
         checked.add(name)
     expected = ["score_dataset", "reg_base_features", "average_judgements", "evaluate", "ablation", "cross_lingual_eval"]
-    expected += ["load_contextual", "decontextualize", "wmd_contextual"]
+    expected += ["load_contextual", "decontextualize", "wmd_contextual", "bow_nnx", "bow_nfx", "scm", "wmd"]
     assert checked >= {*expected, "select_model", "fit_mlp", "fit_linear"}, checked

@@ -24,7 +24,7 @@ from mteval.evaluation import CorrelationReport
 from mteval.metrics import MetricConfig, MetricInfo, MetricVector, Resources
 from mteval.pipeline import SplitFeatures
 from mteval.tokenization import WordPieceVocab, wordpiece_tokenize
-from mteval.vsm import SimilarityMatrix, WeightedBow
+from mteval.vsm import SimilarityMatrix
 
 REQUIRED, FACTORY = "required", "factory"
 
@@ -37,7 +37,6 @@ SIGNATURES = {
     "corpus.Dataset": [("segments", REQUIRED), ("name", "''")],
     "tokenization.WordPieceVocab": [("entries", REQUIRED)],
     "vsm.Vocabulary": [("terms", REQUIRED), ("index", REQUIRED), ("df", REQUIRED), ("n_docs", REQUIRED)],
-    "vsm.WeightedBow": [("entries", FACTORY)],
     "vsm.SimilarityMatrix": [("dim", REQUIRED), ("rows", FACTORY)],
     "vsm.SimilarityCandidates": [
         ("n_terms", REQUIRED), ("threshold", REQUIRED), ("exponent", REQUIRED), ("top_k", REQUIRED), ("embedded", REQUIRED),
@@ -91,7 +90,6 @@ def empty_features():
 
 #: A builder of each record with a former ``default_factory`` field that leaves every such field out
 FACTORY_BUILDS = {
-    "vsm.WeightedBow": lambda: WeightedBow(),
     "vsm.SimilarityMatrix": lambda: SimilarityMatrix(3),
     "metrics.MetricVector": lambda: MetricVector("s1", {"bleu": 0.5}),
     "metrics.Resources": lambda: Resources(),
@@ -112,7 +110,6 @@ def arguments():
         "corpus.Dataset": {"segments": [segment], "name": "d"},
         "tokenization.WordPieceVocab": {"entries": ("[UNK]", "dog")},
         "vsm.Vocabulary": {"terms": ["dog"], "index": {"dog": 0}, "df": {"dog": 1}, "n_docs": 1},
-        "vsm.WeightedBow": {"entries": {0: 1.0}},
         "vsm.SimilarityMatrix": {"dim": 1, "rows": {0: {}}},
         "vsm.SimilarityCandidates": {
             "n_terms": 1, "threshold": 0.5, "exponent": 3.0, "top_k": 1, "embedded": np.arange(1), "normalized": np.ones((1, 2)),
@@ -154,7 +151,7 @@ FROZEN = ["corpus.Segment", "tokenization.WordPieceVocab", "metrics.MetricInfo",
 
 
 def test_the_table_covers_every_record():
-    assert len(SIGNATURES) == 20
+    assert len(SIGNATURES) == 19
     assert {name: list(values) for name, values in arguments().items()} == {
         name: [param for param, _ in params] for name, params in SIGNATURES.items()
     }

@@ -8,7 +8,6 @@ from mteval.vsm import (
     SIMILARITY_ORDERS,
     SimilarityCandidates,
     Vocabulary,
-    WeightedBow,
     bow_nfx,
     bow_nnx,
     build_similarity_matrix,
@@ -47,9 +46,9 @@ def test_build_vocabulary_empty():
 
 def test_bow_nnx_counts_and_drops_oov():
     vocab = build_vocabulary([["a", "b"]])
-    assert bow_nnx(["a", "a", "b"], vocab).entries == {0: 2.0, 1: 1.0}
-    assert bow_nnx([], vocab).entries == {}
-    assert bow_nnx(["zzz"], vocab).entries == {}
+    assert bow_nnx(["a", "a", "b"], vocab) == {0: 2.0, 1: 1.0}
+    assert bow_nnx([], vocab) == {}
+    assert bow_nnx(["zzz"], vocab) == {}
 
 
 def test_bow_nfx_hand_table():
@@ -61,29 +60,21 @@ def test_bow_nfx_hand_table():
     vocab = build_vocabulary(docs)
     bow = bow_nfx(["every", "rare", "mid", "mid"], vocab)
     # ubiquitous term gets weight 0, the rest tf * ln(N / df)
-    assert bow.entries[vocab.index["every"]] == 0.0
-    assert abs(bow.entries[vocab.index["rare"]] - math.log(10 / 1)) < 1e-12
-    assert abs(bow.entries[vocab.index["mid"]] - 2 * math.log(10 / 5)) < 1e-12
+    assert bow[vocab.index["every"]] == 0.0
+    assert abs(bow[vocab.index["rare"]] - math.log(10 / 1)) < 1e-12
+    assert abs(bow[vocab.index["mid"]] - 2 * math.log(10 / 5)) < 1e-12
 
 
 def test_bow_nfx_unseen_df_falls_back_to_one():
     vocab = Vocabulary(terms=["a"], index={"a": 0}, df={}, n_docs=4)
     bow = bow_nfx(["a"], vocab)
-    assert abs(bow.entries[0] - math.log(4)) < 1e-12
+    assert abs(bow[0] - math.log(4)) < 1e-12
 
 
 def test_bow_nfx_needs_documents():
     vocab = build_vocabulary([])
     with pytest.raises(ValueError):
         bow_nfx(["a"], vocab)
-
-
-def test_weighted_bow_rejects_negative_weights():
-    with pytest.raises(ValueError):
-        WeightedBow(entries={0: -0.5})
-    assert WeightedBow(entries={}).is_zero()
-    assert WeightedBow(entries={0: 0.0}).is_zero()
-    assert not WeightedBow(entries={0: 0.1}).is_zero()
 
 
 def test_term_processing_order():
