@@ -29,12 +29,11 @@ Numbers must lie in their `_RANGES`; ``output_dir`` is a nonempty string.
 
 from __future__ import annotations
 
-import json
 import sys
 from math import inf
 from pathlib import Path
 
-from mteval.errors import ConfigError, utf8_loader
+from mteval.errors import ConfigError, json_document, utf8_loader
 from mteval.metrics import METRICS, MODES, MetricConfig
 from mteval.pipeline import RESOURCE_KEYS
 from mteval.vsm import DEFAULT_EXPONENT, DEFAULT_THRESHOLD, DEFAULT_TOP_K
@@ -84,10 +83,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON ({exc})") from None
+    payload = json_document(path, ConfigError)
     if not isinstance(payload, dict):
         raise ConfigError(f"{path}: top-level value must be an object")
     return _parse(payload, base_dir=path.parent, where=str(path))

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable
 
 from mteval._rng import Xorshift64Star, round_half_up
-from mteval.errors import DataError, Frozen, tsv_rows, utf8_loader
+from mteval.errors import DataError, Frozen, json_document, tsv_rows, utf8_loader
 
 _TSV_COLUMNS = [
     "id",
@@ -173,11 +173,7 @@ def _load_tsv(path: Path) -> list[tuple[str, Segment]]:
 
 
 def _load_json(path: Path) -> list[tuple[str, Segment]]:
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            records = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
+    records = json_document(path, DataError)
     if not isinstance(records, list):
         raise DataError(f"{path}: expected a JSON array of records")
     segments = []

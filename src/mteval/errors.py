@@ -2,11 +2,12 @@
 
 The split matters to the command line, which exits 1 on ConfigError and 2
 on DataError.  Both subclass ValueError so library callers can catch one
-type.  Every loader wears `utf8_loader`; every TSV loader reads through `tsv_rows`.
-Every immutable record derives from `Frozen`.
+type.  Every loader wears `utf8_loader`; TSV loaders read through `tsv_rows`,
+JSON loaders through `json_document`.  Every immutable record derives from `Frozen`.
 """
 
 import functools
+import json
 from pathlib import Path
 
 
@@ -92,3 +93,21 @@ def tsv_rows(handle, path):
             yield lineno, fields
 
     return header, rows()
+
+
+def json_document(path, error):
+    """The JSON value in ``path``; bad syntax, a repeated key, a too-long integer or too-deep nesting is ``error`` naming the file."""
+    text = Path(path).read_text(encoding="utf-8-sig")  # undecodable text reaches `utf8_loader`, which names its line
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON ({exc})") from None
+
+
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's (key, value) pairs as a dict; a repeated key is a ValueError naming it."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in obj if keys.count(key) > 1)!r}")
+    return obj

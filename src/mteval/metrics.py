@@ -31,7 +31,6 @@ __all__ = [
     "METRICS",
     "MetricConfig",
     "MetricInfo",
-    "MetricVector",
     "REG_BASE_FEATURES",
     "Resources",
     "UnscorableSegment",
@@ -148,18 +147,6 @@ class MetricConfig(Frozen):
     @property
     def anchor_side(self) -> str:
         return "reference" if self.mode == "reference_based" else "source"
-
-
-class MetricVector:
-    """All configured metric scores of one segment.
-
-    ``flags`` records, per metric, why a score is degenerate: either the
-    empty-bag-of-words zero or an unscorable segment that received the
-    placeholder value.
-    """
-
-    def __init__(self, segment_id: str, scores: dict[str, float], flags: dict[str, str] | None = None):
-        self.segment_id, self.scores, self.flags = segment_id, scores, {} if flags is None else flags
 
 
 class Resources:
@@ -453,8 +440,8 @@ def _anchor_text(segment: Segment, config: MetricConfig) -> str:
     return anchor
 
 
-def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -> dict[str, float]:
-    """Worst observed value per metric, for substituting unscorable segments.
+def compute_placeholders(scores: list[dict[str, float]], metric_names: list[str]) -> dict[str, float]:
+    """Worst observed value per metric over segments' ``scores``, for substituting unscorable segments.
 
     "Worst" follows the metric's direction: the minimum for
     higher-is-better metrics, the maximum for distances.  Metrics with no
@@ -462,24 +449,24 @@ def compute_placeholders(vectors: list[MetricVector], metric_names: list[str]) -
     """
     placeholders: dict[str, float] = {}
     for name in metric_names:
-        observed = [v.scores[name] for v in vectors if not math.isnan(v.scores[name])]
+        observed = [row[name] for row in scores if not math.isnan(row[name])]
         placeholders[name] = (min if METRICS[name].higher_is_better else max)(observed, default=0.0)
     return placeholders
 
 
-def score_segments(segments: list[Segment], config: MetricConfig, resources: Resources) -> list[MetricVector]:
-    """Compute every enabled metric for each segment, in segment order.
+def score_segments(segments: list[Segment], config: MetricConfig, resources: Resources) -> list[tuple[dict[str, float], dict[str, str]]]:
+    """Every enabled metric's score of each segment: one (scores, flags) pair per segment, in segment order.
 
-    Unscorable metrics score NaN and carry a flag naming the reason;
-    resource completeness is the caller's responsibility (`build_resources`
-    checks it for a run).  The WMD metrics collect each segment's transport
-    problem left after pre-matching; a solve_transport_batch call solves the
-    pending ones whenever they reach CHUNK_CELLS cells, and at the end.
-    State of an anchor side that several segments share (its soft norms, its
-    n-gram counts) is computed once per ``resources``.  Logs one INFO line
-    with the segments, their distinct anchor sides and the flags per metric.
+    ``flags`` names, per metric, why a score is degenerate: the empty-bag
+    zero, or the NaN of an unscorable metric.  The caller sees that the
+    resources are complete (`build_resources` does for a run).  The WMD
+    metrics collect each segment's transport problem left after pre-matching;
+    a solve_transport_batch call solves the pending ones whenever they reach
+    CHUNK_CELLS cells, and at the end.  State of an anchor side that several
+    segments share (its soft norms, its n-gram counts) is computed once per
+    ``resources``.  Logs one INFO line: the segments, their distinct anchor sides, the flags per metric.
     """
-    vectors, anchors = [], set()
+    scored, anchors = [], set()
     pending, cells = [], 0  # (scores of one segment, metric, transport problem); their cost cells
     for count, segment in enumerate(segments, start=1):
         scores, flags, shared = {}, {}, {}
@@ -498,21 +485,21 @@ def score_segments(segments: list[Segment], config: MetricConfig, resources: Res
                 cells += value[2].size
                 value = float("nan")
             scores[name] = value
-        vectors.append(MetricVector(segment_id=segment.id, scores=scores, flags=flags))
+        scored.append((scores, flags))
         if cells >= CHUNK_CELLS or count == len(segments):
             for (scores, name, _), solution in zip(pending, solve_transport_batch([p for _, _, p in pending])):
                 scores[name] = solution.cost
             pending, cells = [], 0
-    flagged = ", ".join(f"{name} {sum(name in v.flags for v in vectors)}" for name in config.metrics)
+    flagged = ", ".join(f"{name} {sum(name in flags for _, flags in scored)}" for name in config.metrics)
     logger.info(
         "scoring: %d segments, %d distinct %s sides, flagged segments: %s",
         len(segments), len(anchors), config.anchor_side, flagged or "no metrics",
     )
-    return vectors
+    return scored
 
 
-def score_segment(segment: Segment, config: MetricConfig, resources: Resources) -> MetricVector:
-    """`score_segments` for one segment."""
+def score_segment(segment: Segment, config: MetricConfig, resources: Resources) -> tuple[dict[str, float], dict[str, str]]:
+    """`score_segments` for one segment: its (scores, flags) pair."""
     return score_segments([segment], config, resources)[0]
 
 

@@ -203,18 +203,17 @@ def score_dataset(
     names = feature_names(config, resources)
     if not names:
         raise ConfigError("no features configured: enable metrics, reg_base, or external scores")
-    vectors = score_segments(dataset.segments, config, resources)
-    observed = [v for v in vectors if placeholder_ids is None or v.segment_id in placeholder_ids]
+    scored = list(zip(dataset.segments, score_segments(dataset.segments, config, resources)))
+    observed = [scores for segment, (scores, _) in scored if placeholder_ids is None or segment.id in placeholder_ids]
     placeholders = compute_placeholders(observed, list(config.metrics))
     rows = []
-    for segment, vector in zip(dataset.segments, vectors):
-        scores = vector.scores
+    for segment, (scores, _) in scored:
         row = [placeholders[name] if math.isnan(scores[name]) else scores[name] for name in config.metrics]
         if config.reg_base:
             row.extend(reg_base_features(segment, resources, config))
         row.extend(resources.external[name][segment.id] for name in resources.external)
         rows.append(row)
-    flags = {v.segment_id: v.flags for v in vectors if v.flags}
+    flags = {segment.id: segment_flags for segment, (_, segment_flags) in scored if segment_flags}
     return FeatureMatrix(rows, names, [s.id for s in dataset.segments]), flags, placeholders
 
 

@@ -6,13 +6,14 @@ nfx (term frequency discounted by ln(n_docs / df)).  The similarity matrix
 holds pairwise term similarities max(0, cosine)^exponent, thresholded,
 symmetric, with at most ``top_k`` off-diagonal nonzeros per row; the
 diagonal is implicitly 1.  Which pairs survive the per-row budget depends
-on the order terms are processed in: vocabulary order for the nnx metrics,
+on the order terms are processed in: sorted term order for the nnx metrics,
 decreasing inverse document frequency for the nfx ones.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -31,7 +32,7 @@ CANDIDATE_BLOCK_CELLS = 2**18
 
 
 class Vocabulary:
-    """Terms in first-occurrence order with document frequencies."""
+    """Terms in sorted order with document frequencies."""
 
     def __init__(self, terms: list[str], index: dict[str, int], df: dict[str, int], n_docs: int):
         self.terms, self.index, self.df, self.n_docs = terms, index, df, n_docs
@@ -48,21 +49,10 @@ class Vocabulary:
 
 
 def build_vocabulary(documents: Sequence[Sequence[str]]) -> Vocabulary:
-    """Collect terms in first-occurrence order and count document frequencies."""
-    terms: list[str] = []
-    index: dict[str, int] = {}
-    df: dict[str, int] = {}
-    for document in documents:
-        seen: set[str] = set()
-        for token in document:
-            if token not in index:
-                index[token] = len(terms)
-                terms.append(token)
-                df[token] = 0
-            if token not in seen:
-                seen.add(token)
-                df[token] += 1
-    return Vocabulary(terms=terms, index=index, df=df, n_docs=len(documents))
+    """Count document frequencies; index the terms in code-point order, so that no order of the documents counts."""
+    df = Counter(term for document in documents for term in dict.fromkeys(document))
+    terms = sorted(df)
+    return Vocabulary(terms=terms, index={term: i for i, term in enumerate(terms)}, df=df, n_docs=len(documents))
 
 
 def bow_nnx(tokens: Iterable[str], vocab: Vocabulary) -> dict[int, float]:

@@ -272,13 +272,13 @@ def identity_fixture():
 @verdict("identity segment exact: scm*/bleu = 1, wmd*/compositionality = 0")
 def test_identity_segment_scores_are_exact():
     segment, config, resources = identity_fixture()
-    vector = score_segment(segment, config, resources)
-    assert vector.flags == {}
+    scores, flags = score_segment(segment, config, resources)
+    assert flags == {}
     for name in METRICS:
         if name.startswith("scm") or name == "bleu":
-            assert vector.scores[name] == 1.0, name
+            assert scores[name] == 1.0, name
         else:
-            assert vector.scores[name] == 0.0, name
+            assert scores[name] == 0.0, name
 
 
 # ---------------------------------------------------------------------------

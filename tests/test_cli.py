@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from mteval.config import load_run_config
 from mteval.corpus import load_dataset
 from mteval.errors import ConfigError
 from mteval.metrics import compositionality
+from test_perfbench_digests import bench  # noqa: F401  (a fixture: perfbench/run.py, loaded without bytecode)
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 HEADER = "id\tsrc_lang\ttgt_lang\tsource\treference\thypothesis\tjudgements\tpos_source\tpos_reference\tpos_hypothesis"
@@ -618,6 +620,31 @@ def test_lowercase_scores_a_title_cased_copy_like_the_original(tmp_path):
     assert score("cased", "cased.tsv", False)[0] != original[0]
 
 
+def test_scores_do_not_depend_on_the_order_of_the_dataset_lines(tmp_path, bench):
+    # at top_k 2 and threshold 0 the row budget binds, so the pairs the similarity
+    # build keeps follow the order it takes terms in, which must come from the terms alone
+    spec = bench.WORKLOADS["smoke"]["ablate-lexical"]
+    bench.synth.generate(spec, 1, tmp_path)
+    config = tmp_path / "run.json"
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["similarity"] = {"top_k": 2, "threshold": 0}
+    header, *lines = (tmp_path / "dataset.tsv").read_text(encoding="utf-8").splitlines()
+    random.Random(0).shuffle(lines)
+    (tmp_path / "shuffled.tsv").write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
+
+    def rows(dataset):
+        """scores.tsv's rows by segment id."""
+        payload["dataset"] = f"{dataset}.tsv"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["score", "--config", str(config), "--out", str(tmp_path / dataset)]) == 0
+        table = (tmp_path / dataset / "scores.tsv").read_text(encoding="utf-8").splitlines()
+        return {row.split("\t", 1)[0]: row for row in table[1:]}
+
+    original = rows("dataset")
+    assert len(original) == spec.n_segments
+    assert rows("shuffled") == original
+
+
 def demo_copy(tmp_path, pair, ratio=None, external=True):
     """A copy of demos/data whose run_<pair>.json has the given split ratio or no external scores."""
     data = tmp_path / "data"
@@ -859,6 +886,34 @@ def _json_id(suffix):
     return spoil
 
 
+def _json_text(edit):
+    """Rewrite data.tsv as data.json, its text passed through ``edit``."""
+
+    def spoil(tmp_path, payload):
+        _json_id("")(tmp_path, payload)
+        text = (tmp_path / "data.json").read_text(encoding="utf-8")
+        assert edit(text) != text
+        (tmp_path / "data.json").write_text(edit(text), encoding="utf-8")
+
+    return spoil
+
+
+def _config_text(edit):
+    """Write the run config as its JSON text passed through ``edit``."""
+
+    def spoil(tmp_path, payload):
+        text = json.dumps(payload)
+        assert edit(text) != text
+        return edit(text)
+
+    return spoil
+
+
+LONG_INTEGER = "1" + "0" * 5000  # 5,001 digits, past Python's int-string limit
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+FIRST_JUDGEMENTS = '"judgements": "-2.5,0"'  # in data.json's first record
+
+
 def _no_features(tmp_path, payload):
     payload["metrics"] = []
     payload["reg_base"] = False
@@ -887,6 +942,19 @@ ERROR_TABLE = {
     "reference-only-source-based": (
         _source_based_bleu, 1, INVALID_CONFIG + "metric 'bleu' needs a same-language reference and cannot run source_based"
     ),
+    # a config file that JSON does not define
+    "config-repeated-key": (
+        _config_text(lambda text: text.replace("{", '{"dataset": "absent.tsv", ', 1)), 1,
+        "config.json: not valid JSON (repeated key 'dataset')",
+    ),
+    "config-long-integer": (
+        _config_text(lambda text: text.replace('"seed": 11', f'"seed": {LONG_INTEGER}')), 1,
+        "config.json: not valid JSON (Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "config-deep-nesting": (
+        _config_text(lambda text: text.replace('"output_dir": "out"', f'"output_dir": {DEEP_NESTING}')), 1,
+        "config.json: not valid JSON (maximum recursion depth exceeded",
+    ),
     # a run config that enables nothing to score
     "no-features": (
         _no_features, 1, "configuration error: no features configured: enable metrics, reg_base, or external scores"
@@ -906,7 +974,19 @@ ERROR_TABLE = {
     "unsupported-format": (
         _file("data.csv", "id,source\n"), 2, "data.csv: unsupported dataset format 'csv' (expected tsv or json)"
     ),
-    "invalid-json": (_file("data.json", "[{"), 2, "data.json: invalid JSON: "),
+    "invalid-json": (_file("data.json", "[{"), 2, "data.json: not valid JSON (Expecting property name"),
+    "json-repeated-key": (
+        _json_text(lambda text: text.replace('{"id": "s0"', '{"id": "s0", "id": "s99"', 1)), 2,
+        "data.json: not valid JSON (repeated key 'id')",
+    ),
+    "json-long-integer": (
+        _json_text(lambda text: text.replace(FIRST_JUDGEMENTS, f'"judgements": [{LONG_INTEGER}]')), 2,
+        "data.json: not valid JSON (Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "json-deep-nesting": (
+        _json_text(lambda text: text.replace(FIRST_JUDGEMENTS, f'"judgements": {DEEP_NESTING}')), 2,
+        "data.json: not valid JSON (maximum recursion depth exceeded",
+    ),
     "json-not-array": (_file("data.json", "{}"), 2, "data.json: expected a JSON array of records"),
     "json-record-not-object": (_file("data.json", "[1]"), 2, "data.json:record 0: expected an object"),
     "json-id-with-tab": (_json_id("\tX"), 2, "data.json:record 0: segment id 's0\\tX' holds a tab or a line break"),
@@ -933,8 +1013,8 @@ def test_input_error_exits_with_its_code_and_names_where(tmp_path, capsys, case)
     spoil, code, fragment = ERROR_TABLE[case]
     config = write_run(tmp_path)
     payload = json.loads(config.read_text(encoding="utf-8"))
-    spoil(tmp_path, payload)
-    config.write_text(json.dumps(payload), encoding="utf-8")
+    text = spoil(tmp_path, payload)  # the config file's text, from the spoils that write it as it is
+    config.write_text(json.dumps(payload) if text is None else text, encoding="utf-8")
     assert main(["score", "--config", str(config)]) == code
     err = capsys.readouterr().err
     assert err.startswith("configuration error: " if code == 1 else "data error: ")

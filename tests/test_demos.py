@@ -14,7 +14,7 @@ DEMO_STDOUT_SHA256 = {
     "cli_pipeline.py": "1bf0eb6f5443ca14d039222d1e33717c92bf4f28080d249316557ecbaba2ab51",
     "decontextualized_metrics.py": "6d1f791f869c95dfa6f545c6dc759d05d6dcef7fa790a4208de8dd77c6b88a92",
     "ensemble_and_evaluation.py": "bd404c5e22a198757070c3b817f5008199bfa3e571f60157186db75c01c5462d",
-    "metrics_tour.py": "b0f7ba9fe20205515f63cc4b38220326ca69e7170367392263f9b28f12330c5f",
+    "metrics_tour.py": "7efa98711782cd1e5116dee861afce5d7a12bff815841b05c2bd79effbc6aba9",
 }
 
 

@@ -12,10 +12,16 @@ its fields as it is built (a segment's id, texts, judgements and tags; a
 dataset's ids and language pair; the WordPiece vocabulary's unknown
 token; the metric config's metric list), and each must end the run in
 its own one-line message.
+
+The JSON inputs, the run config and a JSON copy of the dataset, also get
+edits of their structure: a value of another type, an integer past
+Python's digit limit, deep nesting, a repeated key, or a list element of
+another type.  The same rule holds for them.
 """
 
 import contextlib
 import io
+import json
 import random
 import shutil
 from pathlib import Path
@@ -126,6 +132,99 @@ def test_seeded_edits_of_the_demo_inputs_exit_cleanly_with_one_line(tmp_path):
     assert failures == []
     # the edits reach both kinds of error and leave some runs working
     assert {0, 1, 2} <= set(codes)
+
+
+JSON_CASES = 40
+#: Values a structure edit writes, as JSON text; no nonempty string, so no edit names another file
+JSON_VALUES = ("null", "true", "0", "-7", "2.5", '""', "[]", "{}", "[0]", '{"": 0}')
+JSON_KINDS = ("type", "long integer", "deep nesting", "repeated key", "list element")
+
+
+class Raw(str):
+    """JSON text that `dump` writes as it is."""
+
+
+def dump(value) -> str:
+    """The JSON text of ``value``, with `Raw` texts as they are and a key ``(k,)`` written as ``k``: a repeated key."""
+    if isinstance(value, Raw):
+        return value
+    if isinstance(value, dict):
+        pairs = (f"{json.dumps(key if isinstance(key, str) else key[0])}: {dump(item)}" for key, item in value.items())
+        return "{" + ", ".join(pairs) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(dump, value)) + "]"
+    return json.dumps(value)
+
+
+def slots(value):
+    """Every (container, key) below a JSON value, depth first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in list(items):
+        yield value, key
+        yield from slots(item)
+
+
+def edit_structure(document, rng: random.Random) -> str:
+    """One seeded structure edit of the parsed JSON ``document``, in place, and the edit's description."""
+    kind = rng.choice(JSON_KINDS)
+    containers = [container for container, _ in slots(document)]
+    if kind == "repeated key":
+        target = rng.choice([c for c in containers if isinstance(c, dict)])
+        key = rng.choice(list(target))
+        target[(key,)] = Raw(rng.choice((dump(target[key]),) + JSON_VALUES))
+        return f"{kind} {key!r}"
+    if kind == "list element":
+        target = rng.choice([c for c in containers if isinstance(c, list)])
+        target.insert(rng.randrange(len(target) + 1), Raw(rng.choice(JSON_VALUES)))
+        return kind
+    target, key = rng.choice(list(slots(document)))
+    if kind == "long integer":
+        target[key] = Raw("1" + "0" * 5000)
+    elif kind == "deep nesting":
+        target[key] = Raw("[" * 100_000 + "]" * 100_000)
+    else:
+        target[key] = Raw(rng.choice(JSON_VALUES))
+        kind = f"{kind} {target[key]}"
+    return f"{kind} at {key!r}"
+
+
+def json_dataset(data: Path) -> list[dict]:
+    """The records of deen.tsv in ``data``, without its empty fields and with judgements as lists of numbers."""
+    header, *lines = (data / "deen.tsv").read_text(encoding="utf-8").splitlines()
+    records = [{column: value for column, value in zip(header.split("\t"), line.split("\t")) if value} for line in lines]
+    for record in records:
+        record["judgements"] = json.loads(f"[{record['judgements']}]")
+    return records
+
+
+def run_json_case(case: int, root: Path) -> tuple[str, str, int, str]:
+    """(the edited file, what was edited, exit code, stderr) of one seeded structure case; the config reads deen.json."""
+    rng = random.Random(case)
+    data = root / f"json{case}"
+    shutil.copytree(DEMO_DATA, data)
+    documents = {"run_deen.json": json.loads((data / "run_deen.json").read_text(encoding="utf-8")), "deen.json": json_dataset(data)}
+    documents["run_deen.json"]["dataset"] = "deen.json"
+    name = rng.choice(sorted(documents))
+    edits = [edit_structure(documents[name], rng) for _ in range(rng.choice((1, 1, 2)))]
+    for file, document in documents.items():
+        (data / file).write_text(dump(document), encoding="utf-8")
+    command = rng.choice(("score", "evaluate"))
+    return name, f"json case {case}: {command}, {name}: {'; '.join(edits)}", *run(data, command)
+
+
+def test_seeded_structure_edits_of_the_json_inputs_exit_cleanly_with_one_line(tmp_path):
+    codes, failures = set(), []
+    for case in range(JSON_CASES):
+        name, what, code, stderr = run_json_case(case, tmp_path)
+        codes.add(code)
+        found = problems(code, stderr)
+        # a dataset whose ids changed no longer matches the external scores, and that check names their file
+        if code == 2 and name not in stderr and "deen_external.tsv: external column" not in stderr:
+            found.append("a data error that does not name the edited file")
+        if found:
+            failures.append(f"{what}: {', '.join(found)}\n{stderr}")
+    assert failures == []
+    assert {0, 1, 2} <= codes
 
 
 #: One edit per check a record runs on its fields as it is built: (file, text, its replacement, exit code, message)

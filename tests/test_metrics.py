@@ -27,7 +27,7 @@ from mteval.metrics import (
 )
 import mteval.metrics as metrics_module
 from mteval.flow import solve_transport, solve_transport_batch
-from mteval.metrics import MetricVector, _soft_quadratic, _transport_cost
+from mteval.metrics import _soft_quadratic, _transport_cost
 from mteval.tokenization import WordPieceVocab
 from mteval.vsm import (
     SimilarityMatrix,
@@ -723,14 +723,14 @@ def identity_fixture():
 
 def test_score_segment_identity_values():
     segment, config, resources = identity_fixture()
-    vector = score_segment(segment, config, resources)
-    assert set(vector.scores) == set(ALL_METRICS)
-    assert vector.flags == {}
+    scores, flags = score_segment(segment, config, resources)
+    assert set(scores) == set(ALL_METRICS)
+    assert flags == {}
     for name in ALL_METRICS:
         if name.startswith("scm") or name == "bleu":
-            assert vector.scores[name] == 1.0, name
+            assert scores[name] == 1.0, name
         else:
-            assert vector.scores[name] == 0.0, name
+            assert scores[name] == 0.0, name
 
 
 def test_score_segment_flags_oov_hypothesis():
@@ -741,26 +741,26 @@ def test_score_segment_flags_oov_hypothesis():
         pos_reference=("DET", "NOUN", "VERB"),
         pos_hypothesis=("X", "X"),
     )
-    vector = score_segment(bad, config, resources)
+    scores, flags = score_segment(bad, config, resources)
     # SCM against an all-OOV side is the defined 0 with a flag
-    assert vector.scores["scm"] == 0.0
-    assert vector.flags["scm"] == EMPTY_BOW_FLAG
+    assert scores["scm"] == 0.0
+    assert flags["scm"] == EMPTY_BOW_FLAG
     # WMD is unscorable: NaN, filled in later by the pipeline's placeholders
-    assert math.isnan(vector.scores["wmd"])
-    assert "wmd" in vector.flags
+    assert math.isnan(scores["wmd"])
+    assert "wmd" in flags
 
 
 def test_score_segment_source_based_anchor():
     segment, _, resources = identity_fixture()
     config = MetricConfig(mode="source_based", metrics=("wmd_contextual", "compositionality"))
-    vector = score_segment(segment, config, resources)
+    scores, _ = score_segment(segment, config, resources)
     # source "der hund" vs identical-vector hypothesis tokens is a real flow
-    assert vector.scores["wmd_contextual"] > 0.0
+    assert scores["wmd_contextual"] > 0.0
     # source tags NOUN,NOUN vs hypothesis DET,NOUN,VERB; the source's
     # self-transition scores 1.0 where the reference tags would score 0.0
     x = ["NOUN", "NOUN"]
     y = ["DET", "NOUN", "VERB"]
-    assert vector.scores["compositionality"] == compositionality(x, y) == 1.0
+    assert scores["compositionality"] == compositionality(x, y) == 1.0
 
 
 def test_score_segments_solves_pending_problems_every_chunk_cells(monkeypatch):
@@ -781,8 +781,8 @@ def test_score_segments_solves_pending_problems_every_chunk_cells(monkeypatch):
     monkeypatch.setattr("mteval.metrics.CHUNK_CELLS", 5)
     got = score_segments(segments, config, resources)
     assert len([count for count in calls if count]) > 1 and sum(calls) == 2 * len(segments)  # each problem solved once
-    assert [vector.scores for vector in got] == [vector.scores for vector in want]
-    assert all(value > 0.0 for vector in got for value in vector.scores.values())
+    assert [scores for scores, _ in got] == [scores for scores, _ in want]
+    assert all(value > 0.0 for scores, _ in got for value in scores.values())
 
 
 def shared_anchor_fixture():
@@ -832,7 +832,7 @@ def test_score_segments_computes_each_anchor_state_once(monkeypatch):
 
     monkeypatch.setattr(metrics_module, "_soft_quadratic", counted_quadratic)
     monkeypatch.setattr(metrics_module, "_ngram_counts", counted_ngrams)
-    vectors = score_segments(segments, config, resources)
+    scored = score_segments(segments, config, resources)
     references = sorted({s.reference for s in segments})
     assert len(segments) == 4 * len(references)
     for name in ("scm", "scm_tfidf"):
@@ -842,20 +842,20 @@ def test_score_segments_computes_each_anchor_state_once(monkeypatch):
             anchor = resources.bag("words", info.weighting, reference)
             assert self_products[(id(matrix), id(anchor))] == 1, (name, reference)
     assert ngram_calls == Counter({tuple(reference.split()): 1 for reference in references})
-    assert sum(1 for v in vectors if "scm" in v.flags) == 3 and "compositionality" in vectors[7].flags
+    assert sum(1 for _, flags in scored if "scm" in flags) == 3 and "compositionality" in scored[7][1]
 
     monkeypatch.undo()
-    for segment, vector in zip(segments, vectors):
-        alone = score_segment(segment, config, fresh())
-        assert {k: v.hex() for k, v in vector.scores.items()} == {k: v.hex() for k, v in alone.scores.items()}
-        assert vector.flags == alone.flags
+    for segment, (scores, flags) in zip(segments, scored):
+        alone_scores, alone_flags = score_segment(segment, config, fresh())
+        assert {k: v.hex() for k, v in scores.items()} == {k: v.hex() for k, v in alone_scores.items()}
+        assert flags == alone_flags
         x, y = (resources.bag("words", "nnx", text) for text in (segment.reference, segment.hypothesis))
-        if "scm" not in vector.flags:  # the public one-pair calls, without the shared anchor state
-            assert vector.scores["scm"].hex() == scm(x, y, resources.sims[("words", "vocabulary")]).hex()
-        assert vector.scores["bleu"].hex() == sentence_bleu(segment.reference.split(), segment.hypothesis.split()).hex()
+        if "scm" not in flags:  # the public one-pair calls, without the shared anchor state
+            assert scores["scm"].hex() == scm(x, y, resources.sims[("words", "vocabulary")]).hex()
+        assert scores["bleu"].hex() == sentence_bleu(segment.reference.split(), segment.hypothesis.split()).hex()
         if segment.pos_hypothesis is not None:
             want = graph_compositionality(segment.pos_reference, segment.pos_hypothesis)
-            assert vector.scores["compositionality"].hex() == want.hex()
+            assert scores["compositionality"].hex() == want.hex()
 
 
 def test_both_wmd_weightings_share_one_cost_matrix_per_segment_and_space(monkeypatch):
@@ -881,13 +881,13 @@ def test_both_wmd_weightings_share_one_cost_matrix_per_segment_and_space(monkeyp
     builds = []
     costs = metrics_module._costs
     monkeypatch.setattr(metrics_module, "_costs", lambda ex, ey: builds.append((len(ex), len(ey))) or costs(ex, ey))
-    vectors = score_segments(segments, config, resources)
+    scored = score_segments(segments, config, resources)
     monkeypatch.undo()
     # every segment is scorable under nnx in both spaces: one build each
     assert len(builds) == 2 * len(segments)
 
     checked = Counter()
-    for segment, vector in zip(segments, vectors):
+    for segment, (scores, flags) in zip(segments, scored):
         for name in config.metrics:
             info = METRICS[name]
             store, vocab = resources.stores[info.space], resources.vocabs[info.space]
@@ -896,10 +896,10 @@ def test_both_wmd_weightings_share_one_cost_matrix_per_segment_and_space(monkeyp
             try:
                 want = wmd(x, y, store, vocab)
             except UnscorableSegment as exc:
-                assert math.isnan(vector.scores[name]) and vector.flags[name] == str(exc)
+                assert math.isnan(scores[name]) and flags[name] == str(exc)
                 checked["unscorable", info.weighting] += 1
                 continue
-            assert vector.scores[name].hex() == want.hex(), (segment.id, name)
+            assert scores[name].hex() == want.hex(), (segment.id, name)
             # the sides' own stacks of positive-weight terms, as each weighting built them alone
             ix, iy = ([i for i in sorted(bow) if bow[i] > 0 and vocab.terms[i] in store] for bow in (x, y))
             alone = _transport_cost(*(np.array([bow[i] for i in terms]) for bow, terms in ((x, ix), (y, iy))), *(np.stack([store[vocab.terms[i]] for i in terms]) for terms in (ix, iy)))
@@ -934,11 +934,8 @@ def test_score_segments_rejects_a_segment_without_its_anchor():
 
 def test_compute_placeholders_follows_metric_direction():
     nan = float("nan")
-    vectors = [
-        MetricVector(segment_id="a", scores={"bleu": 0.7, "wmd": 0.5, "scm": nan}),
-        MetricVector(segment_id="b", scores={"bleu": 0.3, "wmd": 1.2, "scm": nan}),
-    ]
-    placeholders = compute_placeholders(vectors, ["bleu", "wmd", "scm"])
+    scores = [{"bleu": 0.7, "wmd": 0.5, "scm": nan}, {"bleu": 0.3, "wmd": 1.2, "scm": nan}]
+    placeholders = compute_placeholders(scores, ["bleu", "wmd", "scm"])
     assert placeholders["bleu"] == 0.3  # higher is better -> worst is min
     assert placeholders["wmd"] == 1.2  # distance -> worst is max
     assert placeholders["scm"] == 0.0  # nothing observed -> 0.0

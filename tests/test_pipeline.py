@@ -198,12 +198,10 @@ def test_score_dataset_deterministic_across_threads(tiny_run):
     assert flags1 == flags2
     batched = score_segments(dataset.segments, config, resources)
     one_by_one = [score_segment(segment, config, resources) for segment in dataset.segments]
-    assert [(v.segment_id, list(v.flags.items())) for v in batched] == [
-        (v.segment_id, list(v.flags.items())) for v in one_by_one
-    ]
-    for b, o in zip(batched, one_by_one):
-        assert list(b.scores) == list(o.scores)
-        assert np.array_equal(list(b.scores.values()), list(o.scores.values()), equal_nan=True)
+    assert [list(flags.items()) for _, flags in batched] == [list(flags.items()) for _, flags in one_by_one]
+    for (b, _), (o, _) in zip(batched, one_by_one, strict=True):
+        assert list(b) == list(o)
+        assert np.array_equal(list(b.values()), list(o.values()), equal_nan=True)
 
 
 def test_dataset_features_placeholder_uses_train_worst_only(tiny_run):

@@ -21,7 +21,7 @@ from mteval.corpus import Segment
 from mteval.embeddings import ContextualTable
 from mteval.ensemble import FeatureMatrix, MlpParams
 from mteval.evaluation import CorrelationReport
-from mteval.metrics import MetricConfig, MetricInfo, MetricVector, Resources
+from mteval.metrics import MetricConfig, MetricInfo, Resources
 from mteval.pipeline import SplitFeatures
 from mteval.tokenization import WordPieceVocab, wordpiece_tokenize
 from mteval.vsm import SimilarityMatrix
@@ -50,7 +50,6 @@ SIGNATURES = {
         ("compositionality_full_matrix", "False"), ("similarity_threshold", "0.1"), ("similarity_exponent", "2.0"),
         ("similarity_top_k", "100"),
     ],
-    "metrics.MetricVector": [("segment_id", REQUIRED), ("scores", REQUIRED), ("flags", FACTORY)],
     "metrics.Resources": [
         ("wp_vocab", "None"), ("contextual", "None"), ("vocabs", FACTORY), ("stores", FACTORY), ("sims", FACTORY),
         ("external", FACTORY), ("lowercase", "False"),
@@ -91,7 +90,6 @@ def empty_features():
 #: A builder of each record with a former ``default_factory`` field that leaves every such field out
 FACTORY_BUILDS = {
     "vsm.SimilarityMatrix": lambda: SimilarityMatrix(3),
-    "metrics.MetricVector": lambda: MetricVector("s1", {"bleu": 0.5}),
     "metrics.Resources": lambda: Resources(),
     "pipeline.SplitFeatures": lambda: SplitFeatures(empty_features(), empty_features(), [], [], []),
     "config.RunConfig": lambda: RunConfig(Path("data.tsv"), 17, config()),
@@ -121,7 +119,6 @@ def arguments():
             "mode": "source_based", "metrics": ("wmd_decontextualized",), "reg_base": False, "lowercase": True,
             "compositionality_full_matrix": True, "similarity_threshold": 0.5, "similarity_exponent": 3.0, "similarity_top_k": 7,
         },
-        "metrics.MetricVector": {"segment_id": "s1", "scores": {"bleu": 0.5}, "flags": {"bleu": "empty"}},
         "metrics.Resources": {
             "wp_vocab": WordPieceVocab(("[UNK]",)), "contextual": ContextualTable(np.empty((0, 2)), [], [], [], [], []),
             "vocabs": {}, "stores": {}, "sims": {}, "external": {}, "lowercase": True,
@@ -151,7 +148,7 @@ FROZEN = ["corpus.Segment", "tokenization.WordPieceVocab", "metrics.MetricInfo",
 
 
 def test_the_table_covers_every_record():
-    assert len(SIGNATURES) == 19
+    assert len(SIGNATURES) == 18
     assert {name: list(values) for name, values in arguments().items()} == {
         name: [param for param, _ in params] for name, params in SIGNATURES.items()
     }

@@ -78,12 +78,15 @@ def test_bow_nfx_needs_documents():
 
 
 def test_term_processing_order():
+    def processed(vocab, order):
+        return [vocab.terms[i] for i in term_processing_order(vocab, order)]
+
     vocab = build_vocabulary([["a", "b", "c"], ["b", "c"], ["c"]])
-    assert term_processing_order(vocab, "vocabulary") == [0, 1, 2]
+    assert processed(vocab, "vocabulary") == ["a", "b", "c"]
     # rarest first (highest idf); df a=1 < b=2 < c=3
-    assert term_processing_order(vocab, "idf_descending") == [0, 1, 2][::1]
+    assert processed(vocab, "idf_descending") == ["a", "b", "c"]
     vocab2 = build_vocabulary([["c", "b", "a"], ["b", "c"], ["c"]])
-    assert term_processing_order(vocab2, "idf_descending") == [2, 1, 0]
+    assert processed(vocab2, "idf_descending") == ["a", "b", "c"]
     with pytest.raises(ValueError):
         term_processing_order(vocab, "alphabetical")
 
