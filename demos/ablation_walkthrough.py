@@ -50,8 +50,8 @@ def main():
 
     curve = ablation(SplitFeatures(train, test, gold[:N_TRAIN].tolist(), gold[N_TRAIN:].tolist(), sources), seed=7)
     print("step  eliminated        remaining  test_rho")
-    for step in curve:
-        print(f"{step.step:>4}  {step.eliminated or '-':<16}  {step.remaining_count:>9}  {step.test_rho:+.4f}")
+    for step, (eliminated, rho) in enumerate(curve):
+        print(f"{step:>4}  {eliminated or '-':<16}  {len(names) - step:>9}  {rho:+.4f}")
     print("\nthe duplicate falls first and costs nothing; performance only")
     print("drops once a feature carrying unique signal is removed")
 

@@ -47,12 +47,12 @@ def demo_full_protocol():
     dataset = load_dataset(config.dataset_path, config.dataset_format)
     resources = build_resources(config.metric_config, dataset, config.resources)
     split = dataset_features(dataset, config.metric_config, resources, config.seed, config.split_ratio)
-    result = evaluate(split, seed=config.seed, mlp_options=config.mlp_options)
+    to_gold, _, kinds = evaluate(split, seed=config.seed, mlp_options=config.mlp_options)
     print(f"  {len(dataset)} segments -> {split.train.n} train / {split.test.n} test (split by source text)")
-    print(f"  RegEMT selected the {result.regemt_kind} regressor\n")
+    print(f"  RegEMT selected the {kinds['RegEMT']} regressor\n")
     print("  test-split Spearman to the human judgements:")
-    for name, rho in sorted(result.report.to_gold.items(), key=lambda kv: -kv[1]):
-        marker = " <- ensemble" if name in ("RegEMT", "Reg-base") else ""
+    for name, rho in sorted(to_gold.items(), key=lambda kv: -kv[1]):
+        marker = " <- ensemble" if name in kinds else ""
         print(f"    {name:<22} {rho:+.3f}{marker}")
     print("\n  (a handful of test segments makes these correlations coarse;")
     print("   the mechanics, not the numbers, are the point of this demo)")

@@ -24,7 +24,7 @@ from mteval import __version__
 from mteval.config import RunConfig, load_run_config
 from mteval.corpus import load_dataset
 from mteval.errors import ConfigError, DataError
-from mteval.evaluation import AblationStep, ablation, cross_lingual_eval, evaluate
+from mteval.evaluation import ablation, cross_lingual_eval, evaluate
 from mteval.pipeline import SplitFeatures, build_resources, dataset_features, feature_names, score_dataset
 
 logger = logging.getLogger(__name__)
@@ -99,14 +99,14 @@ def _write_flags(path: Path, flags: dict[str, dict[str, str]]) -> None:
     _write_table(path, ["segment_id", "metric", "flag"], rows)
 
 
-def _write_ablation(path: Path, steps: list[AblationStep]) -> None:
+def _write_ablation(path: Path, curve: list[tuple[str | None, float]]) -> None:
     """ablation.csv, through csv.writer: an external column name may hold a comma."""
     import csv  # only here: the other subcommands skip its import
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["step", "eliminated", "remaining", "test_rho"])
-        for step in steps:
-            writer.writerow([step.step, step.eliminated or "", step.remaining_count, f"{step.test_rho:.6f}"])
+        for step, (eliminated, rho) in enumerate(curve):  # one step per feature, so step k leaves len(curve) - k
+            writer.writerow([step, eliminated or "", len(curve) - step, f"{rho:.6f}"])
 
 
 def cmd_score(args) -> int:
@@ -126,17 +126,14 @@ def cmd_evaluate(args) -> int:
     if not config.metric_config.reg_base:  # before any input is read; `evaluate` checks it too
         raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
     split = _split(config, *_load_run(config), "train", "test")
-    result = evaluate(split, seed=config.seed, mlp_options=config.mlp_options)
+    to_gold, matrix, kinds = evaluate(split, seed=config.seed, mlp_options=config.mlp_options)
     out = _out_dir(args, config)
-    report, names = result.report, result.report.names
-    _write_table(out / "correlations.tsv", ["metric", "spearman_to_gold"], ([a, report.to_gold[a]] for a in names))
-    _write_table(out / "correlation_matrix.tsv", ["metric", *names], ([a, *(report.matrix[a, b] for b in names)] for a in names))
+    _write_table(out / "correlations.tsv", ["metric", "spearman_to_gold"], to_gold.items())
+    _write_table(out / "correlation_matrix.tsv", ["metric", *to_gold], ([a, *(matrix[a, b] for b in to_gold)] for a in to_gold))
     _write_flags(out / "flags.tsv", split.flags)
-    print(
-        f"test segments: {split.test.n} (train {split.train.n})\n"
-        f"RegEMT ({result.regemt_kind}): {report.to_gold['RegEMT']:.6f}\n"
-        f"Reg-base ({result.reg_base_kind}): {report.to_gold['Reg-base']:.6f}"
-    )
+    print(f"test segments: {split.test.n} (train {split.train.n})")
+    for name, kind in kinds.items():
+        print(f"{name} ({kind}): {to_gold[name]:.6f}")
     return 0
 
 
@@ -146,9 +143,9 @@ def cmd_ablate(args) -> int:
     n_features = len(feature_names(config.metric_config, resources))
     if n_features < 2:
         raise ConfigError(f"ablate needs at least 2 features (metrics, reg_base, external scores), got {n_features}")
-    steps = ablation(_split(config, dataset, resources, "train", "test"), seed=config.seed, mlp_options=config.mlp_options)
+    curve = ablation(_split(config, dataset, resources, "train", "test"), seed=config.seed, mlp_options=config.mlp_options)
     out = _out_dir(args, config)
-    _write_ablation(out / "ablation.csv", steps)
+    _write_ablation(out / "ablation.csv", curve)
     logger.info("wrote %s", out / "ablation.csv")
     return 0
 

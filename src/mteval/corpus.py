@@ -9,8 +9,9 @@ for each side.  Two on-disk layouts are read:
   pos_source  pos_reference  pos_hypothesis``.
   ``judgements`` holds comma-separated reals, ``pos_*`` space-separated
   tags; ``reference``, ``judgements``, and ``pos_*`` may be empty.
-* JSON: an array of records with the same field names (absent fields are
-  treated like empty columns).
+* JSON: an array of records with the same field names, each a string
+  (absent or null fields are treated like empty columns); ``judgements``
+  may also be a number or a list of numbers, ``pos_*`` a list of tags.
 """
 
 from __future__ import annotations
@@ -184,9 +185,13 @@ def _load_json(path: Path) -> list[tuple[str, Segment]]:
         fields = {}
         for column in _TSV_COLUMNS:
             value = record.get(column)
-            if isinstance(value, list):  # judgements as in the TSV column, tags space-separated
-                value = ",".join(_json_judgement(e, where) for e in value) if column == "judgements" else " ".join(map(str, value))
-            fields[column] = "" if value is None else str(value)
+            if column == "judgements" and type(value) in (int, float, list):  # as the TSV column reads the same text
+                value = ",".join(_json_judgement(e, where) for e in (value if isinstance(value, list) else [value]))
+            elif column.startswith("pos_") and isinstance(value, list) and all(isinstance(tag, str) for tag in value):
+                value = " ".join(value)
+            elif value is not None and not isinstance(value, str):
+                raise DataError(f"{where}: field {column!r} is not text: {json.dumps(value, ensure_ascii=False)}")
+            fields[column] = value or ""
         segments.append(_located_segment(fields, where))
     return segments
 

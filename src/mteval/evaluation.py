@@ -18,37 +18,21 @@ import numpy as np
 from mteval.ensemble import FeatureMatrix, predict, select_model
 from mteval.errors import ConfigError
 from mteval.metrics import REG_BASE_FEATURES
-from mteval.pipeline import SplitFeatures
+from mteval.pipeline import RESERVED_FEATURE_NAMES, SplitFeatures
 from mteval.stats import spearman
 
-__all__ = [
-    "AblationStep",
-    "CorrelationReport",
-    "EvaluationResult",
-    "ablation",
-    "correlation_report",
-    "cross_lingual_eval",
-    "evaluate",
-]
+__all__ = ["ablation", "correlation_report", "cross_lingual_eval", "evaluate"]
 
 logger = logging.getLogger(__name__)
 
 
-class CorrelationReport:
-    """Pairwise Spearman matrix of features plus each one's rho to gold."""
-
-    def __init__(self, names: list[str], matrix: dict[tuple[str, str], float], to_gold: dict[str, float]):
-        self.names, self.matrix, self.to_gold = names, matrix, to_gold
-
-
-def correlation_report(features: FeatureMatrix, gold: list[float]) -> CorrelationReport:
-    """All pairwise feature correlations and each feature's rho to gold."""
+def correlation_report(features: FeatureMatrix, gold: list[float]) -> tuple[dict[str, float], dict[tuple[str, str], float]]:
+    """Each feature's rho to gold, in column order, and the Spearman of every pair of features, 1.0 on the diagonal."""
     if features.n != len(gold):
         raise ValueError("gold length does not match feature rows")
-    names = list(features.feature_names)
+    names = features.feature_names
     matrix = {(name, name): 1.0 for name in names} | _pairwise_spearman(features)
-    to_gold = {name: spearman(features.rows[:, i], gold) for i, name in enumerate(names)}
-    return CorrelationReport(names=names, matrix=matrix, to_gold=to_gold)
+    return {name: spearman(features.rows[:, i], gold) for i, name in enumerate(names)}, matrix
 
 
 def _pairwise_spearman(features: FeatureMatrix) -> dict[tuple[str, str], float]:
@@ -60,18 +44,13 @@ def _pairwise_spearman(features: FeatureMatrix) -> dict[tuple[str, str], float]:
     return matrix
 
 
-class AblationStep:
-    def __init__(self, step: int, eliminated: str | None, remaining_count: int, test_rho: float):
-        # ``eliminated`` is None on the step-0 full-ensemble record
-        self.step, self.eliminated, self.remaining_count, self.test_rho = step, eliminated, remaining_count, test_rho
-
-
-def ablation(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> list[AblationStep]:
+def ablation(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> list[tuple[str | None, float]]:
     """Iteratively drop the feature most correlated with any other and refit.
 
     Pairwise |rho| is measured once, on the train split only; ties go to
-    the lexicographically smaller name.  Step 0 records the full ensemble,
-    and the curve ends once the single-feature model has been recorded.
+    the lexicographically smaller name.  Returns one ``(eliminated,
+    test_rho)`` pair per step: step 0 is the full ensemble, named None, and
+    step k has dropped k features, down to the single-feature model.
     Every step's model comes from one `select_model` call.
     """
     train = split.train
@@ -81,34 +60,28 @@ def ablation(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None
 
     # the order depends on the train table only, so every subset is known before any fit
     redundancy = {pair: abs(rho) for pair, rho in _pairwise_spearman(train).items()}
-    steps, subsets = [AblationStep(0, None, len(remaining), 0.0)], [list(remaining)]
-    for step_no in range(1, len(train.feature_names)):
+    eliminated, subsets = [None], [list(remaining)]
+    while len(remaining) > 1:
         # the feature with the largest |rho| to any other remaining feature
         victim = min(remaining, key=lambda a: (-max(redundancy[(a, b)] for b in remaining if b != a), a))
         remaining.remove(victim)
-        steps.append(AblationStep(step_no, victim, len(remaining), 0.0))
+        eliminated.append(victim)
         subsets.append(list(remaining))
-        logger.debug("ablation step %d: dropped %s (%d left)", step_no, victim, len(remaining))
+        logger.debug("ablation step %d: dropped %s (%d left)", len(subsets) - 1, victim, len(remaining))
     models = select_model(
         [train.select(names) for names in subsets], split.gold_train, seed=seed, sources=split.train_sources, mlp_options=mlp_options
     )
-    for step, names, model in zip(steps, subsets, models):
-        step.test_rho = spearman(predict(model, split.test.select(names)), split.gold_test)
-    return steps
+    test_rhos = [spearman(predict(model, split.test.select(names)), split.gold_test) for names, model in zip(subsets, models)]
+    return list(zip(eliminated, test_rhos))
 
 
-class EvaluationResult:
-    """Test-split correlations of every feature and both ensembles."""
-
-    def __init__(self, report: CorrelationReport, regemt_kind: str, reg_base_kind: str):
-        self.report, self.regemt_kind, self.reg_base_kind = report, regemt_kind, reg_base_kind
-
-
-def evaluate(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None) -> EvaluationResult:
+def evaluate(
+    split: SplitFeatures, *, seed: int, mlp_options: dict | None = None
+) -> tuple[dict[str, float], dict[tuple[str, str], float], dict[str, str]]:
     """Fit RegEMT (all features) and Reg-base (surface features) on the train
-    side in one `select_model` call, then report test-side Spearman
-    correlations for every feature and both ensemble prediction columns,
-    plus their pairwise matrix."""
+    side in one `select_model` call, and return `correlation_report` on the
+    test side of every feature and both ensemble prediction columns, plus
+    each ensemble's model kind ("linear" or "mlp") by column name."""
     base_names = list(REG_BASE_FEATURES)
     if not set(base_names) <= set(split.train.feature_names):
         raise ConfigError("evaluate reports Reg-base and needs reg_base features enabled")
@@ -119,11 +92,10 @@ def evaluate(split: SplitFeatures, *, seed: int, mlp_options: dict | None = None
     base_predictions = predict(reg_base, split.test.select(base_names))
     extended = FeatureMatrix(
         np.hstack([split.test.rows, predictions[:, None], base_predictions[:, None]]),
-        list(split.test.feature_names) + ["RegEMT", "Reg-base"],
+        [*split.test.feature_names, *RESERVED_FEATURE_NAMES],
         list(split.test.segment_ids),
     )
-    report = correlation_report(extended, split.gold_test)
-    return EvaluationResult(report=report, regemt_kind=regemt.kind, reg_base_kind=reg_base.kind)
+    return *correlation_report(extended, split.gold_test), dict(zip(RESERVED_FEATURE_NAMES, (regemt.kind, reg_base.kind)))
 
 
 def cross_lingual_eval(

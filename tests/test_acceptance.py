@@ -325,9 +325,8 @@ def test_ensemble_beats_best_single_feature():
     wins = 0
     for seed in range(10):
         dataset, resources = synthetic_judged_dataset(1000 + seed)
-        result = evaluate(dataset_features(dataset, config, resources, seed), seed=seed, mlp_options=FAST_MLP)
-        to_gold = result.report.to_gold
-        best_single = max(v for name, v in to_gold.items() if name not in ("RegEMT", "Reg-base"))
+        to_gold, _, kinds = evaluate(dataset_features(dataset, config, resources, seed), seed=seed, mlp_options=FAST_MLP)
+        best_single = max(v for name, v in to_gold.items() if name not in kinds)
         if to_gold["RegEMT"] - best_single >= 0.03:
             wins += 1
     elapsed = time.monotonic() - started
@@ -344,11 +343,11 @@ def test_transfer_rho_close_to_in_domain_rho():
             3000 + seed, n_segments=600, langs=("fi", "en"), source_word="lähde"
         )
         eval_split = dataset_features(eval_ds, config, eval_res, seed)
-        in_domain = evaluate(eval_split, seed=seed, mlp_options=FAST_MLP)
+        in_domain, _, _ = evaluate(eval_split, seed=seed, mlp_options=FAST_MLP)
         transferred = cross_lingual_eval(
             dataset_features(fit_ds, config, fit_res, seed), eval_split, seed=seed, mlp_options=FAST_MLP
         )
-        gap = abs(transferred - in_domain.report.to_gold["RegEMT"])
+        gap = abs(transferred - in_domain["RegEMT"])
         assert gap <= 0.1, f"seed {seed}: transfer gap {gap:.3f}"
 
 
@@ -375,15 +374,11 @@ def test_ablation_eliminates_duplicates_first(tmp_path):
     # step 0 is the untouched full ensemble
     (model,) = select_model([train], gold_train, seed=7, sources=sources, mlp_options=FAST_MLP)
     full_rho = float(spearman(predict(model, test), gold_test))
-    assert curve[0].step == 0
-    assert curve[0].eliminated is None
-    assert curve[0].remaining_count == len(names)
-    assert curve[0].test_rho == full_rho
+    assert curve[0] == (None, full_rho)
 
     # exactly one elimination per step, down to a single survivor
-    assert [s.step for s in curve] == list(range(len(names)))
-    assert [s.remaining_count for s in curve] == list(range(len(names), 0, -1))
-    victims = [s.eliminated for s in curve[1:]]
+    assert len(curve) == len(names)
+    victims = [eliminated for eliminated, _ in curve[1:]]
     assert len(set(victims)) == len(names) - 1
 
     # duplicated columns go before anything that is not strongly paired
@@ -399,9 +394,7 @@ def test_ablation_eliminates_duplicates_first(tmp_path):
 
     # deterministic: a rerun reproduces the curve bit for bit
     rerun = ablation(SplitFeatures(train, test, gold_train, gold_test, sources), seed=7, mlp_options=FAST_MLP)
-    assert [(s.step, s.eliminated, s.remaining_count, s.test_rho) for s in rerun] == [
-        (s.step, s.eliminated, s.remaining_count, s.test_rho) for s in curve
-    ]
+    assert rerun == curve
 
     # and the emitted CSV carries the same curve
     out = tmp_path / "curve.csv"
@@ -410,3 +403,4 @@ def test_ablation_eliminates_duplicates_first(tmp_path):
     assert lines[0] == "step,eliminated,remaining,test_rho"
     assert len(lines) == len(names) + 1
     assert lines[1] == f"0,,{len(names)},{full_rho:.6f}"
+    assert lines[2:] == [f"{k},{victim},{len(names) - k},{curve[k][1]:.6f}" for k, victim in enumerate(victims, 1)]

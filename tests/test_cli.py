@@ -873,13 +873,13 @@ def _source_based_bleu(tmp_path, payload):
     payload["metrics"] = ["bleu"]
 
 
-def _json_id(suffix):
-    """Rewrite data.tsv as data.json, with ``suffix`` appended to the first record's id."""
+def _json_field(column, value):
+    """Rewrite data.tsv as data.json, with the first record's ``column`` set to ``value``."""
 
     def spoil(tmp_path, payload):
         lines = (tmp_path / "data.tsv").read_text(encoding="utf-8").splitlines()
         records = [dict(zip(HEADER.split("\t"), line.split("\t"))) for line in lines[1:]]
-        records[0]["id"] += suffix
+        records[0][column] = value
         (tmp_path / "data.json").write_text(json.dumps(records), encoding="utf-8")
         payload["dataset"] = "data.json"
 
@@ -890,7 +890,7 @@ def _json_text(edit):
     """Rewrite data.tsv as data.json, its text passed through ``edit``."""
 
     def spoil(tmp_path, payload):
-        _json_id("")(tmp_path, payload)
+        _json_field("id", "s0")(tmp_path, payload)
         text = (tmp_path / "data.json").read_text(encoding="utf-8")
         assert edit(text) != text
         (tmp_path / "data.json").write_text(edit(text), encoding="utf-8")
@@ -989,8 +989,15 @@ ERROR_TABLE = {
     ),
     "json-not-array": (_file("data.json", "{}"), 2, "data.json: expected a JSON array of records"),
     "json-record-not-object": (_file("data.json", "[1]"), 2, "data.json:record 0: expected an object"),
-    "json-id-with-tab": (_json_id("\tX"), 2, "data.json:record 0: segment id 's0\\tX' holds a tab or a line break"),
-    "json-id-with-newline": (_json_id("\nY"), 2, "data.json:record 0: segment id 's0\\nY' holds a tab or a line break"),
+    "json-id-with-tab": (_json_field("id", "s0\tX"), 2, "data.json:record 0: segment id 's0\\tX' holds a tab or a line break"),
+    "json-id-with-newline": (_json_field("id", "s0\nY"), 2, "data.json:record 0: segment id 's0\\nY' holds a tab or a line break"),
+    # a field holds a string or null (judgements also numbers, pos_* also lists of tags), not any value made into text
+    "json-id-number": (_json_field("id", 0), 2, "data.json:record 0: field 'id' is not text: 0"),
+    "json-source-boolean": (_json_field("source", True), 2, "data.json:record 0: field 'source' is not text: true"),
+    "json-reference-object": (
+        _json_field("reference", {"a": 1}), 2, 'data.json:record 0: field \'reference\' is not text: {"a": 1}'
+    ),
+    "json-pos-number-list": (_json_field("pos_source", [1]), 2, "data.json:record 0: field 'pos_source' is not text: [1]"),
     # other inputs
     "non-finite-external": (
         _file("external.tsv", EXTERNAL_WITH_NAN, "resources", "external_scores"), 2, "external.tsv:3: non-finite value in column 'ext'"

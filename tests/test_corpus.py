@@ -114,6 +114,11 @@ def test_load_json_judgement_lists_read_as_the_tsv_column(tmp_path):
     record = {"id": "x1", "src_lang": "cs", "tgt_lang": "en", "source": "zdroj", "hypothesis": "hyp"}
     path.write_text(json.dumps([{**record, "judgements": ["70", 80.5]}]), encoding="utf-8")
     assert load_dataset(path).segments[0].judgements == (70.0, 80.5)
+    # the whole field may also be one number, or the TSV column's text; tags may be a list of strings
+    for judgements, want in ((70, (70.0,)), ("70,80", (70.0, 80.0))):
+        path.write_text(json.dumps([{**record, "judgements": judgements, "pos_source": ["NOUN"]}]), encoding="utf-8")
+        segment = load_dataset(path).segments[0]
+        assert (segment.judgements, segment.pos_source) == (want, ("NOUN",))
     # each element is one number or a string holding one; anything else is quoted as JSON wrote it
     for element, quoted in (("70,80", '"70,80"'), (True, "true"), ("x", '"x"'), ([1], "[1]")):
         path.write_text(json.dumps([{**record, "judgements": [70, element]}]), encoding="utf-8")

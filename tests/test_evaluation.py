@@ -37,32 +37,32 @@ def test_correlation_report_matches_elementwise_spearman():
     rng = np.random.default_rng(0)
     m = matrix(rng.normal(size=(30, 3)), names=["a", "b", "c"])
     gold = rng.normal(size=30)
-    report = correlation_report(m, list(gold))
+    to_gold, pairs = correlation_report(m, list(gold))
+    assert list(to_gold) == ["a", "b", "c"]
     for i, x in enumerate("abc"):
-        assert report.matrix[x, x] == 1.0
-        assert abs(report.to_gold[x] - spearman(m.rows[:, i], gold)) < 1e-15
+        assert pairs[x, x] == 1.0
+        assert abs(to_gold[x] - spearman(m.rows[:, i], gold)) < 1e-15
         for j, y in enumerate("abc"):
-            assert report.matrix[x, y] == report.matrix[y, x]
-            assert abs(report.matrix[x, y] - spearman(m.rows[:, i], m.rows[:, j])) < 1e-15
+            assert pairs[x, y] == pairs[y, x]
+            assert abs(pairs[x, y] - spearman(m.rows[:, i], m.rows[:, j])) < 1e-15
 
 
 def test_correlation_report_duplicate_column_and_gold_feature():
     rng = np.random.default_rng(1)
     col = rng.normal(size=20)
     m = matrix(np.column_stack([col, col, rng.normal(size=20)]), names=["a", "a_copy", "b"])
-    report = correlation_report(m, list(col))
-    assert report.matrix["a", "a_copy"] == 1.0
-    assert report.to_gold["a"] == 1.0
+    to_gold, pairs = correlation_report(m, list(col))
+    assert pairs["a", "a_copy"] == 1.0
+    assert to_gold["a"] == 1.0
 
 
 def test_correlation_report_tsv_outputs(tmp_path):
     m = matrix([[1.0, 2.0], [2.0, 1.0], [3.0, 3.0]], names=["x", "y"])
-    report = correlation_report(m, [1.0, 2.0, 3.0])
+    to_gold, pairs = correlation_report(m, [1.0, 2.0, 3.0])
     matrix_path = tmp_path / "matrix.tsv"
     gold_path = tmp_path / "gold.tsv"
-    names = report.names
-    _write_table(matrix_path, ["metric", *names], ([a, *(report.matrix[a, b] for b in names)] for a in names))
-    _write_table(gold_path, ["metric", "spearman_to_gold"], ([a, report.to_gold[a]] for a in names))
+    _write_table(matrix_path, ["metric", *to_gold], ([a, *(pairs[a, b] for b in to_gold)] for a in to_gold))
+    _write_table(gold_path, ["metric", "spearman_to_gold"], to_gold.items())
     lines = matrix_path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "metric\tx\ty"
     assert lines[1].startswith("x\t1.000000\t")
@@ -103,12 +103,7 @@ def test_ablation_two_features_curve_shape():
     curve = ablation(
         whole_split(train.select(["f_signal", "f_noise"]), test.select(["f_signal", "f_noise"]), gold_train, gold_test), seed=1
     )
-    assert [s.step for s in curve] == [0, 1]
-    assert curve[0].eliminated is None
-    assert curve[0].remaining_count == 2
-    assert curve[1].remaining_count == 1
-    for a, b in zip(curve, curve[1:]):
-        assert b.remaining_count == a.remaining_count - 1
+    assert [eliminated for eliminated, _ in curve] == [None, "f_noise"]
 
 
 def test_ablation_drops_duplicate_before_noise():
@@ -116,11 +111,9 @@ def test_ablation_drops_duplicate_before_noise():
     train, test, gold_train, gold_test = ablation_fixture(rng)
     curve = ablation(whole_split(train, test, gold_train, gold_test), seed=1)
     # the rho=1 duplicate pair dominates; lexicographic tie-break picks f_copy
-    assert curve[1].eliminated == "f_copy"
-    assert curve[2].eliminated == "f_noise"
-    assert [s.remaining_count for s in curve] == [3, 2, 1]
+    assert [eliminated for eliminated, _ in curve] == [None, "f_copy", "f_noise"]
     # the single survivor is the signal, so the last rho stays high
-    assert curve[-1].test_rho > 0.8
+    assert curve[-1][1] > 0.8
 
 
 def test_ablation_order_matches_pairwise_table():
@@ -158,7 +151,7 @@ def test_ablation_order_matches_pairwise_table():
         remaining.remove(victim)
 
     curve = ablation(whole_split(train, test, gold, gold), seed=7)
-    assert [s.eliminated for s in curve[1:]] == expected
+    assert [eliminated for eliminated, _ in curve[1:]] == expected
 
 
 def test_ablation_step_zero_equals_full_ensemble_rho():
@@ -169,7 +162,7 @@ def test_ablation_step_zero_equals_full_ensemble_rho():
     curve = ablation(whole_split(train, test, gold_train, gold_test), seed=9)
     (model,) = select_model([train], gold_train, seed=9)
     want = spearman(predict(model, test), gold_test)
-    assert curve[0].test_rho == want
+    assert curve[0] == (None, want)
 
 
 def test_ablation_and_evaluate_equal_one_selection_per_subset():
@@ -194,17 +187,17 @@ def test_ablation_and_evaluate_equal_one_selection_per_subset():
 
     curve = ablation(split, seed=6, mlp_options=options)
     kinds = []
-    for step in curve:
-        dropped = {s.eliminated for s in curve[1 : step.step + 1]}
+    for step, (_, test_rho) in enumerate(curve):
+        dropped = {eliminated for eliminated, _ in curve[1 : step + 1]}
         model, rho = selected([name for name in names if name not in dropped])
         kinds.append(model.kind)
-        assert step.test_rho == rho, step
+        assert test_rho == rho, step
     assert "mlp" in kinds and "linear" in kinds
 
-    result = evaluate(split, seed=6, mlp_options=options)
+    to_gold, _, ensemble_kinds = evaluate(split, seed=6, mlp_options=options)
     (regemt, regemt_rho), (reg_base, reg_base_rho) = selected(names), selected(list(REG_BASE_FEATURES))
-    assert (result.regemt_kind, result.reg_base_kind) == (regemt.kind, reg_base.kind)
-    assert (result.report.to_gold["RegEMT"], result.report.to_gold["Reg-base"]) == (regemt_rho, reg_base_rho)
+    assert ensemble_kinds == {"RegEMT": regemt.kind, "Reg-base": reg_base.kind}
+    assert (to_gold["RegEMT"], to_gold["Reg-base"]) == (regemt_rho, reg_base_rho)
 
 
 def test_ablation_is_deterministic():
@@ -212,9 +205,7 @@ def test_ablation_is_deterministic():
     train, test, gold_train, gold_test = ablation_fixture(rng)
     a = ablation(whole_split(train, test, gold_train, gold_test), seed=3)
     b = ablation(whole_split(train, test, gold_train, gold_test), seed=3)
-    assert [(s.step, s.eliminated, s.remaining_count, s.test_rho) for s in a] == [
-        (s.step, s.eliminated, s.remaining_count, s.test_rho) for s in b
-    ]
+    assert a == b
 
 
 def test_ablation_needs_two_features():
@@ -232,8 +223,8 @@ def test_ablation_csv_format(tmp_path):
     _write_ablation(path, curve)
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "step,eliminated,remaining,test_rho"
-    assert lines[1].startswith("0,,3,")
-    assert len(lines) == 1 + len(curve)
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == ["0,,3", "1,f_copy,2", "2,f_noise,1"]
+    assert [float(line.rsplit(",", 1)[1]) for line in lines[1:]] == [round(rho, 6) for _, rho in curve]
 
 
 @settings(max_examples=80, deadline=None)
@@ -257,7 +248,7 @@ def test_ablation_order_matches_the_per_step_loop(data):
     train = matrix(np.array(columns, dtype=float).T, names=list(names))
     gold = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     curve = ablation(whole_split(train, train, gold, gold), seed=1)
-    assert [s.eliminated for s in curve[1:]] == loop_ablation_order(train)
+    assert [eliminated for eliminated, _ in curve[1:]] == loop_ablation_order(train)
 
 
 @pytest.mark.parametrize("k", [3, 7])
@@ -311,16 +302,18 @@ def test_evaluate_dataset_reports_both_ensembles():
     config = MetricConfig(mode="reference_based", metrics=("bleu",))
     resources = Resources(wp_vocab=WP, external={"f1": external_feature(dataset, f1)})
     split = dataset_features(dataset, config, resources, seed=4)
-    result = evaluate(split, seed=4)
-    names = result.report.names
+    to_gold, pairs, kinds = evaluate(split, seed=4)
+    names = list(to_gold)
     assert names[-2:] == ["RegEMT", "Reg-base"]
     assert "bleu" in names and "f1" in names
     assert set(REG_BASE_FEATURES) <= set(names)
+    assert set(pairs) == {(a, b) for a in names for b in names}
     assert split.train.n + split.test.n == n
-    assert result.regemt_kind in ("linear", "mlp")
+    assert list(kinds) == ["RegEMT", "Reg-base"]
+    assert set(kinds.values()) <= {"linear", "mlp"}
     # gold is exactly 2*f1, so the ensemble must rank the test split perfectly
-    assert result.report.to_gold["f1"] == 1.0
-    assert result.report.to_gold["RegEMT"] == 1.0
+    assert to_gold["f1"] == 1.0
+    assert to_gold["RegEMT"] == 1.0
 
 
 def test_evaluate_dataset_requires_reg_base():

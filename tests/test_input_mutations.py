@@ -16,7 +16,9 @@ its own one-line message.
 The JSON inputs, the run config and a JSON copy of the dataset, also get
 edits of their structure: a value of another type, an integer past
 Python's digit limit, deep nesting, a repeated key, or a list element of
-another type.  The same rule holds for them.
+another type.  The same rule holds for them, and for line and field edits
+of the contextual-records file of the benchmark's smoke
+``evaluate-contextual`` corpus, generated by perfbench/synth.py and scored.
 """
 
 import contextlib
@@ -29,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from mteval.cli import main
+from test_perfbench_digests import bench  # noqa: F401  (a fixture: perfbench/run.py, loaded without bytecode)
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 CASES = 100
@@ -71,11 +74,11 @@ def edit(text: str, sep: str, rng: random.Random) -> tuple[str, str]:
     return "\n".join(lines), f"{kind} at line {i + 1}"
 
 
-def run(data: Path, command: str) -> tuple[int, str]:
-    """(exit code, stderr) of ``command`` on run_deen.json in ``data``."""
+def run(data: Path, command: str, config: str = "run_deen.json") -> tuple[int, str]:
+    """(exit code, stderr) of ``command`` on ``config`` in ``data``."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(data / "run_deen.json"), "--out", str(data / "out")])
+        code = main([command, "--config", str(data / config), "--out", str(data / "out")])
     return code, err.getvalue()
 
 
@@ -225,6 +228,33 @@ def test_seeded_structure_edits_of_the_json_inputs_exit_cleanly_with_one_line(tm
             failures.append(f"{what}: {', '.join(found)}\n{stderr}")
     assert failures == []
     assert {0, 1, 2} <= codes
+
+
+CONTEXTUAL_CASES = 60
+
+
+def test_seeded_edits_of_a_contextual_records_file_exit_cleanly_with_one_line(tmp_path, bench):
+    # the benchmark's smoke evaluate-contextual corpus: its run reads no other vectors than contextual.tsv's
+    bench.synth.generate(bench.WORKLOADS["smoke"]["evaluate-contextual"], bench.DEFAULT_SEED, tmp_path)
+    records = tmp_path / "contextual.tsv"
+    original = records.read_text(encoding="utf-8")
+    codes, failures = set(), []
+    for case in range(CONTEXTUAL_CASES):
+        rng = random.Random(case)
+        text, edits = original, []
+        for _ in range(rng.choice((1, 1, 2))):
+            text, description = edit(text, "\t", rng)
+            edits.append(description)
+        records.write_text(text, encoding="utf-8", newline="")
+        code, stderr = run(tmp_path, "score", "run.json")
+        codes.add(code)
+        found = problems(code, stderr)
+        if code == 2 and "contextual.tsv" not in stderr:
+            found.append("a data error that does not name the edited file")
+        if found:
+            failures.append(f"contextual case {case}: {'; '.join(edits)}: {', '.join(found)}\n{stderr}")
+    assert failures == []
+    assert {0, 2} <= codes
 
 
 #: One edit per check a record runs on its fields as it is built: (file, text, its replacement, exit code, message)

@@ -20,7 +20,6 @@ from mteval.config import RunConfig
 from mteval.corpus import Segment
 from mteval.embeddings import ContextualTable
 from mteval.ensemble import FeatureMatrix, MlpParams
-from mteval.evaluation import CorrelationReport
 from mteval.metrics import MetricConfig, MetricInfo, Resources
 from mteval.pipeline import SplitFeatures
 from mteval.tokenization import WordPieceVocab, wordpiece_tokenize
@@ -60,9 +59,6 @@ SIGNATURES = {
         ("kind", REQUIRED), ("feature_names", REQUIRED), ("mean", REQUIRED), ("std", REQUIRED), ("weights", "None"),
         ("intercept", "None"), ("mlp", "None"),
     ],
-    "evaluation.CorrelationReport": [("names", REQUIRED), ("matrix", REQUIRED), ("to_gold", REQUIRED)],
-    "evaluation.AblationStep": [("step", REQUIRED), ("eliminated", REQUIRED), ("remaining_count", REQUIRED), ("test_rho", REQUIRED)],
-    "evaluation.EvaluationResult": [("report", REQUIRED), ("regemt_kind", REQUIRED), ("reg_base_kind", REQUIRED)],
     "pipeline.SplitFeatures": [
         ("train", REQUIRED), ("test", REQUIRED), ("gold_train", REQUIRED), ("gold_test", REQUIRED), ("train_sources", REQUIRED),
         ("flags", FACTORY), ("placeholders", FACTORY),
@@ -100,7 +96,6 @@ FACTORY_BUILDS = {
 def arguments():
     """Valid arguments for every parameter of each record's constructor, no two the same object."""
     segment = Segment("s1", "de", "en", "der hund", "the dog", "a dog", (70.0,), ("DET", "NOUN"), ("DET", "NOUN"), ("DET", "NOUN"))
-    report = {"names": ["a"], "matrix": {("a", "a"): 1.0}, "to_gold": {"a": 0.5}}
     features = {"rows": np.zeros((1, 1)), "feature_names": ["a"], "segment_ids": ["s1"]}
     mlp = {"w1": np.zeros((1, 2)), "b1": np.zeros(2), "w2": np.zeros(2), "b2": 0.25}
     return {
@@ -129,9 +124,6 @@ def arguments():
             "kind": "mlp", "feature_names": ["a"], "mean": np.zeros(1), "std": np.ones(1), "weights": np.ones(1),
             "intercept": 0.5, "mlp": MlpParams(**mlp),
         },
-        "evaluation.CorrelationReport": report,
-        "evaluation.AblationStep": {"step": 1, "eliminated": "a", "remaining_count": 1, "test_rho": 0.5},
-        "evaluation.EvaluationResult": {"report": CorrelationReport(**report), "regemt_kind": "mlp", "reg_base_kind": "linear"},
         "pipeline.SplitFeatures": {
             "train": FeatureMatrix(**features), "test": FeatureMatrix(**features), "gold_train": [1.0], "gold_test": [2.0],
             "train_sources": ["der hund"], "flags": {"bleu": {}}, "placeholders": {"wmd": 1.0},
@@ -148,7 +140,7 @@ FROZEN = ["corpus.Segment", "tokenization.WordPieceVocab", "metrics.MetricInfo",
 
 
 def test_the_table_covers_every_record():
-    assert len(SIGNATURES) == 18
+    assert len(SIGNATURES) == 15
     assert {name: list(values) for name, values in arguments().items()} == {
         name: [param for param, _ in params] for name, params in SIGNATURES.items()
     }
