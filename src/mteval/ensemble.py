@@ -24,7 +24,6 @@ __all__ = [
     "fit_linear",
     "fit_mlp",
     "mlp_forward",
-    "mlp_gradients",
     "mlp_loss",
     "predict",
     "select_model",
@@ -149,15 +148,6 @@ def mlp_loss(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(delta * delta))
 
 
-def mlp_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> MlpParams:
-    """Analytic MSE gradients (ReLU subgradient 0 at the kink), by the pass every training step takes."""
-    (m, hidden), y = params.w1.shape, np.asarray(y, dtype=float)
-    g_w1, g_b1, g_w2, g_b2 = np.empty((m, hidden)), np.empty((1, hidden)), np.empty((1, hidden)), np.empty(1)
-    stacked = ([params.w1], params.b1[None], params.w2[None], np.full(1, params.b2, dtype=float))
-    _stacked_gradients([rows], stacked, y[None], ([g_w1], g_b1, g_w2, g_b2), np.empty((3, 1, len(y) + len(y) % 2, hidden)))
-    return MlpParams(g_w1, g_b1[0], g_w2[0], g_b2[0])
-
-
 def _stacked_gradients(rows, params, y, grads, work) -> None:
     """Write into ``grads`` (laid out as `_views` says) the MSE gradients of F fits on (F, b) targets.
 
@@ -218,7 +208,7 @@ def fit_mlp(
     generator of ``seed``, and returns its best-validation parameters.  The
     fits step in lockstep in groups of at most LOCKSTEP_CELLS activation
     cells, each bit for bit its candidate's fit alone; each group logs one
-    INFO line.
+    INFO line, and one WARNING line if a fit's validation loss was ever not finite.
     """
     y = np.asarray(gold, dtype=float)
     for features in candidates:
@@ -228,7 +218,8 @@ def fit_mlp(
             raise ValueError("mlp fit needs at least 10 rows; use the linear model below that")
     size = max(1, LOCKSTEP_CELLS // (min(batch_size, max(1, len(y))) * hidden))
     options = (y, seed, hidden, learning_rate, batch_size, max_epochs, patience, val_fraction)
-    return [model for start in range(0, len(candidates), size) for model in _fit_lockstep(candidates[start : start + size], *options)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # a diverged fit is logged once per group
+        return [model for start in range(0, len(candidates), size) for model in _fit_lockstep(candidates[start : start + size], *options)]
 
 
 def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_epochs, patience, val_fraction) -> list[EnsembleModel]:
@@ -256,7 +247,7 @@ def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_ep
     rows_per_batch = min(batch_size, n_fit)  # sizes the buffers by the rows, not the option
     work = np.empty((3, f, rows_per_batch + rows_per_batch % 2, hidden))
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    best_val, best_epoch, epochs, stale = [np.inf] * f, [0] * f, [0] * f, [0] * f
+    best_val, best_epoch, epochs, stale, diverged = [np.inf] * f, [0] * f, [0] * f, [0] * f, [False] * f
     live, step = list(range(f)), 0
     for epoch in range(1, max_epochs + 1):
         batch_orders = [rngs[j].permutation(n_fit) for j in live]
@@ -278,6 +269,7 @@ def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_ep
         for i, j in enumerate(live):
             epochs[j] = epoch
             val_mse = mlp_loss(MlpParams(*(v[i] for v in params)), *splits[j][2:])
+            diverged[j] = diverged[j] or not np.isfinite(val_mse)
             if val_mse < best_val[j]:
                 best_val[j], best_epoch[j], stale[j] = val_mse, epoch, 0
                 models[j].mlp = MlpParams(*(v[i].copy() for v in params))  # copies: theta steps on
@@ -294,6 +286,8 @@ def _fit_lockstep(candidates, y, seed, hidden, learning_rate, batch_size, max_ep
             params, grads = _views(theta, ms, hidden), _views(grad, ms, hidden)
 
     logger.info("mlp: %d fits in lockstep, %d steps, epochs run %s", f, step, ",".join(map(str, epochs)))
+    if any(diverged):
+        logger.warning("mlp: %d of %d fits diverged (validation loss not finite); each keeps its best finite epoch", sum(diverged), f)
     for j in range(f):
         logger.debug("mlp fit: %d epochs run, best epoch %d, validation MSE %.6g", epochs[j], best_epoch[j], best_val[j])
     return models

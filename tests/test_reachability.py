@@ -2,12 +2,14 @@
 
 Under a profiler, in this process, the test runs every subcommand on the
 demo configs, `score` on a JSON copy of the de-en dataset (its judgements
-as lists), `evaluate` on the benchmark's smoke contextual corpus, and the
+as lists), `score` on de-en at similarity threshold 0 and top_k 1 (so rows
+cut at 3 x top_k run out and `SimilarityCandidates.full_row` ranks them
+again), `evaluate` on the benchmark's smoke contextual corpus, and the
 five demo scripts.  Each function or method defined at module or class
 level in src/mteval must then have been called, unless it is a dunder, a
-decorator (it runs at import), a name the benchmark's tracer wraps, or on
-`ALLOWLIST` with its reason.  Code that nothing runs leaves the library,
-for the tests to keep as an oracle if they need it.
+decorator (it runs at import) or a name the benchmark's tracer wraps.
+Code that nothing runs leaves the library, for the tests to keep as an
+oracle if they need it.
 """
 
 import ast
@@ -32,16 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "mteval"
 DEMOS = ROOT / "demos"
 PERFBENCH = ROOT / "perfbench"
-
-#: Names no run reaches that stay, each with its reason
-ALLOWLIST = {
-    "ensemble.mlp_gradients": "the gradient side of the finite-difference contract",
-    "vsm.SimilarityCandidates.full_row": (
-        "runs only when a row cut at its stored 3 x top_k depth runs out, which no demo or smoke corpus reaches; "
-        "test_vsm.py's oracle test forces it"
-    ),
-}
-
 
 def defined_functions() -> dict[str, object]:
     """The code object of each function and method defined at module or class level in src/mteval, by name."""
@@ -91,6 +83,16 @@ def exempt(name: str, decorators: set[str], traced: set[str]) -> bool:
     return (last.startswith("__") and last.endswith("__")) or last in decorators or name in traced
 
 
+def deen_copy(tmp_path: Path, name: str, **overrides) -> Path:
+    """run_deen.json written to ``tmp_path / name`` with ``overrides`` set, every input it names read from demos/data."""
+    config = json.loads((DEMOS / "data" / "run_deen.json").read_text(encoding="utf-8"))
+    config["dataset"] = str(DEMOS / "data" / config["dataset"])
+    config["resources"] = {key: str(DEMOS / "data" / value) for key, value in config["resources"].items()}
+    path = tmp_path / name
+    path.write_text(json.dumps(config | overrides), encoding="utf-8")
+    return path
+
+
 def json_copy_config(tmp_path: Path) -> Path:
     """run_deen.json over a JSON copy of deen.tsv, every other input read from demos/data."""
     with open(DEMOS / "data" / "deen.tsv", encoding="utf-8", newline="") as handle:
@@ -98,12 +100,7 @@ def json_copy_config(tmp_path: Path) -> Path:
     for record in records:  # a list of number strings, which the JSON loader reads as the TSV column
         record["judgements"] = record["judgements"].split(",")
     (tmp_path / "deen.json").write_text(json.dumps(records), encoding="utf-8")
-    config = json.loads((DEMOS / "data" / "run_deen.json").read_text(encoding="utf-8"))
-    config["dataset"] = str(tmp_path / "deen.json")
-    config["resources"] = {key: str(DEMOS / "data" / value) for key, value in config["resources"].items()}
-    path = tmp_path / "run_deen_json.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
-    return path
+    return deen_copy(tmp_path, "run_deen_json.json", dataset=str(tmp_path / "deen.json"))
 
 
 def smoke_contextual_config(tmp_path: Path) -> Path:
@@ -124,6 +121,7 @@ def test_every_library_function_is_reached(tmp_path):
     runs = [[command, "--config", config] for config in (deen, sven) for command in ("score", "evaluate", "ablate")]
     runs.append(["crosslingual", "--fit-config", deen, "--eval-config", sven])
     runs.append(["score", "--config", str(json_copy_config(tmp_path))])
+    runs.append(["score", "--config", str(deen_copy(tmp_path, "run_deen_top1.json", similarity={"threshold": 0, "top_k": 1}))])
     runs.append(["evaluate", "--config", str(smoke_contextual_config(tmp_path))])
     called = set()
 
@@ -143,9 +141,5 @@ def test_every_library_function_is_reached(tmp_path):
         sys.setprofile(previous)
 
     functions, decorators, traced = defined_functions(), decorator_names(), traced_names()
-    unreached = sorted(
-        name for name, code in functions.items() if code not in called and name not in ALLOWLIST and not exempt(name, decorators, traced)
-    )
+    unreached = sorted(name for name, code in functions.items() if code not in called and not exempt(name, decorators, traced))
     assert unreached == [], "defined in src/mteval but reached by no CLI run or demo: " + ", ".join(unreached)
-    stale = sorted(name for name in ALLOWLIST if name not in functions or functions[name] in called)
-    assert stale == [], "allowlisted but gone, or now reached: " + ", ".join(stale)
