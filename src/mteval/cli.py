@@ -153,8 +153,10 @@ def cmd_ablate(args) -> int:
 def cmd_crosslingual(args) -> int:
     fit_config = load_run_config(args.fit_config)
     eval_config = load_run_config(args.eval_config)
-    if fit_config.metric_config != eval_config.metric_config:
-        raise ConfigError("fit and eval configs must enable identical metrics in the same mode")
+    fit, eval_ = fit_config.metric_config, eval_config.metric_config
+    if fit != eval_:
+        differ = [f"{name} ({a!r} vs {b!r})" for name, a, b in zip(fit._fields, fit._values(), eval_._values()) if a != b]
+        raise ConfigError(f"fit and eval configs must enable identical metrics in the same mode; they differ in {', '.join(differ)}")
     fit_dataset, fit_resources = _load_run(fit_config)
     eval_dataset, eval_resources = _load_run(eval_config)
     fit_names = feature_names(fit_config.metric_config, fit_resources)

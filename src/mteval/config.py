@@ -3,13 +3,12 @@
 Schema (relative paths resolve against the config file's directory)::
 
     {
-      "dataset": "mqm-zh-en.tsv",
+      "dataset": "mqm-zh-en.tsv",            // required, as are mode and metrics
       "dataset_format": "tsv",               // optional; inferred from suffix
       "mode": "reference_based",             // or "source_based"
       "metrics": ["scm", "wmd", "bleu"],
       "reg_base": true,
       "lowercase": false,
-      "compositionality_full_matrix": false,
       "similarity": {"threshold": 0.1, "exponent": 2.0, "top_k": 100},
       "resources": {
         "static_embeddings": "vectors.txt",
@@ -47,7 +46,6 @@ _TOP_KEYS = {
     "metrics",
     "reg_base",
     "lowercase",
-    "compositionality_full_matrix",
     "similarity",
     "resources",
     "split",
@@ -149,7 +147,7 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
     if fmt is not None and fmt not in ("tsv", "json"):
         problems.append(f"'dataset_format' must be 'tsv' or 'json', got {fmt!r}")
 
-    for flag in ("reg_base", "lowercase", "compositionality_full_matrix"):
+    for flag in ("reg_base", "lowercase"):
         if flag in payload and not isinstance(payload[flag], bool):
             problems.append(f"'{flag}' must be a boolean")
     output_dir = payload.get("output_dir")
@@ -168,7 +166,6 @@ def _parse(payload: dict, base_dir: Path, where: str) -> RunConfig:
                 metrics=tuple(metrics),
                 reg_base=payload.get("reg_base", True),
                 lowercase=payload.get("lowercase", False),
-                compositionality_full_matrix=payload.get("compositionality_full_matrix", False),
                 similarity_threshold=float(similarity.get("threshold", DEFAULT_THRESHOLD)),
                 similarity_exponent=float(similarity.get("exponent", DEFAULT_EXPONENT)),
                 similarity_top_k=similarity.get("top_k", DEFAULT_TOP_K),

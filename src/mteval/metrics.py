@@ -126,8 +126,8 @@ class MetricConfig(Frozen):
 
     def __init__(
         self, mode: str, metrics: tuple[str, ...], reg_base: bool = True, lowercase: bool = False,
-        compositionality_full_matrix: bool = False, similarity_threshold: float = DEFAULT_THRESHOLD,
-        similarity_exponent: float = DEFAULT_EXPONENT, similarity_top_k: int = DEFAULT_TOP_K,
+        similarity_threshold: float = DEFAULT_THRESHOLD, similarity_exponent: float = DEFAULT_EXPONENT,
+        similarity_top_k: int = DEFAULT_TOP_K,
     ):
         self._set(locals())
         if self.mode not in MODES:
@@ -338,36 +338,26 @@ def _contextual_sides(x, y, weighting, vocab):
     return wx, wy, x[1], y[1]
 
 
-def compositionality(x: Sequence[str], y: Sequence[str], full_matrix: bool = False) -> float:
+def compositionality(x: Sequence[str], y: Sequence[str]) -> float:
     """l1 distance of two tag sequences' self-transition probabilities over the union tag set.
 
     A tag's self-transition probability is its count of ``t -> t`` transitions
-    over its count of transitions out (0 with none).  ``full_matrix`` switches
-    to the l1 distance of the complete transition matrices.
+    over its count of transitions out (0 with none).
     """
     px, py = _transition_probs(x), _transition_probs(y)
-    if full_matrix:
-        # first-appearance order, x then y: numpy's pairwise sum rounds by position
-        index = {tag: i for i, tag in enumerate(dict.fromkeys([*x, *y]))}
-        dense = np.zeros((2, len(index), len(index)))
-        for side, probs in enumerate((px, py)):
-            for (a, b), p in probs.items():
-                dense[side, index[a], index[b]] = p
-        return float(np.abs(dense[0] - dense[1]).sum())
     # the tags neither side repeats add exact zeros, and fsum is exact in any order
-    repeated = {a for a, b in [*px, *py] if a == b}
-    return math.fsum(abs(px.get((t, t), 0.0) - py.get((t, t), 0.0)) for t in repeated)
+    return math.fsum(abs(px.get(t, 0.0) - py.get(t, 0.0)) for t in px.keys() | py.keys())
 
 
-def _transition_probs(tags: Sequence[str]) -> dict[tuple[str, str], float]:
-    """count(a -> b) / count(transitions out of a) for each observed adjacent pair (a, b).
+def _transition_probs(tags: Sequence[str]) -> dict[str, float]:
+    """count(t -> t) / count(transitions out of t) for each tag t that follows itself.
 
     An int / int quotient rounds exactly as numpy's division of the same counts as floats.
     """
     if not tags:
         raise ValueError("cannot count transitions in an empty tag list")
     out = Counter(tags[:-1])
-    return {(a, b): n / out[a] for (a, b), n in Counter(zip(tags, tags[1:])).items()}
+    return {t: n / out[t] for t, n in Counter(a for a, b in zip(tags, tags[1:]) if a == b).items()}
 
 
 def sentence_bleu(reference_tokens: list[str], hypothesis_tokens: list[str], reference_counts: list[Counter] | None = None) -> float:
@@ -519,7 +509,7 @@ def _compute_metric(
         anchor_tags = getattr(segment, f"pos_{config.anchor_side}")
         if anchor_tags is None or segment.pos_hypothesis is None:
             raise UnscorableSegment("missing PoS tags")
-        return compositionality(anchor_tags, segment.pos_hypothesis, full_matrix=config.compositionality_full_matrix), None
+        return compositionality(anchor_tags, segment.pos_hypothesis), None
     if info.space == "contextual":
         x, y = (resources.contextual.side_of(segment.id, side) for side in (config.anchor_side, "hypothesis"))
         wx, wy, ex, ey = _contextual_sides(x, y, info.weighting, resources.vocabs.get(info.space))

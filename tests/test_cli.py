@@ -14,9 +14,7 @@ import mteval.cli
 import mteval.pipeline
 from mteval.cli import build_parser, main
 from mteval.config import load_run_config
-from mteval.corpus import load_dataset
 from mteval.errors import ConfigError
-from mteval.metrics import compositionality
 from test_perfbench_digests import bench  # noqa: F401  (a fixture: perfbench/run.py, loaded without bytecode)
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
@@ -86,31 +84,6 @@ def test_score_honours_out_override(tmp_path):
     assert main(["score", "--config", str(config), "--out", str(target)]) == 0
     assert (target / "scores.tsv").is_file()
     assert not (tmp_path / "out").exists()
-
-
-def test_score_compositionality_full_matrix_changes_that_column_only(tmp_path):
-    payload = json.loads((DEMO_DATA / "run_deen.json").read_text(encoding="utf-8"))
-    payload["dataset"] = str(DEMO_DATA / payload["dataset"])
-    payload["resources"] = {key: str(DEMO_DATA / value) for key, value in payload["resources"].items()}
-    tables = {}
-    for full_matrix in (False, True):
-        config = tmp_path / f"run_{full_matrix}.json"
-        config.write_text(json.dumps(payload | {"compositionality_full_matrix": full_matrix}), encoding="utf-8")
-        out = tmp_path / f"out_{full_matrix}"
-        assert main(["score", "--config", str(config), "--out", str(out)]) == 0
-        scores = [line.split("\t") for line in (out / "scores.tsv").read_text(encoding="utf-8").splitlines()]
-        tables[full_matrix] = scores, (out / "flags.tsv").read_bytes()
-    (diagonal, diagonal_flags), (full, full_flags) = tables[False], tables[True]
-    assert full_flags == diagonal_flags
-    assert len(full) == len(diagonal) and full[0] == diagonal[0]
-    column = full[0].index("compositionality")
-    for a, b in zip(diagonal[1:], full[1:]):
-        assert a[:column] + a[column + 1 :] == b[:column] + b[column + 1 :]
-    assert any(a[column] != b[column] for a, b in zip(diagonal[1:], full[1:]))
-    segments = {segment.id: segment for segment in load_dataset(DEMO_DATA / "deen.tsv").segments}
-    for row in full[1:]:
-        segment = segments[row[0]]
-        assert row[column] == f"{compositionality(segment.pos_reference, segment.pos_hypothesis, full_matrix=True):.6f}"
 
 
 def test_evaluate_reports_ensembles(tmp_path, capsys):
@@ -346,6 +319,18 @@ def test_crosslingual_rejects_mismatched_metrics(tmp_path, capsys):
     code = main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(eval_)])
     assert code == 1
     assert "identical metrics" in capsys.readouterr().err
+
+
+def test_crosslingual_mismatch_names_each_differing_setting(tmp_path, capsys):
+    fit = write_run(tmp_path, config_name="fit.json")
+    eval_ = write_run(tmp_path, config_name="eval.json")
+    payload = json.loads(eval_.read_text(encoding="utf-8"))
+    eval_.write_text(json.dumps(payload | {"similarity": {"top_k": 5}}), encoding="utf-8")
+    assert main(["crosslingual", "--fit-config", str(fit), "--eval-config", str(eval_)]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: fit and eval configs must enable identical metrics in the same mode;"
+        " they differ in similarity_top_k (100 vs 5)\n"
+    )
 
 
 @pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
@@ -946,6 +931,9 @@ ERROR_TABLE = {
     # configuration problems name the config file and the key
     "section-not-object": (_set("mlp", [1]), 1, INVALID_CONFIG + "'mlp' must be an object"),
     "unknown-section-key": (_set("split", "shuffle", True), 1, INVALID_CONFIG + "unknown keys under 'split': ['shuffle']"),
+    "removed-full-matrix-key": (
+        _set("compositionality_full_matrix", True), 1, INVALID_CONFIG + "unknown keys: ['compositionality_full_matrix']"
+    ),
     "metrics-not-list": (_set("metrics", "bleu"), 1, INVALID_CONFIG + "'metrics' must be a list of metric names"),
     "bad-dataset-format": (_set("dataset_format", "csv"), 1, INVALID_CONFIG + "'dataset_format' must be 'tsv' or 'json'"),
     "non-boolean-flag": (_set("lowercase", "yes"), 1, INVALID_CONFIG + "'lowercase' must be a boolean"),

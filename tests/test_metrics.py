@@ -464,17 +464,6 @@ def test_compositionality_union_covers_disjoint_tags():
     assert compositionality(x, y) == 2.0
 
 
-def test_compositionality_full_matrix_variant():
-    x = ["N", "V", "N"]
-    y = ["N", "N", "V"]
-    # diagonals: x has none, y has N->N 0.5 -> diagonal l1 = 0.5
-    assert abs(compositionality(x, y) - 0.5) < 1e-12
-    # full matrices differ on N->V and N->N (and nothing else involving V row)
-    full = np.abs(np.array([[0.0, 1.0], [1.0, 0.0]]) - np.array([[0.5, 0.5], [0.0, 0.0]])).sum()
-    assert abs(compositionality(x, y, full_matrix=True) - full) < 1e-12
-
-
-
 def tag_pairs():
     """Random tag sequences, one tag, one repeated tag, and disjoint tag sets."""
     tags = st.sampled_from(["DET", "NOUN", "VERB", "ADJ", "ADP"])
@@ -490,19 +479,18 @@ def tag_pairs():
 
 
 @settings(max_examples=400, deadline=None)
-@given(tag_pairs(), st.booleans())
-def test_compositionality_from_tag_counts_matches_the_graph_oracle_bit_for_bit(pair, full_matrix):
+@given(tag_pairs())
+def test_compositionality_from_tag_counts_matches_the_graph_oracle_bit_for_bit(pair):
     x, y = pair
-    got = compositionality(x, y, full_matrix=full_matrix)
-    assert got.hex() == graph_compositionality(x, y, full_matrix).hex()
-    assert compositionality(tuple(x), tuple(y), full_matrix=full_matrix).hex() == got.hex()  # Segment holds tuples
+    got = compositionality(x, y)
+    assert got.hex() == graph_compositionality(x, y).hex()
+    assert compositionality(tuple(x), tuple(y)).hex() == got.hex()  # Segment holds tuples
 
 
 def test_compositionality_rejects_an_empty_side():
-    for full_matrix in (False, True):
-        for x, y in (([], ["N"]), (["N"], [])):
-            with pytest.raises(ValueError, match="empty tag list"):
-                compositionality(x, y, full_matrix=full_matrix)
+    for x, y in (([], ["N"]), (["N"], [])):
+        with pytest.raises(ValueError, match="empty tag list"):
+            compositionality(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import importlib
 import inspect
 import itertools
+import json
 import math
 import pkgutil
 import re
@@ -11,7 +12,8 @@ from math import inf
 from pathlib import Path
 
 import mteval
-from mteval.config import _RANGES
+from mteval.config import _RANGES, _TOP_KEYS, load_run_config
+from mteval.ensemble import fit_mlp
 from mteval.metrics import METRICS
 from mteval.pipeline import _SPACE_PATHS
 
@@ -69,6 +71,23 @@ def test_readme_run_config_ranges_match_the_validated_ranges():
     rows += [f"| {', '.join(names)} | {text} |" for text, names in keys.items() if names]
     rows += ["| `split.seed` | integers ≥ 0 |", "| `output_dir` | a nonempty path string |"]  # checked outside the table
     assert readme_table(rows[0]) == rows
+
+
+def test_readme_run_config_example_parses_and_shows_each_default(tmp_path):
+    section = README[README.index("## Run config") : README.index("## File formats")]
+    example, prose = re.search(r"```json\n(.*?)```(.*)", section, re.S).groups()
+    payload = json.loads(example)
+    required = {key: payload[key] for key in ("dataset", "mode", "metrics")} | {"split": {"seed": payload["split"]["seed"]}}
+    (tmp_path / "shown.json").write_text(example, encoding="utf-8")
+    (tmp_path / "bare.json").write_text(json.dumps(required), encoding="utf-8")
+    shown, bare = load_run_config(tmp_path / "shown.json"), load_run_config(tmp_path / "bare.json")
+    assert shown.metric_config == bare.metric_config  # reg_base, lowercase and similarity.* as their defaults
+    assert shown.split_ratio == bare.split_ratio
+    assert bare.mlp_options == {} and bare.output_dir is None
+    # mlp.* left out take fit_mlp's defaults
+    defaults = inspect.signature(fit_mlp).parameters
+    assert shown.mlp_options == {name: defaults[name].default for name in _RANGES["mlp"]}
+    assert [key for key in sorted(_TOP_KEYS) if key not in payload and f"`{key}`" not in prose] == []
 
 
 def signature_form(function) -> list[str]:

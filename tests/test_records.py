@@ -46,8 +46,7 @@ SIGNATURES = {
     "metrics.MetricInfo": [("family", REQUIRED), ("space", "'none'"), ("weighting", "'nnx'")],
     "metrics.MetricConfig": [
         ("mode", REQUIRED), ("metrics", REQUIRED), ("reg_base", "True"), ("lowercase", "False"),
-        ("compositionality_full_matrix", "False"), ("similarity_threshold", "0.1"), ("similarity_exponent", "2.0"),
-        ("similarity_top_k", "100"),
+        ("similarity_threshold", "0.1"), ("similarity_exponent", "2.0"), ("similarity_top_k", "100"),
     ],
     "metrics.Resources": [
         ("wp_vocab", "None"), ("contextual", "None"), ("vocabs", FACTORY), ("stores", FACTORY), ("sims", FACTORY),
@@ -112,7 +111,7 @@ def arguments():
         "metrics.MetricInfo": {"family": "wmd", "space": "pieces", "weighting": "nfx"},
         "metrics.MetricConfig": {
             "mode": "source_based", "metrics": ("wmd_decontextualized",), "reg_base": False, "lowercase": True,
-            "compositionality_full_matrix": True, "similarity_threshold": 0.5, "similarity_exponent": 3.0, "similarity_top_k": 7,
+            "similarity_threshold": 0.5, "similarity_exponent": 3.0, "similarity_top_k": 7,
         },
         "metrics.Resources": {
             "wp_vocab": WordPieceVocab(("[UNK]",)), "contextual": ContextualTable(np.empty((0, 2)), [], [], [], [], []),
